@@ -349,7 +349,7 @@ def from_quiver(
                         pending.append(((s2, t), out))
 
     # quotient bases: complement coordinates of each relation span
-    quots = {pair: spans[pair].to_subspace().quotient_maps() for pair in by_pair}
+    quots = {pair: spans[pair].quotient_maps() for pair in by_pair}
     hom_dims = {pair: quots[pair][0].rows for pair in by_pair}
     labels = {}
     for pair, lst in by_pair.items():

@@ -395,10 +395,6 @@ def is_abelian_localization(p: LinearFunctor, t_prime: TorsionData) -> DecisionR
     flat = is_flat_quotient(p, t_prime)
     verdict = glax.verdict and flat.verdict
     details = {"glax": glax.details | {"verdict": glax.verdict}, "flat": flat.verdict}
-    if verdict:
-        # the induced filter on the source: dense submodules are those whose
-        # inclusion becomes invertible after induction (induced_filter_membership)
-        details["induced_filter_test"] = "induced_filter_membership"
     return DecisionReport("abelian-localization", verdict, details)
 
 

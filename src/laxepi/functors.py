@@ -6,18 +6,19 @@ relation span ("act on the module" minus "map and compose") is quotiented out
 of a finite sum of hom spaces, objectwise.  The same shape computes the tensor
 with a bimodule, which is how induction into a quotient category is reached.
 Coinduction is a hom-space module.  Contexts carry the chosen projections,
-sections and hom bases so units, counits and functoriality on maps are all
-computed in matching coordinates.
+quotient coordinates and hom bases so units, counits and functoriality on
+maps are all computed in matching coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from .category import LinearCategory, Morphism, compose
 from .errors import InternalInvariantError
-from .linalg import ZERO, EchelonBasis, RationalMatrix, zero_vec
+from .linalg import ZERO, EchelonBasis, RationalMatrix, nonzeros, zero_vec
 from .modules import (
     Module,
     ModuleMap,
@@ -182,7 +183,9 @@ class InducedContext:
     unit: ModuleMap  # x -> restrict(s, module)
     slots: dict[str, list[tuple[str, int]]]  # per target object: (source obj U, offset)
     projections: dict[str, RationalMatrix]
-    sections: dict[str, RationalMatrix]
+    # big-space columns that serve as quotient coordinates; the section of
+    # each projection is the unit columns at these
+    free: dict[str, list[int]]
 
     def big_dim(self, t_obj: str) -> int:
         return self.projections[t_obj].cols
@@ -212,49 +215,45 @@ def induce(s: LinearFunctor, x: Module) -> InducedContext:
         slots[t_obj] = slot
         rels[t_obj] = EchelonBasis(off)
 
-    def pos(t_obj: str, u: str, a: int, j: int) -> int:
-        base = next(o for uu, o in slots[t_obj] if uu == u)
-        return base + a * tgt.hom_dim(t_obj, s.apply_obj(u)) + j
-
     for t_obj in tgt.objects:
-        total = rels[t_obj].width
-        if total == 0:
+        if rels[t_obj].width == 0:
             continue
+        offset = dict(slots[t_obj])
         for v, u in src.hom_pairs():
             sv, su = s.apply_obj(v), s.apply_obj(u)
-            dh = tgt.hom_dim(t_obj, sv)
-            if dh == 0:
+            dh, du = tgt.hom_dim(t_obj, sv), tgt.hom_dim(t_obj, su)
+            if dh == 0 or x.dims[u] == 0:
                 continue
             for i in range(src.hom_dim(v, u)):
                 act = x.action[(v, u, i)]  # x(U) -> x(V)
                 s_mor = s.apply(src.basis_morphism(v, u, i))  # SV -> SU
+                # S(u_i) ∘ h : T -> SU for each basis morphism h : T -> SV
+                shs = [
+                    nonzeros(compose(tgt, s_mor, tgt.basis_morphism(t_obj, sv, j)).coords)
+                    for j in range(dh)
+                ]
                 for a in range(x.dims[u]):
-                    col = act.col(a)
+                    col = nonzeros(act.col(a))
                     for j in range(dh):
-                        h = tgt.basis_morphism(t_obj, sv, j)
-                        sh = compose(tgt, s_mor, h)  # T -> SU
-                        row = [ZERO] * total
-                        for b, cb in enumerate(col):
-                            if cb:
-                                row[pos(t_obj, v, b, j)] += cb
-                        for jj, cc in enumerate(sh.coords):
-                            if cc:
-                                row[pos(t_obj, u, a, jj)] -= cc
-                        if any(row):
+                        row: dict[int, Fraction] = {}
+                        for b, cb in col:
+                            k = offset[v] + b * dh + j
+                            row[k] = row.get(k, ZERO) + cb
+                        for jj, cc in shs[j]:
+                            k = offset[u] + a * du + jj
+                            row[k] = row.get(k, ZERO) - cc
+                        if any(row.values()):
                             rels[t_obj].insert(row)
 
-    projections, sections, dims = {}, {}, {}
-    for t_obj in tgt.objects:
-        proj, sec = rels[t_obj].to_subspace().quotient_maps()
-        projections[t_obj], sections[t_obj] = proj, sec
-        dims[t_obj] = proj.rows
+    projections, free = _quotients(rels)
+    dims = {t_obj: len(free[t_obj]) for t_obj in tgt.objects}
 
     # action of the induced module: precomposition inside each hom slot
     action = {}
     for t2, t1 in tgt.hom_pairs():  # basis morphisms t2 -> t1 act ind(t1) -> ind(t2)
         for i in range(tgt.hom_dim(t2, t1)):
-            big = _big_precompose(s, x, slots, t2, t1, i, tgt)
-            action[(t2, t1, i)] = projections[t2] * big * sections[t1]
+            big = _precompose_entries(s, x, slots, t2, t1, i, tgt)
+            action[(t2, t1, i)] = _descend(projections[t2], free[t1], big)
     ind = Module(tgt, dims, action)
 
     # unit x -> restrict(s, ind): e_a at U goes to class of e_a ⊗ id_SU
@@ -264,9 +263,10 @@ def induce(s: LinearFunctor, x: Module) -> InducedContext:
         cols = []
         for a in range(x.dims[u]):
             big = [ZERO] * rels[su].width
+            base = dict(slots[su])[u] + a * tgt.hom_dim(su, su)
             for jj, cc in enumerate(tgt.identities[su]):
                 if cc:
-                    big[pos(su, u, a, jj)] += cc
+                    big[base + jj] += cc
             cols.append(projections[su].apply(big))
         unit_comps[u] = (
             RationalMatrix(cols, len(cols), dims[su]).transpose()
@@ -275,18 +275,36 @@ def induce(s: LinearFunctor, x: Module) -> InducedContext:
         )
     rind = restrict(s, ind)
     unit = ModuleMap(x, rind, unit_comps)
-    return InducedContext(s, x, ind, unit, slots, projections, sections)
+    return InducedContext(s, x, ind, unit, slots, projections, free)
 
 
-def _big_precompose(s, x, slots, t2, t1, i, tgt):
+def _quotients(rels: Mapping[str, EchelonBasis]):
+    """Projection and free columns of each big space modulo its relations."""
+    projections = {obj: eb.quotient_maps()[0] for obj, eb in rels.items()}
+    free = {obj: eb.free_columns() for obj, eb in rels.items()}
+    return projections, free
+
+
+def _descend(
+    proj: RationalMatrix, free: Sequence[int], entries: Sequence[tuple[int, int, Fraction]]
+) -> RationalMatrix:
+    """proj * B * S for the big-space map B with the given (row, column, value)
+    entries, S being the section whose columns are the units at `free`.
+
+    B * S is B restricted to those columns, so only they are built.
+    """
+    where = {j: k for k, j in enumerate(free)}
+    out = [[ZERO] * len(free) for _ in range(proj.cols)]
+    for r, c, x in entries:
+        k = where.get(c)
+        if k is not None:
+            out[r][k] += x
+    return proj * RationalMatrix(out, proj.cols, len(free))
+
+
+def _precompose_entries(s, x, slots, t2, t1, i, tgt) -> list[tuple[int, int, Fraction]]:
     """⊕_U id_{x(U)} ⊗ (precompose by basis morphism t2->t1) on the big spaces."""
-    rows_t2 = sum(
-        x.dims[u] * tgt.hom_dim(t2, s.apply_obj(u)) for u, _ in slots[t2]
-    )
-    cols_t1 = sum(
-        x.dims[u] * tgt.hom_dim(t1, s.apply_obj(u)) for u, _ in slots[t1]
-    )
-    out = [[ZERO] * cols_t1 for _ in range(rows_t2)]
+    out = []
     for (u, off1), (_, off2) in zip(slots[t1], slots[t2]):
         su = s.apply_obj(u)
         d1, d2 = tgt.hom_dim(t1, su), tgt.hom_dim(t2, su)
@@ -299,8 +317,8 @@ def _big_precompose(s, x, slots, t2, t1, i, tgt):
                 c1 = off1 + a * d1 + j
                 for jj, cc in enumerate(hb.coords):
                     if cc:
-                        out[off2 + a * d2 + jj][c1] += cc
-    return RationalMatrix(out, rows_t2, cols_t1)
+                        out.append((off2 + a * d2 + jj, c1, cc))
+    return out
 
 
 def induce_map(
@@ -310,9 +328,7 @@ def induce_map(
     tgt = s.target
     comps = {}
     for t_obj in tgt.objects:
-        rows = ctx_tgt.big_dim(t_obj)
-        cols = ctx_src.big_dim(t_obj)
-        big = [[ZERO] * cols for _ in range(rows)]
+        big = []
         for u, off_s in ctx_src.slots[t_obj]:
             off_t = ctx_tgt.slot_offset(t_obj, u)
             dh = tgt.hom_dim(t_obj, s.apply_obj(u))
@@ -322,12 +338,8 @@ def induce_map(
                     cc = fu[b, a]
                     if cc:
                         for j in range(dh):
-                            big[off_t + b * dh + j][off_s + a * dh + j] += cc
-        comps[t_obj] = (
-            ctx_tgt.projections[t_obj]
-            * RationalMatrix(big, rows, cols)
-            * ctx_src.sections[t_obj]
-        )
+                            big.append((off_t + b * dh + j, off_s + a * dh + j, cc))
+        comps[t_obj] = _descend(ctx_tgt.projections[t_obj], ctx_src.free[t_obj], big)
     return ModuleMap(ctx_src.module, ctx_tgt.module, comps)
 
 
@@ -344,12 +356,13 @@ def counit_from_context(ctx: InducedContext, y: Module) -> ModuleMap:
             for a in range(y.dims[su]):
                 for j in range(dh):
                     cols_big.append(y.action[(t_obj, su, j)].col(a))
-        big = (
-            RationalMatrix(cols_big, len(cols_big), y.dims[t_obj]).transpose()
-            if cols_big
+        # big * section is big restricted to the free columns
+        cols = [cols_big[j] for j in ctx.free[t_obj]]
+        comps[t_obj] = (
+            RationalMatrix(cols, len(cols), y.dims[t_obj]).transpose()
+            if cols
             else RationalMatrix.zeros(y.dims[t_obj], 0)
         )
-        comps[t_obj] = big * ctx.sections[t_obj]
     return ModuleMap(ctx.module, y, comps)
 
 
@@ -561,7 +574,9 @@ class TensorContext:
     module: Module
     slots: dict[str, list[tuple[str, int]]]
     projections: dict[str, RationalMatrix]
-    sections: dict[str, RationalMatrix]
+    # big-space columns that serve as quotient coordinates; the section of
+    # each projection is the unit columns at these
+    free: dict[str, list[int]]
 
     def big_dim(self, h_obj: str) -> int:
         return self.projections[h_obj].cols
@@ -589,57 +604,49 @@ def tensor_bimodule(x: Module, b: Bimodule) -> TensorContext:
         slots[h] = slot
         rels[h] = EchelonBasis(off)
 
-    def pos(h, g, a, j):
-        base = next(o for gg, o in slots[h] if gg == g)
-        return base + a * b.values[g].dims[h] + j
-
     for h in rc.objects:
-        total = rels[h].width
-        if total == 0:
+        if rels[h].width == 0:
             continue
+        offset = dict(slots[h])
         for gp, g in lc.hom_pairs():  # gamma: G' -> G
+            dp, d = b.values[gp].dims[h], b.values[g].dims[h]
             for i in range(lc.hom_dim(gp, g)):
                 act = x.action[(gp, g, i)]  # x(G) -> x(G')
                 lact = b.left_action[(gp, g, i)].components[h]  # b(G')(h) -> b(G)(h)
+                lcols = [nonzeros(lact.col(j)) for j in range(dp)]
                 for a in range(x.dims[g]):
-                    col = act.col(a)
-                    for j in range(b.values[gp].dims[h]):
-                        row = [ZERO] * total
-                        for bb, cb in enumerate(col):
-                            if cb:
-                                row[pos(h, gp, bb, j)] += cb
-                        for jj, cc in enumerate(lact.col(j)):
-                            if cc:
-                                row[pos(h, g, a, jj)] -= cc
-                        if any(row):
+                    col = nonzeros(act.col(a))
+                    for j in range(dp):
+                        row: dict[int, Fraction] = {}
+                        for bb, cb in col:
+                            k = offset[gp] + bb * dp + j
+                            row[k] = row.get(k, ZERO) + cb
+                        for jj, cc in lcols[j]:
+                            k = offset[g] + a * d + jj
+                            row[k] = row.get(k, ZERO) - cc
+                        if any(row.values()):
                             rels[h].insert(row)
 
-    projections, sections, dims = {}, {}, {}
-    for h in rc.objects:
-        proj, sec = rels[h].to_subspace().quotient_maps()
-        projections[h], sections[h] = proj, sec
-        dims[h] = proj.rows
+    projections, free = _quotients(rels)
+    dims = {h: len(free[h]) for h in rc.objects}
 
     action = {}
     for h2, h1 in rc.hom_pairs():
         for i in range(rc.hom_dim(h2, h1)):
-            rows = sum(x.dims[g] * b.values[g].dims[h2] for g, _ in slots[h2])
-            cols = sum(x.dims[g] * b.values[g].dims[h1] for g, _ in slots[h1])
-            big = [[ZERO] * cols for _ in range(rows)]
+            big = []
             for (g, off1), (_, off2) in zip(slots[h1], slots[h2]):
                 m = b.values[g].action[(h2, h1, i)]  # b(g)(h1) -> b(g)(h2)
                 d1, d2 = b.values[g].dims[h1], b.values[g].dims[h2]
+                entries = [
+                    (jj, j, cc) for jj, r in enumerate(m.data) for j, cc in nonzeros(r)
+                ]
                 for a in range(x.dims[g]):
-                    for j in range(d1):
-                        for jj in range(d2):
-                            cc = m[jj, j]
-                            if cc:
-                                big[off2 + a * d2 + jj][off1 + a * d1 + j] += cc
-            action[(h2, h1, i)] = (
-                projections[h2] * RationalMatrix(big, rows, cols) * sections[h1]
-            )
+                    big += [
+                        (off2 + a * d2 + jj, off1 + a * d1 + j, cc) for jj, j, cc in entries
+                    ]
+            action[(h2, h1, i)] = _descend(projections[h2], free[h1], big)
     out = Module(rc, dims, action)
-    return TensorContext(b, x, out, slots, projections, sections)
+    return TensorContext(b, x, out, slots, projections, free)
 
 
 def tensor_map(
@@ -654,8 +661,7 @@ def tensor_map(
     rc = b.right_cat
     comps = {}
     for h in rc.objects:
-        rows, cols = ctx_tgt.big_dim(h), ctx_src.big_dim(h)
-        big = [[ZERO] * cols for _ in range(rows)]
+        big = []
         for g, off_s in ctx_src.slots[h]:
             off_t = ctx_tgt.slot_offset(h, g)
             d = b.values[g].dims[h]
@@ -665,10 +671,8 @@ def tensor_map(
                     cc = fg[bb, a]
                     if cc:
                         for j in range(d):
-                            big[off_t + bb * d + j][off_s + a * d + j] += cc
-        comps[h] = (
-            ctx_tgt.projections[h] * RationalMatrix(big, rows, cols) * ctx_src.sections[h]
-        )
+                            big.append((off_t + bb * d + j, off_s + a * d + j, cc))
+        comps[h] = _descend(ctx_tgt.projections[h], ctx_src.free[h], big)
     return ModuleMap(ctx_src.module, ctx_tgt.module, comps)
 
 

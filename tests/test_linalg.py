@@ -180,3 +180,75 @@ def test_solve_matrix_right_inverse():
     a = M([[1, 1], [0, 1]])
     x = solve_matrix(a, RationalMatrix.identity(2))
     assert a * x == RationalMatrix.identity(2)
+
+
+# Mostly-zero inputs (at least 70 % zeros, up to 30 wide) reach the branches of
+# products and eliminations that skip zero entries; `matrices` draws dense ones.
+nonzero_entries = entries.filter(lambda x: x != 0)
+
+
+@st.composite
+def sparse_matrices(draw, rows=None, cols=None, max_dim=30):
+    r = rows if rows is not None else draw(st.integers(min_value=1, max_value=max_dim))
+    c = cols if cols is not None else draw(st.integers(min_value=1, max_value=max_dim))
+    cells = draw(
+        st.sets(st.integers(min_value=0, max_value=r * c - 1), max_size=(r * c * 3) // 10)
+    )
+    data = [[Q(0)] * c for _ in range(r)]
+    for cell in sorted(cells):
+        data[cell // c][cell % c] = draw(nonzero_entries)
+    return RationalMatrix(data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sparse_product_matches_definition(data):
+    a = data.draw(sparse_matrices())
+    b = data.draw(sparse_matrices(rows=a.cols))
+    want = [
+        [sum((a[i, k] * b[k, j] for k in range(a.cols)), Q(0)) for j in range(b.cols)]
+        for i in range(a.rows)
+    ]
+    assert a * b == RationalMatrix(want, a.rows, b.cols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sparse_solve_matrix_matches_columnwise_solve(data):
+    a = data.draw(sparse_matrices())
+    if data.draw(st.booleans()):
+        b = a * data.draw(sparse_matrices(rows=a.cols, max_dim=6))  # consistent
+    else:
+        b = data.draw(sparse_matrices(rows=a.rows, max_dim=6))
+    columns = [solve(a, b.col(j)) for j in range(b.cols)]
+    x = solve_matrix(a, b)
+    if any(col is None for col in columns):
+        assert x is None
+    else:
+        assert x is not None and a * x == b
+        assert [x.col(j) for j in range(b.cols)] == columns
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_matrices())
+def test_sparse_echelon_matches_subspace(m):
+    eb = EchelonBasis(m.cols)
+    for r in m.data:
+        eb.insert(r)
+    sub = Subspace.from_vectors(m.data, m.cols)
+    assert eb.to_subspace() == sub
+    as_dicts = EchelonBasis(m.cols)
+    for r in m.data:
+        as_dicts.insert(dict(enumerate(r)))  # zero values included on purpose
+    assert as_dicts.to_subspace() == sub
+    proj, sec = eb.quotient_maps()
+    assert (proj, sec) == sub.quotient_maps()
+    assert proj * sec == RationalMatrix.identity(m.cols - sub.dim)
+    assert (proj * m.transpose()).is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_matrices())
+def test_sparse_rref_idempotent(m):
+    red, pivots = rref(m)
+    assert rref(red) == (red, pivots)
