@@ -147,12 +147,6 @@ class RationalMatrix:
         return cls([unit_vec(n, i) for i in range(n)], n, n)
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence], cols: int | None = None) -> "RationalMatrix":
-        if not rows and cols is None:
-            raise DimensionMismatch("column count needed for an empty row list")
-        return cls(rows, len(rows), cols if cols is not None else len(rows[0]))
-
-    @classmethod
     def column(cls, entries: Sequence) -> "RationalMatrix":
         return cls([[e] for e in entries], len(entries), 1)
 

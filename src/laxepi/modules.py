@@ -23,6 +23,7 @@ from .linalg import (
     block_diag,
     image_basis,
     kernel_basis,
+    nonzeros,
     solve,
     solve_matrix,
     unit_vec,
@@ -155,10 +156,6 @@ class Submodule:
             and self.of == other.of
             and self.spaces == other.spaces
         )
-
-
-def full_submodule(x: Module) -> Submodule:
-    return Submodule(x, {u: Subspace.full(x.dims[u]) for u in x.over.objects})
 
 
 def zero_submodule(x: Module) -> Submodule:
@@ -331,7 +328,19 @@ def direct_sum(xs: Sequence[Module], over: LinearCategory | None = None):
 # hom spaces
 # ---------------------------------------------------------------------------
 
-def hom_modules(x: Module, y: Module) -> list[ModuleMap]:
+class HomBasis(list):
+    """The basis maps from `hom_modules`, with their rows in canonical RREF.
+
+    `rows` maps the pivot column of each row of flattened maps (`flatten_map`
+    order) to its {column: value} entries, in the order of the maps.
+    """
+
+    def __init__(self, maps: Sequence[ModuleMap], rows: dict[int, dict[int, Fraction]]):
+        super().__init__(maps)
+        self.rows = rows
+
+
+def hom_modules(x: Module, y: Module) -> HomBasis:
     """Basis of the natural transformations x -> y (one global linear system)."""
     if not (x.over is y.over or x.over == y.over):
         raise ValueError("hom between modules over different categories")
@@ -342,7 +351,7 @@ def hom_modules(x: Module, y: Module) -> list[ModuleMap]:
         offsets[u] = n
         n += y.dims[u] * x.dims[u]
     if n == 0:
-        return []
+        return HomBasis([], {})
     rows: list[list[Fraction]] = []
     for v, u in c.hom_pairs():
         for i in range(c.hom_dim(v, u)):
@@ -365,12 +374,14 @@ def hom_modules(x: Module, y: Module) -> list[ModuleMap]:
                     if any(row):
                         rows.append(row)
     if rows:
-        ker = kernel_basis(RationalMatrix(rows, len(rows), n))
-        basis_vecs = ker.basis_vectors()
+        basis_vecs = kernel_basis(RationalMatrix(rows, len(rows), n)).basis_vectors()
     else:
         basis_vecs = [unit_vec(n, i) for i in range(n)]
     out = []
+    pivot_rows = {}
     for bv in basis_vecs:
+        nz = nonzeros(bv)
+        pivot_rows[nz[0][0]] = dict(nz)
         comps = {}
         for u in c.objects:
             ru, cu = y.dims[u], x.dims[u]
@@ -379,22 +390,24 @@ def hom_modules(x: Module, y: Module) -> list[ModuleMap]:
                 [bv[base + r * cu : base + (r + 1) * cu] for r in range(ru)], ru, cu
             )
         out.append(ModuleMap(x, y, comps))
-    return out
+    return HomBasis(out, pivot_rows)
 
 
-def hom_dim(x: Module, y: Module) -> int:
-    return len(hom_modules(x, y))
+def coordinates_in_hom_basis(f: ModuleMap, basis: HomBasis) -> tuple[Fraction, ...] | None:
+    """Coefficients of f in a basis returned by `hom_modules`, or None if f is outside its span.
 
-
-def coordinates_in_hom_basis(
-    f: ModuleMap, basis: Sequence[ModuleMap]
-) -> tuple[Fraction, ...] | None:
-    """Coefficients of f as a combination of the given hom basis, or None."""
+    The basis rows are in canonical RREF, so each coefficient is the entry of
+    f at that row's pivot; f lies in the span exactly when recombining the
+    rows with these coefficients gives f back.
+    """
     target = flatten_map(f)
-    if not basis:
-        return () if not any(target) else None
-    mat = RationalMatrix([flatten_map(b) for b in basis]).transpose()
-    return solve(mat, target)
+    coords = tuple(target[p] for p in basis.rows)
+    residue = list(target)
+    for a, row in zip(coords, basis.rows.values()):
+        if a:
+            for j, b in row.items():
+                residue[j] -= a * b
+    return None if any(residue) else coords
 
 
 # ---------------------------------------------------------------------------
@@ -465,14 +478,6 @@ def cyclic_submodule(x: Module, u: str, v: Sequence) -> Submodule:
             eb.insert(x.action[(w, u, i)].apply(v))
         spaces[w] = eb.to_subspace()
     return Submodule(x, spaces)
-
-
-def generated_submodule(x: Module, gens: Sequence[tuple[str, Sequence]]) -> Submodule:
-    """Submodule generated by elements (object, vector)."""
-    out = zero_submodule(x)
-    for u, v in gens:
-        out = submodule_sum(out, cyclic_submodule(x, u, v))
-    return out
 
 
 # ---------------------------------------------------------------------------

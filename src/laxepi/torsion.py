@@ -5,14 +5,16 @@ both sides; idempotency (the span of pairwise composites recovers the ideal)
 makes the annihilated modules a hereditary torsion class.  Each representable
 then contains a minimal "dense" submodule J_U (the ideal's components into U),
 and localization is the Gabriel construction: kill torsion, then apply
-Hom(J_-, ·) twice.  The result is asserted closed; the helpers expose enough
-structure (units, functoriality on maps) for the quotient category to be
-computed as homs between closed modules.
+Hom(J_-, ·) once.  For a torsion-free module and the minimal dense J_U, that
+one step already gives the module of quotients (Stenström, *Rings of
+Quotients*, 1975, Ch. IX); the result is asserted closed.  The helpers expose
+enough structure (units, functoriality on maps) for the quotient category to
+be computed as homs between closed modules.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -223,13 +225,15 @@ def _restriction_to_j(t: TorsionData, x: Module, u: str, basis=None):
     jmod, _ = t.j_module(u)
     if basis is None:
         basis = hom_modules(jmod, x)
+    acts = {
+        w: [x.act(Morphism(w, u, h)) for h in t.ideal[(w, u)].basis_vectors()]
+        for w in c.objects
+    }
     cols = []
     for a in range(x.dims[u]):
         comps = {}
         for w in c.objects:
-            cc = []
-            for r, h_coords in enumerate(t.ideal[(w, u)].basis_vectors()):
-                cc.append(x.act(Morphism(w, u, h_coords)).col(a))
+            cc = [m.col(a) for m in acts[w]]
             comps[w] = (
                 RationalMatrix(cc, len(cc), x.dims[w]).transpose()
                 if cc
@@ -269,9 +273,8 @@ class ClosedModule:
 
     module: Module
     certificate: dict
-
-    def __post_init__(self):
-        self._steps = None  # populated by localize for functoriality
+    # (torsion-free quotient, its projection, hom bases), set by localize for localize_map
+    _steps: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def _gabriel_step(t: TorsionData, y: Module):
@@ -307,21 +310,19 @@ def localize(t: TorsionData, x: Module) -> tuple[ClosedModule, ModuleMap]:
     """R(Q(x)) and the unit x -> R(Q(x)); asserts the result closed."""
     tx = torsion_submodule(t, x)
     y0, proj = quotient_by(tx)
-    h1, u1, b1 = _gabriel_step(t, y0)
-    h2, u2, b2 = _gabriel_step(t, h1)
-    unit = map_compose(u2, map_compose(u1, proj))
-    ok, cert = is_closed(t, h2)
+    h, eta, bases = _gabriel_step(t, y0)
+    unit = map_compose(eta, proj)
+    ok, cert = is_closed(t, h)
     if not ok:
         raise InternalInvariantError(
-            f"two Gabriel steps did not close the module: {cert.get('reason')}"
+            f"one Gabriel step on the torsion-free quotient did not close the module: "
+            f"{cert.get('reason')}"
         )
     ker_mod, _ = kernel(unit)
     coker_mod, _ = cokernel(unit)
     if not (is_torsion(t, ker_mod) and is_torsion(t, coker_mod)):
         raise InternalInvariantError("localization unit does not have torsion kernel/cokernel")
-    cm = ClosedModule(h2, cert)
-    cm._steps = (tx, y0, proj, h1, u1, b1, h2, u2, b2)
-    return cm, unit
+    return ClosedModule(h, cert, (y0, proj, bases)), unit
 
 
 def localize_map(
@@ -332,16 +333,14 @@ def localize_map(
 ) -> ModuleMap:
     """The induced map localize(source f) -> localize(target f)."""
     c = t.cat
-    (_, x0, proj_x, hx1, _, bx1, hx2, _, bx2) = loc_src._steps
-    (ty, y0, proj_y, hy1, _, by1, hy2, _, by2) = loc_tgt._steps
+    x0, proj_x, bx = loc_src._steps
+    y0, proj_y, by = loc_tgt._steps
     # induced map on the torsion-free quotients
     sec_x = {u: _section_of(proj_x.components[u]) for u in c.objects}
     f0 = ModuleMap(
         x0, y0, {u: proj_y.components[u] * f.components[u] * sec_x[u] for u in c.objects}
     )
-    f1 = _h_functor(t, f0, bx1, by1, hx1, hy1)
-    f2 = _h_functor(t, f1, bx2, by2, hx2, hy2)
-    return f2
+    return _h_functor(t, f0, bx, by, loc_src.module, loc_tgt.module)
 
 
 def _section_of(proj: RationalMatrix) -> RationalMatrix:

@@ -11,6 +11,7 @@ from laxepi.corpus import (
 from laxepi.linalg import RationalMatrix, Subspace
 from laxepi.modules import (
     Module,
+    ModuleMap,
     Submodule,
     cokernel,
     cyclic_submodule,
@@ -262,3 +263,70 @@ def test_module_trace_of_representables_covers():
     x = yoneda(c, "2")
     tr = module_trace([yoneda(c, u) for u in c.objects], x)
     assert tr.is_full()
+
+
+def _solve_coordinates(f, basis):
+    """Coordinates of f by solving against the flattened basis (reference route)."""
+    from laxepi.linalg import solve
+
+    target = flatten_map(f)
+    if not basis:
+        return () if not any(target) else None
+    return solve(RationalMatrix([flatten_map(b) for b in basis]).transpose(), target)
+
+
+def _hom_pairs_for_coordinates():
+    from laxepi.corpus import random_instance
+
+    pairs = []
+    for seed in range(10):
+        b = random_instance(seed)
+        src_mods = [m for m in b.modules if m.over is b.category]
+        src_mods.append(yoneda(b.category, b.category.objects[0]))
+        pairs += [(x, y) for x in src_mods for y in src_mods]
+        pairs.append((zero_module(b.category), src_mods[0]))  # empty basis
+    # the field has only its identity, so the hom system has no equations
+    q = field_category()
+    x = Module(q, {"*": 2}, {("*", "*", 0): RationalMatrix.identity(2)})
+    pairs += [(x, x), (yoneda(q, "*"), x)]
+    return pairs
+
+
+def test_hom_coordinates_match_solve():
+    """Pivot read-off agrees with solving, and rejects exactly the non-natural maps."""
+    import random
+
+    from laxepi.modules import coordinates_in_hom_basis, map_add, map_scale
+
+    rng = random.Random(6)
+    kinds = set()
+    rejected = 0
+    for x, y in _hom_pairs_for_coordinates():
+        basis = hom_modules(x, y)
+        unknowns = len(flatten_map(zero_map(x, y)))
+        kinds.add(
+            "empty" if not basis else "no equations" if len(basis) == unknowns else "equations"
+        )
+        for _ in range(3):
+            want = tuple(Q(rng.randint(-5, 5), rng.randint(1, 4)) for _ in basis)
+            f = zero_map(x, y)
+            for a, b in zip(want, basis):
+                f = map_add(f, map_scale(a, b))
+            got = coordinates_in_hom_basis(f, basis)
+            assert got == want == _solve_coordinates(f, basis)
+        # a map that differs from a basis map in one entry is natural only
+        # when that entry is, so it has coordinates exactly when it is natural
+        for b in basis[:2]:
+            for u in x.over.objects:
+                m = b.components[u]
+                if not (m.rows and m.cols):
+                    continue
+                data = [list(r) for r in m.data]
+                data[rng.randrange(m.rows)][rng.randrange(m.cols)] += 1
+                pert = ModuleMap(x, y, b.components | {u: RationalMatrix(data)})
+                got = coordinates_in_hom_basis(pert, basis)
+                assert got == _solve_coordinates(pert, basis)
+                assert (got is None) == bool(validate_module_map(pert))
+                rejected += got is None
+    assert kinds == {"empty", "no equations", "equations"}
+    assert rejected

@@ -268,3 +268,33 @@ def test_representables_closed_iff_trivial_for_t2():
     assert not ok
     ok2, _ = is_closed(whole_ideal(c), yoneda(c, "*"))
     assert ok2
+
+
+def _module_ideal_pairs():
+    from laxepi.corpus import BUILTIN_NAMES, builtin, random_instance
+
+    pairs = []
+    for name in BUILTIN_NAMES:
+        b = builtin(name)
+        for t in b.ideals.values():
+            mods = [m for m in b.modules.values() if m.over == t.cat]
+            pairs += [(yoneda(t.cat, u), t) for u in t.cat.objects]
+            pairs += [(m, t) for m in mods]
+    for seed in range(30):
+        b = random_instance(seed)
+        for m in b.modules:
+            pairs += [(m, t) for t in b.ideals if t.cat is m.over]
+    return pairs
+
+
+def test_second_gabriel_step_changes_nothing():
+    """A second Gabriel step, the textbook route, finds localize already closed."""
+    from laxepi.torsion import _gabriel_step
+
+    pairs = _module_ideal_pairs()
+    assert len(pairs) > 90
+    for x, t in pairs:
+        cm, _ = localize(t, x)
+        h, unit, _ = _gabriel_step(t, cm.module)
+        assert unit.is_iso()
+        assert h.dims == cm.module.dims
