@@ -494,10 +494,8 @@ def _functor_from_arrow_images(src, tgt, object_map, arrow_images):
                 for a in path[1:]:
                     img = cat_compose(tgt, arrow_images[a], img)
             cols.append(img.coords)
-        hom_maps[(v, u)] = (
-            RationalMatrix(cols, len(cols), tgt.hom_dim(object_map[v], object_map[u])).transpose()
-            if cols
-            else RationalMatrix.zeros(tgt.hom_dim(object_map[v], object_map[u]), 0)
+        hom_maps[(v, u)] = RationalMatrix.from_columns(
+            cols, tgt.hom_dim(object_map[v], object_map[u])
         )
     return LinearFunctor(src, tgt, object_map, hom_maps)
 
@@ -538,10 +536,9 @@ def random_functor(
                 for v, u in src.hom_pairs():
                     sv, su = object_map[v], object_map[u]
                     if v == u:
-                        cols = [tgt.identities[su]]
-                        hom_maps[(v, u)] = RationalMatrix(
-                            cols, 1, tgt.hom_dim(sv, su)
-                        ).transpose()
+                        hom_maps[(v, u)] = RationalMatrix.from_columns(
+                            [tgt.identities[su]], tgt.hom_dim(sv, su)
+                        )
                 cand = LinearFunctor(src, tgt, object_map, hom_maps)
             else:
                 raise ValueError("random functors need a path-category source")

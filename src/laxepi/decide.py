@@ -207,11 +207,7 @@ def _hom_from_object_module(t: LinearFunctor, op: LinearCategory, v: str) -> Mod
             for j in range(dims[b_obj]):
                 h = tgt.basis_morphism(v, t.apply_obj(b_obj), j)
                 cols.append(compose(tgt, timg, h).coords)
-            action[(a, b_obj, i)] = (
-                RationalMatrix(cols, len(cols), dims[a]).transpose()
-                if cols
-                else RationalMatrix.zeros(dims[a], 0)
-            )
+            action[(a, b_obj, i)] = RationalMatrix.from_columns(cols, dims[a])
     return Module(op, dims, action)
 
 
@@ -365,28 +361,11 @@ def glax_falsification_oracle(
     ok = True
     for x in closed:
         for y in closed:
-            if not _total_restriction_bijective(p, t_prime, x, y):
+            if not restriction_hom_bijective(p, x, y):
                 ok = False
     if verdict and not ok:
         return False
     return True
-
-
-def _total_restriction_bijective(
-    p: LinearFunctor, t_prime: TorsionData, x: Module, y: Module
-) -> bool:
-    """Is Hom_C(x, y) -> Hom_U(restrict p x, restrict p y) bijective (x, y closed)?"""
-    from .linalg import EchelonBasis
-    from .modules import flatten_map
-    from .functors import restrict_map
-
-    top = hom_modules(x, y)
-    rx, ry = restrict(p, x), restrict(p, y)
-    bottom = hom_modules(rx, ry)
-    eb = EchelonBasis(sum(ry.dims[u] * rx.dims[u] for u in p.source.objects))
-    for alpha in top:
-        eb.insert(flatten_map(restrict_map(p, alpha, rx, ry)))
-    return len(top) == len(bottom) == eb.dim
 
 
 def is_abelian_localization(p: LinearFunctor, t_prime: TorsionData) -> DecisionReport:
@@ -500,17 +479,13 @@ def condition_F(
         if d_u == 0:
             certificate[v] = {"K_basis": [], "solved": []}
             continue
-        phi = RationalMatrix(phi_cols, d_u, len(basis_v_u2)).transpose()
+        phi = RationalMatrix.from_columns(phi_cols, len(basis_v_u2))
         proj, _ = t_img.quotient_maps()
         from .linalg import kernel_basis
 
         k_v = kernel_basis(proj * phi)
         solved = []
-        t_mat = (
-            RationalMatrix(t_image_vecs, d_u2, len(basis_v_u2)).transpose()
-            if t_image_vecs
-            else RationalMatrix.zeros(len(basis_v_u2), 0)
-        )
+        t_mat = RationalMatrix.from_columns(t_image_vecs, len(basis_v_u2))
         for u_coords in k_v.basis_vectors():
             rhs = phi.apply(u_coords)
             u_prime = solve(t_mat, rhs)
@@ -724,9 +699,5 @@ def _hom_restriction_module(b: Bimodule, a_mod: Module) -> Module:
                 if cc is None:
                     raise InternalInvariantError("hom restriction escapes basis")
                 cols.append(cc)
-            action[(gp, g, i)] = (
-                RationalMatrix(cols, len(cols), dims[gp]).transpose()
-                if cols
-                else RationalMatrix.zeros(dims[gp], 0)
-            )
+            action[(gp, g, i)] = RationalMatrix.from_columns(cols, dims[gp])
     return Module(lc, dims, action)

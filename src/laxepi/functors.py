@@ -232,11 +232,10 @@ def induce(s: LinearFunctor, x: Module) -> InducedContext:
                     nonzeros(compose(tgt, s_mor, tgt.basis_morphism(t_obj, sv, j)).coords)
                     for j in range(dh)
                 ]
-                for a in range(x.dims[u]):
-                    col = nonzeros(act.col(a))
+                for a, col in enumerate(act.transpose().sp):
                     for j in range(dh):
                         row: dict[int, Fraction] = {}
-                        for b, cb in col:
+                        for b, cb in col.items():
                             k = offset[v] + b * dh + j
                             row[k] = row.get(k, ZERO) + cb
                         for jj, cc in shs[j]:
@@ -268,11 +267,7 @@ def induce(s: LinearFunctor, x: Module) -> InducedContext:
                 if cc:
                     big[base + jj] += cc
             cols.append(projections[su].apply(big))
-        unit_comps[u] = (
-            RationalMatrix(cols, len(cols), dims[su]).transpose()
-            if cols
-            else RationalMatrix.zeros(dims[su], 0)
-        )
+        unit_comps[u] = RationalMatrix.from_columns(cols, dims[su])
     rind = restrict(s, ind)
     unit = ModuleMap(x, rind, unit_comps)
     return InducedContext(s, x, ind, unit, slots, projections, free)
@@ -294,12 +289,13 @@ def _descend(
     B * S is B restricted to those columns, so only they are built.
     """
     where = {j: k for k, j in enumerate(free)}
-    out = [[ZERO] * len(free) for _ in range(proj.cols)]
+    out: list[dict[int, Fraction]] = [{} for _ in range(proj.cols)]
     for r, c, x in entries:
         k = where.get(c)
         if k is not None:
-            out[r][k] += x
-    return proj * RationalMatrix(out, proj.cols, len(free))
+            out[r][k] = out[r].get(k, ZERO) + x
+    rows = [{k: x for k, x in row.items() if x} for row in out]
+    return proj * RationalMatrix.from_sparse_rows(rows, len(free))
 
 
 def _precompose_entries(s, x, slots, t2, t1, i, tgt) -> list[tuple[int, int, Fraction]]:
@@ -313,11 +309,10 @@ def _precompose_entries(s, x, slots, t2, t1, i, tgt) -> list[tuple[int, int, Fra
         for j in range(d1):
             h = tgt.basis_morphism(t1, su, j)
             hb = compose(tgt, h, tgt.basis_morphism(t2, t1, i))  # t2 -> su
+            hb_nz = nonzeros(hb.coords)
             for a in range(x.dims[u]):
                 c1 = off1 + a * d1 + j
-                for jj, cc in enumerate(hb.coords):
-                    if cc:
-                        out.append((off2 + a * d2 + jj, c1, cc))
+                out += [(off2 + a * d2 + jj, c1, cc) for jj, cc in hb_nz]
     return out
 
 
@@ -332,13 +327,9 @@ def induce_map(
         for u, off_s in ctx_src.slots[t_obj]:
             off_t = ctx_tgt.slot_offset(t_obj, u)
             dh = tgt.hom_dim(t_obj, s.apply_obj(u))
-            fu = f.components[u]
-            for a in range(f.source.dims[u]):
-                for b in range(f.target.dims[u]):
-                    cc = fu[b, a]
-                    if cc:
-                        for j in range(dh):
-                            big.append((off_t + b * dh + j, off_s + a * dh + j, cc))
+            for b, row in enumerate(f.components[u].sp):
+                for a, cc in row.items():
+                    big += [(off_t + b * dh + j, off_s + a * dh + j, cc) for j in range(dh)]
         comps[t_obj] = _descend(ctx_tgt.projections[t_obj], ctx_src.free[t_obj], big)
     return ModuleMap(ctx_src.module, ctx_tgt.module, comps)
 
@@ -358,11 +349,7 @@ def counit_from_context(ctx: InducedContext, y: Module) -> ModuleMap:
                     cols_big.append(y.action[(t_obj, su, j)].col(a))
         # big * section is big restricted to the free columns
         cols = [cols_big[j] for j in ctx.free[t_obj]]
-        comps[t_obj] = (
-            RationalMatrix(cols, len(cols), y.dims[t_obj]).transpose()
-            if cols
-            else RationalMatrix.zeros(y.dims[t_obj], 0)
-        )
+        comps[t_obj] = RationalMatrix.from_columns(cols, y.dims[t_obj])
     return ModuleMap(ctx.module, y, comps)
 
 
@@ -406,11 +393,7 @@ def coinduce(s: LinearFunctor, x: Module) -> CoinducedContext:
                 if coords is None:
                     raise InternalInvariantError("coinduction action escapes hom basis")
                 cols.append(coords)
-            action[(g2, g1, i)] = (
-                RationalMatrix(cols, len(cols), dims[g2]).transpose()
-                if cols
-                else RationalMatrix.zeros(dims[g2], 0)
-            )
+            action[(g2, g1, i)] = RationalMatrix.from_columns(cols, dims[g2])
     co = Module(tgt, dims, action)
     return CoinducedContext(s, x, co, reps, bases)
 
@@ -426,11 +409,7 @@ def coinduce_counit(ctx: CoinducedContext) -> ModuleMap:
         cols = []
         for alpha in ctx.hom_bases[su]:
             cols.append(alpha.components[u].apply(tgt.identities[su]))
-        comps[u] = (
-            RationalMatrix(cols, len(cols), x.dims[u]).transpose()
-            if cols
-            else RationalMatrix.zeros(x.dims[u], 0)
-        )
+        comps[u] = RationalMatrix.from_columns(cols, x.dims[u])
     return ModuleMap(rco, x, comps)
 
 
@@ -448,21 +427,13 @@ def coinduce_unit(ctx: CoinducedContext, y: Module) -> ModuleMap:
                 su = s.apply_obj(u)
                 dh = tgt.hom_dim(su, g)
                 cc = [y.action[(su, g, j)].col(a) for j in range(dh)]
-                alpha_comps[u] = (
-                    RationalMatrix(cc, len(cc), y.dims[su]).transpose()
-                    if cc
-                    else RationalMatrix.zeros(y.dims[su], 0)
-                )
+                alpha_comps[u] = RationalMatrix.from_columns(cc, y.dims[su])
             alpha = ModuleMap(ctx.restricted_representables[g], ry, alpha_comps)
             coords = coordinates_in_hom_basis(alpha, ctx.hom_bases[g])
             if coords is None:
                 raise InternalInvariantError("coinduction unit escapes hom basis")
             cols.append(coords)
-        comps[g] = (
-            RationalMatrix(cols, len(cols), ctx.module.dims[g]).transpose()
-            if cols
-            else RationalMatrix.zeros(ctx.module.dims[g], 0)
-        )
+        comps[g] = RationalMatrix.from_columns(cols, ctx.module.dims[g])
     return ModuleMap(y, ctx.module, comps)
 
 
@@ -479,11 +450,7 @@ def coinduce_map(
             if coords is None:
                 raise InternalInvariantError("coinduced map escapes hom basis")
             cols.append(coords)
-        comps[g] = (
-            RationalMatrix(cols, len(cols), ctx_tgt.module.dims[g]).transpose()
-            if cols
-            else RationalMatrix.zeros(ctx_tgt.module.dims[g], 0)
-        )
+        comps[g] = RationalMatrix.from_columns(cols, ctx_tgt.module.dims[g])
     return ModuleMap(ctx_src.module, ctx_tgt.module, comps)
 
 
@@ -613,15 +580,14 @@ def tensor_bimodule(x: Module, b: Bimodule) -> TensorContext:
             for i in range(lc.hom_dim(gp, g)):
                 act = x.action[(gp, g, i)]  # x(G) -> x(G')
                 lact = b.left_action[(gp, g, i)].components[h]  # b(G')(h) -> b(G)(h)
-                lcols = [nonzeros(lact.col(j)) for j in range(dp)]
-                for a in range(x.dims[g]):
-                    col = nonzeros(act.col(a))
+                lcols = lact.transpose().sp
+                for a, col in enumerate(act.transpose().sp):
                     for j in range(dp):
                         row: dict[int, Fraction] = {}
-                        for bb, cb in col:
+                        for bb, cb in col.items():
                             k = offset[gp] + bb * dp + j
                             row[k] = row.get(k, ZERO) + cb
-                        for jj, cc in lcols[j]:
+                        for jj, cc in lcols[j].items():
                             k = offset[g] + a * d + jj
                             row[k] = row.get(k, ZERO) - cc
                         if any(row.values()):
@@ -637,9 +603,7 @@ def tensor_bimodule(x: Module, b: Bimodule) -> TensorContext:
             for (g, off1), (_, off2) in zip(slots[h1], slots[h2]):
                 m = b.values[g].action[(h2, h1, i)]  # b(g)(h1) -> b(g)(h2)
                 d1, d2 = b.values[g].dims[h1], b.values[g].dims[h2]
-                entries = [
-                    (jj, j, cc) for jj, r in enumerate(m.data) for j, cc in nonzeros(r)
-                ]
+                entries = [(jj, j, cc) for jj, r in enumerate(m.sp) for j, cc in r.items()]
                 for a in range(x.dims[g]):
                     big += [
                         (off2 + a * d2 + jj, off1 + a * d1 + j, cc) for jj, j, cc in entries
@@ -665,13 +629,9 @@ def tensor_map(
         for g, off_s in ctx_src.slots[h]:
             off_t = ctx_tgt.slot_offset(h, g)
             d = b.values[g].dims[h]
-            fg = f.components[g]
-            for a in range(f.source.dims[g]):
-                for bb in range(f.target.dims[g]):
-                    cc = fg[bb, a]
-                    if cc:
-                        for j in range(d):
-                            big.append((off_t + bb * d + j, off_s + a * d + j, cc))
+            for bb, row in enumerate(f.components[g].sp):
+                for a, cc in row.items():
+                    big += [(off_t + bb * d + j, off_s + a * d + j, cc) for j in range(d)]
         comps[h] = _descend(ctx_tgt.projections[h], ctx_src.free[h], big)
     return ModuleMap(ctx_src.module, ctx_tgt.module, comps)
 
@@ -693,11 +653,7 @@ def tensor_yoneda_iso(g_obj: str, b: Bimodule, ctx: TensorContext | None = None)
                 if ca:
                     big[off + a * d + j] += ca
             cols.append(ctx.projections[h].apply(big))
-        comps[h] = (
-            RationalMatrix(cols, len(cols), ctx.module.dims[h]).transpose()
-            if cols
-            else RationalMatrix.zeros(ctx.module.dims[h], 0)
-        )
+        comps[h] = RationalMatrix.from_columns(cols, ctx.module.dims[h])
     return ModuleMap(b.values[g_obj], ctx.module, comps)
 
 
@@ -887,11 +843,7 @@ def canonical_factorization_localized(p: LinearFunctor, torsion_prime) -> Factor
             if cc is None:
                 raise InternalInvariantError("localized image escapes quotient hom basis")
             cols.append(cc)
-        s_hom[(v, u)] = (
-            RationalMatrix(cols, len(cols), len(bases[(v, u)])).transpose()
-            if cols
-            else RationalMatrix.zeros(len(bases[(v, u)]), 0)
-        )
+        s_hom[(v, u)] = RationalMatrix.from_columns(cols, len(bases[(v, u)]))
     s = LinearFunctor(src, mid, {u: u for u in src.objects}, s_hom)
 
     values = {u: loc[u][0].module for u in src.objects}

@@ -5,12 +5,16 @@ yes/no rank or solvability question, so all arithmetic is exact: scalars are
 `fractions.Fraction`, and subspaces carry a canonical reduced row-echelon
 basis so that equality of subspaces is plain equality of entries.
 
-Storage is dense: a `RationalMatrix` is an immutable tuple of row tuples and a
-`Subspace` keeps its canonical basis as one.  The work is sparse, because the
-systems the module and functor layers build are mostly zeros: products,
-eliminations, reductions and quotient maps visit only nonzero entries.  Inside
-an elimination, in `EchelonBasis` and in a `Subspace`'s cached pivot rows, a
-row is a `{column: value}` dict of its nonzero entries.
+Storage is sparse, because the systems the module and functor layers build
+are mostly zeros.  A `RationalMatrix` keeps each row as a `{column: value}`
+dict of its nonzero entries (`.sp`) and never stores a zero, so equal
+matrices have equal rows and hashing the sorted items is canonical.  Rows are
+shared between matrices built from one another and are never mutated.
+Products, eliminations, reductions and quotient maps visit only nonzero
+entries and build their results in this form; a `Subspace` keeps its
+canonical basis as such a matrix with the rows keyed by pivot, as
+`EchelonBasis` does while it grows.  The dense view `.data` is built on
+demand for printing and serialization, and not cached.
 """
 
 from __future__ import annotations
@@ -48,22 +52,6 @@ def vec(entries: Iterable) -> tuple[Fraction, ...]:
 
 def zero_vec(n: int) -> tuple[Fraction, ...]:
     return (ZERO,) * n
-
-
-def unit_vec(n: int, i: int) -> tuple[Fraction, ...]:
-    return tuple(ONE if j == i else ZERO for j in range(n))
-
-
-def vec_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple((x + y if y else x) if x else y for x, y in zip(a, b))
-
-
-def vec_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple((x - y if y else x) if x else (-y if y else ZERO) for x, y in zip(a, b))
-
-
-def vec_scale(c: Fraction, a: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(c * x if x else ZERO for x in a)
 
 
 def nonzeros(v: Iterable[Fraction]) -> list[tuple[int, Fraction]]:
@@ -112,14 +100,49 @@ def _eliminate(w: SparseRow, p: int, row: Mapping[int, Fraction]) -> None:
                 del w[j]
 
 
+def _add_rows(a: SparseRow, b: SparseRow) -> SparseRow:
+    """a + b, dropping entries that cancel; returns a itself when b is empty."""
+    if not b:
+        return a
+    out = dict(a)
+    for j, y in b.items():
+        x = out.get(j)
+        if x is None:
+            out[j] = y
+        else:
+            x += y
+            if x:
+                out[j] = x
+            else:
+                del out[j]
+    return out
+
+
+def _shift(row: Mapping[int, Fraction], by: int) -> SparseRow:
+    return {j + by: x for j, x in row.items()}
+
+
+def _reduce_by(
+    w: SparseRow, pivot_rows: Mapping[int, Mapping[int, Fraction]]
+) -> SparseRow:
+    """w reduced in place by canonical rows keyed by their pivots."""
+    # rows vanish at each other's pivots, so the pivots met are fixed up front
+    for p in [j for j in w if j in pivot_rows]:
+        _eliminate(w, p, pivot_rows[p])
+    return w
+
+
 class DimensionMismatch(ValueError):
     """Operands have incompatible shapes or ambient dimensions."""
 
 
 class RationalMatrix:
-    """Immutable dense matrix of Fractions; supports zero rows/columns."""
+    """Immutable matrix of Fractions kept as sparse rows; supports zero rows/columns.
 
-    __slots__ = ("rows", "cols", "data")
+    `sp` holds one `{column: value}` dict per row, without zero values.
+    """
+
+    __slots__ = ("rows", "cols", "sp")
 
     def __init__(self, data: Sequence[Sequence], rows: int | None = None, cols: int | None = None):
         rows_t = tuple(map(tuple, data))
@@ -133,96 +156,131 @@ class RationalMatrix:
             raise DimensionMismatch("ragged or mis-sized matrix data")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", rows_t)
+        object.__setattr__(self, "sp", tuple(map(_sparse, rows_t)))
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalMatrix is immutable")
 
     @classmethod
+    def from_sparse_rows(cls, sp: Sequence[SparseRow], cols: int) -> "RationalMatrix":
+        """The matrix with the given `{column: value}` rows, kept as they are.
+
+        The rows must hold no zero value and no column outside range(cols),
+        and must not be mutated afterwards; nothing is checked or copied.
+        """
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", len(sp))
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "sp", tuple(sp))
+        return m
+
+    @classmethod
+    def from_columns(cls, columns: Sequence[Sequence[Fraction]], rows: int) -> "RationalMatrix":
+        """The rows x len(columns) matrix with the given columns of Fractions."""
+        sp: list[SparseRow] = [{} for _ in range(rows)]
+        for j, col in enumerate(columns):
+            if len(col) != rows:
+                raise DimensionMismatch(f"column of length {len(col)} in a matrix of {rows} rows")
+            for i, x in enumerate(col):
+                if x is not ZERO and x:
+                    sp[i][j] = x
+        return cls.from_sparse_rows(sp, len(columns))
+
+    @classmethod
     def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls([zero_vec(cols)] * rows, rows, cols)
+        return cls.from_sparse_rows([{} for _ in range(rows)], cols)
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls([unit_vec(n, i) for i in range(n)], n, n)
-
-    @classmethod
-    def column(cls, entries: Sequence) -> "RationalMatrix":
-        return cls([[e] for e in entries], len(entries), 1)
+        return cls.from_sparse_rows([{i: ONE} for i in range(n)], n)
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
-        return self.data[i][j]
+        if not 0 <= j < self.cols:
+            raise IndexError("column index out of range")
+        return self.sp[i].get(j, ZERO)
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.data[i]
+    @property
+    def data(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The dense rows, built on each access."""
+        return tuple(tuple(_dense(r, self.cols)) for r in self.sp)
 
     def col(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(r[j] for r in self.data)
+        return tuple(r.get(j, ZERO) for r in self.sp)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RationalMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and self.sp == other.sp
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
+        return hash((self.rows, self.cols, tuple(tuple(sorted(r.items())) for r in self.sp)))
 
     def __repr__(self):
-        return f"RationalMatrix({self.rows}x{self.cols}, {[[str(e) for e in r] for r in self.data]})"
+        entries = [[str(e) for e in r] for r in self.data]
+        return f"RationalMatrix({self.rows}x{self.cols}, {entries})"
 
     def is_zero(self) -> bool:
-        return all(not e for r in self.data for e in r)
+        return not any(self.sp)
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionMismatch("matrix addition shape mismatch")
-        return RationalMatrix(
-            [vec_add(a, b) for a, b in zip(self.data, other.data)], self.rows, self.cols
-        )
+        return RationalMatrix.from_sparse_rows(list(map(_add_rows, self.sp, other.sp)), self.cols)
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionMismatch("matrix subtraction shape mismatch")
-        return RationalMatrix(
-            [vec_sub(a, b) for a, b in zip(self.data, other.data)], self.rows, self.cols
-        )
+        return self + (-other)
 
     def __neg__(self) -> "RationalMatrix":
-        return RationalMatrix([vec_scale(-ONE, r) for r in self.data], self.rows, self.cols)
+        return RationalMatrix.from_sparse_rows(
+            [{j: -x for j, x in r.items()} for r in self.sp], self.cols
+        )
 
     def scale(self, c) -> "RationalMatrix":
         c = frac(c)
-        return RationalMatrix([vec_scale(c, r) for r in self.data], self.rows, self.cols)
+        if not c:
+            return RationalMatrix.zeros(self.rows, self.cols)
+        return RationalMatrix.from_sparse_rows(
+            [{j: c * x for j, x in r.items()} for r in self.sp], self.cols
+        )
 
     def __mul__(self, other):
         """Matrix product, or scalar multiple when `other` is a scalar.
 
         Row i of the product is the sum of x * (row k of other) over the
-        nonzero x = self[i, k], and each such row contributes only its
-        nonzero entries.
+        entries x = self[i, k] of row i; entries that cancel are dropped.
         """
         if isinstance(other, RationalMatrix):
             if self.cols != other.rows:
                 raise DimensionMismatch(
                     f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
                 )
-            n = other.cols
-            b_rows = [(k, br) for k, br in enumerate(map(nonzeros, other.data)) if br]
+            b_rows = other.sp
             out = []
-            for r in self.data:
+            for r in self.sp:
+                if len(r) == 1:
+                    # one term: no sums, so no cancellation
+                    ((k, x),) = r.items()
+                    br = b_rows[k]
+                    out.append(br if x is ONE else {j: x * y for j, y in br.items()})
+                    continue
                 acc: SparseRow = {}
-                for k, br in b_rows:
-                    x = r[k]
-                    if x is not ZERO and x:
-                        for j, y in br:
-                            s = acc.get(j)
-                            acc[j] = x * y if s is None else s + x * y
-                out.append(_dense(acc, n))
-            return RationalMatrix(out, self.rows, n)
+                summed = False
+                for k, x in r.items():
+                    for j, y in b_rows[k].items():
+                        s = acc.get(j)
+                        if s is None:
+                            acc[j] = x * y
+                        else:
+                            acc[j] = s + x * y
+                            summed = True
+                out.append({j: v for j, v in acc.items() if v} if summed else acc)
+            return RationalMatrix.from_sparse_rows(out, other.cols)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -232,57 +290,65 @@ class RationalMatrix:
         """Apply to a column vector."""
         if len(v) != self.cols:
             raise DimensionMismatch("vector length mismatch")
-        nz = nonzeros(v)
-        return tuple(sum((r[k] * y for k, y in nz if r[k]), ZERO) for r in self.data)
+        nz = _sparse(v)
+        return tuple(
+            sum((x * nz[k] for k, x in r.items() if k in nz), ZERO) for r in self.sp
+        )
 
     def transpose(self) -> "RationalMatrix":
-        data = list(zip(*self.data)) if self.rows else [()] * self.cols
-        return RationalMatrix(data, self.cols, self.rows)
+        out: list[SparseRow] = [{} for _ in range(self.cols)]
+        for i, r in enumerate(self.sp):
+            for j, x in r.items():
+                out[j][i] = x
+        return RationalMatrix.from_sparse_rows(out, self.rows)
 
     def hstack(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.rows != other.rows:
             raise DimensionMismatch("hstack row mismatch")
-        return RationalMatrix(
-            [a + b for a, b in zip(self.data, other.data)], self.rows, self.cols + other.cols
+        n = self.cols
+        return RationalMatrix.from_sparse_rows(
+            [{**a, **_shift(b, n)} if b else a for a, b in zip(self.sp, other.sp)],
+            n + other.cols,
         )
 
     def vstack(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.cols:
             raise DimensionMismatch("vstack column mismatch")
-        return RationalMatrix(self.data + other.data, self.rows + other.rows, self.cols)
+        return RationalMatrix.from_sparse_rows(self.sp + other.sp, self.cols)
 
     def kronecker(self, other: "RationalMatrix") -> "RationalMatrix":
-        out = []
-        for r1 in self.data:
-            for r2 in other.data:
-                out.append(tuple(a * b for a in r1 for b in r2))
-        return RationalMatrix(out, self.rows * other.rows, self.cols * other.cols)
+        n = other.cols
+        out = [
+            {j1 * n + j2: a * b for j1, a in r1.items() for j2, b in r2.items()}
+            for r1 in self.sp
+            for r2 in other.sp
+        ]
+        return RationalMatrix.from_sparse_rows(out, self.cols * n)
 
 
 def block_diag(blocks: Sequence[RationalMatrix]) -> RationalMatrix:
-    rows = sum(b.rows for b in blocks)
-    cols = sum(b.cols for b in blocks)
-    out = [[ZERO] * cols for _ in range(rows)]
-    ro = co = 0
+    out: list[SparseRow] = []
+    co = 0
     for b in blocks:
-        for i in range(b.rows):
-            out[ro + i][co : co + b.cols] = list(b.data[i])
-        ro += b.rows
+        out.extend(_shift(r, co) for r in b.sp)
         co += b.cols
-    return RationalMatrix(out, rows, cols)
+    return RationalMatrix.from_sparse_rows(out, co)
 
 
 def _rref_rows(
-    rows: Sequence[Sequence[Fraction]], cols: int
-) -> tuple[list[list[Fraction]], list[int]]:
+    rows: Sequence[Mapping[int, Fraction] | Sequence[Fraction]], cols: int
+) -> tuple[list[SparseRow], list[int]]:
     """Gauss-Jordan on the nonzero entries; returns (nonzero reduced rows, pivot columns).
 
-    `rows` is left unchanged.  Each pivot row's nonzero entries are listed
-    once, and only those columns of the rows holding the pivot column are
-    updated.  The reduced form does not depend on which of those rows
+    `rows` are `{column: value}` dicts without zero values, or dense
+    sequences, and are left unchanged.  Each pivot row's nonzero entries are
+    listed once, and only those columns of the rows holding the pivot column
+    are updated.  The reduced form does not depend on which of those rows
     becomes the pivot row, so the shortest is taken to keep fill-in low.
     """
-    active = [r for r in map(_sparse, rows) if r]
+    active = [
+        s for s in (dict(r) if isinstance(r, dict) else _sparse(r) for r in rows) if s
+    ]
     done: list[tuple[int, SparseRow]] = []
     for c in range(cols):
         if not active:
@@ -300,18 +366,18 @@ def _rref_rows(
                 _eliminate(r, c, pivot)
         active = [r for r in active if r and c not in r]
         done.append((c, pivot))
-    return [_dense(r, cols) for _, r in done], [c for c, _ in done]
+    return [r for _, r in done], [c for c, _ in done]
 
 
 def rref(m: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
     """Reduced row-echelon form of m (same shape, zero rows kept) and pivot columns."""
-    reduced, pivots = _rref_rows(m.data, m.cols)
-    full = reduced + [zero_vec(m.cols)] * (m.rows - len(reduced))
-    return RationalMatrix(full, m.rows, m.cols), tuple(pivots)
+    reduced, pivots = _rref_rows(m.sp, m.cols)
+    full = reduced + [{} for _ in range(m.rows - len(reduced))]
+    return RationalMatrix.from_sparse_rows(full, m.cols), tuple(pivots)
 
 
 def rank(m: RationalMatrix) -> int:
-    return len(_rref_rows(m.data, m.cols)[1])
+    return len(_rref_rows(m.sp, m.cols)[1])
 
 
 def is_iso(m: RationalMatrix) -> bool:
@@ -324,7 +390,7 @@ def solve(a: RationalMatrix, b: Sequence[Fraction]) -> tuple[Fraction, ...] | No
     b = vec(b)
     if len(b) != a.rows:
         raise DimensionMismatch(f"rhs length {len(b)} != row count {a.rows}")
-    x = solve_matrix(a, RationalMatrix([(e,) for e in b], a.rows, 1))
+    x = solve_matrix(a, RationalMatrix.from_sparse_rows([{0: e} if e else {} for e in b], 1))
     return None if x is None else x.col(0)
 
 
@@ -339,13 +405,13 @@ def solve_matrix(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix | None:
     n = a.cols
     if b.cols == 0:
         return RationalMatrix.zeros(n, 0)
-    reduced, pivots = _rref_rows([ra + rb for ra, rb in zip(a.data, b.data)], n + b.cols)
+    reduced, pivots = _rref_rows(a.hstack(b).sp, n + b.cols)
     if pivots and pivots[-1] >= n:
         return None
-    out = [zero_vec(b.cols)] * n
+    out: list[SparseRow] = [{} for _ in range(n)]
     for row, c in zip(reduced, pivots):
-        out[c] = row[n:]
-    return RationalMatrix(out, n, b.cols)
+        out[c] = {j - n: x for j, x in row.items() if j >= n}
+    return RationalMatrix.from_sparse_rows(out, b.cols)
 
 
 def _quotient_maps(
@@ -360,17 +426,18 @@ def _quotient_maps(
     """
     free = [j for j in range(n) if j not in pivot_rows]
     where = {j: k for k, j in enumerate(free)}
-    proj = [[ZERO] * n for _ in free]
-    for k, j in enumerate(free):
-        proj[k][j] = ONE
+    proj: list[SparseRow] = [{j: ONE} for j in free]
     for p, row in pivot_rows.items():
         for j, x in row.items():
             if j != p:
                 proj[where[j]][p] = -x
-    sec = [zero_vec(len(free))] * n
+    sec: list[SparseRow] = [{} for _ in range(n)]
     for k, j in enumerate(free):
-        sec[j] = unit_vec(len(free), k)
-    return RationalMatrix(proj, len(free), n), RationalMatrix(sec, n, len(free))
+        sec[j] = {k: ONE}
+    return (
+        RationalMatrix.from_sparse_rows(proj, n),
+        RationalMatrix.from_sparse_rows(sec, len(free)),
+    )
 
 
 class Subspace:
@@ -388,21 +455,36 @@ class Subspace:
         raise AttributeError("Subspace is immutable")
 
     @classmethod
+    def _from_rref(cls, n: int, pivots: Sequence[int], rows: Sequence[SparseRow]) -> "Subspace":
+        """The subspace with these canonical rows, given in pivot order."""
+        s = cls(n, RationalMatrix.from_sparse_rows(rows, n))
+        object.__setattr__(s, "_by_pivot", dict(zip(pivots, rows)))
+        return s
+
+    @classmethod
+    def _spanned_by(
+        cls, rows: Sequence[Mapping[int, Fraction] | Sequence[Fraction]], n: int
+    ) -> "Subspace":
+        reduced, pivots = _rref_rows(rows, n)
+        return cls._from_rref(n, pivots, reduced)
+
+    @classmethod
     def from_vectors(cls, vectors: Sequence[Sequence], ambient_dim: int) -> "Subspace":
         rows = [vec(v) for v in vectors]
         for r in rows:
             if len(r) != ambient_dim:
                 raise DimensionMismatch("vector length differs from ambient dimension")
-        reduced, _ = _rref_rows(rows, ambient_dim)
-        return cls(ambient_dim, RationalMatrix(reduced, len(reduced), ambient_dim))
+        return cls._spanned_by(rows, ambient_dim)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, RationalMatrix.zeros(0, ambient_dim))
+        return cls._from_rref(ambient_dim, (), ())
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, RationalMatrix.identity(ambient_dim))
+        return cls._from_rref(
+            ambient_dim, range(ambient_dim), [{i: ONE} for i in range(ambient_dim)]
+        )
 
     @property
     def dim(self) -> int:
@@ -431,46 +513,51 @@ class Subspace:
         return self.dim == self.ambient_dim
 
     def _rows_by_pivot(self) -> dict[int, SparseRow]:
-        """The basis rows as {pivot column: {column: value}}, computed once."""
+        """The basis rows as {pivot column: row}, in basis order, computed once."""
         try:
             return self._by_pivot
         except AttributeError:
-            rows = {}
-            for r in self.basis.data:
-                s = _sparse(r)
-                if s:
-                    rows[next(iter(s))] = s
+            rows = {min(r): r for r in self.basis.sp if r}
             object.__setattr__(self, "_by_pivot", rows)
             return rows
 
-    def reduce(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Residue of v after eliminating the pivot coordinates of the basis."""
-        w = list(vec(v))
-        for p, row in self._rows_by_pivot().items():
-            f = w[p]
-            if f:
-                for j, b in row.items():
-                    w[j] = ZERO if j == p else w[j] - f * b
-        return tuple(w)
+    def _residue(self, v: Sequence[Fraction] | Mapping[int, Fraction]) -> SparseRow:
+        """The nonzero entries of v after eliminating the pivot coordinates of the basis."""
+        if isinstance(v, dict):
+            w = {j: x for j, x in v.items() if x}
+        else:
+            w = _sparse(vec(v))
+        return _reduce_by(w, self._rows_by_pivot())
 
-    def contains(self, v: Sequence[Fraction]) -> bool:
-        return not any(self.reduce(v))
+    def contains(self, v: Sequence[Fraction] | Mapping[int, Fraction]) -> bool:
+        return not self._residue(v)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("ambient dimensions differ")
-        return all(self.contains(r) for r in other.basis.data)
+        return all(self.contains(r) for r in other.basis.sp)
 
-    def coordinates_of(self, v: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
-        """Coefficients of v in the canonical basis rows, or None if v is outside."""
-        return solve(self.basis.transpose(), v)
+    def coordinates_of(
+        self, v: Sequence[Fraction] | Mapping[int, Fraction]
+    ) -> tuple[Fraction, ...] | None:
+        """Coefficients of v in the canonical basis rows, or None if v is outside.
+
+        v is given dense or as a `{column: value}` dict.  Each basis row is the
+        only one that is nonzero at its pivot, where it is ONE, so the
+        coefficients are v's entries at the pivots, and v lies in the span
+        exactly when eliminating the pivots leaves nothing.
+        """
+        if not isinstance(v, dict) and len(v) != self.ambient_dim:
+            raise DimensionMismatch(f"vector length {len(v)} != ambient {self.ambient_dim}")
+        rows = self._rows_by_pivot()
+        w = {j: x for j, x in v.items() if x} if isinstance(v, dict) else _sparse(vec(v))
+        coords = tuple(w.get(p, ZERO) for p in rows)
+        return None if _reduce_by(w, rows) else coords
 
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("ambient dimensions differ")
-        return Subspace.from_vectors(
-            list(self.basis.data) + list(other.basis.data), self.ambient_dim
-        )
+        return Subspace._spanned_by(self.basis.sp + other.basis.sp, self.ambient_dim)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
@@ -479,13 +566,11 @@ class Subspace:
         d1, d2 = self.dim, other.dim
         if d1 == 0 or d2 == 0:
             return Subspace.zero(self.ambient_dim)
-        stacked = self.basis.transpose().hstack(other.basis.transpose().scale(-ONE))
+        stacked = self.basis.transpose().hstack(-other.basis.transpose())
         ker = kernel_basis(stacked)
-        vecs = []
-        for kv in ker.basis.data:
-            u = kv[:d1]
-            vecs.append(self.basis.transpose().apply(u))
-        return Subspace.from_vectors(vecs, self.ambient_dim)
+        us = [{k: a for k, a in kv.items() if k < d1} for kv in ker.basis.sp]
+        vecs = RationalMatrix.from_sparse_rows(us, d1) * self.basis
+        return Subspace._spanned_by(vecs.sp, self.ambient_dim)
 
     def quotient_maps(self) -> tuple[RationalMatrix, RationalMatrix]:
         """(projection P, section S) for QQ^n / self; P S = identity.
@@ -498,20 +583,20 @@ class Subspace:
 
 def kernel_basis(a: RationalMatrix) -> Subspace:
     """Null space {v : a v = 0} as a canonical Subspace of QQ^cols."""
-    reduced, pivots = _rref_rows(a.data, a.cols)
+    reduced, pivots = _rref_rows(a.sp, a.cols)
     # row k of the projection modulo the row space of a is the null vector
     # with unit entry at the k-th free column
-    proj, _ = _quotient_maps(a.cols, {p: _sparse(r) for r, p in zip(reduced, pivots)})
-    return Subspace.from_vectors(proj.data, a.cols)
+    proj, _ = _quotient_maps(a.cols, dict(zip(pivots, reduced)))
+    return Subspace._spanned_by(proj.sp, a.cols)
 
 
 def image_basis(a: RationalMatrix) -> Subspace:
     """Column space of a as a canonical Subspace of QQ^rows."""
-    return Subspace.from_vectors(a.transpose().data, a.rows)
+    return Subspace._spanned_by(a.transpose().sp, a.rows)
 
 
 def row_space(a: RationalMatrix) -> Subspace:
-    return Subspace.from_vectors(a.data, a.cols)
+    return Subspace._spanned_by(a.sp, a.cols)
 
 
 class EchelonBasis:
@@ -531,11 +616,8 @@ class EchelonBasis:
         return len(self.rows)
 
     def _reduce(self, v: Sequence[Fraction] | Mapping[int, Fraction]) -> SparseRow:
-        w = {j: x for j, x in v.items() if x} if isinstance(v, dict) else _sparse(v)
-        # rows vanish at each other's pivots, so the pivots met are fixed up front
-        for p in [j for j in w if j in self.rows]:
-            _eliminate(w, p, self.rows[p])
-        return w
+        w = {j: x for j, x in v.items() if x} if isinstance(v, dict) else _sparse(vec(v))
+        return _reduce_by(w, self.rows)
 
     def insert(self, v: Sequence[Fraction] | Mapping[int, Fraction]) -> bool:
         """Add v to the span; returns True when the dimension grew."""
@@ -562,5 +644,6 @@ class EchelonBasis:
         return _quotient_maps(self.width, self.rows)
 
     def to_subspace(self) -> Subspace:
-        rows = [_dense(self.rows[p], self.width) for p in sorted(self.rows)]
-        return Subspace(self.width, RationalMatrix(rows, len(rows), self.width))
+        pivots = sorted(self.rows)
+        # copies, as later inserts update the rows in place
+        return Subspace._from_rref(self.width, pivots, [dict(self.rows[p]) for p in pivots])

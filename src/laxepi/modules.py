@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 from .category import LinearCategory, Morphism, compose
 from .linalg import (
-    ZERO,
+    ONE,
     EchelonBasis,
     RationalMatrix,
     Subspace,
@@ -26,7 +26,6 @@ from .linalg import (
     nonzeros,
     solve,
     solve_matrix,
-    unit_vec,
     vec,
 )
 
@@ -66,10 +65,12 @@ class Module:
 
     def act(self, m: Morphism) -> RationalMatrix:
         """Matrix of X(m): X(target) -> X(source), by bilinearity."""
+        terms = nonzeros(m.coords)
+        if len(terms) == 1 and terms[0][1] is ONE:  # a basis morphism
+            return self.action[(m.source, m.target, terms[0][0])]
         out = RationalMatrix.zeros(self.dims[m.source], self.dims[m.target])
-        for i, c in enumerate(m.coords):
-            if c:
-                out = out + self.action[(m.source, m.target, i)].scale(c)
+        for i, c in terms:
+            out = out + self.action[(m.source, m.target, i)].scale(c)
         return out
 
     def __eq__(self, other) -> bool:
@@ -242,7 +243,7 @@ def yoneda(c: LinearCategory, u: str) -> Module:
         dv, dw = dims[v], dims[w]
         for i in range(c.hom_dim(w, v)):
             cols = [c.comp_coords(w, v, u, j, i) for j in range(dv)]
-            action[(w, v, i)] = RationalMatrix(cols, dv, dw).transpose() if dv else RationalMatrix.zeros(dw, 0)
+            action[(w, v, i)] = RationalMatrix.from_columns(cols, dw)
     return Module(c, dims, action)
 
 
@@ -252,11 +253,7 @@ def yoneda_map(c: LinearCategory, m: Morphism) -> ModuleMap:
     comps = {}
     for w in c.objects:
         cols = [compose(c, m, b).coords for b in c.basis_morphisms(w, m.source)]
-        comps[w] = (
-            RationalMatrix(cols, len(cols), yt.dims[w]).transpose()
-            if cols
-            else RationalMatrix.zeros(yt.dims[w], 0)
-        )
+        comps[w] = RationalMatrix.from_columns(cols, yt.dims[w])
     return ModuleMap(ys, yt, comps)
 
 
@@ -314,11 +311,10 @@ def direct_sum(xs: Sequence[Module], over: LinearCategory | None = None):
         incl, proj = {}, {}
         for u in c.objects:
             before = sum(y.dims[u] for y in xs[:k])
-            rows = []
-            for r in range(x.dims[u]):
-                rows.append(unit_vec(dims[u], before + r))
-            incl[u] = RationalMatrix(rows, x.dims[u], dims[u]).transpose()
-            proj[u] = RationalMatrix(rows, x.dims[u], dims[u])
+            proj[u] = RationalMatrix.from_sparse_rows(
+                [{before + r: ONE} for r in range(x.dims[u])], dims[u]
+            )
+            incl[u] = proj[u].transpose()
         inclusions.append(ModuleMap(x, total, incl))
         projections.append(ModuleMap(total, x, proj))
     return total, inclusions, projections
@@ -329,15 +325,15 @@ def direct_sum(xs: Sequence[Module], over: LinearCategory | None = None):
 # ---------------------------------------------------------------------------
 
 class HomBasis(list):
-    """The basis maps from `hom_modules`, with their rows in canonical RREF.
+    """The basis maps from `hom_modules`, with the space their flattenings span.
 
-    `rows` maps the pivot column of each row of flattened maps (`flatten_map`
-    order) to its {column: value} entries, in the order of the maps.
+    `space` is the span of the flattened maps (`flatten_map` order) as a
+    canonical `Subspace`; the maps are its basis rows, in order.
     """
 
-    def __init__(self, maps: Sequence[ModuleMap], rows: dict[int, dict[int, Fraction]]):
+    def __init__(self, maps: Sequence[ModuleMap], space: Subspace):
         super().__init__(maps)
-        self.rows = rows
+        self.space = space
 
 
 def hom_modules(x: Module, y: Module) -> HomBasis:
@@ -351,63 +347,64 @@ def hom_modules(x: Module, y: Module) -> HomBasis:
         offsets[u] = n
         n += y.dims[u] * x.dims[u]
     if n == 0:
-        return HomBasis([], {})
-    rows: list[list[Fraction]] = []
+        return HomBasis([], Subspace.zero(0))
+    rows: list[dict[int, Fraction]] = []
     for v, u in c.hom_pairs():
+        base_u, base_v = offsets[u], offsets[v]
+        du, dv = x.dims[u], x.dims[v]
         for i in range(c.hom_dim(v, u)):
-            ym = y.action[(v, u, i)]  # y(U) -> y(V)
-            xm = x.action[(v, u, i)]  # x(U) -> x(V)
+            ym = y.action[(v, u, i)].sp  # y(U) -> y(V)
+            xm_cols = x.action[(v, u, i)].transpose().sp  # x(U) -> x(V), by columns
             # equation (r, cc): sum_s ym[r,s]·a_U[s,cc] - sum_s a_V[r,s]·xm[s,cc] = 0
-            for r in range(y.dims[v]):
-                for cc in range(x.dims[u]):
-                    row = [ZERO] * n
-                    base_u = offsets[u]
-                    for s in range(y.dims[u]):
-                        coef = ym[r, s]
-                        if coef:
-                            row[base_u + s * x.dims[u] + cc] += coef
-                    base_v = offsets[v]
-                    for s in range(x.dims[v]):
-                        coef = xm[s, cc]
-                        if coef:
-                            row[base_v + r * x.dims[v] + s] -= coef
-                    if any(row):
+            for r, ym_r in enumerate(ym):
+                for cc, xm_cc in enumerate(xm_cols):
+                    row = {base_u + s * du + cc: coef for s, coef in ym_r.items()}
+                    for s, coef in xm_cc.items():
+                        k = base_v + r * dv + s
+                        z = row.get(k)
+                        if z is None:
+                            row[k] = -coef
+                        elif z == coef:  # only when U = V
+                            del row[k]
+                        else:
+                            row[k] = z - coef
+                    if row:
                         rows.append(row)
-    if rows:
-        basis_vecs = kernel_basis(RationalMatrix(rows, len(rows), n)).basis_vectors()
-    else:
-        basis_vecs = [unit_vec(n, i) for i in range(n)]
+    space = kernel_basis(RationalMatrix.from_sparse_rows(rows, n)) if rows else Subspace.full(n)
+    # each unknown's object, row and column, for splitting flattened maps
+    where = [(u, r, cc) for u in c.objects for r in range(y.dims[u]) for cc in range(x.dims[u])]
     out = []
-    pivot_rows = {}
-    for bv in basis_vecs:
-        nz = nonzeros(bv)
-        pivot_rows[nz[0][0]] = dict(nz)
-        comps = {}
-        for u in c.objects:
-            ru, cu = y.dims[u], x.dims[u]
-            base = offsets[u]
-            comps[u] = RationalMatrix(
-                [bv[base + r * cu : base + (r + 1) * cu] for r in range(ru)], ru, cu
-            )
+    for bv in space.basis.sp:
+        parts = {u: [{} for _ in range(y.dims[u])] for u in c.objects}
+        for j, val in bv.items():
+            u, r, cc = where[j]
+            parts[u][r][cc] = val
+        comps = {u: RationalMatrix.from_sparse_rows(parts[u], x.dims[u]) for u in c.objects}
         out.append(ModuleMap(x, y, comps))
-    return HomBasis(out, pivot_rows)
+    return HomBasis(out, space)
+
+
+def _flatten_sparse(f: ModuleMap) -> dict[int, Fraction]:
+    """The nonzero entries of `flatten_map(f)`, by position."""
+    out: dict[int, Fraction] = {}
+    base = 0
+    for u in f.source.over.objects:
+        m = f.components[u]
+        for r, row in enumerate(m.sp):
+            off = base + r * m.cols
+            for j, val in row.items():
+                out[off + j] = val
+        base += m.rows * m.cols
+    return out
 
 
 def coordinates_in_hom_basis(f: ModuleMap, basis: HomBasis) -> tuple[Fraction, ...] | None:
     """Coefficients of f in a basis returned by `hom_modules`, or None if f is outside its span.
 
-    The basis rows are in canonical RREF, so each coefficient is the entry of
-    f at that row's pivot; f lies in the span exactly when recombining the
-    rows with these coefficients gives f back.
+    The basis is the canonical basis of `basis.space`, so the coefficients
+    are read at its pivots without an elimination.
     """
-    target = flatten_map(f)
-    coords = tuple(target[p] for p in basis.rows)
-    residue = list(target)
-    for a, row in zip(coords, basis.rows.values()):
-        if a:
-            for j, b in row.items():
-                residue[j] -= a * b
-    return None if any(residue) else coords
+    return basis.space.coordinates_of(_flatten_sparse(f))
 
 
 # ---------------------------------------------------------------------------
@@ -497,11 +494,7 @@ def free_cover(x: Module) -> tuple[ModuleMap, list[str]]:
             comps = {}
             for v in c.objects:
                 cols = [x.action[(v, u, j)].col(a) for j in range(c.hom_dim(v, u))]
-                comps[v] = (
-                    RationalMatrix(cols, len(cols), x.dims[v]).transpose()
-                    if cols
-                    else RationalMatrix.zeros(x.dims[v], 0)
-                )
+                comps[v] = RationalMatrix.from_columns(cols, x.dims[v])
             summands.append(yu)
             objs.append(u)
             maps.append(ModuleMap(yu, x, comps))
@@ -528,9 +521,9 @@ def _ext1_from_cover(cover: ModuleMap, x: Module) -> int:
     if not hom_kx:
         return 0
     hom_px = hom_modules(cover.source, x)
-    eb = EchelonBasis(len(flatten_map(zero_map(syz, x))))
+    eb = EchelonBasis(sum(syz.dims[u] * x.dims[u] for u in syz.over.objects))
     for alpha in hom_px:
-        eb.insert(flatten_map(map_compose(alpha, incl)))
+        eb.insert(_flatten_sparse(map_compose(alpha, incl)))
     return len(hom_kx) - eb.dim
 
 
@@ -544,7 +537,7 @@ def is_projective(x: Module) -> tuple[bool, ModuleMap | None]:
         return False, None
     cols = [flatten_map(map_compose(cover, s)) for s in sections]
     target = flatten_map(identity_map(x))
-    sol = solve(RationalMatrix(cols, len(cols), len(target)).transpose(), target)
+    sol = solve(RationalMatrix.from_columns(cols, len(target)), target)
     if sol is None:
         return False, None
     sigma = zero_map(x, cover.source)

@@ -108,7 +108,7 @@ def _min_poly(f: ModuleMap) -> list[Fraction]:
         cand = flat(powers[-1])
         # dependence test: solve for cand in span of previous powers
         if eb_rows:
-            coeffs = solve(RationalMatrix(eb_rows, len(eb_rows), n * n).transpose(), cand)
+            coeffs = solve(RationalMatrix.from_columns(eb_rows, n * n), cand)
             if coeffs is not None:
                 k = len(eb_rows)
                 return [-coeffs[i] for i in range(k)] + [ONE]

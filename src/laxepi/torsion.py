@@ -140,11 +140,7 @@ class TorsionData:
                     if coords is None:
                         raise InternalInvariantError("ideal not closed under postcomposition")
                     cols.append(coords)
-                comps[w] = (
-                    RationalMatrix(cols, len(cols), ju.dims[w]).transpose()
-                    if cols
-                    else RationalMatrix.zeros(ju.dims[w], 0)
-                )
+                comps[w] = RationalMatrix.from_columns(cols, ju.dims[w])
             self._rho_cache[key] = ModuleMap(jv, ju, comps)
         return self._rho_cache[key]
 
@@ -196,12 +192,12 @@ def torsion_submodule(t: TorsionData, x: Module) -> Submodule:
     c = t.cat
     spaces = {}
     for u in c.objects:
-        rows: list[Sequence[Fraction]] = []
+        rows: list[dict[int, Fraction]] = []
         for v in c.objects:
             for a_coords in t.ideal[(v, u)].basis_vectors():
-                rows.extend(x.act(Morphism(v, u, a_coords)).data)
+                rows.extend(x.act(Morphism(v, u, a_coords)).sp)
         if rows:
-            spaces[u] = kernel_basis(RationalMatrix(rows, len(rows), x.dims[u]))
+            spaces[u] = kernel_basis(RationalMatrix.from_sparse_rows(rows, x.dims[u]))
         else:
             spaces[u] = Subspace.full(x.dims[u])
     return Submodule(x, spaces)
@@ -234,21 +230,13 @@ def _restriction_to_j(t: TorsionData, x: Module, u: str, basis=None):
         comps = {}
         for w in c.objects:
             cc = [m.col(a) for m in acts[w]]
-            comps[w] = (
-                RationalMatrix(cc, len(cc), x.dims[w]).transpose()
-                if cc
-                else RationalMatrix.zeros(x.dims[w], 0)
-            )
+            comps[w] = RationalMatrix.from_columns(cc, x.dims[w])
         alpha = ModuleMap(jmod, x, comps)
         coords = coordinates_in_hom_basis(alpha, basis)
         if coords is None:
             raise InternalInvariantError("restriction map escapes the hom basis")
         cols.append(coords)
-    mat = (
-        RationalMatrix(cols, len(cols), len(basis)).transpose()
-        if cols
-        else RationalMatrix.zeros(len(basis), 0)
-    )
+    mat = RationalMatrix.from_columns(cols, len(basis))
     return mat, basis
 
 
@@ -292,11 +280,7 @@ def _gabriel_step(t: TorsionData, y: Module):
                 if coords is None:
                     raise InternalInvariantError("Gabriel step action escapes hom basis")
                 cols.append(coords)
-            action[(v, u, i)] = (
-                RationalMatrix(cols, len(cols), dims[v]).transpose()
-                if cols
-                else RationalMatrix.zeros(dims[v], 0)
-            )
+            action[(v, u, i)] = RationalMatrix.from_columns(cols, dims[v])
     h = Module(c, dims, action)
     unit_comps = {}
     for u in c.objects:
@@ -362,11 +346,7 @@ def _h_functor(t, g: ModuleMap, src_bases, tgt_bases, h_src: Module, h_tgt: Modu
             if coords is None:
                 raise InternalInvariantError("H-functor image escapes hom basis")
             cols.append(coords)
-        comps[u] = (
-            RationalMatrix(cols, len(cols), h_tgt.dims[u]).transpose()
-            if cols
-            else RationalMatrix.zeros(h_tgt.dims[u], 0)
-        )
+        comps[u] = RationalMatrix.from_columns(cols, h_tgt.dims[u])
     return ModuleMap(h_src, h_tgt, comps)
 
 
@@ -401,11 +381,7 @@ def preimage_submodule(c: LinearCategory, sub: Submodule, u_mor: Morphism) -> Su
     for w in c.objects:
         d = c.hom_dim(w, u_mor.source)
         cols = [compose(c, u_mor, b).coords for b in c.basis_morphisms(w, u_mor.source)]
-        m = (
-            RationalMatrix(cols, len(cols), c.hom_dim(w, u_mor.target)).transpose()
-            if cols
-            else RationalMatrix.zeros(c.hom_dim(w, u_mor.target), 0)
-        )
+        m = RationalMatrix.from_columns(cols, c.hom_dim(w, u_mor.target))
         proj, _ = sub.spaces[w].quotient_maps()
         spaces[w] = kernel_basis(proj * m)
     return Submodule(yv, spaces)

@@ -9,6 +9,7 @@ from laxepi.linalg import (
     EchelonBasis,
     RationalMatrix,
     Subspace,
+    block_diag,
     is_iso,
     kernel_basis,
     rank,
@@ -252,3 +253,40 @@ def test_sparse_echelon_matches_subspace(m):
 def test_sparse_rref_idempotent(m):
     red, pivots = rref(m)
     assert rref(red) == (red, pivots)
+
+
+def assert_canonical(m):
+    """m stores no zero and no column outside its width, and equals, with an
+    equal hash, the matrix rebuilt from its dense rows."""
+    assert len(m.sp) == m.rows
+    assert all(x for row in m.sp for x in row.values())
+    assert all(0 <= j < m.cols for row in m.sp for j in row)
+    rebuilt = RationalMatrix(m.data, m.rows, m.cols)
+    assert m == rebuilt and hash(m) == hash(rebuilt)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_sparse_storage_is_canonical(data):
+    a = data.draw(sparse_matrices(max_dim=8))
+    b = data.draw(sparse_matrices(rows=a.rows, cols=a.cols))
+    c = data.draw(sparse_matrices(rows=a.cols, max_dim=8))
+    s = data.draw(entries)
+    # every entry of the product is a sum of terms that cancel in pairs
+    cancelled = a.hstack(a) * c.vstack(-c)
+    assert cancelled.is_zero()
+    partly = (a + b) * c - b * c
+    assert partly == a * c
+    columns = RationalMatrix.from_columns([a.col(j) for j in range(a.cols)], a.rows)
+    assert columns == a
+    sol = solve_matrix(a, a * c)
+    assert sol is not None and a * sol == a * c
+    ker = kernel_basis(a).basis
+    assert (a * ker.transpose()).is_zero()
+    results = [
+        a + b, a - b, a - a, -a, a.scale(s), a.scale(0), a * c, cancelled, partly,
+        a.transpose(), a.hstack(b), a.vstack(b), a.kronecker(c), block_diag([a, c, b]),
+        columns, rref(a)[0], sol, ker, a * ker.transpose(),
+    ]
+    for m in results:
+        assert_canonical(m)
