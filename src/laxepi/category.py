@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Mapping, Sequence
 
-from .linalg import ONE, ZERO, EchelonBasis, frac, vec, zero_vec
+from .linalg import ONE, ZERO, EchelonBasis, frac, nonzeros, vec, zero_vec
 
 Pair = tuple[str, str]
 Triple = tuple[str, str, str]
@@ -99,11 +99,16 @@ class LinearCategory:
     def hom_dim(self, v: str, u: str) -> int:
         return self._hom.get((v, u), 0)
 
-    def hom_pairs(self) -> list[Pair]:
+    def hom_pairs(self) -> tuple[Pair, ...]:
         """All (V, U) with Hom(V, U) nonzero, in object-list order."""
-        return [
-            (v, u) for v in self.objects for u in self.objects if self.hom_dim(v, u)
-        ]
+        # computed once: objects and hom dimensions are fixed after __init__
+        try:
+            return self._hom_pairs
+        except AttributeError:
+            self._hom_pairs = tuple(
+                (v, u) for v in self.objects for u in self.objects if self.hom_dim(v, u)
+            )
+            return self._hom_pairs
 
     def total_dim(self) -> int:
         return sum(self._hom.values())
@@ -160,40 +165,53 @@ def compose(c: LinearCategory, g: Morphism, f: Morphism) -> Morphism:
 
 
 def validate_category(c: LinearCategory) -> list[str]:
-    """All violated identity laws and associativity triples; empty iff valid."""
+    """All violated identity laws and associativity triples; empty iff valid.
+
+    Composites are contracted straight from the structure constants, kept
+    as sparse `{index: value}` cells: (h∘g)∘f and h∘(g∘f) are compared as
+    such cells, with entries that cancel dropped.
+    """
+    sp = {k: [[dict(nonzeros(x)) for x in row] for row in tab] for k, tab in c.comp.items()}
+
+    def table(w: str, v: str, u: str) -> list[list[dict[int, Fraction]]]:
+        """The cells of basis g ∘ basis f indexed [g][f], all empty when not given."""
+        return sp.get((w, v, u)) or [[{}] * c.hom_dim(w, v)] * c.hom_dim(v, u)
+
+    def combine(terms, cells) -> dict[int, Fraction]:
+        """Σ a·cells[k] over the (k, a) in terms, without zero entries."""
+        acc: dict[int, Fraction] = {}
+        for k, a in terms:
+            for j, b in cells[k].items():
+                acc[j] = acc.get(j, ZERO) + a * b
+        return {j: x for j, x in acc.items() if x}
+
     problems: list[str] = []
     for u in c.objects:
-        idu = c.identity(u)
+        idu = nonzeros(c.identities[u])
         for v in c.objects:
-            for f in c.basis_morphisms(v, u):
-                if compose(c, idu, f).coords != f.coords:
-                    problems.append(f"id_{u} ∘ {c.label_of(v, u, _idx(f))} != itself")
-            for g in c.basis_morphisms(u, v):
-                if compose(c, g, idu).coords != g.coords:
-                    problems.append(f"{c.label_of(u, v, _idx(g))} ∘ id_{u} != itself")
+            tab = table(v, u, u)  # id_u ∘ f for f: v -> u
+            for fi in range(c.hom_dim(v, u)):
+                if combine(idu, [row[fi] for row in tab]) != {fi: ONE}:
+                    problems.append(f"id_{u} ∘ {c.label_of(v, u, fi)} != itself")
+            for gi, cells in enumerate(table(u, u, v)):  # g ∘ id_u for g: u -> v
+                if combine(idu, cells) != {gi: ONE}:
+                    problems.append(f"{c.label_of(u, v, gi)} ∘ id_{u} != itself")
     for x, w, v, u in product(c.objects, repeat=4):
-        dh, dg, df = c.hom_dim(v, u), c.hom_dim(w, v), c.hom_dim(x, w)
-        if not (dh and dg and df):
+        df = c.hom_dim(x, w)
+        if not (c.hom_dim(v, u) and c.hom_dim(w, v) and df):
             continue
-        for hi in range(dh):
-            h = c.basis_morphism(v, u, hi)
-            for gi in range(dg):
-                g = c.basis_morphism(w, v, gi)
-                hg = compose(c, h, g)
-                for fi in range(df):
-                    f = c.basis_morphism(x, w, fi)
-                    left = compose(c, hg, f)
-                    right = compose(c, h, compose(c, g, f))
-                    if left.coords != right.coords:
+        left_tab = table(x, w, u)
+        left_by_f = [[row[fi] for row in left_tab] for fi in range(df)]
+        for hi, (hg_row, right_cells) in enumerate(zip(table(w, v, u), table(x, v, u))):
+            for gi, (hg, gf_row) in enumerate(zip(hg_row, table(x, w, v))):
+                for fi, (gf, left_cells) in enumerate(zip(gf_row, left_by_f)):
+                    # (h∘g)∘f against h∘(g∘f)
+                    if combine(hg.items(), left_cells) != combine(gf.items(), right_cells):
                         problems.append(
                             f"associativity fails at "
                             f"({c.label_of(v, u, hi)}, {c.label_of(w, v, gi)}, {c.label_of(x, w, fi)})"
                         )
     return problems
-
-
-def _idx(m: Morphism) -> int:
-    return next(i for i, x in enumerate(m.coords) if x)
 
 
 def opposite(c: LinearCategory) -> LinearCategory:
@@ -203,8 +221,6 @@ def opposite(c: LinearCategory) -> LinearCategory:
     comp: dict[Triple, list] = {}
     for (w, v, u), tab in c.comp.items():
         # op-composition g' ∘op f' (g': V->U, f': W->V in op) is f ∘ g in c
-        dg_op, df_op = c.hom_dim(u, v), c.hom_dim(v, w)
-        del dg_op, df_op
         comp[(u, v, w)] = [
             [tab[fi][gi] for fi in range(len(tab))] for gi in range(len(tab[0]))
         ]

@@ -12,6 +12,7 @@ acceptance suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Sequence
 
 from .category import LinearCategory, Morphism, compose, opposite
@@ -35,14 +36,14 @@ from .functors import (
     tensor_bimodule,
     tensor_map,
 )
-from .linalg import RationalMatrix, Subspace, solve
+from .linalg import RationalMatrix, Subspace, image_basis, kernel_basis, solve
 from .modules import (
     Module,
     ModuleMap,
     Submodule,
     cokernel,
-    coordinates_in_hom_basis,
-    hom_modules,
+    hom_diagram_module,
+    hom_matrix,
     identity_map,
     image,
     is_projective,
@@ -56,7 +57,6 @@ from .modules import (
     trace_span,
     validate_module_map,
     yoneda,
-    yoneda_map,
     zero_submodule,
 )
 from .oracles import multiplication_map_iso, restriction_hom_bijective
@@ -66,7 +66,7 @@ from .torsion import (
     is_closed,
     is_torsion,
     localize,
-    localize_map,
+    localize_morphism,
     q_iso,
     whole_ideal,
 )
@@ -448,44 +448,25 @@ def condition_F(
         raise err
 
     def t_of(u_mor: Morphism) -> ModuleMap:
-        pm = yoneda_map(p.target, p.apply(u_mor))
-        return localize_map(
-            t_prime, pm, loc[u_mor.source][0], loc[u_mor.target][0]
+        return localize_morphism(
+            t_prime, p.apply(u_mor), loc[u_mor.source][0], loc[u_mor.target][0]
         )
 
     certificate = {}
     trace = zero_submodule(loc[u_obj][0].module)
     covering_maps = []
     for v in src.objects:
-        d_u = src.hom_dim(v, u_obj)
-        d_u2 = src.hom_dim(v, u2_obj)
-        basis_v_u2 = fac.hom_bases[(v, u2_obj)]
-        # image of T on Hom(V, U') in quotient-hom coordinates
-        t_image_vecs = []
-        for i in range(d_u2):
-            cc = coordinates_in_hom_basis(
-                t_of(src.basis_morphism(v, u2_obj, i)), basis_v_u2
-            )
-            t_image_vecs.append(cc)
-        t_img = Subspace.from_vectors(t_image_vecs, len(basis_v_u2)) if t_image_vecs else Subspace.zero(len(basis_v_u2))
-        # phi: Hom(V, U) -> quotient-hom coords of gamma ∘ T(u)
-        phi_cols = []
-        for i in range(d_u):
-            comp = map_compose(gamma, t_of(src.basis_morphism(v, u_obj, i)))
-            cc = coordinates_in_hom_basis(comp, basis_v_u2)
-            if cc is None:
-                raise InternalInvariantError("gamma composite escapes quotient homs")
-            phi_cols.append(cc)
-        if d_u == 0:
+        if not src.hom_dim(v, u_obj):
             certificate[v] = {"K_basis": [], "solved": []}
             continue
-        phi = RationalMatrix.from_columns(phi_cols, len(basis_v_u2))
-        proj, _ = t_img.quotient_maps()
-        from .linalg import kernel_basis
-
+        basis_v_u2 = fac.hom_bases[(v, u2_obj)]
+        # T on Hom(V, U') and phi: u ↦ gamma ∘ T(u) on Hom(V, U), in quotient-hom coordinates
+        t_mat = fac.s.hom_maps.get((v, u2_obj), RationalMatrix.zeros(len(basis_v_u2), 0))
+        phi = hom_matrix(fac.hom_bases[(v, u_obj)], basis_v_u2, post=gamma)
+        phi = phi * fac.s.hom_maps[(v, u_obj)]
+        proj, _ = image_basis(t_mat).quotient_maps()
         k_v = kernel_basis(proj * phi)
         solved = []
-        t_mat = RationalMatrix.from_columns(t_image_vecs, len(basis_v_u2))
         for u_coords in k_v.basis_vectors():
             rhs = phi.apply(u_coords)
             u_prime = solve(t_mat, rhs)
@@ -500,6 +481,14 @@ def condition_F(
     q, _ = quotient_by(trace)
     ok = is_torsion(t_prime, q)
     return ok, certificate
+
+
+def _hcat(blocks: Sequence[RationalMatrix], rows: int) -> RationalMatrix:
+    return reduce(RationalMatrix.hstack, blocks, RationalMatrix.zeros(rows, 0))
+
+
+def _vcat(blocks: Sequence[RationalMatrix], cols: int) -> RationalMatrix:
+    return reduce(RationalMatrix.vstack, blocks, RationalMatrix.zeros(0, cols))
 
 
 def ulmer_certificate_check(
@@ -535,38 +524,24 @@ def ulmer_certificate_check(
     loc = fac.localized_representables
 
     def t_of(m: Morphism) -> ModuleMap:
-        pm = yoneda_map(p.target, p.apply(m))
-        return localize_map(t_prime, pm, loc[m.source][0], loc[m.target][0])
+        return localize_morphism(t_prime, p.apply(m), loc[m.source][0], loc[m.target][0])
 
+    objs = t_prime.cat.objects
     mids = [loc[u_i.source][0].module for u_i in u_family]
     f0, f0_incl, _ = direct_sum(mids, over=t_prime.cat)
     tu = loc[u_obj][0].module
-    # beta: F0 -> TU assembled from T(u_i)
-    beta_comps = {}
-    for w in t_prime.cat.objects:
-        m = RationalMatrix.zeros(tu.dims[w], 0)
-        for u_i in u_family:
-            m = m.hstack(t_of(u_i).components[w])
-        beta_comps[w] = m
-    beta = ModuleMap(f0, tu, beta_comps)
+    # beta: F0 -> TU is the row of the T(u_i); alpha: F1 -> F0 the block matrix of the T(u_ij)
+    t_u = [t_of(u_i).components for u_i in u_family]
+    beta = ModuleMap(f0, tu, {w: _hcat([t[w] for t in t_u], tu.dims[w]) for w in objs})
 
     if relation_family:
         lefts = [loc[v_j][0].module for v_j, _ in relation_family]
         f1, _, _ = direct_sum(lefts, over=t_prime.cat)
+        t_rel = [[t_of(u_ij).components for u_ij in col] for _, col in relation_family]
         alpha_comps = {}
-        for w in t_prime.cat.objects:
-            rows = []
-            col_blocks = []
-            for (v_j, col) in relation_family:
-                stacked = None
-                for u_i, u_ij in zip(u_family, col):
-                    blk = t_of(u_ij).components[w]
-                    stacked = blk if stacked is None else stacked.vstack(blk)
-                col_blocks.append(stacked)
-            m = col_blocks[0]
-            for blk in col_blocks[1:]:
-                m = m.hstack(blk)
-            alpha_comps[w] = m
+        for w in objs:
+            stacks = [_vcat([t[w] for t in ts], lft.dims[w]) for ts, lft in zip(t_rel, lefts)]
+            alpha_comps[w] = _hcat(stacks, f0.dims[w])
         alpha = ModuleMap(f1, f0, alpha_comps)
         comp = map_compose(beta, alpha)
         if not comp.is_zero():
@@ -686,18 +661,4 @@ def is_generalized_closed_functor(
 
 def _hom_restriction_module(b: Bimodule, a_mod: Module) -> Module:
     """The left-category module G -> Hom_right(value(G), a)."""
-    lc = b.left_cat
-    bases = {g: hom_modules(b.values[g], a_mod) for g in lc.objects}
-    dims = {g: len(bases[g]) for g in lc.objects}
-    action = {}
-    for gp, g in lc.hom_pairs():
-        for i in range(lc.hom_dim(gp, g)):
-            act = b.left_action[(gp, g, i)]  # value(gp) -> value(g)
-            cols = []
-            for alpha in bases[g]:
-                cc = coordinates_in_hom_basis(map_compose(alpha, act), bases[gp])
-                if cc is None:
-                    raise InternalInvariantError("hom restriction escapes basis")
-                cols.append(cc)
-            action[(gp, g, i)] = RationalMatrix.from_columns(cols, dims[gp])
-    return Module(lc, dims, action)
+    return hom_diagram_module(b.left_cat, b.values, b.left_action, a_mod)[0]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Mapping, Sequence, Union
 
 from .category import LinearCategory, Morphism, compose
@@ -23,11 +24,14 @@ from .modules import (
     Module,
     ModuleMap,
     coordinates_in_hom_basis,
+    evaluation_matrix,
+    hom_diagram_module,
+    hom_matrix,
     hom_modules,
     identity_map,
     map_compose,
     yoneda,
-    yoneda_map,
+    yoneda_components,
 )
 
 Pair = tuple[str, str]
@@ -93,24 +97,17 @@ def validate_functor(s: LinearFunctor) -> list[str]:
     for u in src.objects:
         if s.apply(src.identity(u)).coords != tgt.identity(s.apply_obj(u)).coords:
             problems.append(f"identity at {u} not preserved")
-    for w in src.objects:
-        for v in src.objects:
-            for u in src.objects:
-                dg, df = src.hom_dim(v, u), src.hom_dim(w, v)
-                if not (dg and df):
-                    continue
-                for gi in range(dg):
-                    g = src.basis_morphism(v, u, gi)
-                    sg = s.apply(g)
-                    for fi in range(df):
-                        f = src.basis_morphism(w, v, fi)
-                        lhs = s.apply(compose(src, g, f))
-                        rhs = compose(tgt, sg, s.apply(f))
-                        if lhs.coords != rhs.coords:
-                            problems.append(
-                                f"functoriality fails at ({src.label_of(v, u, gi)}, "
-                                f"{src.label_of(w, v, fi)})"
-                            )
+    for w, v, u in product(src.objects, repeat=3):
+        for gi in range(src.hom_dim(v, u)):
+            sg = s.apply(src.basis_morphism(v, u, gi))
+            for fi in range(src.hom_dim(w, v)):
+                lhs = s.apply(Morphism(w, u, src.comp_coords(w, v, u, gi, fi)))
+                rhs = compose(tgt, sg, s.apply(src.basis_morphism(w, v, fi)))
+                if lhs.coords != rhs.coords:
+                    problems.append(
+                        f"functoriality fails at ({src.label_of(v, u, gi)}, "
+                        f"{src.label_of(w, v, fi)})"
+                    )
     return problems
 
 
@@ -377,24 +374,16 @@ class CoinducedContext:
 
 def coinduce(s: LinearFunctor, x: Module) -> CoinducedContext:
     """Right adjoint of restriction: value at G is Hom(restrict(yoneda G), x)."""
-    src, tgt = s.source, s.target
+    tgt = s.target
     reps = {g: restrict(s, yoneda(tgt, g)) for g in tgt.objects}
-    bases = {g: hom_modules(reps[g], x) for g in tgt.objects}
-    dims = {g: len(bases[g]) for g in tgt.objects}
-    action = {}
+    maps = {}
     for g2, g1 in tgt.hom_pairs():  # basis g: g2 -> g1 acts co(g1) -> co(g2)
         for i in range(tgt.hom_dim(g2, g1)):
-            rho = restrict_map(
-                s, yoneda_map(tgt, tgt.basis_morphism(g2, g1, i)), reps[g2], reps[g1]
+            comps = yoneda_components(tgt, tgt.basis_morphism(g2, g1, i))
+            maps[(g2, g1, i)] = ModuleMap(
+                reps[g2], reps[g1], {u: comps[s.apply_obj(u)] for u in s.source.objects}
             )
-            cols = []
-            for alpha in bases[g1]:
-                coords = coordinates_in_hom_basis(map_compose(alpha, rho), bases[g2])
-                if coords is None:
-                    raise InternalInvariantError("coinduction action escapes hom basis")
-                cols.append(coords)
-            action[(g2, g1, i)] = RationalMatrix.from_columns(cols, dims[g2])
-    co = Module(tgt, dims, action)
+    co, bases = hom_diagram_module(tgt, reps, maps, x)
     return CoinducedContext(s, x, co, reps, bases)
 
 
@@ -406,9 +395,7 @@ def coinduce_counit(ctx: CoinducedContext) -> ModuleMap:
     comps = {}
     for u in src.objects:
         su = s.apply_obj(u)
-        cols = []
-        for alpha in ctx.hom_bases[su]:
-            cols.append(alpha.components[u].apply(tgt.identities[su]))
+        cols = [alpha.components[u].apply(tgt.identities[su]) for alpha in ctx.hom_bases[su]]
         comps[u] = RationalMatrix.from_columns(cols, x.dims[u])
     return ModuleMap(rco, x, comps)
 
@@ -417,23 +404,13 @@ def coinduce_unit(ctx: CoinducedContext, y: Module) -> ModuleMap:
     """y -> coinduce(restrict y) for y over the target (ctx built on restrict y)."""
     s = ctx.functor
     src, tgt = s.source, s.target
-    ry = ctx.source_module  # restrict(s, y)
     comps = {}
     for g in tgt.objects:
-        cols = []
-        for a in range(y.dims[g]):
-            alpha_comps = {}
-            for u in src.objects:
-                su = s.apply_obj(u)
-                dh = tgt.hom_dim(su, g)
-                cc = [y.action[(su, g, j)].col(a) for j in range(dh)]
-                alpha_comps[u] = RationalMatrix.from_columns(cc, y.dims[su])
-            alpha = ModuleMap(ctx.restricted_representables[g], ry, alpha_comps)
-            coords = coordinates_in_hom_basis(alpha, ctx.hom_bases[g])
-            if coords is None:
-                raise InternalInvariantError("coinduction unit escapes hom basis")
-            cols.append(coords)
-        comps[g] = RationalMatrix.from_columns(cols, ctx.module.dims[g])
+        acts = {}
+        for u in src.objects:
+            su = s.apply_obj(u)
+            acts[u] = [y.action[(su, g, j)] for j in range(tgt.hom_dim(su, g))]
+        comps[g] = evaluation_matrix(ctx.hom_bases[g], acts, y.dims[g])
     return ModuleMap(y, ctx.module, comps)
 
 
@@ -441,16 +418,10 @@ def coinduce_map(
     ctx_src: CoinducedContext, ctx_tgt: CoinducedContext, f: ModuleMap
 ) -> ModuleMap:
     """Functoriality of coinduction: postcompose each hom by f."""
-    tgt = ctx_src.functor.target
-    comps = {}
-    for g in tgt.objects:
-        cols = []
-        for alpha in ctx_src.hom_bases[g]:
-            coords = coordinates_in_hom_basis(map_compose(f, alpha), ctx_tgt.hom_bases[g])
-            if coords is None:
-                raise InternalInvariantError("coinduced map escapes hom basis")
-            cols.append(coords)
-        comps[g] = RationalMatrix.from_columns(cols, ctx_tgt.module.dims[g])
+    comps = {
+        g: hom_matrix(ctx_src.hom_bases[g], ctx_tgt.hom_bases[g], post=f)
+        for g in ctx_src.functor.target.objects
+    }
     return ModuleMap(ctx_src.module, ctx_tgt.module, comps)
 
 
@@ -503,22 +474,13 @@ def validate_bimodule(b: Bimodule) -> list[str]:
     for g in lc.objects:
         if flatten_map(b.left_act(lc.identity(g))) != flatten_map(identity_map(b.values[g])):
             problems.append(f"left action of identity at {g} is not the identity")
-    for w in lc.objects:
-        for v in lc.objects:
-            for u in lc.objects:
-                dg, df = lc.hom_dim(v, u), lc.hom_dim(w, v)
-                if not (dg and df):
-                    continue
-                for gi in range(dg):
-                    g_mor = lc.basis_morphism(v, u, gi)
-                    for fi in range(df):
-                        f_mor = lc.basis_morphism(w, v, fi)
-                        lhs = b.left_act(compose(lc, g_mor, f_mor))
-                        rhs = map_compose(b.left_act(g_mor), b.left_act(f_mor))
-                        if flatten_map(lhs) != flatten_map(rhs):
-                            problems.append(
-                                f"left action not functorial at ({(v, u, gi)}, {(w, v, fi)})"
-                            )
+    for w, v, u in product(lc.objects, repeat=3):
+        for gi in range(lc.hom_dim(v, u)):
+            for fi in range(lc.hom_dim(w, v)):
+                lhs = b.left_act(Morphism(w, u, lc.comp_coords(w, v, u, gi, fi)))
+                rhs = map_compose(b.left_action[(v, u, gi)], b.left_action[(w, v, fi)])
+                if flatten_map(lhs) != flatten_map(rhs):
+                    problems.append(f"left action not functorial at ({(v, u, gi)}, {(w, v, fi)})")
     return problems
 
 
@@ -529,8 +491,8 @@ def regular_bimodule(s: LinearFunctor) -> Bimodule:
     action = {}
     for v, u in s.source.hom_pairs():
         for i in range(s.source.hom_dim(v, u)):
-            ym = yoneda_map(tgt, s.apply(s.source.basis_morphism(v, u, i)))
-            action[(v, u, i)] = ModuleMap(values[v], values[u], ym.components)
+            comps = yoneda_components(tgt, s.apply(s.source.basis_morphism(v, u, i)))
+            action[(v, u, i)] = ModuleMap(values[v], values[u], comps)
     return Bimodule(s.source, tgt, values, action)
 
 
@@ -788,43 +750,25 @@ def canonical_factorization_localized(p: LinearFunctor, torsion_prime) -> Factor
     Mid homs are quotient-category homs between localizations of yoneda(PU);
     i is the bimodule sending each mid object to that closed module.
     """
-    from .torsion import localize, localize_map
+    from .torsion import localize, localize_morphism
 
     src = p.source
     tgt_cat = p.target
     if not (torsion_prime.cat is tgt_cat or torsion_prime.cat == tgt_cat):
         raise ValueError("torsion data must live on the functor's target")
-    loc: dict[str, tuple] = {}
-    for u in src.objects:
-        loc[u] = localize(torsion_prime, yoneda(tgt_cat, p.apply_obj(u)))
-    bases: dict[Pair, list[ModuleMap]] = {}
-    hom_dims = {}
-    for v in src.objects:
-        for u in src.objects:
-            basis = hom_modules(loc[v][0].module, loc[u][0].module)
-            bases[(v, u)] = basis
-            if basis:
-                hom_dims[(v, u)] = len(basis)
+    loc = {u: localize(torsion_prime, yoneda(tgt_cat, p.apply_obj(u))) for u in src.objects}
+    bases = {
+        (v, u): hom_modules(loc[v][0].module, loc[u][0].module)
+        for v in src.objects
+        for u in src.objects
+    }
+    hom_dims = {pair: len(basis) for pair, basis in bases.items() if basis}
     comp = {}
-    for w in src.objects:
-        for v in src.objects:
-            for u in src.objects:
-                dg, df = len(bases[(v, u)]), len(bases[(w, v)])
-                if not (dg and df and bases[(w, u)]):
-                    continue
-                table = []
-                for gi in range(dg):
-                    row = []
-                    for fi in range(df):
-                        cc = coordinates_in_hom_basis(
-                            map_compose(bases[(v, u)][gi], bases[(w, v)][fi]),
-                            bases[(w, u)],
-                        )
-                        if cc is None:
-                            raise InternalInvariantError("quotient hom composition escapes basis")
-                        row.append(cc)
-                    table.append(row)
-                comp[(w, v, u)] = table
+    for w, v, u in product(src.objects, repeat=3):
+        if bases[(v, u)] and bases[(w, v)] and bases[(w, u)]:
+            # column gi of by_f[fi]: basis g_gi ∘ basis f_fi in Hom(w, u)
+            by_f = [hom_matrix(bases[(v, u)], bases[(w, u)], pre=f) for f in bases[(w, v)]]
+            comp[(w, v, u)] = [[m.col(gi) for m in by_f] for gi in range(len(bases[(v, u)]))]
     ids = {}
     for u in src.objects:
         cc = coordinates_in_hom_basis(identity_map(loc[u][0].module), bases[(u, u)])
@@ -837,8 +781,8 @@ def canonical_factorization_localized(p: LinearFunctor, torsion_prime) -> Factor
     for v, u in src.hom_pairs():
         cols = []
         for i in range(src.hom_dim(v, u)):
-            pm = yoneda_map(tgt_cat, p.apply(src.basis_morphism(v, u, i)))
-            lpm = localize_map(torsion_prime, pm, loc[v][0], loc[u][0])
+            m = p.apply(src.basis_morphism(v, u, i))
+            lpm = localize_morphism(torsion_prime, m, loc[v][0], loc[u][0])
             cc = coordinates_in_hom_basis(lpm, bases[(v, u)])
             if cc is None:
                 raise InternalInvariantError("localized image escapes quotient hom basis")

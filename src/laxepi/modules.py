@@ -10,13 +10,17 @@ cover by representables.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Mapping, Sequence
 
 from .category import LinearCategory, Morphism, compose
+from .errors import InternalInvariantError
 from .linalg import (
     ONE,
+    ZERO,
     EchelonBasis,
     RationalMatrix,
     Subspace,
@@ -176,22 +180,15 @@ def validate_module(x: Module) -> list[str]:
     for u in c.objects:
         if x.act(c.identity(u)) != RationalMatrix.identity(x.dims[u]):
             problems.append(f"identity does not act as identity at {u}")
-    for w in c.objects:
-        for v in c.objects:
-            for u in c.objects:
-                dg, df = c.hom_dim(v, u), c.hom_dim(w, v)
-                if not (dg and df):
-                    continue
-                for gi in range(dg):
-                    g = c.basis_morphism(v, u, gi)
-                    for fi in range(df):
-                        f = c.basis_morphism(w, v, fi)
-                        gf = compose(c, g, f)
-                        if x.act(gf) != x.action[(w, v, fi)] * x.action[(v, u, gi)]:
-                            problems.append(
-                                f"contravariance fails at g={c.label_of(v, u, gi)}, "
-                                f"f={c.label_of(w, v, fi)}"
-                            )
+    for w, v, u in product(c.objects, repeat=3):
+        for gi in range(c.hom_dim(v, u)):
+            for fi in range(c.hom_dim(w, v)):
+                gf = Morphism(w, u, c.comp_coords(w, v, u, gi, fi))
+                if x.act(gf) != x.action[(w, v, fi)] * x.action[(v, u, gi)]:
+                    problems.append(
+                        f"contravariance fails at g={c.label_of(v, u, gi)}, "
+                        f"f={c.label_of(w, v, fi)}"
+                    )
     return problems
 
 
@@ -249,12 +246,18 @@ def yoneda(c: LinearCategory, u: str) -> Module:
 
 def yoneda_map(c: LinearCategory, m: Morphism) -> ModuleMap:
     """Postcomposition by m as a map of representables yoneda(source) -> yoneda(target)."""
-    ys, yt = yoneda(c, m.source), yoneda(c, m.target)
-    comps = {}
-    for w in c.objects:
-        cols = [compose(c, m, b).coords for b in c.basis_morphisms(w, m.source)]
-        comps[w] = RationalMatrix.from_columns(cols, yt.dims[w])
-    return ModuleMap(ys, yt, comps)
+    return ModuleMap(yoneda(c, m.source), yoneda(c, m.target), yoneda_components(c, m))
+
+
+def yoneda_components(c: LinearCategory, m: Morphism) -> dict[str, RationalMatrix]:
+    """The components of `yoneda_map(c, m)`, without building the representables."""
+    return {
+        w: RationalMatrix.from_columns(
+            [compose(c, m, b).coords for b in c.basis_morphisms(w, m.source)],
+            c.hom_dim(w, m.target),
+        )
+        for w in c.objects
+    }
 
 
 def identity_map(x: Module) -> ModuleMap:
@@ -328,12 +331,39 @@ class HomBasis(list):
     """The basis maps from `hom_modules`, with the space their flattenings span.
 
     `space` is the span of the flattened maps (`flatten_map` order) as a
-    canonical `Subspace`; the maps are its basis rows, in order.
+    canonical `Subspace`; the maps are its basis rows, in order.  `source`
+    and `target` are the modules the maps run between.
     """
 
-    def __init__(self, maps: Sequence[ModuleMap], space: Subspace):
+    def __init__(self, maps: Sequence[ModuleMap], space: Subspace, source: Module, target: Module):
         super().__init__(maps)
         self.space = space
+        self.source = source
+        self.target = target
+
+
+def _offsets(x: Module, y: Module) -> tuple[dict[str, int], int]:
+    """Where each object's component starts in a flattened map x -> y, and the length."""
+    offsets: dict[str, int] = {}
+    n = 0
+    for u in x.over.objects:
+        offsets[u] = n
+        n += y.dims[u] * x.dims[u]
+    return offsets, n
+
+
+def _blocks(flat_rows: Sequence[Mapping[int, Fraction]], x: Module, y: Module):
+    """Each flattened map x -> y as {object: {row index: {column: value}}}, nonzeros only."""
+    objs = x.over.objects
+    offsets, _ = _offsets(x, y)
+    starts = [offsets[u] for u in objs]
+    for flat in flat_rows:
+        blocks: dict[str, dict[int, dict[int, Fraction]]] = {}
+        for j, val in flat.items():
+            k = bisect_right(starts, j) - 1
+            r, cc = divmod(j - starts[k], x.dims[objs[k]])
+            blocks.setdefault(objs[k], {}).setdefault(r, {})[cc] = val
+        yield blocks
 
 
 def hom_modules(x: Module, y: Module) -> HomBasis:
@@ -341,13 +371,9 @@ def hom_modules(x: Module, y: Module) -> HomBasis:
     if not (x.over is y.over or x.over == y.over):
         raise ValueError("hom between modules over different categories")
     c = x.over
-    offsets: dict[str, int] = {}
-    n = 0
-    for u in c.objects:
-        offsets[u] = n
-        n += y.dims[u] * x.dims[u]
+    offsets, n = _offsets(x, y)
     if n == 0:
-        return HomBasis([], Subspace.zero(0))
+        return HomBasis([], Subspace.zero(0), x, y)
     rows: list[dict[int, Fraction]] = []
     for v, u in c.hom_pairs():
         base_u, base_v = offsets[u], offsets[v]
@@ -371,17 +397,14 @@ def hom_modules(x: Module, y: Module) -> HomBasis:
                     if row:
                         rows.append(row)
     space = kernel_basis(RationalMatrix.from_sparse_rows(rows, n)) if rows else Subspace.full(n)
-    # each unknown's object, row and column, for splitting flattened maps
-    where = [(u, r, cc) for u in c.objects for r in range(y.dims[u]) for cc in range(x.dims[u])]
     out = []
-    for bv in space.basis.sp:
-        parts = {u: [{} for _ in range(y.dims[u])] for u in c.objects}
-        for j, val in bv.items():
-            u, r, cc = where[j]
-            parts[u][r][cc] = val
-        comps = {u: RationalMatrix.from_sparse_rows(parts[u], x.dims[u]) for u in c.objects}
+    for blocks in _blocks(space.basis.sp, x, y):
+        comps = {
+            u: RationalMatrix.from_sparse_rows([rs.get(r, {}) for r in range(y.dims[u])], x.dims[u])
+            for u, rs in blocks.items()
+        }
         out.append(ModuleMap(x, y, comps))
-    return HomBasis(out, space)
+    return HomBasis(out, space, x, y)
 
 
 def _flatten_sparse(f: ModuleMap) -> dict[int, Fraction]:
@@ -405,6 +428,110 @@ def coordinates_in_hom_basis(f: ModuleMap, basis: HomBasis) -> tuple[Fraction, .
     are read at its pivots without an elimination.
     """
     return basis.space.coordinates_of(_flatten_sparse(f))
+
+
+def _scatter(terms) -> dict[int, dict[int, Fraction]]:
+    """Σ a·row into row i over the (i, a, row) terms; entries that cancel stay as zeros."""
+    out: dict[int, dict[int, Fraction]] = {}
+    for i, a, row in terms:
+        acc = out.setdefault(i, {})
+        for j, b in row.items():
+            acc[j] = acc.get(j, ZERO) + a * b
+    return out
+
+
+def _composites(src: HomBasis, pre: ModuleMap | None, post: ModuleMap | None):
+    """`_flatten_sparse(post ∘ α ∘ pre)` for each basis map α of src, in order.
+
+    Each composite is contracted from α's flattened row, object by object:
+    α's entry (r, s) adds its multiple of row s of pre to row r, then each
+    row r adds its multiples to the rows of post's column r.
+    """
+    x, y = src.source, src.target
+    x2, y2 = (x if pre is None else pre.source), (y if post is None else post.target)
+    post_cols = {u: m.transpose().sp for u, m in post.components.items()} if post else None
+    offsets, _ = _offsets(x2, y2)
+    for blocks in _blocks(src.space.basis.sp, x, y):
+        out: dict[int, Fraction] = {}
+        for u, rows in blocks.items():
+            if pre is not None:
+                m = pre.components[u].sp
+                rows = _scatter((r, a, m[s]) for r, row in rows.items() for s, a in row.items())
+            if post is not None:
+                cols = post_cols[u]
+                rows = _scatter((q, a, row) for r, row in rows.items() for q, a in cols[r].items())
+            base, width = offsets[u], x2.dims[u]
+            for r, row in rows.items():
+                out.update((base + r * width + cc, val) for cc, val in row.items() if val)
+        yield out
+
+
+def _coordinate_columns(basis: HomBasis, flat_maps) -> RationalMatrix:
+    """The matrix whose columns are the coordinates in `basis` of the flattened maps."""
+    cols = []
+    for v in flat_maps:
+        coords = basis.space.coordinates_of(v)
+        if coords is None:
+            raise InternalInvariantError("map escapes the hom basis")
+        cols.append(coords)
+    return RationalMatrix.from_columns(cols, len(basis))
+
+
+def hom_matrix(
+    src: HomBasis, tgt: HomBasis, pre: ModuleMap | None = None, post: ModuleMap | None = None
+) -> RationalMatrix:
+    """The matrix of α ↦ post ∘ α ∘ pre from the span of src to that of tgt.
+
+    Column k holds the coordinates in tgt of the composite with src[k], each
+    checked for membership: one outside tgt's span raises
+    InternalInvariantError, so a non-natural pre or post is caught.
+    """
+    inner = (pre.target if pre else src.source, post.source if post else src.target)
+    outer = (pre.source if pre else src.source, post.target if post else src.target)
+    wanted = (src.source, src.target, tgt.source, tgt.target)
+    if [m.dims for m in inner + outer] != [m.dims for m in wanted]:
+        raise ValueError("maps and hom bases do not compose")
+    return _coordinate_columns(tgt, _composites(src, pre, post))
+
+
+def evaluation_matrix(
+    basis: HomBasis, acts: Mapping[str, Sequence[RationalMatrix]], n: int
+) -> RationalMatrix:
+    """Coordinates in `basis` of the maps α_a, a in range(n), whose component
+    at w has the columns m·e_a for m in acts[w], in order.
+
+    With acts[w] the actions X(h) for a basis h of D(w) ⊆ Hom(w, u), this is
+    the evaluation X(u) -> Hom(D, X), a ↦ (h ↦ X(h)a).
+    Each α_a is written as a flattened row straight from the rows of acts.
+    """
+    offsets, _ = _offsets(basis.source, basis.target)
+    rows: list[dict[int, Fraction]] = [{} for _ in range(n)]
+    for w, ms in acts.items():
+        base, width = offsets[w], basis.source.dims[w]
+        for k, m in enumerate(ms):
+            for r, mrow in enumerate(m.sp):
+                for a, val in mrow.items():
+                    rows[a][base + r * width + k] = val
+    return _coordinate_columns(basis, rows)
+
+
+def hom_diagram_module(
+    c: LinearCategory,
+    values: Mapping[str, Module],
+    maps: Mapping[ActionKey, ModuleMap],
+    y: Module,
+) -> tuple[Module, dict[str, HomBasis]]:
+    """G ↦ Hom(values[G], y), acting by precomposition, and its hom bases.
+
+    maps[(G', G, i)] is the diagram's map values[G'] -> values[G] for the
+    i-th basis morphism G' -> G, which acts Hom(values[G], y) -> Hom(values[G'], y).
+    """
+    bases = {g: hom_modules(values[g], y) for g in c.objects}
+    action = {}
+    for v, u in c.hom_pairs():
+        for i in range(c.hom_dim(v, u)):
+            action[(v, u, i)] = hom_matrix(bases[u], bases[v], pre=maps[(v, u, i)])
+    return Module(c, {g: len(bases[g]) for g in c.objects}, action), bases
 
 
 # ---------------------------------------------------------------------------
@@ -484,29 +611,17 @@ def cyclic_submodule(x: Module, u: str, v: Sequence) -> Submodule:
 def free_cover(x: Module) -> tuple[ModuleMap, list[str]]:
     """Canonical epi from a finite sum of representables, one per basis element."""
     c = x.over
-    summands: list[Module] = []
-    objs: list[str] = []
-    maps: list[ModuleMap] = []
+    objs = [u for u in c.objects for _ in range(x.dims[u])]
+    reps = {u: yoneda(c, u) for u in set(objs)}
+    total, _, _ = direct_sum([reps[u] for u in objs], over=c)
+    # the summand of e_a in x(u) sends the basis morphism h: v -> u to x(h)·e_a
+    cols = {v: [] for v in c.objects}
     for u in c.objects:
-        yu = None
         for a in range(x.dims[u]):
-            yu = yoneda(c, u) if yu is None else yu
-            comps = {}
             for v in c.objects:
-                cols = [x.action[(v, u, j)].col(a) for j in range(c.hom_dim(v, u))]
-                comps[v] = RationalMatrix.from_columns(cols, x.dims[v])
-            summands.append(yu)
-            objs.append(u)
-            maps.append(ModuleMap(yu, x, comps))
-    total, _, projections = direct_sum(summands, over=c)
-    comps = {}
-    for v in c.objects:
-        m = RationalMatrix.zeros(x.dims[v], 0)
-        for part in maps:
-            m = m.hstack(part.components[v])
-        comps[v] = m
-    cover = ModuleMap(total, x, comps)
-    return cover, objs
+                cols[v] += [x.action[(v, u, j)].col(a) for j in range(c.hom_dim(v, u))]
+    comps = {v: RationalMatrix.from_columns(cols[v], x.dims[v]) for v in c.objects}
+    return ModuleMap(total, x, comps), objs
 
 
 def ext1(l: Module, x: Module) -> int:
@@ -522,8 +637,8 @@ def _ext1_from_cover(cover: ModuleMap, x: Module) -> int:
         return 0
     hom_px = hom_modules(cover.source, x)
     eb = EchelonBasis(sum(syz.dims[u] * x.dims[u] for u in syz.over.objects))
-    for alpha in hom_px:
-        eb.insert(_flatten_sparse(map_compose(alpha, incl)))
+    for row in _composites(hom_px, incl, None):
+        eb.insert(row)
     return len(hom_kx) - eb.dim
 
 

@@ -7,9 +7,11 @@ then contains a minimal "dense" submodule J_U (the ideal's components into U),
 and localization is the Gabriel construction: kill torsion, then apply
 Hom(J_-, ·) once.  For a torsion-free module and the minimal dense J_U, that
 one step already gives the module of quotients (Stenström, *Rings of
-Quotients*, 1975, Ch. IX); the result is asserted closed.  The helpers expose
-enough structure (units, functoriality on maps) for the quotient category to
-be computed as homs between closed modules.
+Quotients*, 1975, Ch. IX); the result is asserted closed.  The step is
+`modules.hom_diagram_module` on the diagram (J_-, rho); its unit and maps come
+from `evaluation_matrix` and `hom_matrix`, so units and functoriality on maps
+are read off whole hom bases, and the quotient category is computed as homs
+between closed modules.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ from .modules import (
     Module,
     ModuleMap,
     Submodule,
-    coordinates_in_hom_basis,
+    evaluation_matrix,
+    hom_diagram_module,
+    hom_matrix,
     hom_modules,
     kernel,
     cokernel,
@@ -33,6 +37,7 @@ from .modules import (
     quotient_by,
     sub_to_module,
     yoneda,
+    yoneda_components,
 )
 
 Pair = tuple[str, str]
@@ -114,32 +119,25 @@ class TorsionData:
     def j_module(self, u: str) -> tuple[Module, ModuleMap]:
         """The minimal dense submodule of yoneda(u) as a module with inclusion."""
         if u not in self._j_cache:
-            yu = yoneda(self.cat, u)
-            sub = Submodule(yu, {v: self.ideal[(v, u)] for v in self.cat.objects})
-            self._j_cache[u] = sub_to_module(sub)
+            self._j_cache[u] = sub_to_module(self.j_submodule(u))
         return self._j_cache[u]
 
     def j_submodule(self, u: str) -> Submodule:
-        yu = yoneda(self.cat, u)
-        return Submodule(yu, {v: self.ideal[(v, u)] for v in self.cat.objects})
+        return Submodule(yoneda(self.cat, u), {v: self.ideal[(v, u)] for v in self.cat.objects})
 
     def rho(self, v: str, u: str, i: int) -> ModuleMap:
         """Postcomposition by the i-th basis morphism of Hom(v, u): J_v -> J_u."""
         key = (v, u, i)
         if key not in self._rho_cache:
-            c = self.cat
-            b = c.basis_morphism(v, u, i)
-            jv, _ = self.j_module(v)
-            ju, _ = self.j_module(u)
+            c, b = self.cat, self.cat.basis_morphism(v, u, i)
+            (jv, _), (ju, _) = self.j_module(v), self.j_module(u)
             comps = {}
             for w in c.objects:
-                cols = []
-                for h_coords in self.ideal[(w, v)].basis_vectors():
-                    img = compose(c, b, Morphism(w, v, h_coords)).coords
-                    coords = self.ideal[(w, u)].coordinates_of(img)
-                    if coords is None:
-                        raise InternalInvariantError("ideal not closed under postcomposition")
-                    cols.append(coords)
+                # b ∘ h for the ideal's basis h of Hom(w, v), in its basis of Hom(w, u)
+                ims = [compose(c, b, Morphism(w, v, h)) for h in self.ideal[(w, v)].basis_vectors()]
+                cols = [self.ideal[(w, u)].coordinates_of(m.coords) for m in ims]
+                if None in cols:
+                    raise InternalInvariantError("ideal not closed under postcomposition")
                 comps[w] = RationalMatrix.from_columns(cols, ju.dims[w])
             self._rho_cache[key] = ModuleMap(jv, ju, comps)
         return self._rho_cache[key]
@@ -217,27 +215,14 @@ def is_torsion_free(t: TorsionData, x: Module) -> bool:
 
 def _restriction_to_j(t: TorsionData, x: Module, u: str, basis=None):
     """Matrix of X(u) = Hom(yoneda(u), x) -> Hom(J_u, x) in the given hom basis."""
-    c = t.cat
     jmod, _ = t.j_module(u)
     if basis is None:
         basis = hom_modules(jmod, x)
     acts = {
         w: [x.act(Morphism(w, u, h)) for h in t.ideal[(w, u)].basis_vectors()]
-        for w in c.objects
+        for w in t.cat.objects
     }
-    cols = []
-    for a in range(x.dims[u]):
-        comps = {}
-        for w in c.objects:
-            cc = [m.col(a) for m in acts[w]]
-            comps[w] = RationalMatrix.from_columns(cc, x.dims[w])
-        alpha = ModuleMap(jmod, x, comps)
-        coords = coordinates_in_hom_basis(alpha, basis)
-        if coords is None:
-            raise InternalInvariantError("restriction map escapes the hom basis")
-        cols.append(coords)
-    mat = RationalMatrix.from_columns(cols, len(basis))
-    return mat, basis
+    return evaluation_matrix(basis, acts, x.dims[u]), basis
 
 
 def is_closed(t: TorsionData, x: Module) -> tuple[bool, dict]:
@@ -268,25 +253,13 @@ class ClosedModule:
 def _gabriel_step(t: TorsionData, y: Module):
     """H(y) = Hom(J_-, y) with its action, the unit y -> H(y), and hom bases."""
     c = t.cat
-    bases = {u: hom_modules(t.j_module(u)[0], y) for u in c.objects}
-    dims = {u: len(bases[u]) for u in c.objects}
-    action = {}
-    for v, u in c.hom_pairs():
-        for i in range(c.hom_dim(v, u)):
-            rho = t.rho(v, u, i)
-            cols = []
-            for alpha in bases[u]:
-                coords = coordinates_in_hom_basis(map_compose(alpha, rho), bases[v])
-                if coords is None:
-                    raise InternalInvariantError("Gabriel step action escapes hom basis")
-                cols.append(coords)
-            action[(v, u, i)] = RationalMatrix.from_columns(cols, dims[v])
-    h = Module(c, dims, action)
-    unit_comps = {}
-    for u in c.objects:
-        mat, _ = _restriction_to_j(t, y, u, bases[u])
-        unit_comps[u] = mat
-    unit = ModuleMap(y, h, unit_comps)
+    h, bases = hom_diagram_module(
+        c,
+        {u: t.j_module(u)[0] for u in c.objects},
+        {(v, u, i): t.rho(v, u, i) for v, u in c.hom_pairs() for i in range(c.hom_dim(v, u))},
+        y,
+    )
+    unit = ModuleMap(y, h, {u: _restriction_to_j(t, y, u, bases[u])[0] for u in c.objects})
     return h, unit, bases
 
 
@@ -315,16 +288,24 @@ def localize_map(
     loc_src: ClosedModule,
     loc_tgt: ClosedModule,
 ) -> ModuleMap:
-    """The induced map localize(source f) -> localize(target f)."""
-    c = t.cat
+    """The induced map localize(source f) -> localize(target f): Hom(J_-, f0) for
+    the map f0 that f induces on the torsion-free quotients."""
     x0, proj_x, bx = loc_src._steps
     y0, proj_y, by = loc_tgt._steps
-    # induced map on the torsion-free quotients
-    sec_x = {u: _section_of(proj_x.components[u]) for u in c.objects}
-    f0 = ModuleMap(
-        x0, y0, {u: proj_y.components[u] * f.components[u] * sec_x[u] for u in c.objects}
-    )
-    return _h_functor(t, f0, bx, by, loc_src.module, loc_tgt.module)
+    objs = t.cat.objects
+    sec_x = {u: _section_of(proj_x.components[u]) for u in objs}
+    f0 = ModuleMap(x0, y0, {u: proj_y.components[u] * f.components[u] * sec_x[u] for u in objs})
+    comps = {u: hom_matrix(bx[u], by[u], post=f0) for u in objs}
+    return ModuleMap(loc_src.module, loc_tgt.module, comps)
+
+
+def localize_morphism(
+    t: TorsionData, m: Morphism, loc_src: ClosedModule, loc_tgt: ClosedModule
+) -> ModuleMap:
+    """`localize_map` of postcomposition by m, for the localizations of its representables."""
+    # the projections start at the modules that were localized
+    ys, yt = loc_src._steps[1].source, loc_tgt._steps[1].source
+    return localize_map(t, ModuleMap(ys, yt, yoneda_components(t.cat, m)), loc_src, loc_tgt)
 
 
 def _section_of(proj: RationalMatrix) -> RationalMatrix:
@@ -334,20 +315,6 @@ def _section_of(proj: RationalMatrix) -> RationalMatrix:
     if sec is None:
         raise InternalInvariantError("projection has no section")
     return sec
-
-
-def _h_functor(t, g: ModuleMap, src_bases, tgt_bases, h_src: Module, h_tgt: Module) -> ModuleMap:
-    """Hom(J_-, g): postcomposition by g in the chosen hom bases."""
-    comps = {}
-    for u in t.cat.objects:
-        cols = []
-        for alpha in src_bases[u]:
-            coords = coordinates_in_hom_basis(map_compose(g, alpha), tgt_bases[u])
-            if coords is None:
-                raise InternalInvariantError("H-functor image escapes hom basis")
-            cols.append(coords)
-        comps[u] = RationalMatrix.from_columns(cols, h_tgt.dims[u])
-    return ModuleMap(h_src, h_tgt, comps)
 
 
 def quotient_hom(t: TorsionData, x: Module, y: Module) -> list[ModuleMap]:
@@ -376,12 +343,9 @@ def filter_membership(t: TorsionData, sub: Submodule) -> bool:
 
 def preimage_submodule(c: LinearCategory, sub: Submodule, u_mor: Morphism) -> Submodule:
     """(X : u) for X ≤ yoneda(U) and u: V -> U, as a submodule of yoneda(V)."""
-    yv = yoneda(c, u_mor.source)
+    post = yoneda_components(c, u_mor)
     spaces = {}
     for w in c.objects:
-        d = c.hom_dim(w, u_mor.source)
-        cols = [compose(c, u_mor, b).coords for b in c.basis_morphisms(w, u_mor.source)]
-        m = RationalMatrix.from_columns(cols, c.hom_dim(w, u_mor.target))
         proj, _ = sub.spaces[w].quotient_maps()
-        spaces[w] = kernel_basis(proj * m)
-    return Submodule(yv, spaces)
+        spaces[w] = kernel_basis(proj * post[w])
+    return Submodule(yoneda(c, u_mor.source), spaces)

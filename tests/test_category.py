@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -33,6 +34,17 @@ def test_identity_law_violation_reported():
     )
     report = validate_category(bad)
     assert report and any("id" in line for line in report)
+
+
+def test_associativity_violation_reported():
+    # e is a two-sided unit, but (y·x)·y = 0·y = 0 while y·(x·y) = y·y = y
+    mult = [
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],  # e·e, e·x, e·y
+        [[0, 1, 0], [0, 1, 0], [0, 0, 1]],  # x·e = x, x·x = x, x·y = y
+        [[0, 0, 1], [0, 0, 0], [0, 0, 1]],  # y·e = y, y·x = 0, y·y = y
+    ]
+    c = from_algebra(mult, [1, 0, 0], labels=["e", "x", "y"])
+    assert validate_category(c) == ["associativity fails at (y, x, y)"]
 
 
 def test_a2_path_category_valid_and_dims():
@@ -147,3 +159,59 @@ def test_constructors_pass_validation():
         summand_pair_category(),
     ):
         assert validate_category(c) == []
+
+
+def _validate_by_compose(c):
+    """The laws checked one `compose` at a time (reference route)."""
+    problems = []
+    for u in c.objects:
+        idu = c.identity(u)
+        for v in c.objects:
+            for i, f in enumerate(c.basis_morphisms(v, u)):
+                if compose(c, idu, f).coords != f.coords:
+                    problems.append(f"id_{u} ∘ {c.label_of(v, u, i)} != itself")
+            for i, g in enumerate(c.basis_morphisms(u, v)):
+                if compose(c, g, idu).coords != g.coords:
+                    problems.append(f"{c.label_of(u, v, i)} ∘ id_{u} != itself")
+    for x, w, v, u in product(c.objects, repeat=4):
+        for hi, h in enumerate(c.basis_morphisms(v, u)):
+            for gi, g in enumerate(c.basis_morphisms(w, v)):
+                for fi, f in enumerate(c.basis_morphisms(x, w)):
+                    if compose(c, compose(c, h, g), f).coords != compose(c, h, compose(c, g, f)).coords:
+                        problems.append(
+                            f"associativity fails at ({c.label_of(v, u, hi)}, "
+                            f"{c.label_of(w, v, gi)}, {c.label_of(x, w, fi)})"
+                        )
+    return problems
+
+
+def test_validate_category_matches_compose_route():
+    """Same messages in the same order as composing morphism by morphism,
+    on corpus categories with one structure constant or identity changed."""
+    import random
+
+    from laxepi.corpus import random_instance
+
+    rng = random.Random(8)
+    failing = 0
+    for seed in range(12):
+        c = random_instance(seed).category
+        hom = {pair: c.hom_dim(*pair) for pair in c.hom_pairs()}
+        for trial in range(6):
+            comp = {k: [[list(cell) for cell in row] for row in tab] for k, tab in c.comp.items()}
+            ids = {u: list(v) for u, v in c.identities.items()}
+            if trial == 5:  # an identity
+                u = rng.choice(c.objects)
+                ids[u][rng.randrange(len(ids[u]))] += 1
+            elif trial:  # a structure constant
+                tab = comp[rng.choice(sorted(k for k, t in comp.items() if t[0][0]))]
+                cell = tab[rng.randrange(len(tab))][rng.randrange(len(tab[0]))]
+                cell[rng.randrange(len(cell))] += rng.choice([1, -1])
+                if trial == 4:  # a missing table composes to zero
+                    del comp[rng.choice(sorted(comp))]
+            c2 = LinearCategory(c.objects, hom, comp, ids, c.basis_labels)
+            want = _validate_by_compose(c2)
+            assert validate_category(c2) == want
+            assert trial or not want  # the unchanged category is valid
+            failing += bool(want)
+    assert failing > 40

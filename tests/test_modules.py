@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from laxepi.corpus import (
     a2_category,
     field_category,
@@ -330,3 +332,181 @@ def test_hom_coordinates_match_solve():
                 rejected += got is None
     assert kinds == {"empty", "no equations", "equations"}
     assert rejected
+
+
+# -- batched hom matrices against the per-element route ----------------------
+
+def _per_element_matrix(src, tgt, pre=None, post=None):
+    """hom_matrix the reference way: one composite ModuleMap and one
+    coordinate read per basis map; None when a composite leaves tgt's span."""
+    from laxepi.modules import coordinates_in_hom_basis, map_compose
+
+    cols = []
+    for alpha in src:
+        f = alpha if pre is None else map_compose(alpha, pre)
+        f = f if post is None else map_compose(post, f)
+        coords = coordinates_in_hom_basis(f, tgt)
+        if coords is None:
+            return None
+        cols.append(coords)
+    return RationalMatrix.from_columns(cols, len(tgt))
+
+
+def _random_map(rng, x, y):
+    """A random rational combination of the basis of Hom(x, y)."""
+    from laxepi.modules import map_add, map_scale
+
+    f = zero_map(x, y)
+    for b in hom_modules(x, y):
+        f = map_add(f, map_scale(Q(rng.randint(-3, 3), rng.randint(1, 3)), b))
+    return f
+
+
+def _perturbed(rng, f):
+    """f with one entry of one nonempty component raised by 1, or None."""
+    objs = [u for u, m in f.components.items() if m.rows and m.cols]
+    if not objs:
+        return None
+    u = rng.choice(objs)
+    data = [list(r) for r in f.components[u].data]
+    data[rng.randrange(len(data))][rng.randrange(len(data[0]))] += 1
+    return ModuleMap(f.source, f.target, f.components | {u: RationalMatrix(data)})
+
+
+def _a_n(n):
+    from laxepi.category import from_quiver
+
+    vertices = [str(i) for i in range(1, n + 1)]
+    arrows = [(f"a{i}", str(i), str(i + 1)) for i in range(1, n)]
+    return from_quiver(vertices, arrows, (), nilpotency=n)
+
+
+def _torsion_cases():
+    """(ideal, torsion-free module) pairs: A_4..A_6 at e_1 and the middle
+    vertex with the regular module, and the ideals of bundles 0..9."""
+    from laxepi.corpus import random_instance
+    from laxepi.torsion import ideal_closure, torsion_submodule
+
+    cases = []
+    for n in (4, 5, 6):
+        c = _a_n(n)
+        reg, _, _ = direct_sum([yoneda(c, u) for u in c.objects], over=c)
+        for k in (1, (n + 1) // 2):
+            cases.append((ideal_closure(c, [c.identity(str(k))]), reg))
+    for seed in range(10):
+        b = random_instance(seed)
+        for t in b.ideals:
+            cases += [(t, x) for x in b.modules if x.over is t.cat]
+            cases.append((t, yoneda(t.cat, t.cat.objects[0])))
+    return [(t, quotient_by(torsion_submodule(t, x))[0]) for t, x in cases]
+
+
+def _hom_matrix_cases(rng):
+    """(src, tgt, pre, post) with natural pre/post: the J diagrams of the
+    torsion cases and module triples of bundles 0..9."""
+    from laxepi.corpus import random_instance
+
+    cases = []
+    for t, y in _torsion_cases():
+        c = t.cat
+        js = {u: t.j_module(u)[0] for u in c.objects}
+        homs = {u: hom_modules(js[u], y) for u in c.objects}
+        for v, u in c.hom_pairs():
+            cases.append((homs[u], homs[v], t.rho(v, u, 0), None))
+        u = rng.choice(c.objects)
+        cases.append((homs[u], homs[u], None, _random_map(rng, y, y)))
+    for seed in range(10):
+        b = random_instance(seed)
+        c = b.category
+        mods = [m for m in b.modules if m.over is c] + [yoneda(c, u) for u in c.objects]
+        mods.append(zero_module(c))  # an empty source basis
+        for _ in range(15):
+            x2, x, y, y2 = (rng.choice(mods) for _ in range(4))
+            pre, post = _random_map(rng, x2, x), _random_map(rng, y, y2)
+            cases.append((hom_modules(x, y), hom_modules(x2, y), pre, None))
+            cases.append((hom_modules(x, y), hom_modules(x, y2), None, post))
+            cases.append((hom_modules(x, y), hom_modules(x2, y2), pre, post))
+    return cases
+
+
+def test_hom_matrix_matches_per_element():
+    """hom_matrix equals composing and reading coordinates map by map; a
+    non-natural pre or post raises exactly when some composite leaves the span."""
+    import random
+
+    from laxepi.errors import InternalInvariantError
+    from laxepi.modules import hom_matrix
+
+    rng = random.Random(4)
+    kinds = set()
+    raised = 0
+    for src, tgt, pre, post in _hom_matrix_cases(rng):
+        got = hom_matrix(src, tgt, pre=pre, post=post)
+        assert got == _per_element_matrix(src, tgt, pre, post)
+        assert (got.rows, got.cols) == (len(tgt), len(src))
+        kinds.add("empty" if not src else "pre" if post is None else "post" if pre is None else "both")
+        which = "pre" if post is None else "post" if pre is None else rng.choice(["pre", "post"])
+        bad = _perturbed(rng, pre if which == "pre" else post)
+        if bad is None or not validate_module_map(bad):
+            continue
+        args = {"pre": pre, "post": post, which: bad}
+        want = _per_element_matrix(src, tgt, **args)
+        if want is None:
+            with pytest.raises(InternalInvariantError):
+                hom_matrix(src, tgt, **args)
+            raised += 1
+        else:
+            assert hom_matrix(src, tgt, **args) == want
+    assert kinds == {"empty", "pre", "post", "both"}
+    assert raised > 20
+
+
+def test_gabriel_step_matches_per_element():
+    """The Gabriel step's module and unit equal the ones assembled map by map."""
+    from laxepi.category import Morphism
+    from laxepi.modules import coordinates_in_hom_basis, map_compose
+    from laxepi.torsion import _gabriel_step
+
+    for t, y in _torsion_cases():
+        c = t.cat
+        h, unit, bases = _gabriel_step(t, y)
+        action = {}
+        for v, u in c.hom_pairs():
+            for i in range(c.hom_dim(v, u)):
+                cols = [
+                    coordinates_in_hom_basis(map_compose(alpha, t.rho(v, u, i)), bases[v])
+                    for alpha in bases[u]
+                ]
+                action[(v, u, i)] = RationalMatrix.from_columns(cols, len(bases[v]))
+        assert h == Module(c, {u: len(bases[u]) for u in c.objects}, action)
+        for u in c.objects:
+            jmod = t.j_module(u)[0]
+            acts = {w: [y.act(Morphism(w, u, g)) for g in t.ideal[(w, u)].basis_vectors()]
+                    for w in c.objects}
+            cols = []
+            for a in range(y.dims[u]):
+                comps = {w: RationalMatrix.from_columns([m.col(a) for m in acts[w]], y.dims[w])
+                         for w in c.objects}
+                cols.append(coordinates_in_hom_basis(ModuleMap(jmod, y, comps), bases[u]))
+            assert unit.components[u] == RationalMatrix.from_columns(cols, len(bases[u]))
+
+
+def test_hom_diagram_module_matches_per_element():
+    """G ↦ Hom(value(G), y) for the regular bimodule of the bundles' functors,
+    against composing with the left action map by map."""
+    from laxepi.corpus import random_instance
+    from laxepi.functors import regular_bimodule
+    from laxepi.modules import hom_diagram_module
+
+    checked = 0
+    for seed in range(10):
+        b = random_instance(seed)
+        bim = regular_bimodule(b.functor)
+        lc = bim.left_cat
+        for y in [m for m in b.modules if m.over is bim.right_cat]:
+            h, bases = hom_diagram_module(lc, bim.values, bim.left_action, y)
+            assert all(len(bases[g]) == h.dims[g] for g in lc.objects)
+            for (gp, g, i), act in bim.left_action.items():
+                assert h.action[(gp, g, i)] == _per_element_matrix(bases[g], bases[gp], pre=act)
+                checked += 1
+    assert checked
