@@ -4,6 +4,15 @@ A category here is a "ring with several objects": finitely many objects,
 finite-dimensional hom spaces with chosen bases, a composition tensor giving
 g∘f on basis pairs, and identity coordinates.  Quivers with relations are a
 convenience constructor that elaborates to the same presentation.
+
+The composition tensor is stored sparse, as `cells`: for each triple
+(W, V, U) a table mapping a basis pair (g: V -> U, f: W -> V), by index, to
+the cell `{k: value}` of the nonzero coordinates of g∘f in Hom(W, U).  Only
+nonzero cells are stored and a table without one is not stored, so equal
+categories have equal cells.  Composites of basis morphisms, and of
+morphisms given by their nonzero coordinates, are contracted straight from
+the cells (`contract`, `postcompose_cells`, `precompose_cells`).  The dense
+tables `comp` are a view built on each access, for serialization and tests.
 """
 
 from __future__ import annotations
@@ -11,12 +20,36 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Mapping, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
+from weakref import WeakValueDictionary
 
 from .linalg import ONE, ZERO, EchelonBasis, frac, nonzeros, vec, zero_vec
 
 Pair = tuple[str, str]
 Triple = tuple[str, str, str]
+Cell = dict[int, Fraction]  # nonzero coordinates of one composite
+Table = Mapping[tuple[int, int], Cell]  # (g index, f index) -> nonzero cell of g∘f
+
+_NO_CELLS: Table = MappingProxyType({})
+
+
+class _Stored(dict):
+    """A stored cell or table: never mutated, so equal ones are shared."""
+
+    __slots__ = ("__weakref__",)
+
+
+# the stored cells and tables by content, for as long as a category holds them
+_STORED: WeakValueDictionary[tuple, _Stored] = WeakValueDictionary()
+
+
+def _shared(content: tuple, d: dict) -> _Stored:
+    """The stored dict with this content, made from d when there is none."""
+    stored = _STORED.get(content)
+    if stored is None:
+        stored = _STORED[content] = _Stored(d)
+    return stored
 
 
 @dataclass(frozen=True)
@@ -42,14 +75,47 @@ class Morphism:
         return not any(self.coords)
 
 
+def _table_cells(table, dg: int, df: int, dr: int, where: Triple) -> dict[tuple[int, int], Cell]:
+    """The nonzero cells of a table given dense ([g][f] -> coordinates) or as
+    a mapping (g index, f index) -> {k: value}."""
+    if isinstance(table, Mapping):
+        items = table.items()
+    else:
+        rows = [list(row) for row in table]
+        if len(rows) != dg or any(len(row) != df for row in rows):
+            raise ValueError(f"composition table shape mismatch at {where}")
+        items = (((gi, fi), cell) for gi, row in enumerate(rows) for fi, cell in enumerate(row))
+    out, content = {}, []
+    for (gi, fi), cell in items:
+        if not (0 <= gi < dg and 0 <= fi < df):
+            raise ValueError(f"composition table shape mismatch at {where}")
+        if isinstance(cell, Mapping):
+            nz = {k: frac(x) for k, x in cell.items() if x}
+            fits = all(0 <= k < dr for k in nz)
+        else:
+            cv = vec(cell)
+            nz, fits = dict(nonzeros(cv)), len(cv) == dr
+        if not fits:
+            raise ValueError(f"composition value length mismatch at {where}")
+        if nz:
+            key, cell_content = (gi, fi), tuple(nz.items())
+            out[key] = _shared(cell_content, nz)
+            content.append((key, cell_content))
+    return _shared(tuple(content), out) if out else out
+
+
 class LinearCategory:
-    """Objects, hom dimensions, composition structure constants, identities."""
+    """Objects, hom dimensions, composition structure constants, identities.
+
+    Each table of `comp` is given dense, as [g][f] -> coordinates of g∘f, or
+    sparse, as (g index, f index) -> {k: value}; it is stored as cells.
+    """
 
     def __init__(
         self,
         objects: Sequence[str],
         hom_dims: Mapping[Pair, int],
-        comp: Mapping[Triple, Sequence[Sequence[Sequence]]],
+        comp: Mapping[Triple, Sequence[Sequence[Sequence]] | Table],
         identities: Mapping[str, Sequence],
         basis_labels: Mapping[Pair, Sequence[str]] | None = None,
     ):
@@ -57,17 +123,16 @@ class LinearCategory:
         if len(set(self.objects)) != len(self.objects):
             raise ValueError("duplicate object identifiers")
         self._hom = {k: int(v) for k, v in hom_dims.items() if v}
-        self.comp: dict[Triple, tuple[tuple[tuple[Fraction, ...], ...], ...]] = {}
+        self._hom_pairs = tuple(p for p in product(self.objects, repeat=2) if p in self._hom)
+        # the one stored form of the composition tensor (see the module docstring)
+        self.cells: dict[Triple, dict[tuple[int, int], Cell]] = {}
         for (w, v, u), table in comp.items():
             dg, df, dr = self.hom_dim(v, u), self.hom_dim(w, v), self.hom_dim(w, u)
             if dg == 0 or df == 0:
                 continue
-            tab = tuple(tuple(vec(cell) for cell in row) for row in table)
-            if len(tab) != dg or any(len(row) != df for row in tab):
-                raise ValueError(f"composition table shape mismatch at {(w, v, u)}")
-            if any(len(cell) != dr for row in tab for cell in row):
-                raise ValueError(f"composition value length mismatch at {(w, v, u)}")
-            self.comp[(w, v, u)] = tab
+            cells = _table_cells(table, dg, df, dr, (w, v, u))
+            if cells:
+                self.cells[(w, v, u)] = cells
         self.identities = {u: vec(c) for u, c in identities.items()}
         for u in self.objects:
             if u not in self.identities or len(self.identities[u]) != self.hom_dim(u, u):
@@ -90,7 +155,7 @@ class LinearCategory:
             isinstance(other, LinearCategory)
             and self.objects == other.objects
             and self._hom == other._hom
-            and self.comp == other.comp
+            and self.cells == other.cells
             and self.identities == other.identities
         )
 
@@ -101,14 +166,7 @@ class LinearCategory:
 
     def hom_pairs(self) -> tuple[Pair, ...]:
         """All (V, U) with Hom(V, U) nonzero, in object-list order."""
-        # computed once: objects and hom dimensions are fixed after __init__
-        try:
-            return self._hom_pairs
-        except AttributeError:
-            self._hom_pairs = tuple(
-                (v, u) for v in self.objects for u in self.objects if self.hom_dim(v, u)
-            )
-            return self._hom_pairs
+        return self._hom_pairs
 
     def total_dim(self) -> int:
         return sum(self._hom.values())
@@ -128,12 +186,26 @@ class LinearCategory:
     def identity(self, u: str) -> Morphism:
         return Morphism(u, u, self.identities[u])
 
+    def table(self, w: str, v: str, u: str) -> Table:
+        """The nonzero cells of basis g ∘ basis f, for g: v -> u and f: w -> v."""
+        return self.cells.get((w, v, u), _NO_CELLS)
+
     def comp_coords(self, w: str, v: str, u: str, gi: int, fi: int) -> tuple[Fraction, ...]:
-        """Coordinates of basis_g ∘ basis_f in Hom(w, u)."""
-        tab = self.comp.get((w, v, u))
-        if tab is None:
-            return zero_vec(self.hom_dim(w, u))
-        return tab[gi][fi]
+        """Coordinates of basis_g ∘ basis_f in Hom(w, u), dense."""
+        cell = self.table(w, v, u).get((gi, fi), {})
+        return tuple(cell.get(k, ZERO) for k in range(self.hom_dim(w, u)))
+
+    @property
+    def comp(self) -> dict[Triple, tuple[tuple[tuple[Fraction, ...], ...], ...]]:
+        """The dense tables [g][f] -> coordinates of g∘f, one per stored table,
+        built on each access."""
+        return {
+            (w, v, u): tuple(
+                tuple(self.comp_coords(w, v, u, gi, fi) for fi in range(self.hom_dim(w, v)))
+                for gi in range(self.hom_dim(v, u))
+            )
+            for (w, v, u) in self.cells
+        }
 
     def morphism(self, v: str, u: str, coords: Sequence) -> Morphism:
         c = vec(coords)
@@ -145,72 +217,90 @@ class LinearCategory:
         return self.basis_labels[(v, u)][i]
 
 
+def contract(
+    tab: Table, g: Iterable[tuple[int, Fraction]], f: Iterable[tuple[int, Fraction]]
+) -> Cell:
+    """The cell of g∘f: Σ a·b·tab[(i, j)] over the (i, a) of g and the (j, b) of f,
+    both given as nonzero coordinates; entries that cancel are dropped."""
+    f = list(f)
+    return combine((a * b, cell) for i, a in g for j, b in f if (cell := tab.get((i, j))))
+
+
+def combine(terms: Iterable[tuple[Fraction, Cell]]) -> Cell:
+    """Σ a·cell over the (a, cell) in terms, without zero entries."""
+    acc: Cell = {}
+    for a, cell in terms:
+        for k, x in cell.items():
+            y, z = (x if a is ONE else a * x), acc.get(k)
+            acc[k] = y if z is None else z + y
+    return {k: x for k, x in acc.items() if x}
+
+
+def postcompose_cells(
+    c: LinearCategory, w: str, v: str, u: str, g: Mapping[int, Fraction]
+) -> list[Cell]:
+    """The cells of g ∘ f_j for each basis morphism f_j: w -> v, in order, for
+    g: v -> u given by its nonzero coordinates."""
+    tab = c.table(w, v, u)
+    return [combine((a, tab.get((i, j), {})) for i, a in g.items()) for j in range(c.hom_dim(w, v))]
+
+
+def precompose_cells(
+    c: LinearCategory, w: str, v: str, u: str, f: Mapping[int, Fraction]
+) -> list[Cell]:
+    """The cells of g_i ∘ f for each basis morphism g_i: v -> u, in order, for
+    f: w -> v given by its nonzero coordinates."""
+    tab = c.table(w, v, u)
+    return [combine((b, tab.get((i, j), {})) for j, b in f.items()) for i in range(c.hom_dim(v, u))]
+
+
 def compose(c: LinearCategory, g: Morphism, f: Morphism) -> Morphism:
     """Bilinear extension of the structure tensor: g ∘ f."""
     if f.target != g.source:
         raise ValueError(f"morphisms not composable: {f.target} != {g.source}")
     w, v, u = f.source, f.target, g.target
     out = list(zero_vec(c.hom_dim(w, u)))
-    for gi, gc in enumerate(g.coords):
-        if not gc:
-            continue
-        for fi, fc in enumerate(f.coords):
-            if not fc:
-                continue
-            s = gc * fc
-            for k, x in enumerate(c.comp_coords(w, v, u, gi, fi)):
-                if x:
-                    out[k] += s * x
+    for k, x in contract(c.table(w, v, u), nonzeros(g.coords), nonzeros(f.coords)).items():
+        out[k] = x
     return Morphism(w, u, tuple(out))
 
 
 def validate_category(c: LinearCategory) -> list[str]:
     """All violated identity laws and associativity triples; empty iff valid.
 
-    Composites are contracted straight from the structure constants, kept
-    as sparse `{index: value}` cells: (h∘g)∘f and h∘(g∘f) are compared as
-    such cells, with entries that cancel dropped.
+    Composites are contracted straight from the cells: (h∘g)∘f and h∘(g∘f)
+    are compared as cells, with entries that cancel dropped.
     """
-    sp = {k: [[dict(nonzeros(x)) for x in row] for row in tab] for k, tab in c.comp.items()}
-
-    def table(w: str, v: str, u: str) -> list[list[dict[int, Fraction]]]:
-        """The cells of basis g ∘ basis f indexed [g][f], all empty when not given."""
-        return sp.get((w, v, u)) or [[{}] * c.hom_dim(w, v)] * c.hom_dim(v, u)
-
-    def combine(terms, cells) -> dict[int, Fraction]:
-        """Σ a·cells[k] over the (k, a) in terms, without zero entries."""
-        acc: dict[int, Fraction] = {}
-        for k, a in terms:
-            for j, b in cells[k].items():
-                acc[j] = acc.get(j, ZERO) + a * b
-        return {j: x for j, x in acc.items() if x}
-
     problems: list[str] = []
     for u in c.objects:
         idu = nonzeros(c.identities[u])
         for v in c.objects:
-            tab = table(v, u, u)  # id_u ∘ f for f: v -> u
+            tab = c.table(v, u, u)  # id_u ∘ f for f: v -> u
             for fi in range(c.hom_dim(v, u)):
-                if combine(idu, [row[fi] for row in tab]) != {fi: ONE}:
+                if combine((a, tab.get((gi, fi), {})) for gi, a in idu) != {fi: ONE}:
                     problems.append(f"id_{u} ∘ {c.label_of(v, u, fi)} != itself")
-            for gi, cells in enumerate(table(u, u, v)):  # g ∘ id_u for g: u -> v
-                if combine(idu, cells) != {gi: ONE}:
+            tab = c.table(u, u, v)  # g ∘ id_u for g: u -> v
+            for gi in range(c.hom_dim(u, v)):
+                if combine((a, tab.get((gi, fi), {})) for fi, a in idu) != {gi: ONE}:
                     problems.append(f"{c.label_of(u, v, gi)} ∘ id_{u} != itself")
-    for x, w, v, u in product(c.objects, repeat=4):
-        df = c.hom_dim(x, w)
-        if not (c.hom_dim(v, u) and c.hom_dim(w, v) and df):
-            continue
-        left_tab = table(x, w, u)
-        left_by_f = [[row[fi] for row in left_tab] for fi in range(df)]
-        for hi, (hg_row, right_cells) in enumerate(zip(table(w, v, u), table(x, v, u))):
-            for gi, (hg, gf_row) in enumerate(zip(hg_row, table(x, w, v))):
-                for fi, (gf, left_cells) in enumerate(zip(gf_row, left_by_f)):
-                    # (h∘g)∘f against h∘(g∘f)
-                    if combine(hg.items(), left_cells) != combine(gf.items(), right_cells):
-                        problems.append(
-                            f"associativity fails at "
-                            f"({c.label_of(v, u, hi)}, {c.label_of(w, v, gi)}, {c.label_of(x, w, fi)})"
-                        )
+    # composable triples x -> w -> v -> u, in object-list order
+    succ = {w: [v for v in c.objects if c.hom_dim(w, v)] for w in c.objects}
+    quads = ((x, w, v, u) for x in c.objects for w in succ[x] for v in succ[w] for u in succ[v])
+    for x, w, v, u in quads:
+        hg_tab, gf_tab = c.table(w, v, u), c.table(x, w, v)
+        left, right = c.table(x, w, u), c.table(x, v, u)
+        for hi, gi in product(range(c.hom_dim(v, u)), range(c.hom_dim(w, v))):
+            hg = hg_tab.get((hi, gi), {}).items()
+            for fi in range(c.hom_dim(x, w)):
+                gf = gf_tab.get((gi, fi), {}).items()
+                # (h∘g)∘f against h∘(g∘f); both are zero when hg and gf are
+                if (hg or gf) and combine((a, left.get((k, fi), {})) for k, a in hg) != combine(
+                    (b, right.get((hi, k), {})) for k, b in gf
+                ):
+                    problems.append(
+                        f"associativity fails at "
+                        f"({c.label_of(v, u, hi)}, {c.label_of(w, v, gi)}, {c.label_of(x, w, fi)})"
+                    )
     return problems
 
 
@@ -218,12 +308,11 @@ def opposite(c: LinearCategory) -> LinearCategory:
     """Reverse all morphisms; comp tensor transposed in its two morphism slots."""
     hom = {(u, v): d for (v, u), d in c._hom.items()}
     labels = {(u, v): c.basis_labels[(v, u)] for (v, u) in c._hom}
-    comp: dict[Triple, list] = {}
-    for (w, v, u), tab in c.comp.items():
-        # op-composition g' ∘op f' (g': V->U, f': W->V in op) is f ∘ g in c
-        comp[(u, v, w)] = [
-            [tab[fi][gi] for fi in range(len(tab))] for gi in range(len(tab[0]))
-        ]
+    # op-composition g' ∘op f' (g': V->U, f': W->V in op) is f ∘ g in c
+    comp = {
+        (u, v, w): {(fi, gi): cell for (gi, fi), cell in tab.items()}
+        for (w, v, u), tab in c.cells.items()
+    }
     return LinearCategory(c.objects, hom, comp, dict(c.identities), labels)
 
 
@@ -303,26 +392,15 @@ def from_quiver(
         index[p.key()] = len(lst)
         lst.append(p)
 
-    def path_vector(pair: Pair, combos: Sequence[tuple]) -> list[Fraction]:
-        out = [ZERO] * len(by_pair[pair])
-        for coeff, arrow_seq in combos:
-            key = (pair[0], pair[1], tuple(arrow_seq))
-            if key not in index:
-                raise ValueError(f"unknown or non-parallel path {arrow_seq} for {pair}")
-            out[index[key]] += frac(coeff)
-        return out
-
     def concat(p: _Path, q: _Path) -> _Path | None:
         """q ∘ p with truncation: None when the result is too long."""
         if len(p.arrows) + len(q.arrows) >= nilpotency:
             return None
         return _Path(p.source, q.target, p.arrows + q.arrows)
 
-    # relation ideal inside the truncated path algebra, closed under both compositions
-    spans: dict[Pair, EchelonBasis] = {
-        pair: EchelonBasis(len(lst)) for pair, lst in by_pair.items()
-    }
-    pending: list[tuple[Pair, list[Fraction]]] = []
+    # relation ideal inside the truncated path algebra: spanned by q ∘ r ∘ p
+    # for every relation r: s -> t, path p into s and path q out of t
+    spans = {pair: EchelonBasis(len(lst)) for pair, lst in by_pair.items()}
     for rel in relations:
         combos = list(rel)
         if not combos:
@@ -330,88 +408,49 @@ def from_quiver(
         first = combos[0][1]
         if not first:
             raise ValueError("relation paths must have positive length")
-        s = by_name[first[0]][0]
-        t = by_name[first[-1]][1]
-        pending.append(((s, t), path_vector((s, t), combos)))
-    while pending:
-        pair, v = pending.pop()
-        if not spans[pair].insert(v):
-            continue
-        s, t = pair
-        plist = by_pair[pair]
-        # postcompose with every path out of t, precompose with every path into s
-        for (s2, t2), qlist in by_pair.items():
-            if s2 == t and (s, t2) in by_pair:  # q ∘ (element) for q: t -> t2
-                for q in qlist:
-                    out = [ZERO] * len(by_pair[(s, t2)])
-                    for coeff, p in zip(v, plist):
-                        if not coeff:
-                            continue
-                        pq = concat(p, q)
-                        if pq is not None:
-                            out[index[pq.key()]] += coeff
-                    if any(out):
-                        pending.append(((s, t2), out))
-            if t2 == s and (s2, t) in by_pair:  # (element) ∘ q for q: s2 -> s
-                for q in qlist:
-                    out = [ZERO] * len(by_pair[(s2, t)])
-                    for coeff, p in zip(v, plist):
-                        if not coeff:
-                            continue
-                        qp = concat(q, p)
-                        if qp is not None:
-                            out[index[qp.key()]] += coeff
-                    if any(out):
-                        pending.append(((s2, t), out))
+        s, t = by_name[first[0]][0], by_name[first[-1]][1]
+        terms = []
+        for coeff, arrow_seq in combos:
+            key = (s, t, tuple(arrow_seq))
+            if key not in index:
+                raise ValueError(f"unknown or non-parallel path {arrow_seq} for {(s, t)}")
+            terms.append((frac(coeff), by_pair[(s, t)][index[key]]))
+        into_s, out_of_t = [p for p in paths if p.target == s], [q for q in paths if q.source == t]
+        for p, q in product(into_s, out_of_t):
+            out: dict[int, Fraction] = {}
+            for coeff, r in terms:
+                rp = concat(p, r)
+                qrp = None if rp is None else concat(rp, q)
+                if qrp is not None:
+                    k = index[qrp.key()]
+                    out[k] = out.get(k, ZERO) + coeff
+            if out:
+                spans[(p.source, q.target)].insert(out)
 
-    # quotient bases: complement coordinates of each relation span
+    # quotient bases: complement coordinates of each relation span; the
+    # sections pick out non-pivot paths, so each quotient basis vector is
+    # represented by a single path
     quots = {pair: spans[pair].quotient_maps() for pair in by_pair}
     hom_dims = {pair: quots[pair][0].rows for pair in by_pair}
-    labels = {}
-    for pair, lst in by_pair.items():
-        _, sec = quots[pair]
-        # label each quotient basis vector by its representative path (sections
-        # pick out non-pivot paths, so representatives are single paths)
-        picked = []
-        for j in range(sec.cols):
-            col = sec.col(j)
-            i = next(k for k, x in enumerate(col) if x)
-            p = lst[i]
-            picked.append("e_" + p.source if not p.arrows else "*".join(p.arrows))
-        labels[pair] = picked
+    reps = {
+        pair: [lst[min(col)] for col in quots[pair][1].transpose().sp]
+        for pair, lst in by_pair.items()
+    }
+    labels = {
+        pair: ["e_" + p.source if not p.arrows else "*".join(p.arrows) for p in ps]
+        for pair, ps in reps.items()
+    }
+    proj_cols = {pair: proj.transpose().sp for pair, (proj, _) in quots.items()}
 
-    comp: dict[Triple, list] = {}
-    for w in vertices:
-        for v in vertices:
-            for u in vertices:
-                if (w, v) not in by_pair or (v, u) not in by_pair or (w, u) not in by_pair:
-                    continue
-                dg = hom_dims[(v, u)]
-                df = hom_dims[(w, v)]
-                if not (dg and df and hom_dims[(w, u)]):
-                    continue
-                proj_wu, _ = quots[(w, u)]
-                _, sec_vu = quots[(v, u)]
-                _, sec_wv = quots[(w, v)]
-                table = []
-                for gi in range(dg):
-                    grow = []
-                    gcoords = sec_vu.col(gi)
-                    for fi in range(df):
-                        fcoords = sec_wv.col(fi)
-                        acc = [ZERO] * len(by_pair[(w, u)])
-                        for i_g, cg in enumerate(gcoords):
-                            if not cg:
-                                continue
-                            for i_f, cf in enumerate(fcoords):
-                                if not cf:
-                                    continue
-                                pq = concat(by_pair[(w, v)][i_f], by_pair[(v, u)][i_g])
-                                if pq is not None:
-                                    acc[index[pq.key()]] += cg * cf
-                        grow.append(proj_wu.apply(acc))
-                    table.append(grow)
-                comp[(w, v, u)] = table
+    # the cell of g ∘ f is the projection's column at the concatenated path
+    comp: dict[Triple, dict] = {}
+    for ((w, v), fs), ((v2, u), gs) in product(reps.items(), repeat=2):
+        if v2 == v:
+            comp[(w, v, u)] = {
+                (gi, fi): proj_cols[(w, u)][index[pq.key()]]
+                for (gi, g), (fi, f) in product(enumerate(gs), enumerate(fs))
+                if (pq := concat(f, g)) is not None
+            }
 
     identities = {}
     for vtx in vertices:
@@ -432,14 +471,6 @@ def from_quiver(
         cat.quiver_arrows[name] = Morphism(s, t, proj.apply(pv))  # type: ignore[attr-defined]
     cat.arrow_endpoints = {name: by_name[name] for name in by_name}  # type: ignore[attr-defined]
     # representative path (arrow-name tuple) of each quotient basis vector
-    basis_paths = {}
-    for pair, lst in by_pair.items():
-        _, sec = quots[pair]
-        reps = []
-        for j in range(sec.cols):
-            col = sec.col(j)
-            i = next(k for k, x in enumerate(col) if x)
-            reps.append(lst[i].arrows)
-        basis_paths[pair] = reps
+    basis_paths = {pair: [p.arrows for p in ps] for pair, ps in reps.items()}
     cat.basis_paths = basis_paths  # type: ignore[attr-defined]
     return cat

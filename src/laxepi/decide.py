@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from typing import Sequence
 
-from .category import LinearCategory, Morphism, compose, opposite
+from .category import LinearCategory, Morphism, compose, opposite, postcompose_cells
 from .errors import (
     InternalInvariantError,
     NotSurjectiveOnObjects,
@@ -200,14 +200,11 @@ def _hom_from_object_module(t: LinearFunctor, op: LinearCategory, v: str) -> Mod
     dims = {u: tgt.hom_dim(v, t.apply_obj(u)) for u in op.objects}
     action = {}
     for a, b_obj in op.hom_pairs():  # op morphism a -> b_obj is a source morphism b_obj -> a
-        for i in range(op.hom_dim(a, b_obj)):
-            src_mor = t.source.basis_morphism(b_obj, a, i)
-            timg = t.apply(src_mor)  # T(b_obj) -> T(a)
-            cols = []
-            for j in range(dims[b_obj]):
-                h = tgt.basis_morphism(v, t.apply_obj(b_obj), j)
-                cols.append(compose(tgt, timg, h).coords)
-            action[(a, b_obj, i)] = RationalMatrix.from_columns(cols, dims[a])
+        tb, ta = t.apply_obj(b_obj), t.apply_obj(a)
+        for i, timg in enumerate(t.hom_maps[(b_obj, a)].transpose().sp):  # T(b_obj) -> T(a)
+            # column j: timg ∘ h_j for the basis h_j of Hom(v, T(b_obj))
+            cells = postcompose_cells(tgt, v, tb, ta, timg)
+            action[(a, b_obj, i)] = RationalMatrix.from_sparse_rows(cells, dims[a]).transpose()
     return Module(op, dims, action)
 
 
@@ -292,14 +289,20 @@ def conditioned_epi_fullness_oracle(
 # generalized lax epimorphisms and abelian localizations
 # ---------------------------------------------------------------------------
 
-def _generation_check(fac: Factorization) -> tuple[bool, dict]:
-    """Do the localized induced representables generate the quotient category?"""
+def _generation_check(fac: Factorization, p: LinearFunctor) -> tuple[bool, dict]:
+    """Do the localized induced representables generate the quotient category?
+
+    `fac` is p's localized factorization, which has already localized the
+    representable at every object that p hits.
+    """
     t_prime: TorsionData = fac.torsion
     tgt_cat = t_prime.cat
-    family = [fac.localized_representables[u][0].module for u in fac.s.source.objects]
+    loc = fac.localized_representables
+    family = [loc[u][0].module for u in fac.s.source.objects]
+    localized = {p.apply_obj(u): loc[u][0] for u in p.source.objects}
     failures = {}
     for v in tgt_cat.objects:
-        cm, _ = localize(t_prime, yoneda(tgt_cat, v))
+        cm = localized[v] if v in localized else localize(t_prime, yoneda(tgt_cat, v))[0]
         tr = module_trace(family, cm.module)
         q, _ = quotient_by(tr)
         if not is_torsion(t_prime, q):
@@ -326,7 +329,7 @@ def _conditioned_check(fac: Factorization) -> tuple[bool, dict]:
 def is_generalized_lax_epi(p: LinearFunctor, t_prime: TorsionData) -> DecisionReport:
     """Generation plus conditioned cancellation for the localized factorization."""
     fac = canonical_factorization_localized(p, t_prime)
-    gen_ok, gen_fail = _generation_check(fac)
+    gen_ok, gen_fail = _generation_check(fac, p)
     if not gen_ok:
         return DecisionReport(
             "glax",
@@ -414,7 +417,7 @@ def check_kernel_description(
 
 def condition_G(p: LinearFunctor, t_prime: TorsionData) -> bool:
     fac = canonical_factorization_localized(p, t_prime)
-    ok, _ = _generation_check(fac)
+    ok, _ = _generation_check(fac, p)
     return ok
 
 

@@ -65,14 +65,10 @@ def serialize_category(c: LinearCategory) -> dict:
     for (v, u), d in sorted(c._hom.items()):
         hom.setdefault(v, {})[u] = {"dim": d, "labels": list(c.basis_labels[(v, u)])}
     comp: dict[str, dict] = {}
-    for (w, v, u), tab in sorted(c.comp.items()):
-        triples = []
-        for gi, row in enumerate(tab):
-            for fi, cell in enumerate(row):
-                if any(cell):
-                    triples.append([gi, fi, _vec_out(cell)])
-        if triples:
-            comp.setdefault(w, {}).setdefault(v, {})[u] = triples
+    for (w, v, u), tab in sorted(c.cells.items()):  # the nonzero cells, dense
+        comp.setdefault(w, {}).setdefault(v, {})[u] = [
+            [gi, fi, _vec_out(c.comp_coords(w, v, u, gi, fi))] for gi, fi in sorted(tab)
+        ]
     return {
         "objects": list(c.objects),
         "hom": hom,

@@ -17,9 +17,9 @@ from fractions import Fraction
 from itertools import product
 from typing import Mapping, Sequence, Union
 
-from .category import LinearCategory, Morphism, compose
+from .category import LinearCategory, Morphism, combine, contract, postcompose_cells
 from .errors import InternalInvariantError
-from .linalg import ZERO, EchelonBasis, RationalMatrix, nonzeros, zero_vec
+from .linalg import ONE, ZERO, EchelonBasis, RationalMatrix, zero_vec
 from .modules import (
     Module,
     ModuleMap,
@@ -30,8 +30,8 @@ from .modules import (
     hom_modules,
     identity_map,
     map_compose,
+    postcomposition,
     yoneda,
-    yoneda_components,
 )
 
 Pair = tuple[str, str]
@@ -97,13 +97,16 @@ def validate_functor(s: LinearFunctor) -> list[str]:
     for u in src.objects:
         if s.apply(src.identity(u)).coords != tgt.identity(s.apply_obj(u)).coords:
             problems.append(f"identity at {u} not preserved")
+    cols = {pair: m.transpose().sp for pair, m in s.hom_maps.items()}  # S(basis morphism)
     for w, v, u in product(src.objects, repeat=3):
+        tab = src.table(w, v, u)
+        t_tab = tgt.table(*(s.apply_obj(o) for o in (w, v, u)))
         for gi in range(src.hom_dim(v, u)):
-            sg = s.apply(src.basis_morphism(v, u, gi))
             for fi in range(src.hom_dim(w, v)):
-                lhs = s.apply(Morphism(w, u, src.comp_coords(w, v, u, gi, fi)))
-                rhs = compose(tgt, sg, s.apply(src.basis_morphism(w, v, fi)))
-                if lhs.coords != rhs.coords:
+                cell = tab.get((gi, fi), {})  # S(g∘f) against S(g)∘S(f)
+                lhs = combine((a, cols[(w, u)][k]) for k, a in cell.items())
+                rhs = contract(t_tab, cols[(v, u)][gi].items(), cols[(w, v)][fi].items())
+                if lhs != rhs:
                     problems.append(
                         f"functoriality fails at ({src.label_of(v, u, gi)}, "
                         f"{src.label_of(w, v, fi)})"
@@ -148,13 +151,15 @@ def functors_equal(a: LinearFunctor, b: LinearFunctor) -> bool:
 # ---------------------------------------------------------------------------
 
 def restrict(s: LinearFunctor, x: Module) -> Module:
-    """x ∘ s: space at U is x(SU), action through the image of each basis morphism."""
+    """x ∘ s: space at U is x(SU); basis morphism i: V -> U acts as x(S(i)),
+    read off column i of the functor's hom matrix."""
     src = s.source
     dims = {u: x.dims[s.apply_obj(u)] for u in src.objects}
     action = {}
     for v, u in src.hom_pairs():
-        for i in range(src.hom_dim(v, u)):
-            action[(v, u, i)] = x.act(s.apply(src.basis_morphism(v, u, i)))
+        sv, su = s.apply_obj(v), s.apply_obj(u)
+        for i, col in enumerate(s.hom_maps[(v, u)].transpose().sp):
+            action[(v, u, i)] = x.act_coords(sv, su, col)
     return Module(src, dims, action)
 
 
@@ -170,8 +175,19 @@ def restrict_map(
 # induction (coequalizer presentation)
 # ---------------------------------------------------------------------------
 
+class _Slots:
+    """Big-space layout of a coequalizer context: `slots[obj]` lists each
+    summand with its offset, `projections[obj]` is the quotient map."""
+
+    def big_dim(self, obj: str) -> int:
+        return self.projections[obj].cols
+
+    def slot_offset(self, obj: str, summand: str) -> int:
+        return dict(self.slots[obj])[summand]
+
+
 @dataclass
-class InducedContext:
+class InducedContext(_Slots):
     """Everything needed to work with induce(s, x) in fixed coordinates."""
 
     functor: LinearFunctor
@@ -183,15 +199,6 @@ class InducedContext:
     # big-space columns that serve as quotient coordinates; the section of
     # each projection is the unit columns at these
     free: dict[str, list[int]]
-
-    def big_dim(self, t_obj: str) -> int:
-        return self.projections[t_obj].cols
-
-    def slot_offset(self, t_obj: str, u: str) -> int:
-        for uu, off in self.slots[t_obj]:
-            if uu == u:
-                return off
-        raise KeyError(u)
 
 
 def induce(s: LinearFunctor, x: Module) -> InducedContext:
@@ -221,14 +228,10 @@ def induce(s: LinearFunctor, x: Module) -> InducedContext:
             dh, du = tgt.hom_dim(t_obj, sv), tgt.hom_dim(t_obj, su)
             if dh == 0 or x.dims[u] == 0:
                 continue
-            for i in range(src.hom_dim(v, u)):
+            for i, s_mor in enumerate(s.hom_maps[(v, u)].transpose().sp):  # S(u_i): SV -> SU
                 act = x.action[(v, u, i)]  # x(U) -> x(V)
-                s_mor = s.apply(src.basis_morphism(v, u, i))  # SV -> SU
                 # S(u_i) ∘ h : T -> SU for each basis morphism h : T -> SV
-                shs = [
-                    nonzeros(compose(tgt, s_mor, tgt.basis_morphism(t_obj, sv, j)).coords)
-                    for j in range(dh)
-                ]
+                shs = [cell.items() for cell in postcompose_cells(tgt, t_obj, sv, su, s_mor)]
                 for a, col in enumerate(act.transpose().sp):
                     for j in range(dh):
                         row: dict[int, Fraction] = {}
@@ -247,8 +250,7 @@ def induce(s: LinearFunctor, x: Module) -> InducedContext:
     # action of the induced module: precomposition inside each hom slot
     action = {}
     for t2, t1 in tgt.hom_pairs():  # basis morphisms t2 -> t1 act ind(t1) -> ind(t2)
-        for i in range(tgt.hom_dim(t2, t1)):
-            big = _precompose_entries(s, x, slots, t2, t1, i, tgt)
+        for i, big in enumerate(_precompose_entries(s, x, slots, t2, t1)):
             action[(t2, t1, i)] = _descend(projections[t2], free[t1], big)
     ind = Module(tgt, dims, action)
 
@@ -295,21 +297,18 @@ def _descend(
     return proj * RationalMatrix.from_sparse_rows(rows, len(free))
 
 
-def _precompose_entries(s, x, slots, t2, t1, i, tgt) -> list[tuple[int, int, Fraction]]:
-    """⊕_U id_{x(U)} ⊗ (precompose by basis morphism t2->t1) on the big spaces."""
-    out = []
+def _precompose_entries(s, x, slots, t2, t1) -> list[list[tuple[int, int, Fraction]]]:
+    """⊕_U id_{x(U)} ⊗ (precompose by basis morphism i: t2 -> t1) on the big
+    spaces, as (row, column, value) entries, for each i in order."""
+    tgt = s.target
+    out = [[] for _ in range(tgt.hom_dim(t2, t1))]
     for (u, off1), (_, off2) in zip(slots[t1], slots[t2]):
         su = s.apply_obj(u)
         d1, d2 = tgt.hom_dim(t1, su), tgt.hom_dim(t2, su)
-        if d1 == 0 or d2 == 0:
-            continue
-        for j in range(d1):
-            h = tgt.basis_morphism(t1, su, j)
-            hb = compose(tgt, h, tgt.basis_morphism(t2, t1, i))  # t2 -> su
-            hb_nz = nonzeros(hb.coords)
+        for (j, i), cell in tgt.table(t2, t1, su).items():  # h_j ∘ b_i: t2 -> su
             for a in range(x.dims[u]):
                 c1 = off1 + a * d1 + j
-                out += [(off2 + a * d2 + jj, c1, cc) for jj, cc in hb_nz]
+                out[i] += [(off2 + a * d2 + jj, c1, cc) for jj, cc in cell.items()]
     return out
 
 
@@ -379,7 +378,7 @@ def coinduce(s: LinearFunctor, x: Module) -> CoinducedContext:
     maps = {}
     for g2, g1 in tgt.hom_pairs():  # basis g: g2 -> g1 acts co(g1) -> co(g2)
         for i in range(tgt.hom_dim(g2, g1)):
-            comps = yoneda_components(tgt, tgt.basis_morphism(g2, g1, i))
+            comps = postcomposition(tgt, g2, g1, {i: ONE})
             maps[(g2, g1, i)] = ModuleMap(
                 reps[g2], reps[g1], {u: comps[s.apply_obj(u)] for u in s.source.objects}
             )
@@ -490,14 +489,14 @@ def regular_bimodule(s: LinearFunctor) -> Bimodule:
     values = {u: yoneda(tgt, s.apply_obj(u)) for u in s.source.objects}
     action = {}
     for v, u in s.source.hom_pairs():
-        for i in range(s.source.hom_dim(v, u)):
-            comps = yoneda_components(tgt, s.apply(s.source.basis_morphism(v, u, i)))
-            action[(v, u, i)] = ModuleMap(values[v], values[u], comps)
+        sv, su = s.apply_obj(v), s.apply_obj(u)
+        for i, col in enumerate(s.hom_maps[(v, u)].transpose().sp):  # S(basis i)
+            action[(v, u, i)] = ModuleMap(values[v], values[u], postcomposition(tgt, sv, su, col))
     return Bimodule(s.source, tgt, values, action)
 
 
 @dataclass
-class TensorContext:
+class TensorContext(_Slots):
     bimodule: Bimodule
     source_module: Module
     module: Module
@@ -506,15 +505,6 @@ class TensorContext:
     # big-space columns that serve as quotient coordinates; the section of
     # each projection is the unit columns at these
     free: dict[str, list[int]]
-
-    def big_dim(self, h_obj: str) -> int:
-        return self.projections[h_obj].cols
-
-    def slot_offset(self, h_obj: str, g: str) -> int:
-        for gg, off in self.slots[h_obj]:
-            if gg == g:
-                return off
-        raise KeyError(g)
 
 
 def tensor_bimodule(x: Module, b: Bimodule) -> TensorContext:
@@ -712,35 +702,18 @@ class Factorization:
 def canonical_factorization(t: LinearFunctor) -> Factorization:
     """Mid category has the source's objects and the target's homs between images."""
     src, tgt = t.source, t.target
-    hom_dims = {}
-    labels = {}
-    for v in src.objects:
-        for u in src.objects:
-            tv, tu = t.apply_obj(v), t.apply_obj(u)
-            d = tgt.hom_dim(tv, tu)
-            if d:
-                hom_dims[(v, u)] = d
-                labels[(v, u)] = tgt.basis_labels[(tv, tu)]
-    comp = {}
-    for w in src.objects:
-        for v in src.objects:
-            for u in src.objects:
-                tw, tv, tu = (t.apply_obj(o) for o in (w, v, u))
-                tab = tgt.comp.get((tw, tv, tu))
-                if tab is not None and hom_dims.get((w, v)) and hom_dims.get((v, u)):
-                    comp[(w, v, u)] = tab
+    images = {pair: tuple(map(t.apply_obj, pair)) for pair in product(src.objects, repeat=2)}
+    hom_dims = {pair: tgt.hom_dim(*im) for pair, im in images.items() if tgt.hom_dim(*im)}
+    labels = {pair: tgt.basis_labels[images[pair]] for pair in hom_dims}
+    comp = {
+        (w, v, u): tgt.table(*(t.apply_obj(o) for o in (w, v, u)))
+        for w, v, u in product(src.objects, repeat=3)
+    }
     ids = {u: tgt.identities[t.apply_obj(u)] for u in src.objects}
     mid = LinearCategory(src.objects, hom_dims, comp, ids, labels)
     s = LinearFunctor(src, mid, {u: u for u in src.objects}, dict(t.hom_maps))
-    i = LinearFunctor(
-        mid,
-        tgt,
-        {u: t.apply_obj(u) for u in src.objects},
-        {
-            (v, u): RationalMatrix.identity(hom_dims[(v, u)])
-            for (v, u) in hom_dims
-        },
-    )
+    identities = {pair: RationalMatrix.identity(d) for pair, d in hom_dims.items()}
+    i = LinearFunctor(mid, tgt, {u: t.apply_obj(u) for u in src.objects}, identities)
     return Factorization(mid=mid, s=s, i=i)
 
 
@@ -756,7 +729,9 @@ def canonical_factorization_localized(p: LinearFunctor, torsion_prime) -> Factor
     tgt_cat = p.target
     if not (torsion_prime.cat is tgt_cat or torsion_prime.cat == tgt_cat):
         raise ValueError("torsion data must live on the functor's target")
-    loc = {u: localize(torsion_prime, yoneda(tgt_cat, p.apply_obj(u))) for u in src.objects}
+    # one localization per image object, shared by the objects that p sends there
+    by_image = {g: localize(torsion_prime, yoneda(tgt_cat, g)) for g in p.image_objects()}
+    loc = {u: by_image[p.apply_obj(u)] for u in src.objects}
     bases = {
         (v, u): hom_modules(loc[v][0].module, loc[u][0].module)
         for v in src.objects
@@ -768,7 +743,11 @@ def canonical_factorization_localized(p: LinearFunctor, torsion_prime) -> Factor
         if bases[(v, u)] and bases[(w, v)] and bases[(w, u)]:
             # column gi of by_f[fi]: basis g_gi ∘ basis f_fi in Hom(w, u)
             by_f = [hom_matrix(bases[(v, u)], bases[(w, u)], pre=f) for f in bases[(w, v)]]
-            comp[(w, v, u)] = [[m.col(gi) for m in by_f] for gi in range(len(bases[(v, u)]))]
+            comp[(w, v, u)] = {
+                (gi, fi): cell
+                for fi, m in enumerate(by_f)
+                for gi, cell in enumerate(m.transpose().sp)
+            }
     ids = {}
     for u in src.objects:
         cc = coordinates_in_hom_basis(identity_map(loc[u][0].module), bases[(u, u)])

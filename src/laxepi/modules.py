@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Mapping, Sequence
 
-from .category import LinearCategory, Morphism, compose
+from .category import LinearCategory, Morphism, postcompose_cells
 from .errors import InternalInvariantError
 from .linalg import (
     ONE,
@@ -69,12 +69,17 @@ class Module:
 
     def act(self, m: Morphism) -> RationalMatrix:
         """Matrix of X(m): X(target) -> X(source), by bilinearity."""
-        terms = nonzeros(m.coords)
-        if len(terms) == 1 and terms[0][1] is ONE:  # a basis morphism
-            return self.action[(m.source, m.target, terms[0][0])]
-        out = RationalMatrix.zeros(self.dims[m.source], self.dims[m.target])
-        for i, c in terms:
-            out = out + self.action[(m.source, m.target, i)].scale(c)
+        return self.act_coords(m.source, m.target, dict(nonzeros(m.coords)))
+
+    def act_coords(self, v: str, u: str, coords: Mapping[int, Fraction]) -> RationalMatrix:
+        """Matrix of X(m) for the morphism m: v -> u with these nonzero coordinates."""
+        if len(coords) == 1:
+            ((i, c),) = coords.items()
+            if c == 1:  # a basis morphism
+                return self.action[(v, u, i)]
+        out = RationalMatrix.zeros(self.dims[v], self.dims[u])
+        for i, c in coords.items():
+            out = out + self.action[(v, u, i)].scale(c)
         return out
 
     def __eq__(self, other) -> bool:
@@ -181,10 +186,11 @@ def validate_module(x: Module) -> list[str]:
         if x.act(c.identity(u)) != RationalMatrix.identity(x.dims[u]):
             problems.append(f"identity does not act as identity at {u}")
     for w, v, u in product(c.objects, repeat=3):
+        tab = c.table(w, v, u)
         for gi in range(c.hom_dim(v, u)):
             for fi in range(c.hom_dim(w, v)):
-                gf = Morphism(w, u, c.comp_coords(w, v, u, gi, fi))
-                if x.act(gf) != x.action[(w, v, fi)] * x.action[(v, u, gi)]:
+                gf = x.act_coords(w, u, tab.get((gi, fi), {}))
+                if gf != x.action[(w, v, fi)] * x.action[(v, u, gi)]:
                     problems.append(
                         f"contravariance fails at g={c.label_of(v, u, gi)}, "
                         f"f={c.label_of(w, v, fi)}"
@@ -237,10 +243,13 @@ def yoneda(c: LinearCategory, u: str) -> Module:
     dims = {v: c.hom_dim(v, u) for v in c.objects}
     action: dict[ActionKey, RationalMatrix] = {}
     for w, v in c.hom_pairs():
-        dv, dw = dims[v], dims[w]
-        for i in range(c.hom_dim(w, v)):
-            cols = [c.comp_coords(w, v, u, j, i) for j in range(dv)]
-            action[(w, v, i)] = RationalMatrix.from_columns(cols, dw)
+        # entry (k, j) of the action of basis f_i: w -> v is coordinate k of g_j ∘ f_i
+        rows = [[{} for _ in range(dims[w])] for _ in range(c.hom_dim(w, v))]
+        for (j, i), cell in c.table(w, v, u).items():
+            for k, x in cell.items():
+                rows[i][k][j] = x
+        for i, r in enumerate(rows):
+            action[(w, v, i)] = RationalMatrix.from_sparse_rows(r, dims[v])
     return Module(c, dims, action)
 
 
@@ -251,11 +260,18 @@ def yoneda_map(c: LinearCategory, m: Morphism) -> ModuleMap:
 
 def yoneda_components(c: LinearCategory, m: Morphism) -> dict[str, RationalMatrix]:
     """The components of `yoneda_map(c, m)`, without building the representables."""
+    return postcomposition(c, m.source, m.target, dict(nonzeros(m.coords)))
+
+
+def postcomposition(
+    c: LinearCategory, v: str, u: str, g: Mapping[int, Fraction]
+) -> dict[str, RationalMatrix]:
+    """Hom(w, v) -> Hom(w, u), h ↦ g ∘ h at every object w, for g: v -> u given
+    by its nonzero coordinates; column j is the cell of g ∘ (basis j)."""
     return {
-        w: RationalMatrix.from_columns(
-            [compose(c, m, b).coords for b in c.basis_morphisms(w, m.source)],
-            c.hom_dim(w, m.target),
-        )
+        w: RationalMatrix.from_sparse_rows(
+            postcompose_cells(c, w, v, u, g), c.hom_dim(w, u)
+        ).transpose()
         for w in c.objects
     }
 
@@ -666,9 +682,8 @@ def trace_span(c: LinearCategory, through: Sequence[str], v: str) -> Subspace:
     """Span of all composites v -> g -> v with g drawn from `through`."""
     eb = EchelonBasis(c.hom_dim(v, v))
     for g in through:
-        for a in c.basis_morphisms(v, g):
-            for b in c.basis_morphisms(g, v):
-                eb.insert(compose(c, b, a).coords)
+        for cell in c.table(v, g, v).values():  # basis b ∘ basis a, the nonzero ones
+            eb.insert(cell)
     return eb.to_subspace()
 
 

@@ -15,7 +15,11 @@ induction/localization machinery it cross-checks:
 
 from __future__ import annotations
 
-from .category import LinearCategory, Morphism, compose
+from fractions import Fraction
+from itertools import product
+
+from .category import LinearCategory, Morphism, combine, compose
+from .category import postcompose_cells, precompose_cells
 from .linalg import ONE, ZERO, EchelonBasis, image_basis, solve_matrix
 from .modules import (
     Module,
@@ -113,49 +117,36 @@ def multiplication_map_iso(s) -> tuple[bool, dict]:
                 _, _, d1, d2, off = slot
                 return off + i * d2 + j
 
-            # multiplication to Hom(H', H)
-            mult_cols: list[tuple] = [None] * total
+            # multiplication to Hom(H', H): the cell of g_i ∘ f_j at each position
+            mult_cols: list[dict] = [{}] * total
             for slot in slots:
-                u, su, d1, d2, off = slot
-                for i in range(d1):
-                    g = tgt.basis_morphism(su, h, i)
-                    for j in range(d2):
-                        f = tgt.basis_morphism(hp, su, j)
-                        mult_cols[pos(slot, i, j)] = compose(tgt, g, f).coords
+                for (i, j), cell in tgt.table(hp, slot[1], h).items():
+                    mult_cols[pos(slot, i, j)] = cell
             mult_rank = EchelonBasis(dh)
             for col in mult_cols:
                 mult_rank.insert(col)
 
             rel = EchelonBasis(total)
             slot_of = {sl[0]: sl for sl in slots}
-            for v in src.objects:
-                for u in src.objects:
-                    for k in range(src.hom_dim(v, u)):
-                        su_mor = s.apply(src.basis_morphism(v, u, k))  # S(u_k): SV -> SU
-                        slot_u, slot_v = slot_of[u], slot_of[v]
-                        _, su, d1u, d2u, _ = slot_u
-                        _, sv, d1v, d2v, _ = slot_v
-                        for i in range(d1u):
-                            g = tgt.basis_morphism(su, h, i)
-                            g_su = compose(tgt, g, su_mor)  # in Hom(SV, h)
-                            for j in range(d2v):
-                                f = tgt.basis_morphism(hp, sv, j)
-                                su_f = compose(tgt, su_mor, f)  # in Hom(hp, SU)
-                                row = [ZERO] * total
-                                for ii, cc in enumerate(g_su.coords):
-                                    if cc:
-                                        row[pos(slot_v, ii, j)] += cc
-                                for jj, cc in enumerate(su_f.coords):
-                                    if cc:
-                                        row[pos(slot_u, i, jj)] -= cc
-                                if any(row):
-                                    # associativity: relations die under multiplication
-                                    acc = [ZERO] * dh
-                                    for p, cc in enumerate(row):
-                                        if cc:
-                                            acc = [a + cc * b for a, b in zip(acc, mult_cols[p])]
-                                    assert not any(acc)
-                                    rel.insert(row)
+            for v, u in src.hom_pairs():
+                slot_u, slot_v = slot_of[u], slot_of[v]
+                _, su, d1u, d2u, _ = slot_u
+                _, sv, d1v, d2v, _ = slot_v
+                for su_mor in s.hom_maps[(v, u)].transpose().sp:  # S(u_k): SV -> SU
+                    g_su = precompose_cells(tgt, sv, su, h, su_mor)  # g_i ∘ S(u_k): SV -> h
+                    su_f = postcompose_cells(tgt, hp, sv, su, su_mor)  # S(u_k) ∘ f_j: hp -> SU
+                    for i, j in product(range(d1u), range(d2v)):
+                        row: dict[int, Fraction] = {}
+                        for ii, cc in g_su[i].items():
+                            row[pos(slot_v, ii, j)] = cc
+                        for jj, cc in su_f[j].items():
+                            p = pos(slot_u, i, jj)
+                            row[p] = row.get(p, ZERO) - cc
+                        row = {p: cc for p, cc in row.items() if cc}
+                        if row:
+                            # associativity: relations die under multiplication
+                            assert not combine((cc, mult_cols[p]) for p, cc in row.items())
+                            rel.insert(row)
             surjective = mult_rank.dim == dh
             exact_kernel = rel.dim == total - mult_rank.dim
             if not (surjective and exact_kernel):

@@ -12,9 +12,10 @@ polynomials).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
-from .category import LinearCategory, Morphism, compose
+from .category import LinearCategory
 from .linalg import (
     ONE,
     ZERO,
@@ -43,39 +44,29 @@ from .modules import (
 )
 
 
-def _trace_of_left_mult(c: LinearCategory, z: Morphism) -> Fraction:
-    """Trace of left multiplication by the endomorphism z on the category algebra."""
-    assert z.source == z.target
-    v = z.source
-    tr = ZERO
-    for w in c.objects:
-        for k in range(c.hom_dim(w, v)):
-            tr += compose(c, z, c.basis_morphism(w, v, k)).coords[k]
-    return tr
-
-
 def radical_subspaces(c: LinearCategory) -> dict[tuple[str, str], Subspace]:
     """Radical component inside each hom space, via the trace-form criterion."""
+    # trace[u][m]: trace of left multiplication by basis endomorphism m of u on
+    # the category algebra, the sum of coordinate k of m ∘ (basis k) over its cells
+    trace = {u: [ZERO] * c.hom_dim(u, u) for u in c.objects}
+    for (w, v, u), tab in c.cells.items():
+        if v == u:
+            for (m, k), cell in tab.items():
+                trace[u][m] += cell.get(k, ZERO)
     rad: dict[tuple[str, str], Subspace] = {}
-    for v in c.objects:
-        for u in c.objects:
-            d = c.hom_dim(v, u)
-            if d == 0:
-                rad[(v, u)] = Subspace.zero(0)
-                continue
-            dy = c.hom_dim(u, v)
-            if dy == 0:
-                rad[(v, u)] = Subspace.full(d)
-                continue
-            rows = []
-            for yi in range(dy):
-                y = c.basis_morphism(u, v, yi)
-                row = []
-                for xi in range(d):
-                    x = c.basis_morphism(v, u, xi)
-                    row.append(_trace_of_left_mult(c, compose(c, x, y)))
-                rows.append(row)
-            rad[(v, u)] = kernel_basis(RationalMatrix(rows, dy, d))
+    for v, u in product(c.objects, repeat=2):
+        d, dy = c.hom_dim(v, u), c.hom_dim(u, v)
+        if not (d and dy):
+            rad[(v, u)] = Subspace.full(d)  # QQ^0 when d = 0
+            continue
+        # entry (y, x): the trace form at x ∘ y, for x: v -> u and y: u -> v
+        tab = c.table(u, v, u)
+        tr = trace[u]
+        rows = [
+            [sum((a * tr[m] for m, a in tab.get((xi, yi), {}).items()), ZERO) for xi in range(d)]
+            for yi in range(dy)
+        ]
+        rad[(v, u)] = kernel_basis(RationalMatrix(rows, dy, d))
     return rad
 
 
@@ -86,11 +77,9 @@ def radical_submodule(x: Module, rad: dict[tuple[str, str], Subspace]) -> Submod
     for w in c.objects:
         eb = EchelonBasis(x.dims[w])
         for v in c.objects:
-            for rvec in rad[(w, v)].basis_vectors():
-                r = Morphism(w, v, rvec)
-                m = x.act(r)
-                for j in range(m.cols):
-                    eb.insert(m.col(j))
+            for r in rad[(w, v)].basis.sp:
+                for col in x.act_coords(w, v, r).transpose().sp:
+                    eb.insert(col)
         spaces[w] = eb.to_subspace()
     return Submodule(x, spaces)
 

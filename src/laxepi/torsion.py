@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .category import LinearCategory, Morphism, compose
+from .category import LinearCategory, Morphism, contract, postcompose_cells, precompose_cells
 from .errors import IdealNotIdempotent, InternalInvariantError
-from .linalg import EchelonBasis, RationalMatrix, Subspace, kernel_basis
+from .linalg import ONE, EchelonBasis, RationalMatrix, Subspace, kernel_basis, nonzeros
 from .modules import (
     Module,
     ModuleMap,
@@ -79,15 +79,13 @@ class TorsionData:
     def _two_sided_defect(self) -> Pair | None:
         c = self.cat
         for (v, u), s in self.ideal.items():
-            for a_coords in s.basis_vectors():
-                a = Morphism(v, u, a_coords)
+            for a in s.basis.sp:
                 for w in c.objects:
-                    for g in c.basis_morphisms(u, w):
-                        if not self.ideal[(v, w)].contains(compose(c, g, a).coords):
-                            return (v, w)
-                    for f in c.basis_morphisms(w, v):
-                        if not self.ideal[(w, u)].contains(compose(c, a, f).coords):
-                            return (w, u)
+                    # g ∘ a for each basis g: u -> w, then a ∘ f for each basis f: w -> v
+                    if not all(map(self.ideal[(v, w)].contains, precompose_cells(c, v, u, w, a))):
+                        return (v, w)
+                    if not all(map(self.ideal[(w, u)].contains, postcompose_cells(c, w, v, u, a))):
+                        return (w, u)
         return None
 
     def idempotency_defect(self) -> Pair | None:
@@ -97,11 +95,10 @@ class TorsionData:
             for u in c.objects:
                 span = EchelonBasis(c.hom_dim(w, u))
                 for v in c.objects:
-                    for a_coords in self.ideal[(v, u)].basis_vectors():
-                        a = Morphism(v, u, a_coords)
-                        for a2_coords in self.ideal[(w, v)].basis_vectors():
-                            a2 = Morphism(w, v, a2_coords)
-                            span.insert(compose(c, a, a2).coords)
+                    tab = c.table(w, v, u)
+                    for a in self.ideal[(v, u)].basis.sp:
+                        for a2 in self.ideal[(w, v)].basis.sp:
+                            span.insert(contract(tab, a.items(), a2.items()))
                 if span.to_subspace() != self.ideal[(w, u)]:
                     return (w, u)
         return None
@@ -129,13 +126,14 @@ class TorsionData:
         """Postcomposition by the i-th basis morphism of Hom(v, u): J_v -> J_u."""
         key = (v, u, i)
         if key not in self._rho_cache:
-            c, b = self.cat, self.cat.basis_morphism(v, u, i)
+            c = self.cat
             (jv, _), (ju, _) = self.j_module(v), self.j_module(u)
             comps = {}
             for w in c.objects:
-                # b ∘ h for the ideal's basis h of Hom(w, v), in its basis of Hom(w, u)
-                ims = [compose(c, b, Morphism(w, v, h)) for h in self.ideal[(w, v)].basis_vectors()]
-                cols = [self.ideal[(w, u)].coordinates_of(m.coords) for m in ims]
+                # b_i ∘ h for the ideal's basis h of Hom(w, v), in its basis of Hom(w, u)
+                tab = c.table(w, v, u)
+                ims = [contract(tab, ((i, ONE),), h.items()) for h in self.ideal[(w, v)].basis.sp]
+                cols = [self.ideal[(w, u)].coordinates_of(m) for m in ims]
                 if None in cols:
                     raise InternalInvariantError("ideal not closed under postcomposition")
                 comps[w] = RationalMatrix.from_columns(cols, ju.dims[w])
@@ -161,22 +159,16 @@ def ideal_closure(c: LinearCategory, generators: Sequence[Morphism]) -> TorsionD
     spans: dict[Pair, EchelonBasis] = {
         (v, u): EchelonBasis(c.hom_dim(v, u)) for v in c.objects for u in c.objects
     }
-    pending: list[Morphism] = [
-        Morphism(g.source, g.target, tuple(g.coords)) for g in generators
-    ]
+    # (source, target, nonzero coordinates) of the morphisms still to add
+    pending = [(g.source, g.target, dict(nonzeros(g.coords))) for g in generators]
     while pending:
-        m = pending.pop()
-        if not spans[(m.source, m.target)].insert(m.coords):
+        v, u, m = pending.pop()
+        if not spans[(v, u)].insert(m):
             continue
         for w in c.objects:
-            for g in c.basis_morphisms(m.target, w):
-                nm = compose(c, g, m)
-                if not nm.is_zero():
-                    pending.append(nm)
-            for f in c.basis_morphisms(w, m.source):
-                nm = compose(c, m, f)
-                if not nm.is_zero():
-                    pending.append(nm)
+            # g ∘ m for each basis g: u -> w, then m ∘ f for each basis f: w -> v
+            pending += [(v, w, nm) for nm in precompose_cells(c, v, u, w, m) if nm]
+            pending += [(w, u, nm) for nm in postcompose_cells(c, w, v, u, m) if nm]
     ideal = {pair: eb.to_subspace() for pair, eb in spans.items()}
     return TorsionData(c, ideal, generators=generators, check=True)
 
@@ -192,8 +184,8 @@ def torsion_submodule(t: TorsionData, x: Module) -> Submodule:
     for u in c.objects:
         rows: list[dict[int, Fraction]] = []
         for v in c.objects:
-            for a_coords in t.ideal[(v, u)].basis_vectors():
-                rows.extend(x.act(Morphism(v, u, a_coords)).sp)
+            for a in t.ideal[(v, u)].basis.sp:
+                rows.extend(x.act_coords(v, u, a).sp)
         if rows:
             spaces[u] = kernel_basis(RationalMatrix.from_sparse_rows(rows, x.dims[u]))
         else:
@@ -218,10 +210,7 @@ def _restriction_to_j(t: TorsionData, x: Module, u: str, basis=None):
     jmod, _ = t.j_module(u)
     if basis is None:
         basis = hom_modules(jmod, x)
-    acts = {
-        w: [x.act(Morphism(w, u, h)) for h in t.ideal[(w, u)].basis_vectors()]
-        for w in t.cat.objects
-    }
+    acts = {w: [x.act_coords(w, u, h) for h in t.ideal[(w, u)].basis.sp] for w in t.cat.objects}
     return evaluation_matrix(basis, acts, x.dims[u]), basis
 
 

@@ -7,19 +7,26 @@ from laxepi.category import (
     LinearCategory,
     Morphism,
     compose,
+    contract,
     from_algebra,
     from_quiver,
     opposite,
+    postcompose_cells,
+    precompose_cells,
     validate_category,
 )
 from laxepi.corpus import (
+    BUILTIN_NAMES,
     a2_category,
+    builtin,
     field_category,
     product_field_category,
     summand_pair_category,
+    random_instance,
     truncated_polynomial_category,
     upper_triangular_category,
 )
+from laxepi.fileio import parse_category, serialize_category
 
 Q = Fraction
 
@@ -215,3 +222,112 @@ def test_validate_category_matches_compose_route():
             assert trial or not want  # the unchanged category is valid
             failing += bool(want)
     assert failing > 40
+
+
+def _a_n(n):
+    vertices = [str(i) for i in range(1, n + 1)]
+    arrows = [(f"a{i}", str(i), str(i + 1)) for i in range(1, n)]
+    return from_quiver(vertices, arrows, (), nilpotency=n)
+
+
+def _kernel_categories():
+    """Every builtin category, source and target of bundles 0..29, and A_3..A_6."""
+    cats = [c for name in BUILTIN_NAMES for c in builtin(name).categories.values()]
+    for seed in range(30):
+        b = random_instance(seed)
+        cats += [b.category, b.target_category]
+    return cats + [_a_n(n) for n in range(3, 7)]
+
+
+def _dense_tables(c):
+    """Dense [g][f] -> coordinates tables for every triple with both hom spaces
+    nonzero, the ones composing to zero given explicitly as zeros."""
+    return {
+        (w, v, u): [
+            [list(c.comp_coords(w, v, u, gi, fi)) for fi in range(c.hom_dim(w, v))]
+            for gi in range(c.hom_dim(v, u))
+        ]
+        for w, v, u in product(c.objects, repeat=3)
+        if c.hom_dim(w, v) and c.hom_dim(v, u)
+    }
+
+
+def _dense_compose(dense, c, g, f):
+    """g ∘ f contracted over every basis pair of the dense tables (reference)."""
+    w, v, u = f.source, f.target, g.target
+    out = [Q(0)] * c.hom_dim(w, u)
+    if (w, v, u) in dense:
+        for gi, gc in enumerate(g.coords):
+            for fi, fc in enumerate(f.coords):
+                for k, x in enumerate(dense[(w, v, u)][gi][fi]):
+                    out[k] += gc * fc * x
+    return tuple(out)
+
+
+def _sparse(coords):
+    return {k: x for k, x in enumerate(coords) if x}
+
+
+def test_cells_match_dense_tables():
+    """Cells built from dense tables with explicit zeros hold exactly their
+    nonzero entries: no stored zero, no empty cell, no empty table."""
+    for c in _kernel_categories():
+        dense = _dense_tables(c)
+        hom = {pair: c.hom_dim(*pair) for pair in c.hom_pairs()}
+        c2 = LinearCategory(c.objects, hom, dense, c.identities, c.basis_labels)
+        assert c2 == c and c2.comp == c.comp
+        for key, tab in c2.cells.items():
+            assert key in dense and tab
+            for (gi, fi), cell in tab.items():
+                assert cell and all(cell.values())
+                assert all(0 <= k < c.hom_dim(key[0], key[2]) for k in cell)
+        for key, tab in dense.items():
+            for gi, row in enumerate(tab):
+                for fi, coords in enumerate(row):
+                    assert c2.table(*key).get((gi, fi), {}) == _sparse(coords)
+                    assert c2.comp_coords(*key, gi, fi) == tuple(coords)
+
+
+def test_contractions_match_dense_definition():
+    """compose, contract and the basis composites against the dense bilinear
+    definition, on every basis pair and on seeded random morphisms."""
+    import random
+
+    rng = random.Random(9)
+    for c in _kernel_categories():
+        dense = _dense_tables(c)
+        for w, v, u in product(c.objects, repeat=3):
+            if not (c.hom_dim(w, v) and c.hom_dim(v, u)):
+                continue
+            for g in c.basis_morphisms(v, u):
+                for f in c.basis_morphisms(w, v):
+                    assert compose(c, g, f).coords == _dense_compose(dense, c, g, f)
+            for _ in range(3):
+                g = c.morphism(v, u, [rng.choice([0, 0, 1, -2, Q(1, 3)]) for _ in range(c.hom_dim(v, u))])
+                f = c.morphism(w, v, [rng.choice([0, 0, 1, 3, Q(-1, 2)]) for _ in range(c.hom_dim(w, v))])
+                want = _dense_compose(dense, c, g, f)
+                assert compose(c, g, f).coords == want
+                tab = c.table(w, v, u)
+                assert contract(tab, _sparse(g.coords).items(), _sparse(f.coords).items()) == _sparse(want)
+                posts = postcompose_cells(c, w, v, u, _sparse(g.coords))
+                assert posts == [_sparse(_dense_compose(dense, c, g, b)) for b in c.basis_morphisms(w, v)]
+                pres = precompose_cells(c, w, v, u, _sparse(f.coords))
+                assert pres == [_sparse(_dense_compose(dense, c, b, f)) for b in c.basis_morphisms(v, u)]
+
+
+def test_zero_table_equals_its_round_trip():
+    """An explicit all-zero table is not stored, so the category equals its
+    serialization round trip and the category given without that table."""
+    objs = ["x", "y", "z"]
+    hom = {(v, u): 1 for v, u in product(objs, repeat=2) if objs.index(v) <= objs.index(u)}
+    comp = {}
+    for v, u in hom:  # identities on both sides
+        comp[(v, u, u)] = [[[1]]]
+        comp[(v, v, u)] = [[[1]]]
+    plain = LinearCategory(objs, hom, comp, {u: [1] for u in objs})
+    comp[("x", "y", "z")] = [[[0]]]  # b ∘ a = 0 for a: x -> y, b: y -> z
+    c = LinearCategory(objs, hom, comp, {u: [1] for u in objs})
+    assert validate_category(c) == []
+    assert ("x", "y", "z") not in c.cells
+    assert c == plain
+    assert parse_category(serialize_category(c), "c") == c

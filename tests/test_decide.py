@@ -393,3 +393,115 @@ def test_closed_functor_trivial_torsion_vacuous_true():
     b = regular_bimodule(identity_functor(c))
     rep = is_generalized_closed_functor(b, whole_ideal(c), whole_ideal(c))
     assert rep.verdict and rep.details["coincide"]
+
+
+def _dense_multiplication_map_iso(s):
+    """The multiplication-map oracle as one dense loop of basis composites
+    (reference): every relation row is a dense vector over the big space."""
+    from laxepi.category import compose
+    from laxepi.linalg import ZERO, EchelonBasis
+
+    src, tgt = s.source, s.target
+    witness = {}
+    for hp in tgt.objects:
+        for h in tgt.objects:
+            slots, offset = [], 0
+            for u in src.objects:
+                su = s.object_map[u]
+                d1, d2 = tgt.hom_dim(su, h), tgt.hom_dim(hp, su)
+                slots.append((u, su, d1, d2, offset))
+                offset += d1 * d2
+            total, dh = offset, tgt.hom_dim(hp, h)
+
+            def pos(slot, i, j):
+                return slot[4] + i * slot[3] + j
+
+            mult_cols = [None] * total
+            for slot in slots:
+                u, su, d1, d2, off = slot
+                for i in range(d1):
+                    for j in range(d2):
+                        g, f = tgt.basis_morphism(su, h, i), tgt.basis_morphism(hp, su, j)
+                        mult_cols[pos(slot, i, j)] = compose(tgt, g, f).coords
+            mult_rank = EchelonBasis(dh)
+            for col in mult_cols:
+                mult_rank.insert(col)
+            rel = EchelonBasis(total)
+            slot_of = {sl[0]: sl for sl in slots}
+            for v in src.objects:
+                for u in src.objects:
+                    for k in range(src.hom_dim(v, u)):
+                        su_mor = s.apply(src.basis_morphism(v, u, k))
+                        slot_u, slot_v = slot_of[u], slot_of[v]
+                        for i in range(slot_u[2]):
+                            g_su = compose(tgt, tgt.basis_morphism(slot_u[1], h, i), su_mor)
+                            for j in range(slot_v[3]):
+                                f = tgt.basis_morphism(hp, slot_v[1], j)
+                                su_f = compose(tgt, su_mor, f)
+                                row = [ZERO] * total
+                                for ii, cc in enumerate(g_su.coords):
+                                    row[pos(slot_v, ii, j)] += cc
+                                for jj, cc in enumerate(su_f.coords):
+                                    row[pos(slot_u, i, jj)] -= cc
+                                if any(row):
+                                    acc = [ZERO] * dh
+                                    for p, cc in enumerate(row):
+                                        if cc:
+                                            acc = [a + cc * b for a, b in zip(acc, mult_cols[p])]
+                                    assert not any(acc)
+                                    rel.insert(row)
+            if not (mult_rank.dim == dh and rel.dim == total - mult_rank.dim):
+                witness[(hp, h)] = {
+                    "big_dim": total,
+                    "relation_dim": rel.dim,
+                    "mult_rank": mult_rank.dim,
+                    "hom_dim": dh,
+                }
+    return (not witness), witness
+
+
+def test_multiplication_map_iso_matches_dense_loop():
+    """Verdicts and witness dims of the sparse oracle equal the dense loop's, on
+    every builtin functor and both functors of bundles 0..29."""
+    from laxepi.corpus import BUILTIN_NAMES, builtin, random_instance
+    from laxepi.oracles import multiplication_map_iso
+
+    functors = [f for name in BUILTIN_NAMES for f in builtin(name).functors.values()]
+    for seed in range(30):
+        b = random_instance(seed)
+        functors += [b.functor, b.surjective_functor]
+    verdicts = []
+    for s in functors:
+        got = multiplication_map_iso(s)
+        assert got == _dense_multiplication_map_iso(s)
+        verdicts.append(got[0])
+    assert True in verdicts and False in verdicts
+
+
+def test_generation_check_matches_fresh_localizations():
+    """The generation check reuses the factorization's localized representables
+    at the objects p hits; its verdict and failures equal those found by
+    localizing every representable of the target afresh (reference)."""
+    from laxepi.corpus import random_instance
+    from laxepi.decide import _generation_check
+    from laxepi.modules import module_trace, quotient_by
+    from laxepi.torsion import is_torsion, localize
+
+    failing = 0
+    for seed in range(30):
+        b = random_instance(seed)
+        for p in (b.functor, b.surjective_functor):
+            for t in b.ideals:
+                if not (t.cat is p.target or t.cat == p.target):
+                    continue
+                fac = canonical_factorization_localized(p, t)
+                family = [fac.localized_representables[u][0].module for u in p.source.objects]
+                want = {}
+                for v in t.cat.objects:
+                    cm, _ = localize(t, yoneda(t.cat, v))
+                    tr = module_trace(family, cm.module)
+                    if not is_torsion(t, quotient_by(tr)[0]):
+                        want[v] = {"trace_dims": {u: tr.spaces[u].dim for u in t.cat.objects}}
+                assert _generation_check(fac, p) == (not want, want)
+                failing += bool(want)
+    assert failing > 5

@@ -78,6 +78,43 @@ def test_restrict_a2_vertex():
     assert r.total_dim() == 1  # x(S*) = Hom(1, 2)
 
 
+def _functor_module_pairs():
+    """Builtin and corpus functors (bundles 0..29) with modules over their
+    targets: the representables, and the bundle's modules."""
+    from laxepi.corpus import BUILTIN_NAMES, builtin, random_instance
+
+    functors = [f for name in BUILTIN_NAMES for f in builtin(name).functors.values()]
+    extra = {}
+    for seed in range(30):
+        b = random_instance(seed)
+        functors += [b.functor, b.surjective_functor]
+        extra[id(b.functor)] = extra[id(b.surjective_functor)] = b.modules
+    for s in functors:
+        xs = [yoneda(s.target, g) for g in s.target.objects]
+        xs += [m for m in extra.get(id(s), ()) if m.over == s.target]
+        for x in xs:
+            yield s, x
+
+
+def test_restrict_matches_per_basis_action():
+    """restrict reads the action off the functor's columns; reference: x acting
+    on the image of each basis morphism, summed over its dense coordinates."""
+    from laxepi.linalg import RationalMatrix
+
+    count = 0
+    for s, x in _functor_module_pairs():
+        r = restrict(s, x)
+        for v, u in s.source.hom_pairs():
+            for b in s.source.basis_morphisms(v, u):
+                m = s.apply(b)
+                want = RationalMatrix.zeros(x.dims[m.source], x.dims[m.target])
+                for k, a in enumerate(m.coords):
+                    want = want + x.action[(m.source, m.target, k)].scale(a)
+                assert r.action[(v, u, b.coords.index(1))] == want == x.act(m)
+                count += 1
+    assert count > 500
+
+
 def test_induce_yoneda_is_yoneda_of_image():
     cases = [
         (identity_functor(upper_triangular_category()), "*"),

@@ -88,6 +88,41 @@ def test_hom_a2_between_representables():
     assert len(hom_modules(yoneda(c, "2"), yoneda(c, "1"))) == 0
 
 
+def test_yoneda_matches_per_basis_compose():
+    """yoneda's action and yoneda_components against composing basis morphisms
+    one at a time, on builtin and corpus categories (bundles 0..29) and A_3..A_5."""
+    import random
+    from itertools import product
+
+    from laxepi.category import compose, from_quiver
+    from laxepi.corpus import BUILTIN_NAMES, builtin, random_instance
+    from laxepi.modules import yoneda_components
+
+    cats = [c for name in BUILTIN_NAMES for c in builtin(name).categories.values()]
+    for seed in range(30):
+        b = random_instance(seed)
+        cats += [b.category, b.target_category]
+    for n in range(3, 6):
+        vs = [str(i) for i in range(1, n + 1)]
+        cats.append(from_quiver(vs, [(f"a{i}", str(i), str(i + 1)) for i in range(1, n)], (), n))
+    rng = random.Random(4)
+    for c in cats:
+        for u in c.objects:
+            y = yoneda(c, u)
+            for w, v in c.hom_pairs():
+                for i, f in enumerate(c.basis_morphisms(w, v)):
+                    cols = [compose(c, g, f).coords for g in c.basis_morphisms(v, u)]
+                    assert y.action[(w, v, i)] == RationalMatrix.from_columns(cols, c.hom_dim(w, u))
+        for v, u in c.hom_pairs():
+            ms = c.basis_morphisms(v, u)
+            ms.append(c.morphism(v, u, [rng.choice([0, 1, -1, Fraction(2, 3)]) for _ in ms]))
+            for m in ms:
+                comps = yoneda_components(c, m)
+                for w in c.objects:
+                    cols = [compose(c, m, b).coords for b in c.basis_morphisms(w, v)]
+                    assert comps[w] == RationalMatrix.from_columns(cols, c.hom_dim(w, u))
+
+
 def test_yoneda_map_naturality():
     c = summand_pair_category()
     m = c.basis_morphism("P", "PP", 0)
