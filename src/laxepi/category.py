@@ -9,10 +9,11 @@ The composition tensor is stored sparse, as `cells`: for each triple
 (W, V, U) a table mapping a basis pair (g: V -> U, f: W -> V), by index, to
 the cell `{k: value}` of the nonzero coordinates of g∘f in Hom(W, U).  Only
 nonzero cells are stored and a table without one is not stored, so equal
-categories have equal cells.  Composites of basis morphisms, and of
-morphisms given by their nonzero coordinates, are contracted straight from
-the cells (`contract`, `postcompose_cells`, `precompose_cells`).  The dense
-tables `comp` are a view built on each access, for serialization and tests.
+categories have equal cells; within one category, equal cells and equal
+tables are stored once.  Composites of basis morphisms, and of morphisms
+given by their nonzero coordinates, are contracted straight from the cells
+(`contract`, `postcompose_cells`, `precompose_cells`).  The dense tables
+`comp` are a view built on each access, for serialization and tests.
 """
 
 from __future__ import annotations
@@ -20,9 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
-from weakref import WeakValueDictionary
 
 from .linalg import ONE, ZERO, EchelonBasis, frac, nonzeros, vec, zero_vec
 
@@ -30,26 +29,6 @@ Pair = tuple[str, str]
 Triple = tuple[str, str, str]
 Cell = dict[int, Fraction]  # nonzero coordinates of one composite
 Table = Mapping[tuple[int, int], Cell]  # (g index, f index) -> nonzero cell of g∘f
-
-_NO_CELLS: Table = MappingProxyType({})
-
-
-class _Stored(dict):
-    """A stored cell or table: never mutated, so equal ones are shared."""
-
-    __slots__ = ("__weakref__",)
-
-
-# the stored cells and tables by content, for as long as a category holds them
-_STORED: WeakValueDictionary[tuple, _Stored] = WeakValueDictionary()
-
-
-def _shared(content: tuple, d: dict) -> _Stored:
-    """The stored dict with this content, made from d when there is none."""
-    stored = _STORED.get(content)
-    if stored is None:
-        stored = _STORED[content] = _Stored(d)
-    return stored
 
 
 @dataclass(frozen=True)
@@ -75,9 +54,9 @@ class Morphism:
         return not any(self.coords)
 
 
-def _table_cells(table, dg: int, df: int, dr: int, where: Triple) -> dict[tuple[int, int], Cell]:
-    """The nonzero cells of a table given dense ([g][f] -> coordinates) or as
-    a mapping (g index, f index) -> {k: value}."""
+def _table_cells(table, dg: int, df: int, dr: int, where: Triple, seen: dict) -> dict:
+    """The nonzero cells of a table, given dense ([g][f] -> coordinates) or as
+    (g index, f index) -> {k: value}; a cell equal to one in `seen` is reused."""
     if isinstance(table, Mapping):
         items = table.items()
     else:
@@ -85,7 +64,7 @@ def _table_cells(table, dg: int, df: int, dr: int, where: Triple) -> dict[tuple[
         if len(rows) != dg or any(len(row) != df for row in rows):
             raise ValueError(f"composition table shape mismatch at {where}")
         items = (((gi, fi), cell) for gi, row in enumerate(rows) for fi, cell in enumerate(row))
-    out, content = {}, []
+    out = {}
     for (gi, fi), cell in items:
         if not (0 <= gi < dg and 0 <= fi < df):
             raise ValueError(f"composition table shape mismatch at {where}")
@@ -98,10 +77,8 @@ def _table_cells(table, dg: int, df: int, dr: int, where: Triple) -> dict[tuple[
         if not fits:
             raise ValueError(f"composition value length mismatch at {where}")
         if nz:
-            key, cell_content = (gi, fi), tuple(nz.items())
-            out[key] = _shared(cell_content, nz)
-            content.append((key, cell_content))
-    return _shared(tuple(content), out) if out else out
+            out[(gi, fi)] = seen.setdefault(tuple(nz.items()), nz)
+    return out
 
 
 class LinearCategory:
@@ -126,13 +103,15 @@ class LinearCategory:
         self._hom_pairs = tuple(p for p in product(self.objects, repeat=2) if p in self._hom)
         # the one stored form of the composition tensor (see the module docstring)
         self.cells: dict[Triple, dict[tuple[int, int], Cell]] = {}
+        seen_cells, seen_tables = {}, {}  # equal cells and tables are stored once
         for (w, v, u), table in comp.items():
             dg, df, dr = self.hom_dim(v, u), self.hom_dim(w, v), self.hom_dim(w, u)
             if dg == 0 or df == 0:
                 continue
-            cells = _table_cells(table, dg, df, dr, (w, v, u))
+            cells = _table_cells(table, dg, df, dr, (w, v, u), seen_cells)
             if cells:
-                self.cells[(w, v, u)] = cells
+                key = tuple((gf, id(cell)) for gf, cell in cells.items())
+                self.cells[(w, v, u)] = seen_tables.setdefault(key, cells)
         self.identities = {u: vec(c) for u, c in identities.items()}
         for u in self.objects:
             if u not in self.identities or len(self.identities[u]) != self.hom_dim(u, u):
@@ -188,7 +167,7 @@ class LinearCategory:
 
     def table(self, w: str, v: str, u: str) -> Table:
         """The nonzero cells of basis g ∘ basis f, for g: v -> u and f: w -> v."""
-        return self.cells.get((w, v, u), _NO_CELLS)
+        return self.cells.get((w, v, u), {})
 
     def comp_coords(self, w: str, v: str, u: str, gi: int, fi: int) -> tuple[Fraction, ...]:
         """Coordinates of basis_g ∘ basis_f in Hom(w, u), dense."""
@@ -197,8 +176,7 @@ class LinearCategory:
 
     @property
     def comp(self) -> dict[Triple, tuple[tuple[tuple[Fraction, ...], ...], ...]]:
-        """The dense tables [g][f] -> coordinates of g∘f, one per stored table,
-        built on each access."""
+        """Dense tables [g][f] -> coordinates of g∘f per stored table, built on access."""
         return {
             (w, v, u): tuple(
                 tuple(self.comp_coords(w, v, u, gi, fi) for fi in range(self.hom_dim(w, v)))
@@ -392,15 +370,26 @@ def from_quiver(
         index[p.key()] = len(lst)
         lst.append(p)
 
+    def path_vector(pair: Pair, combos: Sequence[tuple]) -> list[Fraction]:
+        out = [ZERO] * len(by_pair[pair])
+        for coeff, arrow_seq in combos:
+            key = (pair[0], pair[1], tuple(arrow_seq))
+            if key not in index:
+                raise ValueError(f"unknown or non-parallel path {arrow_seq} for {pair}")
+            out[index[key]] += frac(coeff)
+        return out
+
     def concat(p: _Path, q: _Path) -> _Path | None:
         """q ∘ p with truncation: None when the result is too long."""
         if len(p.arrows) + len(q.arrows) >= nilpotency:
             return None
         return _Path(p.source, q.target, p.arrows + q.arrows)
 
-    # relation ideal inside the truncated path algebra: spanned by q ∘ r ∘ p
-    # for every relation r: s -> t, path p into s and path q out of t
-    spans = {pair: EchelonBasis(len(lst)) for pair, lst in by_pair.items()}
+    # relation ideal inside the truncated path algebra, closed under both compositions
+    spans: dict[Pair, EchelonBasis] = {
+        pair: EchelonBasis(len(lst)) for pair, lst in by_pair.items()
+    }
+    pending: list[tuple[Pair, list[Fraction]]] = []
     for rel in relations:
         combos = list(rel)
         if not combos:
@@ -408,24 +397,39 @@ def from_quiver(
         first = combos[0][1]
         if not first:
             raise ValueError("relation paths must have positive length")
-        s, t = by_name[first[0]][0], by_name[first[-1]][1]
-        terms = []
-        for coeff, arrow_seq in combos:
-            key = (s, t, tuple(arrow_seq))
-            if key not in index:
-                raise ValueError(f"unknown or non-parallel path {arrow_seq} for {(s, t)}")
-            terms.append((frac(coeff), by_pair[(s, t)][index[key]]))
-        into_s, out_of_t = [p for p in paths if p.target == s], [q for q in paths if q.source == t]
-        for p, q in product(into_s, out_of_t):
-            out: dict[int, Fraction] = {}
-            for coeff, r in terms:
-                rp = concat(p, r)
-                qrp = None if rp is None else concat(rp, q)
-                if qrp is not None:
-                    k = index[qrp.key()]
-                    out[k] = out.get(k, ZERO) + coeff
-            if out:
-                spans[(p.source, q.target)].insert(out)
+        s = by_name[first[0]][0]
+        t = by_name[first[-1]][1]
+        pending.append(((s, t), path_vector((s, t), combos)))
+    while pending:
+        pair, v = pending.pop()
+        if not spans[pair].insert(v):
+            continue
+        s, t = pair
+        plist = by_pair[pair]
+        # postcompose with every path out of t, precompose with every path into s
+        for (s2, t2), qlist in by_pair.items():
+            if s2 == t and (s, t2) in by_pair:  # q ∘ (element) for q: t -> t2
+                for q in qlist:
+                    out = [ZERO] * len(by_pair[(s, t2)])
+                    for coeff, p in zip(v, plist):
+                        if not coeff:
+                            continue
+                        pq = concat(p, q)
+                        if pq is not None:
+                            out[index[pq.key()]] += coeff
+                    if any(out):
+                        pending.append(((s, t2), out))
+            if t2 == s and (s2, t) in by_pair:  # (element) ∘ q for q: s2 -> s
+                for q in qlist:
+                    out = [ZERO] * len(by_pair[(s2, t)])
+                    for coeff, p in zip(v, plist):
+                        if not coeff:
+                            continue
+                        qp = concat(q, p)
+                        if qp is not None:
+                            out[index[qp.key()]] += coeff
+                    if any(out):
+                        pending.append(((s2, t), out))
 
     # quotient bases: complement coordinates of each relation span; the
     # sections pick out non-pivot paths, so each quotient basis vector is

@@ -291,10 +291,8 @@ def conditioned_epi_fullness_oracle(
 
 def _generation_check(fac: Factorization, p: LinearFunctor) -> tuple[bool, dict]:
     """Do the localized induced representables generate the quotient category?
-
-    `fac` is p's localized factorization, which has already localized the
-    representable at every object that p hits.
-    """
+    `fac` is p's localized factorization: it holds the localized representable
+    at every object that p hits."""
     t_prime: TorsionData = fac.torsion
     tgt_cat = t_prime.cat
     loc = fac.localized_representables

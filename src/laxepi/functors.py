@@ -30,8 +30,8 @@ from .modules import (
     hom_modules,
     identity_map,
     map_compose,
-    postcomposition,
     yoneda,
+    yoneda_components,
 )
 
 Pair = tuple[str, str]
@@ -175,19 +175,8 @@ def restrict_map(
 # induction (coequalizer presentation)
 # ---------------------------------------------------------------------------
 
-class _Slots:
-    """Big-space layout of a coequalizer context: `slots[obj]` lists each
-    summand with its offset, `projections[obj]` is the quotient map."""
-
-    def big_dim(self, obj: str) -> int:
-        return self.projections[obj].cols
-
-    def slot_offset(self, obj: str, summand: str) -> int:
-        return dict(self.slots[obj])[summand]
-
-
 @dataclass
-class InducedContext(_Slots):
+class InducedContext:
     """Everything needed to work with induce(s, x) in fixed coordinates."""
 
     functor: LinearFunctor
@@ -199,6 +188,15 @@ class InducedContext(_Slots):
     # big-space columns that serve as quotient coordinates; the section of
     # each projection is the unit columns at these
     free: dict[str, list[int]]
+
+    def big_dim(self, t_obj: str) -> int:
+        return self.projections[t_obj].cols
+
+    def slot_offset(self, t_obj: str, u: str) -> int:
+        for uu, off in self.slots[t_obj]:
+            if uu == u:
+                return off
+        raise KeyError(u)
 
 
 def induce(s: LinearFunctor, x: Module) -> InducedContext:
@@ -378,7 +376,7 @@ def coinduce(s: LinearFunctor, x: Module) -> CoinducedContext:
     maps = {}
     for g2, g1 in tgt.hom_pairs():  # basis g: g2 -> g1 acts co(g1) -> co(g2)
         for i in range(tgt.hom_dim(g2, g1)):
-            comps = postcomposition(tgt, g2, g1, {i: ONE})
+            comps = yoneda_components(tgt, g2, g1, {i: ONE})
             maps[(g2, g1, i)] = ModuleMap(
                 reps[g2], reps[g1], {u: comps[s.apply_obj(u)] for u in s.source.objects}
             )
@@ -491,12 +489,12 @@ def regular_bimodule(s: LinearFunctor) -> Bimodule:
     for v, u in s.source.hom_pairs():
         sv, su = s.apply_obj(v), s.apply_obj(u)
         for i, col in enumerate(s.hom_maps[(v, u)].transpose().sp):  # S(basis i)
-            action[(v, u, i)] = ModuleMap(values[v], values[u], postcomposition(tgt, sv, su, col))
+            action[(v, u, i)] = ModuleMap(values[v], values[u], yoneda_components(tgt, sv, su, col))
     return Bimodule(s.source, tgt, values, action)
 
 
 @dataclass
-class TensorContext(_Slots):
+class TensorContext:
     bimodule: Bimodule
     source_module: Module
     module: Module
@@ -505,6 +503,15 @@ class TensorContext(_Slots):
     # big-space columns that serve as quotient coordinates; the section of
     # each projection is the unit columns at these
     free: dict[str, list[int]]
+
+    def big_dim(self, h_obj: str) -> int:
+        return self.projections[h_obj].cols
+
+    def slot_offset(self, h_obj: str, g: str) -> int:
+        for gg, off in self.slots[h_obj]:
+            if gg == g:
+                return off
+        raise KeyError(g)
 
 
 def tensor_bimodule(x: Module, b: Bimodule) -> TensorContext:
@@ -705,12 +712,11 @@ def canonical_factorization(t: LinearFunctor) -> Factorization:
     images = {pair: tuple(map(t.apply_obj, pair)) for pair in product(src.objects, repeat=2)}
     hom_dims = {pair: tgt.hom_dim(*im) for pair, im in images.items() if tgt.hom_dim(*im)}
     labels = {pair: tgt.basis_labels[images[pair]] for pair in hom_dims}
-    comp = {
-        (w, v, u): tgt.table(*(t.apply_obj(o) for o in (w, v, u)))
-        for w, v, u in product(src.objects, repeat=3)
-    }
     ids = {u: tgt.identities[t.apply_obj(u)] for u in src.objects}
-    mid = LinearCategory(src.objects, hom_dims, comp, ids, labels)
+    mid = LinearCategory(src.objects, hom_dims, {}, ids, labels)
+    for w, v, u in product(src.objects, repeat=3):  # mid's homs are the target's: share its tables
+        if tab := tgt.table(*(t.apply_obj(o) for o in (w, v, u))):
+            mid.cells[(w, v, u)] = tab
     s = LinearFunctor(src, mid, {u: u for u in src.objects}, dict(t.hom_maps))
     identities = {pair: RationalMatrix.identity(d) for pair, d in hom_dims.items()}
     i = LinearFunctor(mid, tgt, {u: t.apply_obj(u) for u in src.objects}, identities)

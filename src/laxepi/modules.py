@@ -255,19 +255,15 @@ def yoneda(c: LinearCategory, u: str) -> Module:
 
 def yoneda_map(c: LinearCategory, m: Morphism) -> ModuleMap:
     """Postcomposition by m as a map of representables yoneda(source) -> yoneda(target)."""
-    return ModuleMap(yoneda(c, m.source), yoneda(c, m.target), yoneda_components(c, m))
+    comps = yoneda_components(c, m.source, m.target, dict(nonzeros(m.coords)))
+    return ModuleMap(yoneda(c, m.source), yoneda(c, m.target), comps)
 
 
-def yoneda_components(c: LinearCategory, m: Morphism) -> dict[str, RationalMatrix]:
-    """The components of `yoneda_map(c, m)`, without building the representables."""
-    return postcomposition(c, m.source, m.target, dict(nonzeros(m.coords)))
-
-
-def postcomposition(
+def yoneda_components(
     c: LinearCategory, v: str, u: str, g: Mapping[int, Fraction]
 ) -> dict[str, RationalMatrix]:
-    """Hom(w, v) -> Hom(w, u), h ↦ g ∘ h at every object w, for g: v -> u given
-    by its nonzero coordinates; column j is the cell of g ∘ (basis j)."""
+    """Postcomposition h ↦ g ∘ h, Hom(w, v) -> Hom(w, u) at every w, for g: v -> u
+    given by its nonzero coordinates; column j is the cell of g ∘ (basis j)."""
     return {
         w: RationalMatrix.from_sparse_rows(
             postcompose_cells(c, w, v, u, g), c.hom_dim(w, u)

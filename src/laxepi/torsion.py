@@ -294,7 +294,8 @@ def localize_morphism(
     """`localize_map` of postcomposition by m, for the localizations of its representables."""
     # the projections start at the modules that were localized
     ys, yt = loc_src._steps[1].source, loc_tgt._steps[1].source
-    return localize_map(t, ModuleMap(ys, yt, yoneda_components(t.cat, m)), loc_src, loc_tgt)
+    comps = yoneda_components(t.cat, m.source, m.target, dict(nonzeros(m.coords)))
+    return localize_map(t, ModuleMap(ys, yt, comps), loc_src, loc_tgt)
 
 
 def _section_of(proj: RationalMatrix) -> RationalMatrix:
@@ -332,7 +333,7 @@ def filter_membership(t: TorsionData, sub: Submodule) -> bool:
 
 def preimage_submodule(c: LinearCategory, sub: Submodule, u_mor: Morphism) -> Submodule:
     """(X : u) for X ≤ yoneda(U) and u: V -> U, as a submodule of yoneda(V)."""
-    post = yoneda_components(c, u_mor)
+    post = yoneda_components(c, u_mor.source, u_mor.target, dict(nonzeros(u_mor.coords)))
     spaces = {}
     for w in c.objects:
         proj, _ = sub.spaces[w].quotient_maps()

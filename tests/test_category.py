@@ -205,7 +205,9 @@ def test_validate_category_matches_compose_route():
         c = random_instance(seed).category
         hom = {pair: c.hom_dim(*pair) for pair in c.hom_pairs()}
         for trial in range(6):
-            comp = {k: [[list(cell) for cell in row] for row in tab] for k, tab in c.comp.items()}
+            # every composable triple into a nonzero Hom(w, u), its zero cells
+            # and all-zero tables included, so that a zero can be perturbed
+            comp = {k: tab for k, tab in _dense_tables(c).items() if c.hom_dim(k[0], k[2])}
             ids = {u: list(v) for u, v in c.identities.items()}
             if trial == 5:  # an identity
                 u = rng.choice(c.objects)
@@ -286,6 +288,38 @@ def test_cells_match_dense_tables():
                 for fi, coords in enumerate(row):
                     assert c2.table(*key).get((gi, fi), {}) == _sparse(coords)
                     assert c2.comp_coords(*key, gi, fi) == tuple(coords)
+
+
+def test_equal_cells_are_stored_once_per_category():
+    """Random dense tables with many equal cells and equal tables: every cell
+    reads back as its input, equal cells and equal tables are one object
+    within a category, and two categories built alike share none."""
+    import random
+
+    rng = random.Random(12)
+    objs = ["x", "y", "z"]
+    for _ in range(20):
+        hom = {pair: rng.choice([1, 1, 2]) for pair in product(objs, repeat=2)}
+        dense = {
+            (w, v, u): [
+                [[rng.choice([0, 0, 1, -1]) for _ in range(hom[(w, u)])] for _ in range(hom[(w, v)])]
+                for _ in range(hom[(v, u)])
+            ]
+            for w, v, u in product(objs, repeat=3)
+        }
+        ids = {u: [1] * hom[(u, u)] for u in objs}
+        c, c2 = LinearCategory(objs, hom, dense, ids), LinearCategory(objs, hom, dense, ids)
+        for key, tab in dense.items():
+            for gi, row in enumerate(tab):
+                for fi, coords in enumerate(row):
+                    assert c.comp_coords(*key, gi, fi) == tuple(Q(x) for x in coords)
+        cells = [cell for tab in c.cells.values() for cell in tab.values()]
+        assert len({id(x) for x in cells}) == len({tuple(x.items()) for x in cells}) < len(cells)
+        tables = list(c.cells.values())
+        contents = {tuple((k, tuple(x.items())) for k, x in t.items()) for t in tables}
+        assert len({id(t) for t in tables}) == len(contents)
+        ids2 = {id(x) for tab in c2.cells.values() for x in (tab, *tab.values())}
+        assert ids2.isdisjoint(id(x) for tab in tables for x in (tab, *tab.values()))
 
 
 def test_contractions_match_dense_definition():
