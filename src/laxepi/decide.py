@@ -30,7 +30,6 @@ from .functors import (
     canonical_factorization_localized,
     counit,
     induce,
-    induce_map,
     regular_bimodule,
     restrict,
     tensor_bimodule,
@@ -201,7 +200,7 @@ def _hom_from_object_module(t: LinearFunctor, op: LinearCategory, v: str) -> Mod
     action = {}
     for a, b_obj in op.hom_pairs():  # op morphism a -> b_obj is a source morphism b_obj -> a
         tb, ta = t.apply_obj(b_obj), t.apply_obj(a)
-        for i, timg in enumerate(t.hom_maps[(b_obj, a)].transpose().sp):  # T(b_obj) -> T(a)
+        for i, timg in enumerate(t.columns[(b_obj, a)]):  # T(b_obj) -> T(a)
             # column j: timg ∘ h_j for the basis h_j of Hom(v, T(b_obj))
             cells = postcompose_cells(tgt, v, tb, ta, timg)
             action[(a, b_obj, i)] = RationalMatrix.from_sparse_rows(cells, dims[a]).transpose()
@@ -386,7 +385,7 @@ def induced_filter_membership(
     sub_mod, incl = sub_to_module(sub)
     ctx_sub = induce(p, sub_mod)
     ctx_amb = induce(p, sub.of)
-    ind_incl = induce_map(p, incl, ctx_sub, ctx_amb)
+    ind_incl = tensor_map(incl, ctx_amb.bimodule, ctx_sub, ctx_amb)
     return q_iso(t_prime, ind_incl)
 
 

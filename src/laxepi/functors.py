@@ -1,25 +1,29 @@
 """Linear functors, the induction/restriction/coinduction triple, bimodule
 tensor products, and canonical factorizations.
 
-Induction along a functor is computed as an explicit finite coequalizer: the
-relation span ("act on the module" minus "map and compose") is quotiented out
-of a finite sum of hom spaces, objectwise.  The same shape computes the tensor
-with a bimodule, which is how induction into a quotient category is reached.
-Coinduction is a hom-space module.  Contexts carry the chosen projections,
-quotient coordinates and hom bases so units, counits and functoriality on
-maps are all computed in matching coordinates.
+There is one coequalizer, the tensor x ⊗ b of a module with a bimodule, and
+it is computed from a presentation of x: greedy generators (G_k, a_k) give a
+cover P0 = ⊕_k yoneda(G_k) -> x with kernel K, and as tensoring is right
+exact and yoneda(G) ⊗ b = b(G), x ⊗ b is ⊕_k b(G_k) modulo the image of
+K ⊗ b, objectwise.  Induction along a functor is the tensor with its regular
+bimodule.  Coinduction is a hom-space module.  Contexts carry the generators,
+the preimage solve of the cover, the projections and the quotient
+coordinates, so units, counits and functoriality on maps are all computed in
+matching coordinates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from functools import cached_property
+from itertools import accumulate, product
 from typing import Mapping, Sequence, Union
 
-from .category import LinearCategory, Morphism, combine, contract, postcompose_cells
+from .category import LinearCategory, Morphism, combine, contract
 from .errors import InternalInvariantError
-from .linalg import ONE, ZERO, EchelonBasis, RationalMatrix, zero_vec
+from .linalg import ONE, ZERO, EchelonBasis, RationalMatrix, nonzeros, rref, zero_vec
 from .modules import (
     Module,
     ModuleMap,
@@ -64,6 +68,11 @@ class LinearFunctor:
                 raise ValueError(f"hom map shape mismatch at {(v, u)}")
             self.hom_maps[(v, u)] = m
 
+    @cached_property
+    def columns(self) -> dict[Pair, list[dict[int, Fraction]]]:
+        """Column i of each hom matrix, as nonzero coordinates: S(basis i)."""
+        return {pair: m.transpose().sp for pair, m in self.hom_maps.items()}
+
     def apply_obj(self, u: str) -> str:
         return self.object_map[u]
 
@@ -97,7 +106,7 @@ def validate_functor(s: LinearFunctor) -> list[str]:
     for u in src.objects:
         if s.apply(src.identity(u)).coords != tgt.identity(s.apply_obj(u)).coords:
             problems.append(f"identity at {u} not preserved")
-    cols = {pair: m.transpose().sp for pair, m in s.hom_maps.items()}  # S(basis morphism)
+    cols = s.columns
     for w, v, u in product(src.objects, repeat=3):
         tab = src.table(w, v, u)
         t_tab = tgt.table(*(s.apply_obj(o) for o in (w, v, u)))
@@ -158,7 +167,7 @@ def restrict(s: LinearFunctor, x: Module) -> Module:
     action = {}
     for v, u in src.hom_pairs():
         sv, su = s.apply_obj(v), s.apply_obj(u)
-        for i, col in enumerate(s.hom_maps[(v, u)].transpose().sp):
+        for i, col in enumerate(s.columns[(v, u)]):
             action[(v, u, i)] = x.act_coords(sv, su, col)
     return Module(src, dims, action)
 
@@ -169,191 +178,6 @@ def restrict_map(
     rx = rx if rx is not None else restrict(s, f.source)
     ry = ry if ry is not None else restrict(s, f.target)
     return ModuleMap(rx, ry, {u: f.components[s.apply_obj(u)] for u in s.source.objects})
-
-
-# ---------------------------------------------------------------------------
-# induction (coequalizer presentation)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class InducedContext:
-    """Everything needed to work with induce(s, x) in fixed coordinates."""
-
-    functor: LinearFunctor
-    source_module: Module
-    module: Module
-    unit: ModuleMap  # x -> restrict(s, module)
-    slots: dict[str, list[tuple[str, int]]]  # per target object: (source obj U, offset)
-    projections: dict[str, RationalMatrix]
-    # big-space columns that serve as quotient coordinates; the section of
-    # each projection is the unit columns at these
-    free: dict[str, list[int]]
-
-    def big_dim(self, t_obj: str) -> int:
-        return self.projections[t_obj].cols
-
-    def slot_offset(self, t_obj: str, u: str) -> int:
-        for uu, off in self.slots[t_obj]:
-            if uu == u:
-                return off
-        raise KeyError(u)
-
-
-def induce(s: LinearFunctor, x: Module) -> InducedContext:
-    """Left Kan extension along s, as cokernel of the standard relation map.
-
-    Value at T is (⊕_U x(U) ⊗ Hom(T, SU)) / span of "act on x minus compose
-    in the target" relations.
-    """
-    src, tgt = s.source, s.target
-    slots: dict[str, list[tuple[str, int]]] = {}
-    rels: dict[str, EchelonBasis] = {}
-    for t_obj in tgt.objects:
-        off = 0
-        slot = []
-        for u in src.objects:
-            slot.append((u, off))
-            off += x.dims[u] * tgt.hom_dim(t_obj, s.apply_obj(u))
-        slots[t_obj] = slot
-        rels[t_obj] = EchelonBasis(off)
-
-    for t_obj in tgt.objects:
-        if rels[t_obj].width == 0:
-            continue
-        offset = dict(slots[t_obj])
-        for v, u in src.hom_pairs():
-            sv, su = s.apply_obj(v), s.apply_obj(u)
-            dh, du = tgt.hom_dim(t_obj, sv), tgt.hom_dim(t_obj, su)
-            if dh == 0 or x.dims[u] == 0:
-                continue
-            for i, s_mor in enumerate(s.hom_maps[(v, u)].transpose().sp):  # S(u_i): SV -> SU
-                act = x.action[(v, u, i)]  # x(U) -> x(V)
-                # S(u_i) ∘ h : T -> SU for each basis morphism h : T -> SV
-                shs = [cell.items() for cell in postcompose_cells(tgt, t_obj, sv, su, s_mor)]
-                for a, col in enumerate(act.transpose().sp):
-                    for j in range(dh):
-                        row: dict[int, Fraction] = {}
-                        for b, cb in col.items():
-                            k = offset[v] + b * dh + j
-                            row[k] = row.get(k, ZERO) + cb
-                        for jj, cc in shs[j]:
-                            k = offset[u] + a * du + jj
-                            row[k] = row.get(k, ZERO) - cc
-                        if any(row.values()):
-                            rels[t_obj].insert(row)
-
-    projections, free = _quotients(rels)
-    dims = {t_obj: len(free[t_obj]) for t_obj in tgt.objects}
-
-    # action of the induced module: precomposition inside each hom slot
-    action = {}
-    for t2, t1 in tgt.hom_pairs():  # basis morphisms t2 -> t1 act ind(t1) -> ind(t2)
-        for i, big in enumerate(_precompose_entries(s, x, slots, t2, t1)):
-            action[(t2, t1, i)] = _descend(projections[t2], free[t1], big)
-    ind = Module(tgt, dims, action)
-
-    # unit x -> restrict(s, ind): e_a at U goes to class of e_a ⊗ id_SU
-    unit_comps = {}
-    for u in src.objects:
-        su = s.apply_obj(u)
-        cols = []
-        for a in range(x.dims[u]):
-            big = [ZERO] * rels[su].width
-            base = dict(slots[su])[u] + a * tgt.hom_dim(su, su)
-            for jj, cc in enumerate(tgt.identities[su]):
-                if cc:
-                    big[base + jj] += cc
-            cols.append(projections[su].apply(big))
-        unit_comps[u] = RationalMatrix.from_columns(cols, dims[su])
-    rind = restrict(s, ind)
-    unit = ModuleMap(x, rind, unit_comps)
-    return InducedContext(s, x, ind, unit, slots, projections, free)
-
-
-def _quotients(rels: Mapping[str, EchelonBasis]):
-    """Projection and free columns of each big space modulo its relations."""
-    projections = {obj: eb.quotient_maps()[0] for obj, eb in rels.items()}
-    free = {obj: eb.free_columns() for obj, eb in rels.items()}
-    return projections, free
-
-
-def _descend(
-    proj: RationalMatrix, free: Sequence[int], entries: Sequence[tuple[int, int, Fraction]]
-) -> RationalMatrix:
-    """proj * B * S for the big-space map B with the given (row, column, value)
-    entries, S being the section whose columns are the units at `free`.
-
-    B * S is B restricted to those columns, so only they are built.
-    """
-    where = {j: k for k, j in enumerate(free)}
-    out: list[dict[int, Fraction]] = [{} for _ in range(proj.cols)]
-    for r, c, x in entries:
-        k = where.get(c)
-        if k is not None:
-            out[r][k] = out[r].get(k, ZERO) + x
-    rows = [{k: x for k, x in row.items() if x} for row in out]
-    return proj * RationalMatrix.from_sparse_rows(rows, len(free))
-
-
-def _precompose_entries(s, x, slots, t2, t1) -> list[list[tuple[int, int, Fraction]]]:
-    """⊕_U id_{x(U)} ⊗ (precompose by basis morphism i: t2 -> t1) on the big
-    spaces, as (row, column, value) entries, for each i in order."""
-    tgt = s.target
-    out = [[] for _ in range(tgt.hom_dim(t2, t1))]
-    for (u, off1), (_, off2) in zip(slots[t1], slots[t2]):
-        su = s.apply_obj(u)
-        d1, d2 = tgt.hom_dim(t1, su), tgt.hom_dim(t2, su)
-        for (j, i), cell in tgt.table(t2, t1, su).items():  # h_j ∘ b_i: t2 -> su
-            for a in range(x.dims[u]):
-                c1 = off1 + a * d1 + j
-                out[i] += [(off2 + a * d2 + jj, c1, cc) for jj, cc in cell.items()]
-    return out
-
-
-def induce_map(
-    s: LinearFunctor, f: ModuleMap, ctx_src: InducedContext, ctx_tgt: InducedContext
-) -> ModuleMap:
-    """Functoriality of induction: ⊕ f_U ⊗ id descends to the quotients."""
-    tgt = s.target
-    comps = {}
-    for t_obj in tgt.objects:
-        big = []
-        for u, off_s in ctx_src.slots[t_obj]:
-            off_t = ctx_tgt.slot_offset(t_obj, u)
-            dh = tgt.hom_dim(t_obj, s.apply_obj(u))
-            for b, row in enumerate(f.components[u].sp):
-                for a, cc in row.items():
-                    big += [(off_t + b * dh + j, off_s + a * dh + j, cc) for j in range(dh)]
-        comps[t_obj] = _descend(ctx_tgt.projections[t_obj], ctx_src.free[t_obj], big)
-    return ModuleMap(ctx_src.module, ctx_tgt.module, comps)
-
-
-def counit_from_context(ctx: InducedContext, y: Module) -> ModuleMap:
-    """Evaluation induce(restrict y) -> y, given the context of induce(restrict y)."""
-    s = ctx.functor
-    tgt = s.target
-    comps = {}
-    for t_obj in tgt.objects:
-        cols_big = []
-        for u, off in ctx.slots[t_obj]:
-            su = s.apply_obj(u)
-            dh = tgt.hom_dim(t_obj, su)
-            for a in range(y.dims[su]):
-                for j in range(dh):
-                    cols_big.append(y.action[(t_obj, su, j)].col(a))
-        # big * section is big restricted to the free columns
-        cols = [cols_big[j] for j in ctx.free[t_obj]]
-        comps[t_obj] = RationalMatrix.from_columns(cols, y.dims[t_obj])
-    return ModuleMap(ctx.module, y, comps)
-
-
-def counit(s: LinearFunctor, y: Module) -> ModuleMap:
-    """The adjunction counit induce(restrict(y)) -> y."""
-    ctx = induce(s, restrict(s, y))
-    eps = counit_from_context(ctx, y)
-    if s.is_surjective_on_objects() and not eps.is_epi():
-        raise InternalInvariantError("counit must be epi for surjective-on-objects functors")
-    return eps
 
 
 # ---------------------------------------------------------------------------
@@ -484,92 +308,196 @@ def validate_bimodule(b: Bimodule) -> list[str]:
 def regular_bimodule(s: LinearFunctor) -> Bimodule:
     """The bimodule computing induction along s: value(U) = yoneda(SU)."""
     tgt = s.target
-    values = {u: yoneda(tgt, s.apply_obj(u)) for u in s.source.objects}
+    reps = {t: yoneda(tgt, t) for t in s.image_objects()}
+    values = {u: reps[s.apply_obj(u)] for u in s.source.objects}
     action = {}
     for v, u in s.source.hom_pairs():
         sv, su = s.apply_obj(v), s.apply_obj(u)
-        for i, col in enumerate(s.hom_maps[(v, u)].transpose().sp):  # S(basis i)
+        for i, col in enumerate(s.columns[(v, u)]):  # S(basis i)
             action[(v, u, i)] = ModuleMap(values[v], values[u], yoneda_components(tgt, sv, su, col))
     return Bimodule(s.source, tgt, values, action)
 
 
 @dataclass
 class TensorContext:
+    """x ⊗ b in fixed coordinates, computed from a presentation of x.
+
+    The generators (G_k, a_k) are basis vectors e_{a_k} of x(G_k).  They give
+    the cover P0 = ⊕_k yoneda(G_k) -> x, which at G sends coordinate p of
+    P0(G), the pair `p0[G][p]` = (k, basis f: G -> G_k), to x(f) e_{a_k}; the
+    column a of `preimages[G]` is an element of P0(G) over e_a.  At each right
+    object h the big space is ⊕_k b(G_k)(h), slot k starting at
+    `offsets[h][k]`; `projections[h]` maps it onto module(h), whose coordinates
+    are the big-space columns `free[h]`.  An induction also records its
+    functor, which gives the unit.
+    """
+
     bimodule: Bimodule
     source_module: Module
-    module: Module
-    slots: dict[str, list[tuple[str, int]]]
-    projections: dict[str, RationalMatrix]
-    # big-space columns that serve as quotient coordinates; the section of
-    # each projection is the unit columns at these
-    free: dict[str, list[int]]
+    generators: list[tuple[str, int]]
+    p0: dict[str, list[tuple[int, int]]]
+    preimages: dict[str, list[dict[int, Fraction]]]
+    offsets: dict[str, list[int]]
+    projections: dict[str, RationalMatrix] = field(default_factory=dict)
+    free: dict[str, list[int]] = field(default_factory=dict)
+    module: Module | None = None
+    functor: LinearFunctor | None = None
 
-    def big_dim(self, h_obj: str) -> int:
-        return self.projections[h_obj].cols
+    def slot(self, h: str, col: int) -> tuple[int, int]:
+        """(k, j): big-space column col at h is basis vector j of b(G_k)(h)."""
+        k = bisect_right(self.offsets[h], col) - 1
+        return k, col - self.offsets[h][k]
 
-    def slot_offset(self, h_obj: str, g: str) -> int:
-        for gg, off in self.slots[h_obj]:
-            if gg == g:
-                return off
-        raise KeyError(g)
+    def preimage(self, g: str, v: Mapping[int, Fraction]) -> dict[int, Fraction]:
+        """An element of P0(g) over v in x(g), both as nonzero coordinates."""
+        return combine((c, self.preimages[g][a]) for a, c in v.items())
+
+    def lifted(self, g: str, c: Mapping[int, Fraction], h: str) -> list[dict[int, Fraction]]:
+        """Column β: the big-space vector Σ_p c_p b(f_p) e_β at h of the element
+        c of P0(g) tensored with basis vector β of b(g)(h)."""
+        b = self.bimodule
+        cols: list[dict[int, Fraction]] = [{} for _ in range(b.values[g].dims[h])]
+        for p, cp in c.items():
+            k, f = self.p0[g][p]
+            off = self.offsets[h][k]
+            for r, row in enumerate(b.left_action[(g, self.generators[k][0], f)].components[h].sp):
+                for beta, y in row.items():
+                    col = cols[beta]
+                    col[off + r] = col.get(off + r, ZERO) + cp * y
+        return [{j: y for j, y in col.items() if y} for col in cols]
+
+    def represent(
+        self, g: str, v: Mapping[int, Fraction], h: str, beta: Mapping[int, Fraction]
+    ) -> dict[int, Fraction]:
+        """A big-space vector at h of v ⊗ β, for v in x(g) and β in b(g)(h)."""
+        cols = self.lifted(g, self.preimage(g, v), h)
+        return combine((y, cols[j]) for j, y in beta.items())
+
+    def class_of(
+        self, g: str, v: Mapping[int, Fraction], h: str, beta: Mapping[int, Fraction]
+    ) -> tuple[Fraction, ...]:
+        """Coordinates in module(h) of v ⊗ β."""
+        return _descend(self.projections[h], [self.represent(g, v, h, beta)]).col(0)
+
+    @cached_property
+    def unit(self) -> ModuleMap:
+        """For an induction, x -> restrict(functor, module): e_a at U goes to the
+        class of e_a ⊗ id_SU."""
+        s, x = self.functor, self.source_module
+        comps = {}
+        for u in s.source.objects:
+            su = s.apply_obj(u)
+            idc = dict(nonzeros(s.target.identities[su]))
+            reps = [self.represent(u, {a: ONE}, su, idc) for a in range(x.dims[u])]
+            comps[u] = _descend(self.projections[su], reps)
+        return ModuleMap(x, restrict(s, self.module), comps)
 
 
 def tensor_bimodule(x: Module, b: Bimodule) -> TensorContext:
-    """x ⊗ b: coequalizer of the two evaluation routes, objectwise over right_cat."""
+    """x ⊗ b as the cokernel of K ⊗ b -> P0 ⊗ b = ⊕_k b(G_k), objectwise over right_cat.
+
+    K is the kernel of the cover P0 -> x by the generators.  Tensoring is right
+    exact and yoneda(G) ⊗ b = b(G), so the relations at h are the vectors
+    Σ_k b(κ_k) β for κ in a basis of K(G) and β in a basis of b(G)(h).
+    """
     lc, rc = b.left_cat, b.right_cat
     if not (x.over is lc or x.over == lc):
         raise ValueError("module is not over the bimodule's left category")
-    slots: dict[str, list[tuple[str, int]]] = {}
-    rels: dict[str, EchelonBasis] = {}
+    gens, images = _generators(x)
+    kernels, preimages = {}, {}
+    for g in lc.objects:
+        kernels[g], preimages[g] = _solve_presentation(images[g], x.dims[g])
+    p0 = {g: [(k, f) for k, (gk, _) in enumerate(gens) for f in range(lc.hom_dim(g, gk))]
+          for g in lc.objects}
+    offsets = {h: list(accumulate((b.values[gk].dims[h] for gk, _ in gens), initial=0))
+               for h in rc.objects}
+    ctx = TensorContext(b, x, gens, p0, preimages, offsets)
     for h in rc.objects:
-        off = 0
-        slot = []
+        rels = EchelonBasis(offsets[h][-1])
         for g in lc.objects:
-            slot.append((g, off))
-            off += x.dims[g] * b.values[g].dims[h]
-        slots[h] = slot
-        rels[h] = EchelonBasis(off)
+            if b.values[g].dims[h]:
+                for kappa in kernels[g]:
+                    for row in ctx.lifted(g, kappa, h):
+                        if row:
+                            rels.insert(row)
+        ctx.projections[h] = rels.quotient_maps()[0]
+        ctx.free[h] = rels.free_columns()
 
-    for h in rc.objects:
-        if rels[h].width == 0:
-            continue
-        offset = dict(slots[h])
-        for gp, g in lc.hom_pairs():  # gamma: G' -> G
-            dp, d = b.values[gp].dims[h], b.values[g].dims[h]
-            for i in range(lc.hom_dim(gp, g)):
-                act = x.action[(gp, g, i)]  # x(G) -> x(G')
-                lact = b.left_action[(gp, g, i)].components[h]  # b(G')(h) -> b(G)(h)
-                lcols = lact.transpose().sp
-                for a, col in enumerate(act.transpose().sp):
-                    for j in range(dp):
-                        row: dict[int, Fraction] = {}
-                        for bb, cb in col.items():
-                            k = offset[gp] + bb * dp + j
-                            row[k] = row.get(k, ZERO) + cb
-                        for jj, cc in lcols[j].items():
-                            k = offset[g] + a * d + jj
-                            row[k] = row.get(k, ZERO) - cc
-                        if any(row.values()):
-                            rels[h].insert(row)
-
-    projections, free = _quotients(rels)
-    dims = {h: len(free[h]) for h in rc.objects}
-
+    # b(G_k)'s own action in every slot, pushed down to the quotients
     action = {}
     for h2, h1 in rc.hom_pairs():
         for i in range(rc.hom_dim(h2, h1)):
-            big = []
-            for (g, off1), (_, off2) in zip(slots[h1], slots[h2]):
-                m = b.values[g].action[(h2, h1, i)]  # b(g)(h1) -> b(g)(h2)
-                d1, d2 = b.values[g].dims[h1], b.values[g].dims[h2]
-                entries = [(jj, j, cc) for jj, r in enumerate(m.sp) for j, cc in r.items()]
-                for a in range(x.dims[g]):
-                    big += [
-                        (off2 + a * d2 + jj, off1 + a * d1 + j, cc) for jj, j, cc in entries
-                    ]
-            action[(h2, h1, i)] = _descend(projections[h2], free[h1], big)
-    out = Module(rc, dims, action)
-    return TensorContext(b, x, out, slots, projections, free)
+            cols = []
+            for col in ctx.free[h1]:
+                k, j = ctx.slot(h1, col)
+                m = b.values[gens[k][0]].action[(h2, h1, i)]  # b(G_k)(h1) -> b(G_k)(h2)
+                cols.append({offsets[h2][k] + r: row[j] for r, row in enumerate(m.sp) if j in row})
+            action[(h2, h1, i)] = _descend(ctx.projections[h2], cols)
+    ctx.module = Module(rc, {h: len(ctx.free[h]) for h in rc.objects}, action)
+    return ctx
+
+
+def _column(m: RationalMatrix, a: int) -> dict[int, Fraction]:
+    return {r: row[a] for r, row in enumerate(m.sp) if a in row}
+
+
+def _generators(x: Module) -> tuple[list[tuple[str, int]], dict[str, list[dict[int, Fraction]]]]:
+    """Greedy generators of x and, at each G, the images x(f) e_{a_k} in P0(G)'s order.
+
+    A basis vector becomes a generator only when it lies outside the
+    submodule generated by the earlier ones, whose value at each object is
+    spanned by the images x(f) e_{a_k}.
+    """
+    c = x.over
+    spans = {g: EchelonBasis(x.dims[g]) for g in c.objects}
+    gens: list[tuple[str, int]] = []
+    images: dict[str, list[dict[int, Fraction]]] = {g: [] for g in c.objects}
+    for g in c.objects:
+        for a in range(x.dims[g]):
+            if spans[g].contains({a: ONE}):
+                continue
+            gens.append((g, a))
+            for gp in c.objects:
+                for i in range(c.hom_dim(gp, g)):
+                    images[gp].append(img := _column(x.action[(gp, g, i)], a))
+                    if img and spans[gp].dim < x.dims[gp]:
+                        spans[gp].insert(img)
+    return gens, images
+
+
+def _solve_presentation(images: Sequence[Mapping[int, Fraction]], n: int):
+    """For the map P0(G) -> x(G) with these image columns and n = dim x(G): a
+    basis of its kernel and a preimage of each e_a, from one elimination of [M | I]."""
+    w = len(images)
+    rows: list[dict[int, Fraction]] = [{w + r: ONE} for r in range(n)]
+    for p, col in enumerate(images):
+        for r, y in col.items():
+            rows[r][p] = y
+    reduced, pivots = rref(RationalMatrix.from_sparse_rows(rows, w + n))
+    if len(pivots) != n or (pivots and pivots[-1] >= w):
+        raise InternalInvariantError("generators do not generate the module")
+    pre: list[dict[int, Fraction]] = [{} for _ in range(n)]
+    pivot_rows = {}
+    for row, p in zip(reduced.sp, pivots):
+        pivot_rows[p] = {j: y for j, y in row.items() if j < w}
+        for j, y in row.items():
+            if j >= w:
+                pre[j - w][p] = y
+    kernel = [
+        {q: ONE} | {p: -row[q] for p, row in pivot_rows.items() if q in row}
+        for q in range(w)
+        if q not in pivot_rows
+    ]
+    return kernel, pre
+
+
+def _descend(proj: RationalMatrix, cols: Sequence[Mapping[int, Fraction]]) -> RationalMatrix:
+    """proj * B for the big-space matrix B with these columns, given as nonzero entries."""
+    rows: list[dict[int, Fraction]] = [{} for _ in range(proj.cols)]
+    for k, col in enumerate(cols):
+        for r, y in col.items():
+            rows[r][k] = y
+    return proj * RationalMatrix.from_sparse_rows(rows, len(cols))
 
 
 def tensor_map(
@@ -578,42 +506,78 @@ def tensor_map(
     ctx_src: TensorContext | None = None,
     ctx_tgt: TensorContext | None = None,
 ) -> ModuleMap:
-    """f ⊗ b on the quotients."""
+    """f ⊗ b on the quotients: the class of e_{a_k} ⊗ β goes to the class of
+    f(e_{a_k}) ⊗ β, lifted to the target's big space by its preimage solve."""
     ctx_src = ctx_src if ctx_src is not None else tensor_bimodule(f.source, b)
     ctx_tgt = ctx_tgt if ctx_tgt is not None else tensor_bimodule(f.target, b)
-    rc = b.right_cat
+    pre = [ctx_tgt.preimage(g, _column(f.components[g], a)) for g, a in ctx_src.generators]
     comps = {}
-    for h in rc.objects:
-        big = []
-        for g, off_s in ctx_src.slots[h]:
-            off_t = ctx_tgt.slot_offset(h, g)
-            d = b.values[g].dims[h]
-            for bb, row in enumerate(f.components[g].sp):
-                for a, cc in row.items():
-                    big += [(off_t + bb * d + j, off_s + a * d + j, cc) for j in range(d)]
-        comps[h] = _descend(ctx_tgt.projections[h], ctx_src.free[h], big)
+    for h in b.right_cat.objects:
+        lifts: dict[int, list[dict[int, Fraction]]] = {}
+        cols = []
+        for col in ctx_src.free[h]:
+            k, j = ctx_src.slot(h, col)
+            if k not in lifts:
+                lifts[k] = ctx_tgt.lifted(ctx_src.generators[k][0], pre[k], h)
+            cols.append(lifts[k][j])
+        comps[h] = _descend(ctx_tgt.projections[h], cols)
     return ModuleMap(ctx_src.module, ctx_tgt.module, comps)
 
 
 def tensor_yoneda_iso(g_obj: str, b: Bimodule, ctx: TensorContext | None = None) -> ModuleMap:
-    """The canonical map b(G) -> yoneda(G) ⊗ b; an isomorphism (checked by callers)."""
+    """The canonical map b(G) -> yoneda(G) ⊗ b, β ↦ class of id_G ⊗ β; an
+    isomorphism (checked by callers)."""
     lc = b.left_cat
-    yg = yoneda(lc, g_obj)
-    ctx = ctx if ctx is not None else tensor_bimodule(yg, b)
-    comps = {}
-    for h in b.right_cat.objects:
-        cols = []
-        idc = lc.identities[g_obj]
-        for j in range(b.values[g_obj].dims[h]):
-            big = [ZERO] * ctx.big_dim(h)
-            off = ctx.slot_offset(h, g_obj)
-            d = b.values[g_obj].dims[h]
-            for a, ca in enumerate(idc):
-                if ca:
-                    big[off + a * d + j] += ca
-            cols.append(ctx.projections[h].apply(big))
-        comps[h] = RationalMatrix.from_columns(cols, ctx.module.dims[h])
+    ctx = ctx if ctx is not None else tensor_bimodule(yoneda(lc, g_obj), b)
+    idc = dict(nonzeros(lc.identities[g_obj]))
+    comps = {
+        h: _descend(
+            ctx.projections[h],
+            [ctx.represent(g_obj, idc, h, {j: ONE}) for j in range(b.values[g_obj].dims[h])],
+        )
+        for h in b.right_cat.objects
+    }
     return ModuleMap(b.values[g_obj], ctx.module, comps)
+
+
+# ---------------------------------------------------------------------------
+# induction: the tensor with the regular bimodule
+# ---------------------------------------------------------------------------
+
+def induce(s: LinearFunctor, x: Module) -> TensorContext:
+    """Left Kan extension along s, as x ⊗ regular_bimodule(s).
+
+    Its value at T is ⊕_k Hom(T, S G_k) modulo the vectors Σ_k S(κ_k) ∘ h, for
+    κ in the kernel K(G) of the cover of x by its generators (G_k, a_k) and
+    h: T -> SG; the context's `unit` is x -> restrict(s, module).
+    """
+    ctx = tensor_bimodule(x, regular_bimodule(s))
+    ctx.functor = s
+    return ctx
+
+
+def counit_from_context(ctx: TensorContext, y: Module) -> ModuleMap:
+    """Evaluation induce(restrict y) -> y, given the context of induce(restrict y):
+    the class of e_{a_k} ⊗ h, for h: T -> S G_k, goes to y(h) e_{a_k}."""
+    s = ctx.functor
+    comps = {}
+    for t_obj in s.target.objects:
+        cols = []
+        for col in ctx.free[t_obj]:
+            k, j = ctx.slot(t_obj, col)
+            u, a = ctx.generators[k]
+            cols.append(y.action[(t_obj, s.apply_obj(u), j)].col(a))
+        comps[t_obj] = RationalMatrix.from_columns(cols, y.dims[t_obj])
+    return ModuleMap(ctx.module, y, comps)
+
+
+def counit(s: LinearFunctor, y: Module) -> ModuleMap:
+    """The adjunction counit induce(restrict(y)) -> y."""
+    ctx = induce(s, restrict(s, y))
+    eps = counit_from_context(ctx, y)
+    if s.is_surjective_on_objects() and not eps.is_epi():
+        raise InternalInvariantError("counit must be epi for surjective-on-objects functors")
+    return eps
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +606,7 @@ def adjunction_check(
         r_ind = restrict(s, ind_x.module)
         ctx2 = induce(s, r_ind)
         eps = counit_from_context(ctx2, ind_x.module)
-        t1 = map_compose(eps, induce_map(s, ind_x.unit, ind_x, ctx2))
+        t1 = map_compose(eps, tensor_map(ind_x.unit, ctx2.bimodule, ind_x, ctx2))
         if flatten_map(t1) != flatten_map(identity_map(ind_x.module)):
             report["triangle_left_adjoint"] = False
             report["failures"].append(("triangle1", x.dims))

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Mapping, Sequence
 
-from .category import LinearCategory, Morphism, postcompose_cells
+from .category import LinearCategory, Morphism
 from .errors import InternalInvariantError
 from .linalg import (
     ONE,
@@ -264,12 +264,18 @@ def yoneda_components(
 ) -> dict[str, RationalMatrix]:
     """Postcomposition h ↦ g ∘ h, Hom(w, v) -> Hom(w, u) at every w, for g: v -> u
     given by its nonzero coordinates; column j is the cell of g ∘ (basis j)."""
-    return {
-        w: RationalMatrix.from_sparse_rows(
-            postcompose_cells(c, w, v, u, g), c.hom_dim(w, u)
-        ).transpose()
-        for w in c.objects
-    }
+    out = {}
+    for w in c.objects:
+        rows: list[dict[int, Fraction]] = [{} for _ in range(c.hom_dim(w, u))]
+        for (i, j), cell in c.table(w, v, u).items():
+            if a := g.get(i):
+                for k, x in cell.items():
+                    y = rows[k].get(j)
+                    rows[k][j] = a * x if y is None else y + a * x
+        out[w] = RationalMatrix.from_sparse_rows(
+            [{j: x for j, x in r.items() if x} for r in rows], c.hom_dim(w, v)
+        )
+    return out
 
 
 def identity_map(x: Module) -> ModuleMap:

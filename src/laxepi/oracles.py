@@ -132,7 +132,7 @@ def multiplication_map_iso(s) -> tuple[bool, dict]:
                 slot_u, slot_v = slot_of[u], slot_of[v]
                 _, su, d1u, d2u, _ = slot_u
                 _, sv, d1v, d2v, _ = slot_v
-                for su_mor in s.hom_maps[(v, u)].transpose().sp:  # S(u_k): SV -> SU
+                for su_mor in s.columns[(v, u)]:  # S(u_k): SV -> SU
                     g_su = precompose_cells(tgt, sv, su, h, su_mor)  # g_i ∘ S(u_k): SV -> h
                     su_f = postcompose_cells(tgt, hp, sv, su, su_mor)  # S(u_k) ∘ f_j: hp -> SU
                     for i, j in product(range(d1u), range(d2v)):

@@ -25,13 +25,15 @@ from laxepi.functors import (
     restrict,
     restrict_map,
     tensor_bimodule,
+    tensor_map,
     tensor_yoneda_iso,
     validate_bimodule,
     validate_functor,
 )
-from laxepi.linalg import is_iso
+from laxepi.linalg import RationalMatrix, is_iso
 from laxepi.modules import (
     hom_modules,
+    ModuleMap,
     kernel,
     tor1,
     validate_module,
@@ -137,29 +139,17 @@ def test_induce_yoneda_is_yoneda_of_image():
 
 def _yoneda_comparison(s, u, ctx):
     """Canonical map yoneda(SU) -> induce(yoneda(U)): h |-> class of id_U ⊗ h."""
-    from laxepi.linalg import ZERO, RationalMatrix
+    from laxepi.linalg import ONE, RationalMatrix, nonzeros
     from laxepi.modules import ModuleMap
 
     src, tgt = s.source, s.target
     su = s.apply_obj(u)
     target_rep = yoneda(tgt, su)
+    id_u = dict(nonzeros(src.identities[u]))
     comps = {}
     for t_obj in tgt.objects:
-        cols = []
-        dh = tgt.hom_dim(t_obj, su)
-        for j in range(dh):
-            big = [ZERO] * ctx.big_dim(t_obj)
-            off = ctx.slot_offset(t_obj, u)
-            du = tgt.hom_dim(t_obj, su)
-            for a, ca in enumerate(src.identities[u]):
-                if ca:
-                    big[off + a * du + j] += ca
-            cols.append(ctx.projections[t_obj].apply(big))
-        comps[t_obj] = (
-            RationalMatrix(cols, len(cols), ctx.module.dims[t_obj]).transpose()
-            if cols
-            else RationalMatrix.zeros(ctx.module.dims[t_obj], 0)
-        )
+        cols = [ctx.class_of(u, id_u, t_obj, {j: ONE}) for j in range(tgt.hom_dim(t_obj, su))]
+        comps[t_obj] = RationalMatrix.from_columns(cols, ctx.module.dims[t_obj])
     return ModuleMap(target_rep, ctx.module, comps)
 
 
@@ -240,18 +230,202 @@ def test_tensor_zero():
     assert ctx.module.is_zero()
 
 
+def _reference_tensor(x, b):
+    """x ⊗ b as the full-basis coequalizer, kept as the independent route.
+
+    At each right object h the big space is ⊕_G x(G) ⊗ b(G)(h), with e_a ⊗ e_j
+    of slot G at offset + a * dim b(G)(h) + j; one relation row
+    x(γ)e_a ⊗ e_j - e_a ⊗ b(γ)e_j for every basis morphism γ: G' -> G, basis
+    vector e_a of x(G) and e_j of b(G')(h).  Returns the module, the slot
+    offsets, the projections and the free columns.
+    """
+    from laxepi.linalg import EchelonBasis
+    from laxepi.modules import Module
+
+    lc, rc = b.left_cat, b.right_cat
+    offsets, rels = {}, {}
+    for h in rc.objects:
+        offsets[h], off = {}, 0
+        for g in lc.objects:
+            offsets[h][g] = off
+            off += x.dims[g] * b.values[g].dims[h]
+        rels[h] = EchelonBasis(off)
+        for gp, g in lc.hom_pairs():
+            dp, d = b.values[gp].dims[h], b.values[g].dims[h]
+            for i in range(lc.hom_dim(gp, g)):
+                act = x.action[(gp, g, i)].data  # x(G) -> x(G')
+                lact = b.left_action[(gp, g, i)].components[h].data  # b(G')(h) -> b(G)(h)
+                for a in range(x.dims[g]):
+                    for j in range(dp):
+                        row = {}
+                        for bb in range(x.dims[gp]):
+                            if act[bb][a]:
+                                k = offsets[h][gp] + bb * dp + j
+                                row[k] = row.get(k, 0) + act[bb][a]
+                        for jj in range(d):
+                            if lact[jj][j]:
+                                k = offsets[h][g] + a * d + jj
+                                row[k] = row.get(k, 0) - lact[jj][j]
+                        rels[h].insert(row)
+    proj = {h: rels[h].quotient_maps()[0] for h in rc.objects}
+    free = {h: rels[h].free_columns() for h in rc.objects}
+    action = {}
+    for h2, h1 in rc.hom_pairs():
+        for i in range(rc.hom_dim(h2, h1)):
+            cols = []
+            for c in free[h1]:  # e_a ⊗ e_j goes to e_a ⊗ b(G)(basis i) e_j
+                g, a, j = _reference_slot(x, b, offsets, h1, c)
+                big = [Q(0)] * proj[h2].cols
+                d2 = b.values[g].dims[h2]
+                for jj, v in enumerate(b.values[g].action[(h2, h1, i)].col(j)):
+                    big[offsets[h2][g] + a * d2 + jj] += v
+                cols.append(proj[h2].apply(big))
+            action[(h2, h1, i)] = RationalMatrix.from_columns(cols, len(free[h2]))
+    module = Module(rc, {h: len(free[h]) for h in rc.objects}, action)
+    return module, offsets, proj, free
+
+
+def _reference_slot(x, b, offsets, h, c):
+    """(G, a, j): big-space column c at h is e_a ⊗ e_j in slot G."""
+    g = max((g for g in b.left_cat.objects if offsets[h][g] <= c and x.dims[g] * b.values[g].dims[h]),
+            key=lambda g: offsets[h][g])
+    a, j = divmod(c - offsets[h][g], b.values[g].dims[h])
+    return g, a, j
+
+
+def _compare_with_reference(x, b, ctx=None):
+    """The map from the reference x ⊗ b to the presented one, e_a ⊗ β ↦ class of
+    (preimage of e_a) ⊗ β; asserts it is a natural isomorphism and returns it
+    with the reference's (module, offsets, projections, free)."""
+    from laxepi.linalg import ONE
+
+    ctx = ctx if ctx is not None else tensor_bimodule(x, b)
+    ref = _reference_tensor(x, b)
+    module, offsets, _, free = ref
+    assert module.dims == ctx.module.dims
+    comps = {}
+    for h in b.right_cat.objects:
+        cols = []
+        for c in free[h]:
+            g, a, j = _reference_slot(x, b, offsets, h, c)
+            cols.append(ctx.class_of(g, {a: ONE}, h, {j: ONE}))
+        comps[h] = RationalMatrix.from_columns(cols, ctx.module.dims[h])
+    phi = ModuleMap(module, ctx.module, comps)
+    assert phi.is_iso()
+    assert validate_module_map(phi) == []
+    return phi, ref
+
+
 def test_tensor_agrees_with_induce():
-    # cross-oracle: tensoring with the regular bimodule is induction
+    # cross-oracle: induction agrees with the reference coend of the regular bimodule
     for s in (diagonal_functor(), t2_semisimple_surjection(), a2_vertex_functor()):
         b = regular_bimodule(s)
         for u in s.source.objects:
             x = yoneda(s.source, u)
-            t_ctx = tensor_bimodule(x, b)
             i_ctx = induce(s, x)
-            assert t_ctx.module.dims == i_ctx.module.dims
-            assert len(hom_modules(t_ctx.module, i_ctx.module)) == len(
+            phi, (ref_module, offsets, proj, _) = _compare_with_reference(x, b, i_ctx)
+            assert ref_module.dims == i_ctx.module.dims
+            assert len(hom_modules(ref_module, i_ctx.module)) == len(
                 hom_modules(i_ctx.module, i_ctx.module)
             )
+            # the reference unit e_a ↦ class of e_a ⊗ id_SU, carried across phi
+            for v in s.source.objects:
+                sv = s.apply_obj(v)
+                cols = []
+                for a in range(x.dims[v]):
+                    big = [Q(0)] * proj[sv].cols
+                    d = b.values[v].dims[sv]
+                    for j, e in enumerate(s.target.identities[sv]):
+                        big[offsets[sv][v] + a * d + j] += e
+                    cols.append(proj[sv].apply(big))
+                want = phi.components[sv] * RationalMatrix.from_columns(cols, ref_module.dims[sv])
+                assert i_ctx.unit.components[v] == want
+
+
+def _glax_counit_kernels(seeds):
+    """(seed, kernel of the counit at g, fac.i) for the localized factorizations
+    of the glax-tail bundles."""
+    from laxepi.corpus import random_instance
+    from laxepi.errors import PreconditionError
+
+    for seed in seeds:
+        b = random_instance(seed)
+        try:
+            fac = canonical_factorization_localized(b.surjective_functor, b.ideals[0])
+        except PreconditionError:
+            continue
+        for g in fac.mid.objects:
+            yield seed, kernel(counit(fac.s, yoneda(fac.mid, g)))[0], fac.i
+
+
+def test_presented_tensor_matches_reference_on_counit_kernels():
+    """Counit kernels tensored with the localized bimodule, as in the conditioned
+    check of glax bundles 0..39, against the full-basis coequalizer."""
+    seen = set()
+    for seed, ker_mod, i_bim in _glax_counit_kernels(range(40)):
+        _compare_with_reference(ker_mod, i_bim)
+        seen.add(seed)
+    assert 11 in seen and len(seen) > 30
+
+
+def test_presented_tensor_matches_reference_on_regular_bimodules():
+    """x ⊗ regular_bimodule(s) = induce(s, x) for every builtin functor and both
+    functors of bundles 0..29: representables, restricted representables, the
+    bundle's modules and the zero module."""
+    from laxepi.corpus import BUILTIN_NAMES, builtin, random_instance
+
+    functors = [(f, ()) for name in BUILTIN_NAMES for f in builtin(name).functors.values()]
+    for seed in range(30):
+        b = random_instance(seed)
+        functors += [(b.functor, b.modules), (b.surjective_functor, b.modules)]
+    count = 0
+    for s, mods in functors:
+        b = regular_bimodule(s)
+        xs = [yoneda(s.source, u) for u in s.source.objects]
+        xs += [restrict(s, yoneda(s.target, v)) for v in s.target.objects]
+        xs += [m for m in mods if m.over == s.source] + [zero_module(s.source)]
+        for x in xs:
+            _compare_with_reference(x, b, induce(s, x))
+            count += 1
+    assert count > 300
+
+
+def test_presented_tensor_map_matches_reference_on_tor1_inclusions():
+    """tensor_map of the syzygy inclusion behind tor1, for the simples of every
+    builtin functor's source and of bundles 0..29, against ⊕ f_G ⊗ id on the
+    reference big spaces, carried across the comparison isomorphisms."""
+    from laxepi.corpus import BUILTIN_NAMES, builtin, random_instance
+    from laxepi.modules import free_cover, map_compose
+    from laxepi.radical import radical_and_simples
+
+    functors = [f for name in BUILTIN_NAMES for f in builtin(name).functors.values()]
+    functors += [random_instance(seed).surjective_functor for seed in range(30)]
+    count = 0
+    for s in functors:
+        b = regular_bimodule(s)
+        for sigma in radical_and_simples(s.source)[1]:
+            cover, _ = free_cover(sigma)
+            syz, incl = kernel(cover)
+            ctx_s, ctx_t = tensor_bimodule(syz, b), tensor_bimodule(cover.source, b)
+            phi_s, (ref_s, off_s, _, free_s) = _compare_with_reference(syz, b, ctx_s)
+            phi_t, (ref_t, off_t, proj_t, _) = _compare_with_reference(cover.source, b, ctx_t)
+            comps = {}
+            for h in b.right_cat.objects:
+                cols = []
+                for c in free_s[h]:
+                    g, a, j = _reference_slot(syz, b, off_s, h, c)
+                    big = [Q(0)] * proj_t[h].cols
+                    d = b.values[g].dims[h]
+                    for bb, v in enumerate(incl.components[g].col(a)):
+                        big[off_t[h][g] + bb * d + j] += v
+                    cols.append(proj_t[h].apply(big))
+                comps[h] = RationalMatrix.from_columns(cols, ref_t.dims[h])
+            ref_map = ModuleMap(ref_s, ref_t, comps)
+            got = tensor_map(incl, b, ctx_s, ctx_t)
+            assert validate_module_map(got) == []
+            assert map_compose(got, phi_s) == map_compose(phi_t, ref_map)
+            count += 1
+    assert count > 50
 
 
 def test_tor1_projective_and_flat():

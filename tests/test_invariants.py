@@ -14,7 +14,7 @@ from laxepi.functors import (
     canonical_factorization_localized,
     identity_functor,
     induce,
-    induce_map,
+    tensor_map,
 )
 from laxepi.modules import (
     coordinates_in_hom_basis,
@@ -93,7 +93,7 @@ def test_abelian_localization_preserves_exactness():
         if not f.is_mono():
             continue
         ctx_s, ctx_t = induce(p, f.source), induce(p, f.target)
-        ind_f = induce_map(p, f, ctx_s, ctx_t)
+        ind_f = tensor_map(f, ctx_t.bimodule, ctx_s, ctx_t)
         ker_mod, _ = kernel(ind_f)
         assert is_torsion(t, ker_mod)
 
