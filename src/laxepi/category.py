@@ -19,15 +19,14 @@ given by their nonzero coordinates, are contracted straight from the cells
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import ONE, ZERO, EchelonBasis, frac, nonzeros, vec, zero_vec
+from .linalg import ONE, ZERO, EchelonBasis, Scalar, frac, nonzeros, vec, zero_vec
 
 Pair = tuple[str, str]
 Triple = tuple[str, str, str]
-Cell = dict[int, Fraction]  # nonzero coordinates of one composite
+Cell = dict[int, Scalar]  # nonzero coordinates of one composite
 Table = Mapping[tuple[int, int], Cell]  # (g index, f index) -> nonzero cell of g∘f
 
 
@@ -37,7 +36,7 @@ class Morphism:
 
     source: str
     target: str
-    coords: tuple[Fraction, ...]
+    coords: tuple[Scalar, ...]
 
     def scale(self, c) -> "Morphism":
         c = frac(c)
@@ -169,13 +168,13 @@ class LinearCategory:
         """The nonzero cells of basis g ∘ basis f, for g: v -> u and f: w -> v."""
         return self.cells.get((w, v, u), {})
 
-    def comp_coords(self, w: str, v: str, u: str, gi: int, fi: int) -> tuple[Fraction, ...]:
+    def comp_coords(self, w: str, v: str, u: str, gi: int, fi: int) -> tuple[Scalar, ...]:
         """Coordinates of basis_g ∘ basis_f in Hom(w, u), dense."""
         cell = self.table(w, v, u).get((gi, fi), {})
         return tuple(cell.get(k, ZERO) for k in range(self.hom_dim(w, u)))
 
     @property
-    def comp(self) -> dict[Triple, tuple[tuple[tuple[Fraction, ...], ...], ...]]:
+    def comp(self) -> dict[Triple, tuple[tuple[tuple[Scalar, ...], ...], ...]]:
         """Dense tables [g][f] -> coordinates of g∘f per stored table, built on access."""
         return {
             (w, v, u): tuple(
@@ -196,7 +195,7 @@ class LinearCategory:
 
 
 def contract(
-    tab: Table, g: Iterable[tuple[int, Fraction]], f: Iterable[tuple[int, Fraction]]
+    tab: Table, g: Iterable[tuple[int, Scalar]], f: Iterable[tuple[int, Scalar]]
 ) -> Cell:
     """The cell of g∘f: Σ a·b·tab[(i, j)] over the (i, a) of g and the (j, b) of f,
     both given as nonzero coordinates; entries that cancel are dropped."""
@@ -204,7 +203,7 @@ def contract(
     return combine((a * b, cell) for i, a in g for j, b in f if (cell := tab.get((i, j))))
 
 
-def combine(terms: Iterable[tuple[Fraction, Cell]]) -> Cell:
+def combine(terms: Iterable[tuple[Scalar, Cell]]) -> Cell:
     """Σ a·cell over the (a, cell) in terms, without zero entries."""
     acc: Cell = {}
     for a, cell in terms:
@@ -215,7 +214,7 @@ def combine(terms: Iterable[tuple[Fraction, Cell]]) -> Cell:
 
 
 def postcompose_cells(
-    c: LinearCategory, w: str, v: str, u: str, g: Mapping[int, Fraction]
+    c: LinearCategory, w: str, v: str, u: str, g: Mapping[int, Scalar]
 ) -> list[Cell]:
     """The cells of g ∘ f_j for each basis morphism f_j: w -> v, in order, for
     g: v -> u given by its nonzero coordinates."""
@@ -224,7 +223,7 @@ def postcompose_cells(
 
 
 def precompose_cells(
-    c: LinearCategory, w: str, v: str, u: str, f: Mapping[int, Fraction]
+    c: LinearCategory, w: str, v: str, u: str, f: Mapping[int, Scalar]
 ) -> list[Cell]:
     """The cells of g_i ∘ f for each basis morphism g_i: v -> u, in order, for
     f: w -> v given by its nonzero coordinates."""
@@ -370,7 +369,7 @@ def from_quiver(
         index[p.key()] = len(lst)
         lst.append(p)
 
-    def path_vector(pair: Pair, combos: Sequence[tuple]) -> list[Fraction]:
+    def path_vector(pair: Pair, combos: Sequence[tuple]) -> list[Scalar]:
         out = [ZERO] * len(by_pair[pair])
         for coeff, arrow_seq in combos:
             key = (pair[0], pair[1], tuple(arrow_seq))
@@ -389,7 +388,7 @@ def from_quiver(
     spans: dict[Pair, EchelonBasis] = {
         pair: EchelonBasis(len(lst)) for pair, lst in by_pair.items()
     }
-    pending: list[tuple[Pair, list[Fraction]]] = []
+    pending: list[tuple[Pair, list[Scalar]]] = []
     for rel in relations:
         combos = list(rel)
         if not combos:

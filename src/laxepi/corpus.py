@@ -11,13 +11,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .category import LinearCategory, Morphism, from_algebra, from_quiver
-from .linalg import RationalMatrix
-
-Q0 = Fraction(0)
-Q1 = Fraction(1)
+from .linalg import ONE as Q1, ZERO as Q0, RationalMatrix
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +468,7 @@ def _random_quiver_category(rng: random.Random, max_objects: int, max_hom_dim: i
 
 def _random_morphism(rng: random.Random, c: LinearCategory, v: str, u: str) -> Morphism:
     d = c.hom_dim(v, u)
-    coords = [Fraction(rng.choice([-1, 0, 0, 1, 1, 2])) for _ in range(d)]
+    coords = [rng.choice([-1, 0, 0, 1, 1, 2]) for _ in range(d)]
     return Morphism(v, u, tuple(coords))
 
 
@@ -566,7 +562,7 @@ def random_module(rng: random.Random, c: LinearCategory, max_dim: int = 3):
             mats = {
                 name: RationalMatrix(
                     [
-                        [Fraction(rng.choice([-1, 0, 0, 1, 2])) for _ in range(dims[au])]
+                        [rng.choice([-1, 0, 0, 1, 2]) for _ in range(dims[au])]
                         for _ in range(dims[av])
                     ],
                     dims[av],

@@ -8,25 +8,22 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Any
 
 from .category import LinearCategory, Morphism
 from .errors import ParseError
 from .functors import LinearFunctor
-from .linalg import RationalMatrix
+from .linalg import ZERO, RationalMatrix, Scalar, frac
 from .modules import Module
 
 
-def rat_to_str(x: Fraction) -> str:
+def rat_to_str(x: Scalar) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def str_to_rat(s, where: str) -> Fraction:
+def str_to_rat(s, where: str) -> Scalar:
     try:
-        if isinstance(s, int):
-            return Fraction(s)
-        return Fraction(str(s))
+        return frac(s if isinstance(s, int) else str(s))
     except (ValueError, ZeroDivisionError) as e:
         raise ParseError(f"{where}: bad rational {s!r} ({e})")
 
@@ -35,7 +32,7 @@ def _vec_out(v) -> list[str]:
     return [rat_to_str(x) for x in v]
 
 
-def _vec_in(v, where: str) -> list[Fraction]:
+def _vec_in(v, where: str) -> list[Scalar]:
     if not isinstance(v, list):
         raise ParseError(f"{where}: expected a list of rationals")
     return [str_to_rat(x, where) for x in v]
@@ -102,7 +99,7 @@ def parse_category(doc, where: str) -> LinearCategory:
                 dg = hom_dims.get((v, u), 0)
                 df = hom_dims.get((w, v), 0)
                 dr = hom_dims.get((w, u), 0)
-                tab = [[[Fraction(0)] * dr for _ in range(df)] for _ in range(dg)]
+                tab = [[[ZERO] * dr for _ in range(df)] for _ in range(dg)]
                 if not isinstance(triples, list):
                     raise ParseError(f"{where}.comp[{w}][{v}][{u}]: need a triple list")
                 for k, trip in enumerate(triples):

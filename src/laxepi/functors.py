@@ -16,14 +16,13 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, product
 from typing import Mapping, Sequence, Union
 
 from .category import LinearCategory, Morphism, combine, contract
 from .errors import InternalInvariantError
-from .linalg import ONE, ZERO, EchelonBasis, RationalMatrix, nonzeros, rref, zero_vec
+from .linalg import ONE, ZERO, EchelonBasis, RationalMatrix, Scalar, nonzeros, rref, zero_vec
 from .modules import (
     Module,
     ModuleMap,
@@ -69,7 +68,7 @@ class LinearFunctor:
             self.hom_maps[(v, u)] = m
 
     @cached_property
-    def columns(self) -> dict[Pair, list[dict[int, Fraction]]]:
+    def columns(self) -> dict[Pair, list[dict[int, Scalar]]]:
         """Column i of each hom matrix, as nonzero coordinates: S(basis i)."""
         return {pair: m.transpose().sp for pair, m in self.hom_maps.items()}
 
@@ -336,7 +335,7 @@ class TensorContext:
     source_module: Module
     generators: list[tuple[str, int]]
     p0: dict[str, list[tuple[int, int]]]
-    preimages: dict[str, list[dict[int, Fraction]]]
+    preimages: dict[str, list[dict[int, Scalar]]]
     offsets: dict[str, list[int]]
     projections: dict[str, RationalMatrix] = field(default_factory=dict)
     free: dict[str, list[int]] = field(default_factory=dict)
@@ -348,15 +347,15 @@ class TensorContext:
         k = bisect_right(self.offsets[h], col) - 1
         return k, col - self.offsets[h][k]
 
-    def preimage(self, g: str, v: Mapping[int, Fraction]) -> dict[int, Fraction]:
+    def preimage(self, g: str, v: Mapping[int, Scalar]) -> dict[int, Scalar]:
         """An element of P0(g) over v in x(g), both as nonzero coordinates."""
         return combine((c, self.preimages[g][a]) for a, c in v.items())
 
-    def lifted(self, g: str, c: Mapping[int, Fraction], h: str) -> list[dict[int, Fraction]]:
+    def lifted(self, g: str, c: Mapping[int, Scalar], h: str) -> list[dict[int, Scalar]]:
         """Column β: the big-space vector Σ_p c_p b(f_p) e_β at h of the element
         c of P0(g) tensored with basis vector β of b(g)(h)."""
         b = self.bimodule
-        cols: list[dict[int, Fraction]] = [{} for _ in range(b.values[g].dims[h])]
+        cols: list[dict[int, Scalar]] = [{} for _ in range(b.values[g].dims[h])]
         for p, cp in c.items():
             k, f = self.p0[g][p]
             off = self.offsets[h][k]
@@ -367,15 +366,15 @@ class TensorContext:
         return [{j: y for j, y in col.items() if y} for col in cols]
 
     def represent(
-        self, g: str, v: Mapping[int, Fraction], h: str, beta: Mapping[int, Fraction]
-    ) -> dict[int, Fraction]:
+        self, g: str, v: Mapping[int, Scalar], h: str, beta: Mapping[int, Scalar]
+    ) -> dict[int, Scalar]:
         """A big-space vector at h of v ⊗ β, for v in x(g) and β in b(g)(h)."""
         cols = self.lifted(g, self.preimage(g, v), h)
         return combine((y, cols[j]) for j, y in beta.items())
 
     def class_of(
-        self, g: str, v: Mapping[int, Fraction], h: str, beta: Mapping[int, Fraction]
-    ) -> tuple[Fraction, ...]:
+        self, g: str, v: Mapping[int, Scalar], h: str, beta: Mapping[int, Scalar]
+    ) -> tuple[Scalar, ...]:
         """Coordinates in module(h) of v ⊗ β."""
         return _descend(self.projections[h], [self.represent(g, v, h, beta)]).col(0)
 
@@ -437,11 +436,11 @@ def tensor_bimodule(x: Module, b: Bimodule) -> TensorContext:
     return ctx
 
 
-def _column(m: RationalMatrix, a: int) -> dict[int, Fraction]:
+def _column(m: RationalMatrix, a: int) -> dict[int, Scalar]:
     return {r: row[a] for r, row in enumerate(m.sp) if a in row}
 
 
-def _generators(x: Module) -> tuple[list[tuple[str, int]], dict[str, list[dict[int, Fraction]]]]:
+def _generators(x: Module) -> tuple[list[tuple[str, int]], dict[str, list[dict[int, Scalar]]]]:
     """Greedy generators of x and, at each G, the images x(f) e_{a_k} in P0(G)'s order.
 
     A basis vector becomes a generator only when it lies outside the
@@ -451,7 +450,7 @@ def _generators(x: Module) -> tuple[list[tuple[str, int]], dict[str, list[dict[i
     c = x.over
     spans = {g: EchelonBasis(x.dims[g]) for g in c.objects}
     gens: list[tuple[str, int]] = []
-    images: dict[str, list[dict[int, Fraction]]] = {g: [] for g in c.objects}
+    images: dict[str, list[dict[int, Scalar]]] = {g: [] for g in c.objects}
     for g in c.objects:
         for a in range(x.dims[g]):
             if spans[g].contains({a: ONE}):
@@ -465,18 +464,18 @@ def _generators(x: Module) -> tuple[list[tuple[str, int]], dict[str, list[dict[i
     return gens, images
 
 
-def _solve_presentation(images: Sequence[Mapping[int, Fraction]], n: int):
+def _solve_presentation(images: Sequence[Mapping[int, Scalar]], n: int):
     """For the map P0(G) -> x(G) with these image columns and n = dim x(G): a
     basis of its kernel and a preimage of each e_a, from one elimination of [M | I]."""
     w = len(images)
-    rows: list[dict[int, Fraction]] = [{w + r: ONE} for r in range(n)]
+    rows: list[dict[int, Scalar]] = [{w + r: ONE} for r in range(n)]
     for p, col in enumerate(images):
         for r, y in col.items():
             rows[r][p] = y
     reduced, pivots = rref(RationalMatrix.from_sparse_rows(rows, w + n))
     if len(pivots) != n or (pivots and pivots[-1] >= w):
         raise InternalInvariantError("generators do not generate the module")
-    pre: list[dict[int, Fraction]] = [{} for _ in range(n)]
+    pre: list[dict[int, Scalar]] = [{} for _ in range(n)]
     pivot_rows = {}
     for row, p in zip(reduced.sp, pivots):
         pivot_rows[p] = {j: y for j, y in row.items() if j < w}
@@ -491,9 +490,9 @@ def _solve_presentation(images: Sequence[Mapping[int, Fraction]], n: int):
     return kernel, pre
 
 
-def _descend(proj: RationalMatrix, cols: Sequence[Mapping[int, Fraction]]) -> RationalMatrix:
+def _descend(proj: RationalMatrix, cols: Sequence[Mapping[int, Scalar]]) -> RationalMatrix:
     """proj * B for the big-space matrix B with these columns, given as nonzero entries."""
-    rows: list[dict[int, Fraction]] = [{} for _ in range(proj.cols)]
+    rows: list[dict[int, Scalar]] = [{} for _ in range(proj.cols)]
     for k, col in enumerate(cols):
         for r, y in col.items():
             rows[r][k] = y
@@ -513,7 +512,7 @@ def tensor_map(
     pre = [ctx_tgt.preimage(g, _column(f.components[g], a)) for g, a in ctx_src.generators]
     comps = {}
     for h in b.right_cat.objects:
-        lifts: dict[int, list[dict[int, Fraction]]] = {}
+        lifts: dict[int, list[dict[int, Scalar]]] = {}
         cols = []
         for col in ctx_src.free[h]:
             k, j = ctx_src.slot(h, col)
@@ -544,14 +543,15 @@ def tensor_yoneda_iso(g_obj: str, b: Bimodule, ctx: TensorContext | None = None)
 # induction: the tensor with the regular bimodule
 # ---------------------------------------------------------------------------
 
-def induce(s: LinearFunctor, x: Module) -> TensorContext:
+def induce(s: LinearFunctor, x: Module, reg: Bimodule | None = None) -> TensorContext:
     """Left Kan extension along s, as x ⊗ regular_bimodule(s).
 
     Its value at T is ⊕_k Hom(T, S G_k) modulo the vectors Σ_k S(κ_k) ∘ h, for
     κ in the kernel K(G) of the cover of x by its generators (G_k, a_k) and
-    h: T -> SG; the context's `unit` is x -> restrict(s, module).
+    h: T -> SG; the context's `unit` is x -> restrict(s, module).  A caller
+    that induces along s more than once passes `reg`, s's regular bimodule.
     """
-    ctx = tensor_bimodule(x, regular_bimodule(s))
+    ctx = tensor_bimodule(x, reg if reg is not None else regular_bimodule(s))
     ctx.functor = s
     return ctx
 
@@ -571,9 +571,9 @@ def counit_from_context(ctx: TensorContext, y: Module) -> ModuleMap:
     return ModuleMap(ctx.module, y, comps)
 
 
-def counit(s: LinearFunctor, y: Module) -> ModuleMap:
-    """The adjunction counit induce(restrict(y)) -> y."""
-    ctx = induce(s, restrict(s, y))
+def counit(s: LinearFunctor, y: Module, reg: Bimodule | None = None) -> ModuleMap:
+    """The adjunction counit induce(restrict(y)) -> y; `reg` as for `induce`."""
+    ctx = induce(s, restrict(s, y), reg)
     eps = counit_from_context(ctx, y)
     if s.is_surjective_on_objects() and not eps.is_epi():
         raise InternalInvariantError("counit must be epi for surjective-on-objects functors")
@@ -600,17 +600,21 @@ def adjunction_check(
         "hom_dim_coinduction": True,
         "failures": [],
     }
+    reg = regular_bimodule(s)
+    induced, coinduced, restricted = [], [], []
 
     for x in source_samples:
-        ind_x = induce(s, x)
+        ind_x = induce(s, x, reg)
         r_ind = restrict(s, ind_x.module)
-        ctx2 = induce(s, r_ind)
+        ctx2 = induce(s, r_ind, reg)
         eps = counit_from_context(ctx2, ind_x.module)
         t1 = map_compose(eps, tensor_map(ind_x.unit, ctx2.bimodule, ind_x, ctx2))
         if flatten_map(t1) != flatten_map(identity_map(ind_x.module)):
             report["triangle_left_adjoint"] = False
             report["failures"].append(("triangle1", x.dims))
         co_x = coinduce(s, x)
+        induced.append(ind_x.module)
+        coinduced.append(co_x.module)
         r_co = restrict(s, co_x.module)
         ctx_rc = coinduce(s, r_co)
         eps2 = coinduce_counit(co_x)
@@ -621,7 +625,8 @@ def adjunction_check(
 
     for y in target_samples:
         ry = restrict(s, y)
-        ind_ry = induce(s, ry)
+        restricted.append(ry)
+        ind_ry = induce(s, ry, reg)
         eps_y = counit_from_context(ind_ry, y)
         t2 = map_compose(restrict_map(s, eps_y, restrict(s, ind_ry.module), ry), ind_ry.unit)
         if flatten_map(t2) != flatten_map(identity_map(ry)):
@@ -635,17 +640,15 @@ def adjunction_check(
             report["triangle_coinduction"] = False
             report["failures"].append(("triangle_coind2", y.dims))
 
-    for x in source_samples:
-        for y in target_samples:
-            ind_x = induce(s, x)
-            lhs = len(hom_modules(ind_x.module, y))
-            rhs = len(hom_modules(x, restrict(s, y)))
+    for x, ind_mod, co_mod in zip(source_samples, induced, coinduced):
+        for y, ry in zip(target_samples, restricted):
+            lhs = len(hom_modules(ind_mod, y))
+            rhs = len(hom_modules(x, ry))
             if lhs != rhs:
                 report["hom_dim_induction"] = False
                 report["failures"].append(("hom_dim_ind", x.dims, y.dims, lhs, rhs))
-            co = coinduce(s, x)
-            lhs2 = len(hom_modules(restrict(s, y), x))
-            rhs2 = len(hom_modules(y, co.module))
+            lhs2 = len(hom_modules(ry, x))
+            rhs2 = len(hom_modules(y, co_mod))
             if lhs2 != rhs2:
                 report["hom_dim_coinduction"] = False
                 report["failures"].append(("hom_dim_coind", x.dims, y.dims, lhs2, rhs2))

@@ -1,9 +1,13 @@
 """Exact linear algebra over the rationals.
 
 Everything downstream (hom spaces, torsion tests, epimorphism verdicts) is a
-yes/no rank or solvability question, so all arithmetic is exact: scalars are
-`fractions.Fraction`, and subspaces carry a canonical reduced row-echelon
-basis so that equality of subspaces is plain equality of entries.
+yes/no rank or solvability question, so all arithmetic is exact, and
+subspaces carry a canonical reduced row-echelon basis so that equality of
+subspaces is plain equality of entries.  A scalar is a Python `int` while it
+is integral and a `fractions.Fraction` otherwise: inputs are converted on the
+way in, and pivot rows are scaled by exact inverses that give ints back.  A
+sum of non-integral Fractions may still leave an integral Fraction; it
+compares and hashes equal to the int.
 
 Storage is sparse, because the systems the module and functor layers build
 are mostly zeros.  A `RationalMatrix` keeps each row as a `{column: value}`
@@ -25,47 +29,47 @@ from typing import Iterable, Mapping, Sequence
 
 QQ = Fraction
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
 
-_FRACTION_ONLY = frozenset({Fraction})
+_INT_ONLY = frozenset({int})
 
-SparseRow = dict[int, Fraction]
+Scalar = int | Fraction
+SparseRow = dict[int, Scalar]
 
 
-def frac(x) -> Fraction:
-    """Coerce ints, strings like '3/4', and Fractions to Fraction."""
-    if isinstance(x, Fraction):
-        return x
+def frac(x) -> Scalar:
+    """Coerce ints, bools, strings like '3/4' and Fractions to a scalar: an int
+    when the value is integral, a Fraction otherwise."""
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     if isinstance(x, str):
-        return Fraction(x)
+        x = Fraction(x)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 
-def vec(entries: Iterable) -> tuple[Fraction, ...]:
+def vec(entries: Iterable) -> tuple[Scalar, ...]:
     t = tuple(entries)
-    # rows that already hold only Fractions (the common case) are kept as they are
-    return t if set(map(type, t)) <= _FRACTION_ONLY else tuple(map(frac, t))
+    # rows that hold only ints (the common case) are kept as they are
+    return t if set(map(type, t)) <= _INT_ONLY else tuple(map(frac, t))
 
 
-def zero_vec(n: int) -> tuple[Fraction, ...]:
+def zero_vec(n: int) -> tuple[Scalar, ...]:
     return (ZERO,) * n
 
 
-def nonzeros(v: Iterable[Fraction]) -> list[tuple[int, Fraction]]:
+def nonzeros(v: Iterable[Scalar]) -> list[tuple[int, Scalar]]:
     """(index, value) of each nonzero entry of v."""
-    # `x is not ZERO` settles most zeros without calling Fraction.__bool__:
-    # the zeros this module and its callers create are the shared ZERO
-    return [(j, x) for j, x in enumerate(v) if x is not ZERO and x]
+    return [(j, x) for j, x in enumerate(v) if x]
 
 
 def _sparse(row: Iterable) -> SparseRow:
     return dict(nonzeros(row))
 
 
-def _dense(row: Mapping[int, Fraction], n: int) -> list[Fraction]:
+def _dense(row: Mapping[int, Scalar], n: int) -> list[Scalar]:
     out = [ZERO] * n
     for j, x in row.items():
         out[j] = x
@@ -73,17 +77,24 @@ def _dense(row: Mapping[int, Fraction], n: int) -> list[Fraction]:
 
 
 def _normalize(row: SparseRow, p: int) -> SparseRow:
-    """row scaled so that its entry at p is ONE."""
+    """row scaled so that its entry at p is the int ONE; a scaled entry that is
+    integral comes out as an int."""
     pv = row[p]
-    if pv == ONE:
+    if pv is ONE:
         return row
-    inv = ONE / pv
-    out = {j: x * inv for j, x in row.items()}
+    if pv == -1:
+        out = {j: -x for j, x in row.items()}
+    else:
+        inv = Fraction(1, pv)  # exact: never an int division
+        out = {}
+        for j, x in row.items():
+            x *= inv
+            out[j] = x.numerator if x.denominator == 1 else x
     out[p] = ONE
     return out
 
 
-def _eliminate(w: SparseRow, p: int, row: Mapping[int, Fraction]) -> None:
+def _eliminate(w: SparseRow, p: int, row: Mapping[int, Scalar]) -> None:
     """w -= w[p] * row in place, for a row whose entry at p is ONE."""
     f = w.pop(p)
     for j, b in row.items():
@@ -118,12 +129,12 @@ def _add_rows(a: SparseRow, b: SparseRow) -> SparseRow:
     return out
 
 
-def _shift(row: Mapping[int, Fraction], by: int) -> SparseRow:
+def _shift(row: Mapping[int, Scalar], by: int) -> SparseRow:
     return {j + by: x for j, x in row.items()}
 
 
 def _reduce_by(
-    w: SparseRow, pivot_rows: Mapping[int, Mapping[int, Fraction]]
+    w: SparseRow, pivot_rows: Mapping[int, Mapping[int, Scalar]]
 ) -> SparseRow:
     """w reduced in place by canonical rows keyed by their pivots."""
     # rows vanish at each other's pivots, so the pivots met are fixed up front
@@ -137,16 +148,17 @@ class DimensionMismatch(ValueError):
 
 
 class RationalMatrix:
-    """Immutable matrix of Fractions kept as sparse rows; supports zero rows/columns.
+    """Immutable matrix of exact scalars kept as sparse rows; supports zero rows/columns.
 
-    `sp` holds one `{column: value}` dict per row, without zero values.
+    `sp` holds one `{column: value}` dict per row, without zero values; a
+    value is an int or, when not integral, a Fraction.
     """
 
     __slots__ = ("rows", "cols", "sp")
 
     def __init__(self, data: Sequence[Sequence], rows: int | None = None, cols: int | None = None):
         rows_t = tuple(map(tuple, data))
-        if not set(map(type, chain.from_iterable(rows_t))) <= _FRACTION_ONLY:
+        if not set(map(type, chain.from_iterable(rows_t))) <= _INT_ONLY:
             rows_t = tuple(tuple(map(frac, r)) for r in rows_t)
         if rows is None:
             rows = len(rows_t)
@@ -154,9 +166,9 @@ class RationalMatrix:
             cols = len(rows_t[0]) if rows_t else 0
         if len(rows_t) != rows or any(map(cols.__ne__, map(len, rows_t))):
             raise DimensionMismatch("ragged or mis-sized matrix data")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "sp", tuple(map(_sparse, rows_t)))
+        _set_rows(self, rows)
+        _set_cols(self, cols)
+        _set_sp(self, tuple(map(_sparse, rows_t)))
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalMatrix is immutable")
@@ -169,20 +181,20 @@ class RationalMatrix:
         and must not be mutated afterwards; nothing is checked or copied.
         """
         m = object.__new__(cls)
-        object.__setattr__(m, "rows", len(sp))
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "sp", tuple(sp))
+        _set_rows(m, len(sp))
+        _set_cols(m, cols)
+        _set_sp(m, tuple(sp))
         return m
 
     @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[Fraction]], rows: int) -> "RationalMatrix":
-        """The rows x len(columns) matrix with the given columns of Fractions."""
+    def from_columns(cls, columns: Sequence[Sequence[Scalar]], rows: int) -> "RationalMatrix":
+        """The rows x len(columns) matrix with the given columns of scalars."""
         sp: list[SparseRow] = [{} for _ in range(rows)]
         for j, col in enumerate(columns):
             if len(col) != rows:
                 raise DimensionMismatch(f"column of length {len(col)} in a matrix of {rows} rows")
             for i, x in enumerate(col):
-                if x is not ZERO and x:
+                if x:
                     sp[i][j] = x
         return cls.from_sparse_rows(sp, len(columns))
 
@@ -194,18 +206,18 @@ class RationalMatrix:
     def identity(cls, n: int) -> "RationalMatrix":
         return cls.from_sparse_rows([{i: ONE} for i in range(n)], n)
 
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
+    def __getitem__(self, ij: tuple[int, int]) -> Scalar:
         i, j = ij
         if not 0 <= j < self.cols:
             raise IndexError("column index out of range")
         return self.sp[i].get(j, ZERO)
 
     @property
-    def data(self) -> tuple[tuple[Fraction, ...], ...]:
+    def data(self) -> tuple[tuple[Scalar, ...], ...]:
         """The dense rows, built on each access."""
         return tuple(tuple(_dense(r, self.cols)) for r in self.sp)
 
-    def col(self, j: int) -> tuple[Fraction, ...]:
+    def col(self, j: int) -> tuple[Scalar, ...]:
         return tuple(r.get(j, ZERO) for r in self.sp)
 
     def __eq__(self, other) -> bool:
@@ -286,7 +298,7 @@ class RationalMatrix:
     def __rmul__(self, other):
         return self.scale(other)
 
-    def apply(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    def apply(self, v: Sequence[Scalar]) -> tuple[Scalar, ...]:
         """Apply to a column vector."""
         if len(v) != self.cols:
             raise DimensionMismatch("vector length mismatch")
@@ -326,6 +338,12 @@ class RationalMatrix:
         return RationalMatrix.from_sparse_rows(out, self.cols * n)
 
 
+# the slots' own setters, which the raising __setattr__ does not reach
+_set_rows, _set_cols, _set_sp = (
+    RationalMatrix.__dict__[a].__set__ for a in RationalMatrix.__slots__
+)
+
+
 def block_diag(blocks: Sequence[RationalMatrix]) -> RationalMatrix:
     out: list[SparseRow] = []
     co = 0
@@ -336,7 +354,7 @@ def block_diag(blocks: Sequence[RationalMatrix]) -> RationalMatrix:
 
 
 def _rref_rows(
-    rows: Sequence[Mapping[int, Fraction] | Sequence[Fraction]], cols: int
+    rows: Sequence[Mapping[int, Scalar] | Sequence[Scalar]], cols: int
 ) -> tuple[list[SparseRow], list[int]]:
     """Gauss-Jordan on the nonzero entries; returns (nonzero reduced rows, pivot columns).
 
@@ -385,7 +403,7 @@ def is_iso(m: RationalMatrix) -> bool:
     return m.rows == m.cols and rank(m) == m.rows
 
 
-def solve(a: RationalMatrix, b: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
+def solve(a: RationalMatrix, b: Sequence[Scalar]) -> tuple[Scalar, ...] | None:
     """One exact solution of a x = b (free variables zeroed), or None if inconsistent."""
     b = vec(b)
     if len(b) != a.rows:
@@ -415,7 +433,7 @@ def solve_matrix(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix | None:
 
 
 def _quotient_maps(
-    n: int, pivot_rows: Mapping[int, Mapping[int, Fraction]]
+    n: int, pivot_rows: Mapping[int, Mapping[int, Scalar]]
 ) -> tuple[RationalMatrix, RationalMatrix]:
     """(P, S) for QQ^n modulo the span of canonical rows keyed by their pivots.
 
@@ -463,7 +481,7 @@ class Subspace:
 
     @classmethod
     def _spanned_by(
-        cls, rows: Sequence[Mapping[int, Fraction] | Sequence[Fraction]], n: int
+        cls, rows: Sequence[Mapping[int, Scalar] | Sequence[Scalar]], n: int
     ) -> "Subspace":
         reduced, pivots = _rref_rows(rows, n)
         return cls._from_rref(n, pivots, reduced)
@@ -490,7 +508,7 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.rows
 
-    def basis_vectors(self) -> list[tuple[Fraction, ...]]:
+    def basis_vectors(self) -> list[tuple[Scalar, ...]]:
         return list(self.basis.data)
 
     def __eq__(self, other) -> bool:
@@ -521,7 +539,7 @@ class Subspace:
             object.__setattr__(self, "_by_pivot", rows)
             return rows
 
-    def _residue(self, v: Sequence[Fraction] | Mapping[int, Fraction]) -> SparseRow:
+    def _residue(self, v: Sequence[Scalar] | Mapping[int, Scalar]) -> SparseRow:
         """The nonzero entries of v after eliminating the pivot coordinates of the basis."""
         if isinstance(v, dict):
             w = {j: x for j, x in v.items() if x}
@@ -529,7 +547,7 @@ class Subspace:
             w = _sparse(vec(v))
         return _reduce_by(w, self._rows_by_pivot())
 
-    def contains(self, v: Sequence[Fraction] | Mapping[int, Fraction]) -> bool:
+    def contains(self, v: Sequence[Scalar] | Mapping[int, Scalar]) -> bool:
         return not self._residue(v)
 
     def contains_subspace(self, other: "Subspace") -> bool:
@@ -538,8 +556,8 @@ class Subspace:
         return all(self.contains(r) for r in other.basis.sp)
 
     def coordinates_of(
-        self, v: Sequence[Fraction] | Mapping[int, Fraction]
-    ) -> tuple[Fraction, ...] | None:
+        self, v: Sequence[Scalar] | Mapping[int, Scalar]
+    ) -> tuple[Scalar, ...] | None:
         """Coefficients of v in the canonical basis rows, or None if v is outside.
 
         v is given dense or as a `{column: value}` dict.  Each basis row is the
@@ -615,11 +633,11 @@ class EchelonBasis:
     def dim(self) -> int:
         return len(self.rows)
 
-    def _reduce(self, v: Sequence[Fraction] | Mapping[int, Fraction]) -> SparseRow:
+    def _reduce(self, v: Sequence[Scalar] | Mapping[int, Scalar]) -> SparseRow:
         w = {j: x for j, x in v.items() if x} if isinstance(v, dict) else _sparse(vec(v))
         return _reduce_by(w, self.rows)
 
-    def insert(self, v: Sequence[Fraction] | Mapping[int, Fraction]) -> bool:
+    def insert(self, v: Sequence[Scalar] | Mapping[int, Scalar]) -> bool:
         """Add v to the span; returns True when the dimension grew."""
         w = self._reduce(v)
         if not w:
@@ -632,7 +650,7 @@ class EchelonBasis:
         self.rows[p] = w
         return True
 
-    def contains(self, v: Sequence[Fraction] | Mapping[int, Fraction]) -> bool:
+    def contains(self, v: Sequence[Scalar] | Mapping[int, Scalar]) -> bool:
         return not self._reduce(v)
 
     def free_columns(self) -> list[int]:

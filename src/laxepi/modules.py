@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from typing import Mapping, Sequence
 
@@ -23,13 +22,13 @@ from .linalg import (
     ZERO,
     EchelonBasis,
     RationalMatrix,
+    Scalar,
     Subspace,
     block_diag,
     image_basis,
     kernel_basis,
     nonzeros,
     solve,
-    solve_matrix,
     vec,
 )
 
@@ -71,7 +70,7 @@ class Module:
         """Matrix of X(m): X(target) -> X(source), by bilinearity."""
         return self.act_coords(m.source, m.target, dict(nonzeros(m.coords)))
 
-    def act_coords(self, v: str, u: str, coords: Mapping[int, Fraction]) -> RationalMatrix:
+    def act_coords(self, v: str, u: str, coords: Mapping[int, Scalar]) -> RationalMatrix:
         """Matrix of X(m) for the morphism m: v -> u with these nonzero coordinates."""
         if len(coords) == 1:
             ((i, c),) = coords.items()
@@ -260,13 +259,13 @@ def yoneda_map(c: LinearCategory, m: Morphism) -> ModuleMap:
 
 
 def yoneda_components(
-    c: LinearCategory, v: str, u: str, g: Mapping[int, Fraction]
+    c: LinearCategory, v: str, u: str, g: Mapping[int, Scalar]
 ) -> dict[str, RationalMatrix]:
     """Postcomposition h ↦ g ∘ h, Hom(w, v) -> Hom(w, u) at every w, for g: v -> u
     given by its nonzero coordinates; column j is the cell of g ∘ (basis j)."""
     out = {}
     for w in c.objects:
-        rows: list[dict[int, Fraction]] = [{} for _ in range(c.hom_dim(w, u))]
+        rows: list[dict[int, Scalar]] = [{} for _ in range(c.hom_dim(w, u))]
         for (i, j), cell in c.table(w, v, u).items():
             if a := g.get(i):
                 for k, x in cell.items():
@@ -304,9 +303,9 @@ def map_scale(c, f: ModuleMap) -> ModuleMap:
     return ModuleMap(f.source, f.target, {u: f.components[u].scale(c) for u in f.components})
 
 
-def flatten_map(f: ModuleMap) -> tuple[Fraction, ...]:
+def flatten_map(f: ModuleMap) -> tuple[Scalar, ...]:
     """All component entries in fixed object order (for rank computations)."""
-    out: list[Fraction] = []
+    out: list[Scalar] = []
     for u in f.source.over.objects:
         for row in f.components[u].data:
             out.extend(row)
@@ -370,13 +369,13 @@ def _offsets(x: Module, y: Module) -> tuple[dict[str, int], int]:
     return offsets, n
 
 
-def _blocks(flat_rows: Sequence[Mapping[int, Fraction]], x: Module, y: Module):
+def _blocks(flat_rows: Sequence[Mapping[int, Scalar]], x: Module, y: Module):
     """Each flattened map x -> y as {object: {row index: {column: value}}}, nonzeros only."""
     objs = x.over.objects
     offsets, _ = _offsets(x, y)
     starts = [offsets[u] for u in objs]
     for flat in flat_rows:
-        blocks: dict[str, dict[int, dict[int, Fraction]]] = {}
+        blocks: dict[str, dict[int, dict[int, Scalar]]] = {}
         for j, val in flat.items():
             k = bisect_right(starts, j) - 1
             r, cc = divmod(j - starts[k], x.dims[objs[k]])
@@ -392,7 +391,7 @@ def hom_modules(x: Module, y: Module) -> HomBasis:
     offsets, n = _offsets(x, y)
     if n == 0:
         return HomBasis([], Subspace.zero(0), x, y)
-    rows: list[dict[int, Fraction]] = []
+    rows: list[dict[int, Scalar]] = []
     for v, u in c.hom_pairs():
         base_u, base_v = offsets[u], offsets[v]
         du, dv = x.dims[u], x.dims[v]
@@ -425,9 +424,9 @@ def hom_modules(x: Module, y: Module) -> HomBasis:
     return HomBasis(out, space, x, y)
 
 
-def _flatten_sparse(f: ModuleMap) -> dict[int, Fraction]:
+def _flatten_sparse(f: ModuleMap) -> dict[int, Scalar]:
     """The nonzero entries of `flatten_map(f)`, by position."""
-    out: dict[int, Fraction] = {}
+    out: dict[int, Scalar] = {}
     base = 0
     for u in f.source.over.objects:
         m = f.components[u]
@@ -439,7 +438,7 @@ def _flatten_sparse(f: ModuleMap) -> dict[int, Fraction]:
     return out
 
 
-def coordinates_in_hom_basis(f: ModuleMap, basis: HomBasis) -> tuple[Fraction, ...] | None:
+def coordinates_in_hom_basis(f: ModuleMap, basis: HomBasis) -> tuple[Scalar, ...] | None:
     """Coefficients of f in a basis returned by `hom_modules`, or None if f is outside its span.
 
     The basis is the canonical basis of `basis.space`, so the coefficients
@@ -448,9 +447,9 @@ def coordinates_in_hom_basis(f: ModuleMap, basis: HomBasis) -> tuple[Fraction, .
     return basis.space.coordinates_of(_flatten_sparse(f))
 
 
-def _scatter(terms) -> dict[int, dict[int, Fraction]]:
+def _scatter(terms) -> dict[int, dict[int, Scalar]]:
     """Σ a·row into row i over the (i, a, row) terms; entries that cancel stay as zeros."""
-    out: dict[int, dict[int, Fraction]] = {}
+    out: dict[int, dict[int, Scalar]] = {}
     for i, a, row in terms:
         acc = out.setdefault(i, {})
         for j, b in row.items():
@@ -470,7 +469,7 @@ def _composites(src: HomBasis, pre: ModuleMap | None, post: ModuleMap | None):
     post_cols = {u: m.transpose().sp for u, m in post.components.items()} if post else None
     offsets, _ = _offsets(x2, y2)
     for blocks in _blocks(src.space.basis.sp, x, y):
-        out: dict[int, Fraction] = {}
+        out: dict[int, Scalar] = {}
         for u, rows in blocks.items():
             if pre is not None:
                 m = pre.components[u].sp
@@ -523,7 +522,7 @@ def evaluation_matrix(
     Each α_a is written as a flattened row straight from the rows of acts.
     """
     offsets, _ = _offsets(basis.source, basis.target)
-    rows: list[dict[int, Fraction]] = [{} for _ in range(n)]
+    rows: list[dict[int, Scalar]] = [{} for _ in range(n)]
     for w, ms in acts.items():
         base, width = offsets[w], basis.source.dims[w]
         for k, m in enumerate(ms):
@@ -565,15 +564,22 @@ def kernel(f: ModuleMap) -> tuple[Module, ModuleMap]:
 
 
 def _module_from_subspaces(x: Module, bases: Mapping[str, Subspace]) -> tuple[Module, ModuleMap]:
+    """The submodule on the canonical bases and its inclusion.
+
+    A basis row is the only one nonzero at its pivot, where it is ONE, so the
+    coordinates of an image are its rows at the target's pivots; they are
+    right exactly when they rebuild the image.
+    """
     c = x.over
     dims = {u: bases[u].dim for u in c.objects}
     incl = {u: bases[u].basis.transpose() for u in c.objects}
+    pivots = {u: [min(r) for r in bases[u].basis.sp] for u in c.objects}
     action = {}
     for v, u in c.hom_pairs():
         for i in range(c.hom_dim(v, u)):
             img = x.action[(v, u, i)] * incl[u]
-            coords = solve_matrix(incl[v], img)
-            if coords is None:
+            coords = RationalMatrix.from_sparse_rows([img.sp[p] for p in pivots[v]], dims[u])
+            if incl[v] * coords != img:
                 raise ValueError("subspaces are not action-stable")
             action[(v, u, i)] = coords
     sub = Module(c, dims, action)

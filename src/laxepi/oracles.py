@@ -15,12 +15,11 @@ induction/localization machinery it cross-checks:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 
 from .category import LinearCategory, Morphism, combine, compose
 from .category import postcompose_cells, precompose_cells
-from .linalg import ONE, ZERO, EchelonBasis, image_basis, solve_matrix
+from .linalg import ONE, ZERO, EchelonBasis, Scalar, image_basis, solve_matrix
 from .modules import (
     Module,
     cyclic_submodule,
@@ -136,7 +135,7 @@ def multiplication_map_iso(s) -> tuple[bool, dict]:
                     g_su = precompose_cells(tgt, sv, su, h, su_mor)  # g_i ∘ S(u_k): SV -> h
                     su_f = postcompose_cells(tgt, hp, sv, su, su_mor)  # S(u_k) ∘ f_j: hp -> SU
                     for i, j in product(range(d1u), range(d2v)):
-                        row: dict[int, Fraction] = {}
+                        row: dict[int, Scalar] = {}
                         for ii, cc in g_su[i].items():
                             row[pos(slot_v, ii, j)] = cc
                         for jj, cc in su_f[j].items():

@@ -21,6 +21,7 @@ from .linalg import (
     ZERO,
     EchelonBasis,
     RationalMatrix,
+    Scalar,
     Subspace,
     block_diag,
     kernel_basis,
@@ -84,7 +85,7 @@ def radical_submodule(x: Module, rad: dict[tuple[str, str], Subspace]) -> Submod
     return Submodule(x, spaces)
 
 
-def _min_poly(f: ModuleMap) -> list[Fraction]:
+def _min_poly(f: ModuleMap) -> list[Scalar]:
     """Monic minimal polynomial coefficients [c0, ..., c_{k-1}, 1] of f."""
     d = block_diag([f.components[u] for u in f.source.over.objects])
     n = d.rows
@@ -92,7 +93,7 @@ def _min_poly(f: ModuleMap) -> list[Fraction]:
         return [ONE]
     powers = [RationalMatrix.identity(n)]
     flat = lambda m: [e for row in m.data for e in row]
-    eb_rows: list[list[Fraction]] = []
+    eb_rows: list[list[Scalar]] = []
     while True:
         cand = flat(powers[-1])
         # dependence test: solve for cand in span of previous powers
@@ -105,7 +106,7 @@ def _min_poly(f: ModuleMap) -> list[Fraction]:
         powers.append(powers[-1] * d)
 
 
-def _poly_of_map(coeffs: Sequence[Fraction], f: ModuleMap) -> ModuleMap:
+def _poly_of_map(coeffs: Sequence[Scalar], f: ModuleMap) -> ModuleMap:
     out = zero_map(f.source, f.source)
     power = identity_map(f.source)
     for i, c in enumerate(coeffs):

@@ -17,12 +17,11 @@ between closed modules.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 from .category import LinearCategory, Morphism, contract, postcompose_cells, precompose_cells
 from .errors import IdealNotIdempotent, InternalInvariantError
-from .linalg import ONE, EchelonBasis, RationalMatrix, Subspace, kernel_basis, nonzeros
+from .linalg import ONE, EchelonBasis, RationalMatrix, Scalar, Subspace, kernel_basis, nonzeros
 from .modules import (
     Module,
     ModuleMap,
@@ -182,7 +181,7 @@ def torsion_submodule(t: TorsionData, x: Module) -> Submodule:
     c = t.cat
     spaces = {}
     for u in c.objects:
-        rows: list[dict[int, Fraction]] = []
+        rows: list[dict[int, Scalar]] = []
         for v in c.objects:
             for a in t.ideal[(v, u)].basis.sp:
                 rows.extend(x.act_coords(v, u, a).sp)

@@ -10,6 +10,7 @@ from laxepi.linalg import (
     RationalMatrix,
     Subspace,
     block_diag,
+    frac,
     is_iso,
     kernel_basis,
     rank,
@@ -17,6 +18,7 @@ from laxepi.linalg import (
     rref,
     solve,
     solve_matrix,
+    vec,
 )
 
 Q = Fraction
@@ -290,3 +292,80 @@ def test_sparse_storage_is_canonical(data):
     ]
     for m in results:
         assert_canonical(m)
+
+
+def assert_scalar_form(m, pivots=None):
+    """Every entry of m is an int or a Fraction, never a float or a bool; the
+    rows with the given pivots are exactly the int 1 there; and m equals, with
+    an equal hash, both its rebuild from `.data` and the same rows as Fractions."""
+    values = [x for row in m.sp for x in row.values()]
+    assert all(type(x) in (int, Fraction) for x in values), values
+    for row, p in zip(m.sp, pivots or ()):
+        assert type(row[p]) is int and row[p] == 1
+    as_fractions = RationalMatrix.from_sparse_rows(
+        [{j: Fraction(x) for j, x in row.items()} for row in m.sp], m.cols
+    )
+    rebuilt = RationalMatrix([[Fraction(x) for x in row] for row in m.data], m.rows, m.cols)
+    for other in (as_fractions, rebuilt):
+        assert m == other and hash(m) == hash(other)
+
+
+def test_frac_keeps_integral_values_as_ints():
+    for x in (2, Fraction(4, 2), "2/1", "2"):
+        assert type(frac(x)) is int and frac(x) == 2
+    assert type(frac(True)) is int and frac(True) == 1
+    assert type(frac("3/4")) is Fraction and frac("3/4") == Fraction(3, 4)
+    assert [type(x) for x in vec([Fraction(3), True, "-1/2"])] == [int, int, Fraction]
+    m = RationalMatrix([[Fraction(6, 3), Fraction(1, 2)], [False, "4/2"]])
+    assert [[type(x) for x in row] for row in m.data] == [[int, Fraction], [int, int]]
+
+
+def test_pivots_of_negative_rows_are_int_one():
+    """Pivots of -1 and of -1 as a Fraction are scaled to the int 1."""
+    for m in (
+        -RationalMatrix.identity(3),
+        M([[-1, 2, 0], [0, Q(-1), Q(1, 2)], [2, 0, -1]]),
+        M([[0, -1, 3], [0, 2, -6]]),
+        M([[-2, 1, 1], [Q(1, 2), 0, -1]]),
+    ):
+        red, pivots = rref(m)
+        assert_scalar_form(red, pivots)
+        ker = kernel_basis(m).basis
+        assert_scalar_form(ker, [min(r) for r in ker.sp])
+        assert_scalar_form(Subspace.from_vectors(m.data, m.cols).basis, pivots)
+        eb = EchelonBasis(m.cols)
+        for r in m.sp:
+            eb.insert(r)
+        assert_scalar_form(RationalMatrix.from_sparse_rows([eb.rows[p] for p in pivots], m.cols), pivots)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_scalar_form_of_results(data):
+    a = data.draw(sparse_matrices(max_dim=8))
+    b = data.draw(sparse_matrices(rows=a.rows, cols=a.cols))
+    c = data.draw(sparse_matrices(rows=a.cols, max_dim=8))
+    s = data.draw(entries)
+    assert_scalar_form(a)
+    red, pivots = rref(a)
+    sol = solve_matrix(a, a * c)
+    ker = kernel_basis(a)
+    span = Subspace.from_vectors(a.data, a.cols)
+    eb = EchelonBasis(a.cols)
+    for r in a.data:
+        eb.insert(r)
+    eb_pivots = sorted(eb.rows)
+    results = [
+        (a + b, None), (a - b, None), (-a, None), (a.scale(s), None), (a * c, None),
+        (a.transpose(), None), (red, pivots), (sol, None),
+        (ker.basis, [min(r) for r in ker.basis.sp]),
+        (span.basis, pivots),
+        (RationalMatrix.from_sparse_rows([eb.rows[p] for p in eb_pivots], a.cols), eb_pivots),
+    ]
+    for m, ps in results:
+        assert_scalar_form(m, ps)
+    for v in (b.transpose() * a).data[:3] + a.data[:3]:
+        coords = span.coordinates_of(v)
+        assert coords is not None
+        assert all(type(x) in (int, Fraction) for x in coords)
+        assert RationalMatrix([coords]) * span.basis == RationalMatrix([v])

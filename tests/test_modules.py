@@ -545,3 +545,102 @@ def test_hom_diagram_module_matches_per_element():
                 assert h.action[(gp, g, i)] == _per_element_matrix(bases[g], bases[gp], pre=act)
                 checked += 1
     assert checked
+
+
+def _reference_module_from_subspaces(x, bases):
+    """The submodule on the given bases by one solve per action entry: the
+    route that reads no pivots, kept as the reference."""
+    from laxepi.linalg import solve_matrix
+
+    c = x.over
+    incl = {u: bases[u].basis.transpose() for u in c.objects}
+    action = {}
+    for v, u in c.hom_pairs():
+        for i in range(c.hom_dim(v, u)):
+            coords = solve_matrix(incl[v], x.action[(v, u, i)] * incl[u])
+            if coords is None:
+                raise ValueError("subspaces are not action-stable")
+            action[(v, u, i)] = coords
+    sub = Module(c, {u: bases[u].dim for u in c.objects}, action)
+    return sub, ModuleMap(sub, x, incl)
+
+
+def _submodule_cases():
+    """(module, bases, route) for the kernels of the counits on the target
+    representables of both functors of bundles 0..29 and of their localized
+    factorizations, their J_U submodules, and those of A_3..A_6 at every vertex,
+    each also as the kernel of its quotient map."""
+    from laxepi.corpus import random_instance
+    from laxepi.errors import PreconditionError
+    from laxepi.functors import canonical_factorization_localized, counit
+    from laxepi.linalg import kernel_basis
+    from laxepi.torsion import ideal_closure
+
+    def as_kernel(f):
+        return f.source, {u: kernel_basis(f.components[u]) for u in f.source.over.objects}, lambda: kernel(f)
+
+    def as_sub(s):
+        return s.of, s.spaces, lambda: sub_to_module(s)
+
+    cases, ideals = [], []
+    for seed in range(30):
+        b = random_instance(seed)
+        functors = [b.functor, b.surjective_functor]
+        try:
+            functors.append(canonical_factorization_localized(b.surjective_functor, b.ideals[0]).s)
+        except PreconditionError:
+            pass
+        for s in functors:
+            cases += [as_kernel(counit(s, yoneda(s.target, g))) for g in s.target.objects]
+        ideals += b.ideals
+    for n in (3, 4, 5, 6):
+        c = _a_n(n)
+        ideals += [ideal_closure(c, [c.identity(u)]) for u in c.objects]
+    for t in ideals:
+        for u in t.cat.objects:
+            j = t.j_submodule(u)
+            cases += [as_sub(j), as_kernel(quotient_by(j)[1])]
+    return cases
+
+
+def test_submodule_action_matches_solve_reference():
+    """Reading the coordinates at the pivots gives the solved submodule on the
+    counit kernels and J_U modules of bundles 0..29 and A_3..A_6."""
+    cases = _submodule_cases()
+    assert len(cases) > 500
+    for x, bases, route in cases:
+        sub, incl = route()
+        want, want_incl = _reference_module_from_subspaces(x, bases)
+        assert sub.dims == want.dims and sub.action == want.action
+        assert incl.components == want_incl.components
+        assert validate_module(sub) == [] and validate_module_map(incl) == []
+
+
+def test_unstable_subspaces_raise():
+    """Random subspaces of the same modules are submodules exactly when the
+    solved reference says so; the others raise ValueError."""
+    import random
+
+    from laxepi.modules import _module_from_subspaces
+
+    rng = random.Random(5)
+    raised = agreed = 0
+    for x, _, _ in _submodule_cases()[::7]:
+        for _ in range(3):
+            bases = {
+                u: Subspace.from_vectors(
+                    [[rng.choice([-1, 0, 0, 1, 2]) for _ in range(d)] for _ in range(rng.randint(0, 2))],
+                    d,
+                )
+                for u, d in x.dims.items()
+            }
+            try:
+                want = _reference_module_from_subspaces(x, bases)[0]
+            except ValueError:
+                with pytest.raises(ValueError, match="not action-stable"):
+                    _module_from_subspaces(x, bases)
+                raised += 1
+                continue
+            assert _module_from_subspaces(x, bases)[0].action == want.action
+            agreed += 1
+    assert raised > 20 and agreed > 20
