@@ -82,7 +82,7 @@ from .modules import (
     trace_span,
     yoneda,
 )
-from .radical import radical_and_simples
+from .radical import tops
 from .torsion import (
     ClosedModule,
     TorsionData,

@@ -345,9 +345,9 @@ def run_expectation(bundle: InstanceBundle, exp: Expectation) -> tuple[bool, obj
     """Evaluate one expectation; returns (matches, actual)."""
     from . import decide
     from .errors import PreconditionError
-    from .modules import ext1, is_projective, quotient_by, yoneda
+    from .modules import ext1, is_projective, yoneda
     from .oracles import CornerContext
-    from .radical import radical_submodule, radical_subspaces
+    from .radical import tops
     from .torsion import ideal_closure, quotient_hom
 
     kind, args = exp.kind, exp.args
@@ -407,10 +407,8 @@ def run_expectation(bundle: InstanceBundle, exp: Expectation) -> tuple[bool, obj
         got, _ = is_projective(bundle.modules[args["module"]])
     elif kind == "ext1-simples":
         c = bundle.categories["A2"]
-        rad = radical_subspaces(c)
-        s1, _ = quotient_by(radical_submodule(yoneda(c, "1"), rad))
-        s2, _ = quotient_by(radical_submodule(yoneda(c, "2"), rad))
-        got = ext1(s2, s1)
+        top = tops(c)
+        got = ext1(top["2"], top["1"])
     else:
         raise KeyError(f"unknown expectation kind {kind}")
     return got == exp.want, got

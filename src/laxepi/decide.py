@@ -31,7 +31,6 @@ from .functors import (
     counit,
     induce,
     regular_bimodule,
-    restrict,
     tensor_bimodule,
     tensor_map,
 )
@@ -40,7 +39,6 @@ from .modules import (
     Module,
     ModuleMap,
     Submodule,
-    cokernel,
     hom_diagram_module,
     hom_matrix,
     identity_map,
@@ -58,8 +56,8 @@ from .modules import (
     yoneda,
     zero_submodule,
 )
-from .oracles import multiplication_map_iso, restriction_hom_bijective
-from .radical import radical_and_simples
+from .oracles import multiplication_map_iso
+from .radical import tops
 from .torsion import (
     TorsionData,
     is_closed,
@@ -102,26 +100,6 @@ def fully_faithful_restriction(t: LinearFunctor) -> DecisionReport:
     return DecisionReport(
         "fully-faithful-restriction", not witnesses, {"witnesses": witnesses}
     )
-
-
-def ffr_oracle_agrees(t: LinearFunctor) -> bool:
-    """Hom-restriction bijectivity sampling, with constructed witnesses on failure."""
-    report = fully_faithful_restriction(t)
-    all_ok = True
-    any_witness = False
-    for v in t.target.objects:
-        yv = yoneda(t.target, v)
-        ctx = induce(t, restrict(t, yv))
-        from .functors import counit_from_context
-
-        eps = counit_from_context(ctx, yv)
-        coker_mod, _ = cokernel(eps)
-        pairs = [(yv, ctx.module), (yv, coker_mod), (yv, yv)]
-        for x, y in pairs:
-            if not restriction_hom_bijective(t, x, y):
-                all_ok = False
-                any_witness = True
-    return report.verdict == all_ok if report.verdict else any_witness
 
 
 def is_epi(s: LinearFunctor) -> DecisionReport:
@@ -209,14 +187,18 @@ def _hom_from_object_module(t: LinearFunctor, op: LinearCategory, v: str) -> Mod
 
 
 def is_flat_quotient(p: LinearFunctor, t_prime: TorsionData) -> DecisionReport:
-    """Ulmer flatness into the quotient: Tor_1(σ, B) is torsion for all simples σ."""
+    """Ulmer flatness into the quotient: Tor_1(σ, B) is torsion for all simples σ.
+
+    Tor_1(-, B) commutes with finite direct sums, a hereditary torsion class is
+    closed under sums and summands, and every simple is a summand of a top, so
+    testing the top at every object decides it.
+    """
     b = regular_bimodule(p)
-    _, simples = radical_and_simples(p.source)
     failures = []
-    for k, sigma in enumerate(simples):
-        tor = tor1(sigma, b)
+    for u, top in tops(p.source).items():
+        tor = tor1(top, b)
         if not is_torsion(t_prime, tor):
-            failures.append({"simple_index": k, "tor_dims": dict(tor.dims)})
+            failures.append({"object": u, "tor_dims": dict(tor.dims)})
     return DecisionReport("flat-quotient", not failures, {"failures": failures})
 
 
@@ -260,30 +242,6 @@ def is_conditioned_epi(s: LinearFunctor, t: TorsionData) -> DecisionReport:
         if not is_torsion(t, ker_mod):
             witnesses[g] = {"kernel_dims": dict(ker_mod.dims)}
     return DecisionReport("cond-epi", not witnesses, {"witnesses": witnesses})
-
-
-def conditioned_epi_fullness_oracle(
-    s: LinearFunctor, t: TorsionData, family: Sequence[Module] | None = None
-) -> bool:
-    """Brute-force fullness of restriction on localized pairs from a bounded family."""
-    from .oracles import bounded_quotient_family, restriction_hom_full
-
-    if family is None:
-        family = bounded_quotient_family(s.target)
-    localized = []
-    seen = set()
-    for m in family:
-        cm, _ = localize(t, m)
-        key = tuple(sorted(cm.module.dims.items()))
-        if (key, cm.module.total_dim()) in seen and cm.module.total_dim() == 0:
-            continue
-        seen.add((key, cm.module.total_dim()))
-        localized.append(cm.module)
-    for x in localized:
-        for y in localized:
-            if not restriction_hom_full(s, x, y):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -346,29 +304,6 @@ def is_generalized_lax_epi(p: LinearFunctor, t_prime: TorsionData) -> DecisionRe
             "conditioned_failures": cond_fail,
         },
     )
-
-
-def glax_falsification_oracle(
-    p: LinearFunctor, t_prime: TorsionData, extra_modules: Sequence[Module] = ()
-) -> bool:
-    """If the decision is true, no sampled pair of localized target modules may
-    exhibit non-bijectivity of the total restriction hom map."""
-    from .oracles import bounded_quotient_family
-
-    verdict = is_generalized_lax_epi(p, t_prime).verdict
-    family = list(bounded_quotient_family(t_prime.cat, cap=6)) + list(extra_modules)
-    closed = []
-    for m in family:
-        cm, _ = localize(t_prime, m)
-        closed.append(cm.module)
-    ok = True
-    for x in closed:
-        for y in closed:
-            if not restriction_hom_bijective(p, x, y):
-                ok = False
-    if verdict and not ok:
-        return False
-    return True
 
 
 def is_abelian_localization(p: LinearFunctor, t_prime: TorsionData) -> DecisionReport:

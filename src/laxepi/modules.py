@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Mapping, Sequence
 
-from .category import LinearCategory, Morphism
+from .category import LinearCategory, Morphism, combine
 from .errors import InternalInvariantError
 from .linalg import (
     ONE,
@@ -567,21 +567,25 @@ def _module_from_subspaces(x: Module, bases: Mapping[str, Subspace]) -> tuple[Mo
     """The submodule on the canonical bases and its inclusion.
 
     A basis row is the only one nonzero at its pivot, where it is ONE, so the
-    coordinates of an image are its rows at the target's pivots; they are
-    right exactly when they rebuild the image.
+    coordinates of an image are its rows at the target's pivots. The image
+    lies in the subspace exactly when its row at every other coordinate j is
+    the combination of those rows by the basis entries at j: the residue that
+    `Subspace.contains` tests, for all columns at once.
     """
     c = x.over
     dims = {u: bases[u].dim for u in c.objects}
     incl = {u: bases[u].basis.transpose() for u in c.objects}
     pivots = {u: [min(r) for r in bases[u].basis.sp] for u in c.objects}
+    free = {u: sorted(set(range(x.dims[u])) - set(pivots[u])) for u in c.objects}
     action = {}
     for v, u in c.hom_pairs():
         for i in range(c.hom_dim(v, u)):
             img = x.action[(v, u, i)] * incl[u]
-            coords = RationalMatrix.from_sparse_rows([img.sp[p] for p in pivots[v]], dims[u])
-            if incl[v] * coords != img:
-                raise ValueError("subspaces are not action-stable")
-            action[(v, u, i)] = coords
+            rows = [img.sp[p] for p in pivots[v]]
+            for j in free[v]:
+                if combine((a, rows[k]) for k, a in incl[v].sp[j].items()) != img.sp[j]:
+                    raise ValueError("subspaces are not action-stable")
+            action[(v, u, i)] = RationalMatrix.from_sparse_rows(rows, dims[u])
     sub = Module(c, dims, action)
     return sub, ModuleMap(sub, x, incl)
 

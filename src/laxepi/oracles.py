@@ -10,24 +10,33 @@ induction/localization machinery it cross-checks:
   computation of the middle tensor product in each hom component;
 * restriction-hom bijectivity/fullness checked as one rank computation;
 * a bounded, deterministic family of quotients of representables used as an
-  enumeration corpus.
+  enumeration corpus;
+* test-only cross-checks of the deciders, which unlike the oracles above
+  build their samples with the induction and localization under test, then
+  compare restriction-hom ranks.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from typing import TYPE_CHECKING, Sequence
 
 from .category import LinearCategory, Morphism, combine, compose
 from .category import postcompose_cells, precompose_cells
 from .linalg import ONE, ZERO, EchelonBasis, Scalar, image_basis, solve_matrix
 from .modules import (
     Module,
+    cokernel,
     cyclic_submodule,
     hom_modules,
     quotient_by,
     submodule_sum,
     yoneda,
 )
+
+if TYPE_CHECKING:
+    from .functors import LinearFunctor
+    from .torsion import TorsionData
 
 
 # ---------------------------------------------------------------------------
@@ -220,3 +229,76 @@ def bounded_quotient_family(c: LinearCategory, cap: int = 12) -> list[Module]:
                 q, _ = quotient_by(submodule_sum(gens[a], gens[b]))
                 push(q)
     return out
+
+
+# ---------------------------------------------------------------------------
+# cross-checks of the deciders
+# ---------------------------------------------------------------------------
+
+def ffr_oracle_agrees(t: LinearFunctor) -> bool:
+    """Hom-restriction bijectivity sampling, with constructed witnesses on failure."""
+    from .decide import fully_faithful_restriction
+    from .functors import counit_from_context, induce, restrict
+
+    report = fully_faithful_restriction(t)
+    all_ok = True
+    any_witness = False
+    for v in t.target.objects:
+        yv = yoneda(t.target, v)
+        ctx = induce(t, restrict(t, yv))
+        eps = counit_from_context(ctx, yv)
+        coker_mod, _ = cokernel(eps)
+        pairs = [(yv, ctx.module), (yv, coker_mod), (yv, yv)]
+        for x, y in pairs:
+            if not restriction_hom_bijective(t, x, y):
+                all_ok = False
+                any_witness = True
+    return report.verdict == all_ok if report.verdict else any_witness
+
+
+def conditioned_epi_fullness_oracle(
+    s: LinearFunctor, t: TorsionData, family: Sequence[Module] | None = None
+) -> bool:
+    """Brute-force fullness of restriction on localized pairs from a bounded family."""
+    from .torsion import localize
+
+    if family is None:
+        family = bounded_quotient_family(s.target)
+    localized = []
+    seen = set()
+    for m in family:
+        cm, _ = localize(t, m)
+        key = tuple(sorted(cm.module.dims.items()))
+        if (key, cm.module.total_dim()) in seen and cm.module.total_dim() == 0:
+            continue
+        seen.add((key, cm.module.total_dim()))
+        localized.append(cm.module)
+    for x in localized:
+        for y in localized:
+            if not restriction_hom_full(s, x, y):
+                return False
+    return True
+
+
+def glax_falsification_oracle(
+    p: LinearFunctor, t_prime: TorsionData, extra_modules: Sequence[Module] = ()
+) -> bool:
+    """If the decision is true, no sampled pair of localized target modules may
+    exhibit non-bijectivity of the total restriction hom map."""
+    from .decide import is_generalized_lax_epi
+    from .torsion import localize
+
+    verdict = is_generalized_lax_epi(p, t_prime).verdict
+    family = list(bounded_quotient_family(t_prime.cat, cap=6)) + list(extra_modules)
+    closed = []
+    for m in family:
+        cm, _ = localize(t_prime, m)
+        closed.append(cm.module)
+    ok = True
+    for x in closed:
+        for y in closed:
+            if not restriction_hom_bijective(p, x, y):
+                ok = False
+    if verdict and not ok:
+        return False
+    return True

@@ -30,7 +30,12 @@ from laxepi.modules import (
     yoneda,
     zero_module,
 )
-from laxepi.oracles import CornerContext, bounded_quotient_family, multiplication_map_iso
+from laxepi.oracles import (
+    CornerContext,
+    bounded_quotient_family,
+    conditioned_epi_fullness_oracle,
+    multiplication_map_iso,
+)
 from laxepi.torsion import (
     is_closed,
     is_torsion,
@@ -131,7 +136,7 @@ def test_criterion_03_cond_epi_vs_fullness_oracle():
     disagreements = []
     for label, f, t in pairs:
         verdict = decide.is_conditioned_epi(f, t).verdict
-        oracle = decide.conditioned_epi_fullness_oracle(f, t)
+        oracle = conditioned_epi_fullness_oracle(f, t)
         if verdict != oracle:
             disagreements.append(label)
     ok = not disagreements and len(pairs) >= 5

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import laxepi
 from laxepi.category import validate_category
 from laxepi.corpus import (
     BUILTIN_NAMES,
@@ -16,6 +22,30 @@ def test_builtin_expected_tables(name):
     rows = run_builtin_table(name)
     bad = [r for r in rows if not r[1]]
     assert not bad, f"expectation mismatches: {bad}"
+
+
+def test_builtin_tables_pass_without_sympy():
+    """laxepi has no runtime dependency: with sympy made unimportable, the
+    package imports and every builtin expectation table still passes."""
+    code = (
+        "import sys\n"
+        "sys.modules['sympy'] = None\n"
+        "import laxepi\n"
+        "from laxepi.corpus import BUILTIN_NAMES, run_builtin_table\n"
+        "rows = [r for name in BUILTIN_NAMES for r in run_builtin_table(name)]\n"
+        "bad = [r for r in rows if not r[1]]\n"
+        "assert len(rows) >= 34 and not bad, bad\n"
+    )
+    src = str(Path(laxepi.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)

@@ -18,8 +18,6 @@ from laxepi.decide import (
     check_kernel_description,
     condition_F,
     condition_G,
-    conditioned_epi_fullness_oracle,
-    ffr_oracle_agrees,
     fully_faithful_restriction,
     induced_filter_membership,
     is_abelian_localization,
@@ -31,7 +29,6 @@ from laxepi.decide import (
     is_generalized_closed_functor,
     is_generalized_lax_epi,
     is_lax_epi,
-    glax_falsification_oracle,
     ulmer_certificate_check,
     _hom_from_object_module,
 )
@@ -50,6 +47,11 @@ from laxepi.modules import (
     zero_module,
 )
 from laxepi.linalg import Subspace
+from laxepi.oracles import (
+    conditioned_epi_fullness_oracle,
+    ffr_oracle_agrees,
+    glax_falsification_oracle,
+)
 from laxepi.torsion import ideal_closure, whole_ideal
 
 Q = Fraction
@@ -270,6 +272,61 @@ def test_abelian_localization_surjection_false():
 def test_flat_quotient_corner():
     p, t = corner_pair()
     assert is_flat_quotient(p, t).verdict
+
+
+def _split_by_cyclic_submodules(m):
+    """Pieces of a semisimple module, split wherever a basis vector generates a
+    proper cyclic submodule; the pieces are summands, each simple or not."""
+    from laxepi.modules import cyclic_submodule, quotient_by, sub_to_module
+
+    for u in m.over.objects:
+        for a in range(m.dims[u]):
+            sub = cyclic_submodule(m, u, [1 if j == a else 0 for j in range(m.dims[u])])
+            if 0 < sub.total_dim() < m.total_dim():
+                pieces = _split_by_cyclic_submodules(sub_to_module(sub)[0])
+                return pieces + _split_by_cyclic_submodules(quotient_by(sub)[0])
+    return [m] if m.total_dim() else []
+
+
+def _flat_quotient_split_failures(p, t):
+    """The objects whose top has a split piece σ with Tor_1(σ, B) not torsion."""
+    from laxepi.modules import quotient_by, tor1
+    from laxepi.radical import radical_submodule, radical_subspaces
+    from laxepi.torsion import is_torsion
+
+    b = regular_bimodule(p)
+    rad = radical_subspaces(p.source)
+    failures = set()
+    for u in p.source.objects:
+        top, _ = quotient_by(radical_submodule(yoneda(p.source, u), rad))
+        if not all(is_torsion(t, tor1(s, b)) for s in _split_by_cyclic_submodules(top)):
+            failures.add(u)
+    return failures
+
+
+def test_flat_quotient_tops_match_split_reference():
+    """One Tor_1 test per top against Tor_1 on the split pieces of every top:
+    the same verdict and failing objects on every builtin functor with each
+    ideal on its target, and on the surjective functor of bundles 0..149 with
+    each of the bundle's ideals on its target."""
+    from laxepi.corpus import BUILTIN_NAMES, builtin, random_instance
+
+    cases = []
+    for name in BUILTIN_NAMES:
+        b = builtin(name)
+        cases += [(f, t) for f in b.functors.values() for t in b.ideals.values()]
+    for seed in range(150):
+        b = random_instance(seed)
+        cases += [(b.surjective_functor, t) for t in b.ideals]
+    cases = [(p, t) for p, t in cases if t.cat is p.target or t.cat == p.target]
+    failing = 0
+    for p, t in cases:
+        report = is_flat_quotient(p, t)
+        want = _flat_quotient_split_failures(p, t)
+        assert report.verdict == (not want)
+        assert {f["object"] for f in report.details["failures"]} == want
+        failing += bool(want)
+    assert (len(cases), failing) == (166, 58)
 
 
 def test_induced_filter_membership_corner():

@@ -391,19 +391,19 @@ def test_presented_tensor_matches_reference_on_regular_bimodules():
 
 
 def test_presented_tensor_map_matches_reference_on_tor1_inclusions():
-    """tensor_map of the syzygy inclusion behind tor1, for the simples of every
+    """tensor_map of the syzygy inclusion behind tor1, for the tops of every
     builtin functor's source and of bundles 0..29, against ⊕ f_G ⊗ id on the
     reference big spaces, carried across the comparison isomorphisms."""
     from laxepi.corpus import BUILTIN_NAMES, builtin, random_instance
     from laxepi.modules import free_cover, map_compose
-    from laxepi.radical import radical_and_simples
+    from laxepi.radical import tops
 
     functors = [f for name in BUILTIN_NAMES for f in builtin(name).functors.values()]
     functors += [random_instance(seed).surjective_functor for seed in range(30)]
     count = 0
     for s in functors:
         b = regular_bimodule(s)
-        for sigma in radical_and_simples(s.source)[1]:
+        for sigma in tops(s.source).values():
             cover, _ = free_cover(sigma)
             syz, incl = kernel(cover)
             ctx_s, ctx_t = tensor_bimodule(syz, b), tensor_bimodule(cover.source, b)

@@ -38,16 +38,9 @@ from laxepi.modules import (
     zero_map,
     zero_module,
 )
-from laxepi.radical import radical_and_simples, radical_submodule, radical_subspaces
+from laxepi.radical import radical_subspaces, tops
 
 Q = Fraction
-
-
-def simple_top(c, u):
-    """Top of the representable at u."""
-    rad = radical_subspaces(c)
-    top, _ = quotient_by(radical_submodule(yoneda(c, u), rad))
-    return top
 
 
 def test_yoneda_regular_module():
@@ -187,7 +180,7 @@ def test_free_cover_zero():
 
 def test_free_cover_simple_at_2():
     c = a2_category()
-    s2 = simple_top(c, "2")
+    s2 = tops(c)["2"]
     assert s2.dims == {"1": 0, "2": 1}
     cover, objs = free_cover(s2)
     assert objs == ["2"]
@@ -204,8 +197,8 @@ def test_ext1_vanishes_on_projectives():
 
 def test_ext1_simples_a2():
     c = a2_category()
-    s1 = simple_top(c, "1")
-    s2 = simple_top(c, "2")
+    s1 = tops(c)["1"]
+    s2 = tops(c)["2"]
     assert ext1(s2, s1) == 1
     assert ext1(s1, s2) == 0
     assert ext1(s1, s1) == 0
@@ -216,7 +209,7 @@ def test_ext1_presentation_independent():
     from laxepi.modules import ModuleMap
 
     c = a2_category()
-    s2 = simple_top(c, "2")
+    s2 = tops(c)["2"]
     cover, _ = free_cover(s2)
     # pad the cover with a redundant free summand mapping by zero
     extra = yoneda(c, "1")
@@ -228,17 +221,17 @@ def test_ext1_presentation_independent():
     padded = ModuleMap(padded_src, s2, comps)
     from laxepi.modules import _ext1_from_cover
 
-    assert _ext1_from_cover(padded, simple_top(c, "1")) == ext1(s2, simple_top(c, "1"))
+    assert _ext1_from_cover(padded, tops(c)["1"]) == ext1(s2, tops(c)["1"])
 
 
 def test_is_projective():
     c = a2_category()
     ok, sec = is_projective(yoneda(c, "2"))
     assert ok and sec is not None
-    s1 = simple_top(c, "1")
+    s1 = tops(c)["1"]
     ok1, _ = is_projective(s1)
     assert ok1  # yoneda(1) is simple projective here
-    ok2, sec2 = is_projective(simple_top(c, "2"))
+    ok2, sec2 = is_projective(tops(c)["2"])
     assert not ok2 and sec2 is None
 
 
@@ -259,32 +252,33 @@ def test_trace_span_contains_identity_self():
 
 def test_radical_product_field():
     c = product_field_category()
-    rad, simples = radical_and_simples(c)
+    rad = radical_subspaces(c)
     assert rad[("*", "*")].is_zero()
-    assert len(simples) == 2
-    assert all(s.total_dim() == 1 for s in simples)
+    assert {u: top.dims for u, top in tops(c).items()} == {"*": {"*": 2}}
 
 
 def test_radical_t2():
     c = upper_triangular_category()
-    rad, simples = radical_and_simples(c)
+    rad = radical_subspaces(c)
     assert rad[("*", "*")] == Subspace.from_vectors([[0, 1, 0]], 3)  # span{e12}
-    assert len(simples) == 2
-    assert sum(s.total_dim() for s in simples) == 2
+    assert {u: top.dims for u, top in tops(c).items()} == {"*": {"*": 2}}
 
 
 def test_radical_truncated_poly():
     c = truncated_polynomial_category()
-    rad, simples = radical_and_simples(c)
+    rad = radical_subspaces(c)
     assert rad[("*", "*")] == Subspace.from_vectors([[0, 1, 0], [0, 0, 1]], 3)
-    assert len(simples) == 1
+    assert {u: top.dims for u, top in tops(c).items()} == {"*": {"*": 1}}
 
 
 def test_radical_summand_pair_single_simple():
     c = summand_pair_category()
-    rad, simples = radical_and_simples(c)
+    rad = radical_subspaces(c)
     assert all(s.is_zero() for s in rad.values())
-    assert len(simples) == 1
+    assert {u: top.dims for u, top in tops(c).items()} == {
+        "P": {"P": 1, "PP": 2},
+        "PP": {"P": 2, "PP": 4},
+    }
 
 
 def test_cyclic_submodule_stable():
