@@ -78,11 +78,11 @@ from .modules import (
     kernel,
     quotient_by,
     sub_to_module,
+    tops,
     tor1,
     trace_span,
     yoneda,
 )
-from .radical import tops
 from .torsion import (
     ClosedModule,
     TorsionData,

@@ -19,10 +19,12 @@ given by their nonzero coordinates, are contracted straight from the cells
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import ONE, ZERO, EchelonBasis, Scalar, frac, nonzeros, vec, zero_vec
+from .linalg import RationalMatrix, Subspace, null_vectors, row_space, rref
 
 Pair = tuple[str, str]
 Triple = tuple[str, str, str]
@@ -193,6 +195,42 @@ class LinearCategory:
     def label_of(self, v: str, u: str, i: int) -> str:
         return self.basis_labels[(v, u)][i]
 
+    @cached_property
+    def radical(self) -> dict[Pair, list[Cell]]:
+        """A basis of the radical of the category algebra in each hom space where
+        it is nonzero, computed on first use, once the cells are complete.
+
+        It is the kernel of the trace form of the regular representation (valid
+        in characteristic zero), computed blockwise in the Peirce decomposition
+        by objects.
+        """
+        # trace[u][m]: trace of left multiplication by basis endomorphism m of u on
+        # the category algebra, the sum of coordinate k of m ∘ (basis k) over its cells
+        trace = {u: [ZERO] * self.hom_dim(u, u) for u in self.objects}
+        for (w, v, u), tab in self.cells.items():
+            if v == u:
+                for (m, k), cell in tab.items():
+                    trace[u][m] += cell.get(k, ZERO)
+        rad = {}
+        for v, u in self.hom_pairs():
+            # row y, entry x: the trace form at x ∘ y, for basis x: v -> u and y: u -> v
+            rows: list[Cell] = [{} for _ in range(self.hom_dim(u, v))]
+            for (xi, yi), cell in self.table(u, v, u).items():
+                if t := frac(sum((a * trace[u][m] for m, a in cell.items()), ZERO)):
+                    rows[yi][xi] = t
+            reduced, pivots = rref(RationalMatrix.from_sparse_rows(rows, self.hom_dim(v, u)))
+            if basis := null_vectors(reduced.sp, pivots, self.hom_dim(v, u)):
+                rad[(v, u)] = basis
+        return rad
+
+
+def radical_subspaces(c: LinearCategory) -> dict[Pair, Subspace]:
+    """The radical `c.radical` inside every hom space, as canonical subspaces."""
+    return {
+        (v, u): row_space(RationalMatrix.from_sparse_rows(c.radical.get((v, u), []), c.hom_dim(v, u)))
+        for v, u in product(c.objects, repeat=2)
+    }
+
 
 def contract(
     tab: Table, g: Iterable[tuple[int, Scalar]], f: Iterable[tuple[int, Scalar]]
@@ -290,7 +328,9 @@ def opposite(c: LinearCategory) -> LinearCategory:
         (u, v, w): {(fi, gi): cell for (gi, fi), cell in tab.items()}
         for (w, v, u), tab in c.cells.items()
     }
-    return LinearCategory(c.objects, hom, comp, dict(c.identities), labels)
+    op = LinearCategory(c.objects, hom, comp, dict(c.identities), labels)
+    op.radical = {(u, v): rows for (v, u), rows in c.radical.items()}  # rad(A^op) = rad(A)
+    return op
 
 
 def from_algebra(

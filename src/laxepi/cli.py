@@ -14,7 +14,7 @@ import time
 from fractions import Fraction
 
 from .category import validate_category
-from .errors import InternalInvariantError, ParseError, PreconditionError
+from .errors import InternalInvariantError, InvalidInstance, ParseError, PreconditionError
 from .fileio import (
     Instance,
     load_instance,
@@ -60,15 +60,31 @@ def _emit(report: dict) -> None:
     print(json.dumps(_sanitize(report), indent=2, sort_keys=True))
 
 
+_LAWS = {"functors": validate_functor, "modules": validate_module}
+
+
 def _need(inst: Instance, kind: str, name: str):
+    """The named entry; a functor or module must obey its laws, and so must its categories."""
     table = getattr(inst, kind)
     if name not in table:
         raise ParseError(f"no {kind[:-1]} named {name!r} in the instance file")
+    if kind in _LAWS:
+        obj, *cats = table[name]
+        for cat in cats:
+            _lawful(f"categories.{cat}", validate_category(inst.categories[cat]))
+        _lawful(f"{kind}.{name}", _LAWS[kind](obj))
     return table[name]
+
+
+def _lawful(where: str, problems: list[str]) -> None:
+    if problems:
+        more = f" (and {len(problems) - 1} more)" if len(problems) > 1 else ""
+        raise InvalidInstance(f"{where}: {problems[0]}{more}")
 
 
 def _build_ideal(inst: Instance, name: str):
     cat_name, gens = _need(inst, "ideals", name)
+    _lawful(f"categories.{cat_name}", validate_category(inst.categories[cat_name]))
     return ideal_closure(inst.categories[cat_name], gens)
 
 
@@ -89,9 +105,9 @@ def cmd_validate(args) -> int:
         if p:
             problems[f"modules.{name}"] = p
     ideal_status = {}
-    for name in inst.ideals:
+    for name, (cat_name, gens) in inst.ideals.items():
         try:
-            t = _build_ideal(inst, name)
+            t = ideal_closure(inst.categories[cat_name], gens)
             ideal_status[name] = "degenerate (zero ideal)" if t.is_degenerate else "ok"
         except PreconditionError as e:
             ideal_status[name] = e.code

@@ -345,9 +345,8 @@ def run_expectation(bundle: InstanceBundle, exp: Expectation) -> tuple[bool, obj
     """Evaluate one expectation; returns (matches, actual)."""
     from . import decide
     from .errors import PreconditionError
-    from .modules import ext1, is_projective, yoneda
+    from .modules import ext1, is_projective, tops, yoneda
     from .oracles import CornerContext
-    from .radical import tops
     from .torsion import ideal_closure, quotient_hom
 
     kind, args = exp.kind, exp.args

@@ -50,6 +50,7 @@ from .modules import (
     quotient_by,
     sub_to_module,
     submodule_sum,
+    tops,
     tor1,
     trace_span,
     validate_module_map,
@@ -57,7 +58,6 @@ from .modules import (
     zero_submodule,
 )
 from .oracles import multiplication_map_iso
-from .radical import tops
 from .torsion import (
     TorsionData,
     is_closed,

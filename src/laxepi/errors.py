@@ -11,6 +11,12 @@ class PreconditionError(LaxepiError):
     code = "E_PRECONDITION"
 
 
+class InvalidInstance(PreconditionError):
+    """A category, functor or module breaks the laws its structure must obey."""
+
+    code = "E_INVALID_INSTANCE"
+
+
 class NotSurjectiveOnObjects(PreconditionError):
     code = "E_NOT_SURJECTIVE_ON_OBJECTS"
 

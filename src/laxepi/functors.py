@@ -2,12 +2,12 @@
 tensor products, and canonical factorizations.
 
 There is one coequalizer, the tensor x ⊗ b of a module with a bimodule, and
-it is computed from a presentation of x: greedy generators (G_k, a_k) give a
-cover P0 = ⊕_k yoneda(G_k) -> x with kernel K, and as tensoring is right
-exact and yoneda(G) ⊗ b = b(G), x ⊗ b is ⊕_k b(G_k) modulo the image of
-K ⊗ b, objectwise.  Induction along a functor is the tensor with its regular
-bimodule.  Coinduction is a hom-space module.  Contexts carry the generators,
-the preimage solve of the cover, the projections and the quotient
+it is computed from x's presentation (`modules.Presentation`): its
+generators (G_k, a_k) give a cover P0 = ⊕_k yoneda(G_k) -> x with kernel K,
+and as tensoring is right exact and yoneda(G) ⊗ b = b(G), x ⊗ b is
+⊕_k b(G_k) modulo the image of K ⊗ b, objectwise.  Induction along a functor
+is the tensor with its regular bimodule.  Coinduction is a hom-space module.
+Contexts carry the presentation, the projections and the quotient
 coordinates, so units, counits and functoriality on maps are all computed in
 matching coordinates.
 """
@@ -22,10 +22,11 @@ from typing import Mapping, Sequence, Union
 
 from .category import LinearCategory, Morphism, combine, contract
 from .errors import InternalInvariantError
-from .linalg import ONE, ZERO, EchelonBasis, RationalMatrix, Scalar, nonzeros, rref, zero_vec
+from .linalg import ONE, ZERO, EchelonBasis, RationalMatrix, Scalar, nonzeros, zero_vec
 from .modules import (
     Module,
     ModuleMap,
+    Presentation,
     coordinates_in_hom_basis,
     evaluation_matrix,
     hom_diagram_module,
@@ -192,8 +193,9 @@ class CoinducedContext:
     hom_bases: dict[str, list[ModuleMap]]
 
 
-def coinduce(s: LinearFunctor, x: Module) -> CoinducedContext:
-    """Right adjoint of restriction: value at G is Hom(restrict(yoneda G), x)."""
+def restricted_representables(s: LinearFunctor) -> tuple[dict[str, Module], dict]:
+    """restrict(s, yoneda G) at every target object G, and the maps between them
+    that the target's basis morphisms induce."""
     tgt = s.target
     reps = {g: restrict(s, yoneda(tgt, g)) for g in tgt.objects}
     maps = {}
@@ -203,7 +205,16 @@ def coinduce(s: LinearFunctor, x: Module) -> CoinducedContext:
             maps[(g2, g1, i)] = ModuleMap(
                 reps[g2], reps[g1], {u: comps[s.apply_obj(u)] for u in s.source.objects}
             )
-    co, bases = hom_diagram_module(tgt, reps, maps, x)
+    return reps, maps
+
+
+def coinduce(s: LinearFunctor, x: Module, diagram=None) -> CoinducedContext:
+    """Right adjoint of restriction: value at G is Hom(restrict(yoneda G), x).
+
+    A caller that coinduces along s more than once passes `diagram`, the
+    `restricted_representables` of s, so their presentations are made once."""
+    reps, maps = diagram if diagram is not None else restricted_representables(s)
+    co, bases = hom_diagram_module(s.target, reps, maps, x)
     return CoinducedContext(s, x, co, reps, bases)
 
 
@@ -319,23 +330,18 @@ def regular_bimodule(s: LinearFunctor) -> Bimodule:
 
 @dataclass
 class TensorContext:
-    """x ⊗ b in fixed coordinates, computed from a presentation of x.
+    """x ⊗ b in fixed coordinates, computed from x's presentation.
 
-    The generators (G_k, a_k) are basis vectors e_{a_k} of x(G_k).  They give
-    the cover P0 = ⊕_k yoneda(G_k) -> x, which at G sends coordinate p of
-    P0(G), the pair `p0[G][p]` = (k, basis f: G -> G_k), to x(f) e_{a_k}; the
-    column a of `preimages[G]` is an element of P0(G) over e_a.  At each right
-    object h the big space is ⊕_k b(G_k)(h), slot k starting at
-    `offsets[h][k]`; `projections[h]` maps it onto module(h), whose coordinates
-    are the big-space columns `free[h]`.  An induction also records its
-    functor, which gives the unit.
+    At each right object h the big space is ⊕_k b(G_k)(h) over the
+    presentation's generators (G_k, a_k), slot k starting at `offsets[h][k]`;
+    `projections[h]` maps it onto module(h), whose coordinates are the
+    big-space columns `free[h]`.  An induction also records its functor,
+    which gives the unit.
     """
 
     bimodule: Bimodule
     source_module: Module
-    generators: list[tuple[str, int]]
-    p0: dict[str, list[tuple[int, int]]]
-    preimages: dict[str, list[dict[int, Scalar]]]
+    presentation: Presentation
     offsets: dict[str, list[int]]
     projections: dict[str, RationalMatrix] = field(default_factory=dict)
     free: dict[str, list[int]] = field(default_factory=dict)
@@ -349,17 +355,17 @@ class TensorContext:
 
     def preimage(self, g: str, v: Mapping[int, Scalar]) -> dict[int, Scalar]:
         """An element of P0(g) over v in x(g), both as nonzero coordinates."""
-        return combine((c, self.preimages[g][a]) for a, c in v.items())
+        return combine((c, self.presentation.preimages[g][a]) for a, c in v.items())
 
     def lifted(self, g: str, c: Mapping[int, Scalar], h: str) -> list[dict[int, Scalar]]:
         """Column β: the big-space vector Σ_p c_p b(f_p) e_β at h of the element
         c of P0(g) tensored with basis vector β of b(g)(h)."""
-        b = self.bimodule
+        b, pres = self.bimodule, self.presentation
         cols: list[dict[int, Scalar]] = [{} for _ in range(b.values[g].dims[h])]
         for p, cp in c.items():
-            k, f = self.p0[g][p]
+            k, f = pres.p0[g][p]
             off = self.offsets[h][k]
-            for r, row in enumerate(b.left_action[(g, self.generators[k][0], f)].components[h].sp):
+            for r, row in enumerate(b.left_action[(g, pres.generators[k][0], f)].components[h].sp):
                 for beta, y in row.items():
                     col = cols[beta]
                     col[off + r] = col.get(off + r, ZERO) + cp * y
@@ -395,27 +401,23 @@ class TensorContext:
 def tensor_bimodule(x: Module, b: Bimodule) -> TensorContext:
     """x ⊗ b as the cokernel of K ⊗ b -> P0 ⊗ b = ⊕_k b(G_k), objectwise over right_cat.
 
-    K is the kernel of the cover P0 -> x by the generators.  Tensoring is right
-    exact and yoneda(G) ⊗ b = b(G), so the relations at h are the vectors
+    K is the kernel of the cover P0 -> x of x's presentation.  Tensoring is
+    right exact and yoneda(G) ⊗ b = b(G), so the relations at h are the vectors
     Σ_k b(κ_k) β for κ in a basis of K(G) and β in a basis of b(G)(h).
     """
     lc, rc = b.left_cat, b.right_cat
     if not (x.over is lc or x.over == lc):
         raise ValueError("module is not over the bimodule's left category")
-    gens, images = _generators(x)
-    kernels, preimages = {}, {}
-    for g in lc.objects:
-        kernels[g], preimages[g] = _solve_presentation(images[g], x.dims[g])
-    p0 = {g: [(k, f) for k, (gk, _) in enumerate(gens) for f in range(lc.hom_dim(g, gk))]
-          for g in lc.objects}
+    pres = x.presentation
+    gens = pres.generators
     offsets = {h: list(accumulate((b.values[gk].dims[h] for gk, _ in gens), initial=0))
                for h in rc.objects}
-    ctx = TensorContext(b, x, gens, p0, preimages, offsets)
+    ctx = TensorContext(b, x, pres, offsets)
     for h in rc.objects:
         rels = EchelonBasis(offsets[h][-1])
         for g in lc.objects:
             if b.values[g].dims[h]:
-                for kappa in kernels[g]:
+                for kappa in pres.kernels[g]:
                     for row in ctx.lifted(g, kappa, h):
                         if row:
                             rels.insert(row)
@@ -434,60 +436,6 @@ def tensor_bimodule(x: Module, b: Bimodule) -> TensorContext:
             action[(h2, h1, i)] = _descend(ctx.projections[h2], cols)
     ctx.module = Module(rc, {h: len(ctx.free[h]) for h in rc.objects}, action)
     return ctx
-
-
-def _column(m: RationalMatrix, a: int) -> dict[int, Scalar]:
-    return {r: row[a] for r, row in enumerate(m.sp) if a in row}
-
-
-def _generators(x: Module) -> tuple[list[tuple[str, int]], dict[str, list[dict[int, Scalar]]]]:
-    """Greedy generators of x and, at each G, the images x(f) e_{a_k} in P0(G)'s order.
-
-    A basis vector becomes a generator only when it lies outside the
-    submodule generated by the earlier ones, whose value at each object is
-    spanned by the images x(f) e_{a_k}.
-    """
-    c = x.over
-    spans = {g: EchelonBasis(x.dims[g]) for g in c.objects}
-    gens: list[tuple[str, int]] = []
-    images: dict[str, list[dict[int, Scalar]]] = {g: [] for g in c.objects}
-    for g in c.objects:
-        for a in range(x.dims[g]):
-            if spans[g].contains({a: ONE}):
-                continue
-            gens.append((g, a))
-            for gp in c.objects:
-                for i in range(c.hom_dim(gp, g)):
-                    images[gp].append(img := _column(x.action[(gp, g, i)], a))
-                    if img and spans[gp].dim < x.dims[gp]:
-                        spans[gp].insert(img)
-    return gens, images
-
-
-def _solve_presentation(images: Sequence[Mapping[int, Scalar]], n: int):
-    """For the map P0(G) -> x(G) with these image columns and n = dim x(G): a
-    basis of its kernel and a preimage of each e_a, from one elimination of [M | I]."""
-    w = len(images)
-    rows: list[dict[int, Scalar]] = [{w + r: ONE} for r in range(n)]
-    for p, col in enumerate(images):
-        for r, y in col.items():
-            rows[r][p] = y
-    reduced, pivots = rref(RationalMatrix.from_sparse_rows(rows, w + n))
-    if len(pivots) != n or (pivots and pivots[-1] >= w):
-        raise InternalInvariantError("generators do not generate the module")
-    pre: list[dict[int, Scalar]] = [{} for _ in range(n)]
-    pivot_rows = {}
-    for row, p in zip(reduced.sp, pivots):
-        pivot_rows[p] = {j: y for j, y in row.items() if j < w}
-        for j, y in row.items():
-            if j >= w:
-                pre[j - w][p] = y
-    kernel = [
-        {q: ONE} | {p: -row[q] for p, row in pivot_rows.items() if q in row}
-        for q in range(w)
-        if q not in pivot_rows
-    ]
-    return kernel, pre
 
 
 def _descend(proj: RationalMatrix, cols: Sequence[Mapping[int, Scalar]]) -> RationalMatrix:
@@ -509,7 +457,8 @@ def tensor_map(
     f(e_{a_k}) ⊗ β, lifted to the target's big space by its preimage solve."""
     ctx_src = ctx_src if ctx_src is not None else tensor_bimodule(f.source, b)
     ctx_tgt = ctx_tgt if ctx_tgt is not None else tensor_bimodule(f.target, b)
-    pre = [ctx_tgt.preimage(g, _column(f.components[g], a)) for g, a in ctx_src.generators]
+    gens = ctx_src.presentation.generators
+    pre = [ctx_tgt.preimage(g, dict(nonzeros(f.components[g].col(a)))) for g, a in gens]
     comps = {}
     for h in b.right_cat.objects:
         lifts: dict[int, list[dict[int, Scalar]]] = {}
@@ -517,7 +466,7 @@ def tensor_map(
         for col in ctx_src.free[h]:
             k, j = ctx_src.slot(h, col)
             if k not in lifts:
-                lifts[k] = ctx_tgt.lifted(ctx_src.generators[k][0], pre[k], h)
+                lifts[k] = ctx_tgt.lifted(gens[k][0], pre[k], h)
             cols.append(lifts[k][j])
         comps[h] = _descend(ctx_tgt.projections[h], cols)
     return ModuleMap(ctx_src.module, ctx_tgt.module, comps)
@@ -565,7 +514,7 @@ def counit_from_context(ctx: TensorContext, y: Module) -> ModuleMap:
         cols = []
         for col in ctx.free[t_obj]:
             k, j = ctx.slot(t_obj, col)
-            u, a = ctx.generators[k]
+            u, a = ctx.presentation.generators[k]
             cols.append(y.action[(t_obj, s.apply_obj(u), j)].col(a))
         comps[t_obj] = RationalMatrix.from_columns(cols, y.dims[t_obj])
     return ModuleMap(ctx.module, y, comps)
@@ -600,7 +549,7 @@ def adjunction_check(
         "hom_dim_coinduction": True,
         "failures": [],
     }
-    reg = regular_bimodule(s)
+    reg, diagram = regular_bimodule(s), restricted_representables(s)
     induced, coinduced, restricted = [], [], []
 
     for x in source_samples:
@@ -612,11 +561,11 @@ def adjunction_check(
         if flatten_map(t1) != flatten_map(identity_map(ind_x.module)):
             report["triangle_left_adjoint"] = False
             report["failures"].append(("triangle1", x.dims))
-        co_x = coinduce(s, x)
+        co_x = coinduce(s, x, diagram)
         induced.append(ind_x.module)
         coinduced.append(co_x.module)
         r_co = restrict(s, co_x.module)
-        ctx_rc = coinduce(s, r_co)
+        ctx_rc = coinduce(s, r_co, diagram)
         eps2 = coinduce_counit(co_x)
         t2 = map_compose(coinduce_map(ctx_rc, co_x, eps2), coinduce_unit(ctx_rc, co_x.module))
         if flatten_map(t2) != flatten_map(identity_map(co_x.module)):
@@ -632,7 +581,7 @@ def adjunction_check(
         if flatten_map(t2) != flatten_map(identity_map(ry)):
             report["triangle_right_adjoint"] = False
             report["failures"].append(("triangle2", y.dims))
-        co_ry = coinduce(s, ry)
+        co_ry = coinduce(s, ry, diagram)
         eps3 = coinduce_counit(co_ry)
         # (restrict ⊣ coinduce) triangle: counit'_{ry} ∘ restrict(unit'_y) = id_{ry}
         t3 = map_compose(eps3, restrict_map(s, coinduce_unit(co_ry, y), ry, restrict(s, co_ry.module)))

@@ -599,13 +599,25 @@ class Subspace:
         return _quotient_maps(self.ambient_dim, self._rows_by_pivot())
 
 
+def null_vectors(
+    reduced: Sequence[Mapping[int, Scalar]], pivots: Sequence[int], width: int
+) -> list[SparseRow]:
+    """A basis of the null space of reduced rows with these pivots, read on the
+    columns below width: one vector per free column q, with -row[q] at each
+    row's pivot."""
+    pivot_set = set(pivots)
+    out = {q: {q: ONE} for q in range(width) if q not in pivot_set}
+    for row, p in zip(reduced, pivots):
+        for q, x in row.items():
+            if q in out:
+                out[q][p] = -x
+    return list(out.values())
+
+
 def kernel_basis(a: RationalMatrix) -> Subspace:
     """Null space {v : a v = 0} as a canonical Subspace of QQ^cols."""
     reduced, pivots = _rref_rows(a.sp, a.cols)
-    # row k of the projection modulo the row space of a is the null vector
-    # with unit entry at the k-th free column
-    proj, _ = _quotient_maps(a.cols, dict(zip(pivots, reduced)))
-    return Subspace._spanned_by(proj.sp, a.cols)
+    return Subspace._spanned_by(null_vectors(reduced, pivots, a.cols), a.cols)
 
 
 def image_basis(a: RationalMatrix) -> Subspace:

@@ -2,17 +2,21 @@
 
 A module assigns a finite-dimensional rational vector space to every object
 and a matrix to every basis morphism, contravariantly: for f: V -> U the
-matrix X(f) maps X(U) to X(V), and X(g∘f) = X(f)·X(g).  Natural
-transformations are solved as one global linear system, kernels and cokernels
-are computed objectwise, and Ext^1 comes from a single syzygy of the canonical
-cover by representables.
+matrix X(f) maps X(U) to X(V), and X(g∘f) = X(f)·X(g).  Each module has one
+`Presentation`, computed on first use: generators taken greedily outside
+X·rad, the cover P0 = ⊕_k yoneda(G_k) -> X they give, its kernel K and a
+preimage of each basis vector.  Natural transformations X -> Y are read off
+it as the values in ⊕_k Y(G_k) that kill K; the free cover, Ext^1, Tor_1,
+projectivity and the tensor with a bimodule all use the same cover.  Kernels
+and cokernels are computed objectwise.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import product
+from functools import cached_property
+from itertools import accumulate, product
 from typing import Mapping, Sequence
 
 from .category import LinearCategory, Morphism, combine
@@ -28,6 +32,9 @@ from .linalg import (
     image_basis,
     kernel_basis,
     nonzeros,
+    null_vectors,
+    row_space,
+    rref,
     solve,
     vec,
 )
@@ -65,6 +72,11 @@ class Module:
 
     def is_zero(self) -> bool:
         return self.total_dim() == 0
+
+    @cached_property
+    def presentation(self) -> "Presentation":
+        """The module's presentation (`present`), computed on first use."""
+        return present(self)
 
     def act(self, m: Morphism) -> RationalMatrix:
         """Matrix of X(m): X(target) -> X(source), by bilinearity."""
@@ -384,36 +396,47 @@ def _blocks(flat_rows: Sequence[Mapping[int, Scalar]], x: Module, y: Module):
 
 
 def hom_modules(x: Module, y: Module) -> HomBasis:
-    """Basis of the natural transformations x -> y (one global linear system)."""
+    """Basis of the natural transformations x -> y, read off x's presentation.
+
+    A map α is fixed by its values z_k = α(e_{a_k}) in y(G_k).  Any z in
+    ⊕_k y(G_k) gives the map P0 -> y that is E_G(z) at G, sending coordinate
+    (k, f) of P0(G) to y(f) z_k; it factors through x exactly when E_G(z)
+    kills K(G) at every G, and then α_G = E_G(z)·Pre_G.
+    """
     if not (x.over is y.over or x.over == y.over):
         raise ValueError("hom between modules over different categories")
     c = x.over
     offsets, n = _offsets(x, y)
     if n == 0:
         return HomBasis([], Subspace.zero(0), x, y)
-    rows: list[dict[int, Scalar]] = []
-    for v, u in c.hom_pairs():
-        base_u, base_v = offsets[u], offsets[v]
-        du, dv = x.dims[u], x.dims[v]
-        for i in range(c.hom_dim(v, u)):
-            ym = y.action[(v, u, i)].sp  # y(U) -> y(V)
-            xm_cols = x.action[(v, u, i)].transpose().sp  # x(U) -> x(V), by columns
-            # equation (r, cc): sum_s ym[r,s]·a_U[s,cc] - sum_s a_V[r,s]·xm[s,cc] = 0
-            for r, ym_r in enumerate(ym):
-                for cc, xm_cc in enumerate(xm_cols):
-                    row = {base_u + s * du + cc: coef for s, coef in ym_r.items()}
-                    for s, coef in xm_cc.items():
-                        k = base_v + r * dv + s
-                        z = row.get(k)
-                        if z is None:
-                            row[k] = -coef
-                        elif z == coef:  # only when U = V
-                            del row[k]
-                        else:
-                            row[k] = z - coef
-                    if row:
-                        rows.append(row)
-    space = kernel_basis(RationalMatrix.from_sparse_rows(rows, n)) if rows else Subspace.full(n)
+    pres = x.presentation
+    starts = list(accumulate((y.dims[g] for g, _ in pres.generators), initial=0))
+
+    def evaluation(g: str, v: Mapping[int, Scalar]) -> list[dict[int, Scalar]]:
+        """Row r of the linear map z ↦ E_g(z)·v, for v in P0(g), at each r in y(g)."""
+        rows: list[dict[int, Scalar]] = [{} for _ in range(y.dims[g])]
+        for p, cp in v.items():
+            k, f = pres.p0[g][p]
+            for r, yrow in enumerate(y.action[(g, pres.generators[k][0], f)].sp):
+                row = rows[r]
+                for s, val in yrow.items():
+                    j = starts[k] + s
+                    row[j] = row.get(j, ZERO) + cp * val
+        return [{j: val for j, val in row.items() if val} for row in rows]
+
+    eqs = [row for g in c.objects for kappa in pres.kernels[g] for row in evaluation(g, kappa)]
+    reduced, pivots = rref(RationalMatrix.from_sparse_rows(eqs, starts[-1]))
+    zs = null_vectors(reduced.sp, pivots, starts[-1])
+    # column j of z ↦ flatten(α): entry (r, a) of α_g is row r of E_g(z)·Pre_g[a]
+    cols: list[dict[int, Scalar]] = [{} for _ in range(starts[-1])]
+    for g in c.objects:
+        base, width = offsets[g], x.dims[g]
+        for a, pre in enumerate(pres.preimages[g]):
+            for r, row in enumerate(evaluation(g, pre)):
+                for j, val in row.items():
+                    cols[j][base + r * width + a] = val
+    flat = [combine((a, cols[j]) for j, a in z.items()) for z in zs]
+    space = row_space(RationalMatrix.from_sparse_rows(flat, n))
     out = []
     for blocks in _blocks(space.basis.sp, x, y):
         comps = {
@@ -633,45 +656,140 @@ def cyclic_submodule(x: Module, u: str, v: Sequence) -> Submodule:
 
 
 # ---------------------------------------------------------------------------
-# covers, Ext^1, projectivity
+# the presentation, the radical and tops
+# ---------------------------------------------------------------------------
+
+def _radical_spans(x: Module) -> dict[str, EchelonBasis]:
+    """(x·rad)(w) = Σ x(r) x(v) over the radical basis r: w -> v, at every w."""
+    spans = {w: EchelonBasis(d) for w, d in x.dims.items()}
+    for (w, v), rows in x.over.radical.items():
+        if x.dims[w] and x.dims[v]:
+            for r in rows:
+                for col in x.act_coords(w, v, r).transpose().sp:
+                    spans[w].insert(col)
+    return spans
+
+
+def radical_submodule(x: Module) -> Submodule:
+    """x·rad as a submodule of x."""
+    return Submodule(x, {w: eb.to_subspace() for w, eb in _radical_spans(x).items()})
+
+
+def tops(c: LinearCategory) -> dict[str, Module]:
+    """The top yoneda(u) / yoneda(u)·rad of the representable at every object u.
+
+    A top is semisimple, and every simple module is a summand of the top at
+    some object where it is nonzero.  So a test that commutes with finite
+    direct sums and whose passing class is closed under sums and summands
+    holds on every simple exactly when it holds on every top.
+    """
+    return {u: quotient_by(radical_submodule(yoneda(c, u)))[0] for u in c.objects}
+
+
+@dataclass(slots=True)
+class Presentation:
+    """A cover P0 = ⊕_k yoneda(G_k) -> x by generators, and its kernel K.
+
+    The generators (G_k, a_k) are basis vectors e_{a_k} of x(G_k).  At each
+    object G, coordinate p of P0(G) is the pair `p0[G][p]` = (k, basis
+    f: G -> G_k), which the cover sends to x(f) e_{a_k}.  `kernels[G]` is a
+    basis of K(G), and `preimages[G][a]` is an element of P0(G) over e_a,
+    both given by their nonzero coordinates.
+    """
+
+    generators: tuple[tuple[str, int], ...]
+    p0: dict[str, tuple[tuple[int, int], ...]]
+    kernels: dict[str, tuple[dict[int, Scalar], ...]]
+    preimages: dict[str, tuple[dict[int, Scalar], ...]]
+
+
+def present(x: Module) -> Presentation:
+    """The presentation of x by greedy generators outside x·rad.
+
+    A basis vector becomes a generator only when it lies outside x·rad plus
+    the submodule generated by the earlier generators, whose value at each
+    object is spanned by the images x(f) e_{a_k}.  So the generators span
+    x modulo x·rad, and by Nakayama they generate x.
+    """
+    c, dims = x.over, x.dims
+    spans = _radical_spans(x)
+    gens: list[tuple[str, int]] = []
+    images: dict[str, list[dict[int, Scalar]]] = {g: [] for g in c.objects}
+    for g in c.objects:
+        for a in range(dims[g]):
+            if spans[g].contains({a: ONE}):
+                continue
+            gens.append((g, a))
+            for gp in c.objects:
+                for i in range(c.hom_dim(gp, g)):
+                    img = {r: row[a] for r, row in enumerate(x.action[(gp, g, i)].sp) if a in row}
+                    images[gp].append(img)
+                    if img and spans[gp].dim < dims[gp]:
+                        spans[gp].insert(img)
+    p0 = {g: tuple((k, f) for k, (gk, _) in enumerate(gens) for f in range(c.hom_dim(g, gk)))
+          for g in c.objects}
+    kernels, preimages = {}, {}
+    for g in c.objects:
+        kernels[g], preimages[g] = _solve_presentation(images[g], dims[g])
+    return Presentation(tuple(gens), p0, kernels, preimages)
+
+
+def _solve_presentation(images: Sequence[Mapping[int, Scalar]], n: int):
+    """For the map P0(G) -> x(G) with these image columns and n = dim x(G): a
+    basis of its kernel and a preimage of each e_a, from one elimination of [M | I]."""
+    w = len(images)
+    if not n:
+        return tuple({q: ONE} for q in range(w)), ()
+    rows: list[dict[int, Scalar]] = [{w + r: ONE} for r in range(n)]
+    for p, col in enumerate(images):
+        for r, y in col.items():
+            rows[r][p] = y
+    reduced, pivots = rref(RationalMatrix.from_sparse_rows(rows, w + n))
+    if len(pivots) != n or (pivots and pivots[-1] >= w):
+        raise InternalInvariantError("generators do not generate the module")
+    pre: list[dict[int, Scalar]] = [{} for _ in range(n)]
+    for row, p in zip(reduced.sp, pivots):
+        for j, y in row.items():
+            if j >= w:
+                pre[j - w][p] = y
+    return tuple(null_vectors(reduced.sp, pivots, w)), tuple(pre)
+
+
+# ---------------------------------------------------------------------------
+# covers, Ext^1, Tor_1, projectivity
 # ---------------------------------------------------------------------------
 
 def free_cover(x: Module) -> tuple[ModuleMap, list[str]]:
-    """Canonical epi from a finite sum of representables, one per basis element."""
-    c = x.over
-    objs = [u for u in c.objects for _ in range(x.dims[u])]
+    """The cover ⊕_k yoneda(G_k) -> x of x's presentation, and the objects G_k."""
+    c, gens = x.over, x.presentation.generators
+    objs = [g for g, _ in gens]
     reps = {u: yoneda(c, u) for u in set(objs)}
     total, _, _ = direct_sum([reps[u] for u in objs], over=c)
-    # the summand of e_a in x(u) sends the basis morphism h: v -> u to x(h)·e_a
-    cols = {v: [] for v in c.objects}
-    for u in c.objects:
-        for a in range(x.dims[u]):
-            for v in c.objects:
-                cols[v] += [x.action[(v, u, j)].col(a) for j in range(c.hom_dim(v, u))]
-    comps = {v: RationalMatrix.from_columns(cols[v], x.dims[v]) for v in c.objects}
+    comps = {
+        v: RationalMatrix.from_columns(
+            [x.action[(v, g, f)].col(a) for g, a in gens for f in range(c.hom_dim(v, g))],
+            x.dims[v],
+        )
+        for v in c.objects
+    }
     return ModuleMap(total, x, comps), objs
 
 
 def ext1(l: Module, x: Module) -> int:
-    """dim Ext^1(l, x) from one syzygy: coker(Hom(P, x) -> Hom(K, x))."""
-    cover, _ = free_cover(l)
-    return _ext1_from_cover(cover, x)
-
-
-def _ext1_from_cover(cover: ModuleMap, x: Module) -> int:
-    syz, incl = kernel(cover)
-    hom_kx = hom_modules(syz, x)
-    if not hom_kx:
-        return 0
-    hom_px = hom_modules(cover.source, x)
-    eb = EchelonBasis(sum(syz.dims[u] * x.dims[u] for u in syz.over.objects))
-    for row in _composites(hom_px, incl, None):
-        eb.insert(row)
-    return len(hom_kx) - eb.dim
+    """dim Ext^1(l, x) from the exact sequence
+    0 -> Hom(l, x) -> Hom(P0, x) -> Hom(K, x) -> Ext^1(l, x) -> 0
+    of l's presentation, where Hom(P0, x) = ⊕_k x(G_k)."""
+    cover, objs = free_cover(l)
+    syz, _ = kernel(cover)
+    return len(hom_modules(syz, x)) - sum(x.dims[g] for g in objs) + len(hom_modules(l, x))
 
 
 def is_projective(x: Module) -> tuple[bool, ModuleMap | None]:
-    """Does the canonical cover split?  Returns the section when it does."""
+    """Does the cover of x's presentation split?  Returns the section when it does.
+
+    A nonzero kernel does not rule it out: the cover need not be a projective
+    cover when the category is not basic or an endomorphism ring is not local.
+    """
     if x.is_zero():
         return True, identity_map(x)
     cover, _ = free_cover(x)
@@ -709,7 +827,7 @@ def module_trace(family: Sequence[Module], x: Module) -> Submodule:
 
 
 def tor1(x: Module, b) -> Module:
-    """Tor_1(x, b) = ker( K ⊗ b -> P ⊗ b ) for the canonical presentation of x."""
+    """Tor_1(x, b) = ker( K ⊗ b -> P0 ⊗ b ) for the cover of x's presentation."""
     from .functors import tensor_map
 
     cover, _ = free_cover(x)

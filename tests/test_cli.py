@@ -124,6 +124,68 @@ def test_precondition_exit_code(tmp_path, capsys):
     assert out["error"] == "E_NOT_SURJECTIVE_ON_OBJECTS"
 
 
+def _write_instance(tmp_path, name, inst):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(serialize_instance(inst)), encoding="utf-8")
+    return str(path)
+
+
+def test_functor_not_preserving_identities_is_refused(tmp_path, capsys):
+    """Q -> Q x Q with 1 |-> (1, 0) is not a functor: every command that uses
+    it exits 2 and names the identity law, and validate still reports it."""
+    from laxepi.corpus import field_category, product_field_category
+    from laxepi.fileio import Instance
+    from laxepi.functors import LinearFunctor
+    from laxepi.linalg import RationalMatrix
+
+    q, qq = field_category(), product_field_category()
+    f = LinearFunctor(q, qq, {"*": "*"}, {("*", "*"): RationalMatrix([[1], [0]])})
+    path = _write_instance(tmp_path, "half", Instance({"Q": q, "QQ": qq}, {"f": (f, "Q", "QQ")}))
+    for argv in (["check", path, "--functor", "f", "--kind", kind] for kind in ("epi", "lax-epi")):
+        assert main(argv) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"] == "E_INVALID_INSTANCE"
+        assert "functors.f: identity at * not preserved" in out["message"]
+    assert main(["factor", path, "--functor", "f"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "E_INVALID_INSTANCE"
+    assert main(["validate", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["verdict"] is False and out["problems"]["functors.f"]
+
+
+def test_category_with_wrong_identity_is_refused(tmp_path, capsys):
+    """Q x Q whose declared identity is (1, 0) breaks both unit laws: check,
+    localize and hom exit 2 naming a unit law, and validate lists both."""
+    from laxepi.category import LinearCategory
+    from laxepi.corpus import product_field_category
+    from laxepi.fileio import Instance
+    from laxepi.functors import identity_functor
+    from laxepi.modules import yoneda
+
+    good = product_field_category()
+    bad = LinearCategory(["*"], {("*", "*"): 2}, good.comp, {"*": [1, 0]}, good.basis_labels)
+    inst = Instance(
+        {"C": bad},
+        {"id": (identity_functor(bad), "C", "C")},
+        {"reg": (yoneda(bad, "*"), "C")},
+        {"all": ("C", [bad.identity("*")])},
+    )
+    path = _write_instance(tmp_path, "bad_unit", inst)
+    calls = [["check", path, "--functor", "id", "--kind", k] for k in ("epi", "lax-epi", "flat")]
+    calls += [
+        ["localize", path, "--module", "reg", "--ideal", "all"],
+        ["hom", path, "--from", "reg", "--to", "reg"],
+    ]
+    for argv in calls:
+        assert main(argv) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"] == "E_INVALID_INSTANCE"
+        assert out["message"].startswith("categories.C: ") and "id_*" in out["message"]
+    assert main(["validate", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["verdict"] is False and len(out["problems"]["categories.C"]) == 2
+
+
 def test_ideal_not_idempotent_exit_code(tmp_path, capsys):
     inst = bundle_to_instance(builtin("truncated_poly"))
     path = tmp_path / "trunc.json"

@@ -290,15 +290,13 @@ def _split_by_cyclic_submodules(m):
 
 def _flat_quotient_split_failures(p, t):
     """The objects whose top has a split piece σ with Tor_1(σ, B) not torsion."""
-    from laxepi.modules import quotient_by, tor1
-    from laxepi.radical import radical_submodule, radical_subspaces
+    from laxepi.modules import quotient_by, radical_submodule, tor1
     from laxepi.torsion import is_torsion
 
     b = regular_bimodule(p)
-    rad = radical_subspaces(p.source)
     failures = set()
     for u in p.source.objects:
-        top, _ = quotient_by(radical_submodule(yoneda(p.source, u), rad))
+        top, _ = quotient_by(radical_submodule(yoneda(p.source, u)))
         if not all(is_torsion(t, tor1(s, b)) for s in _split_by_cyclic_submodules(top)):
             failures.add(u)
     return failures

@@ -395,8 +395,7 @@ def test_presented_tensor_map_matches_reference_on_tor1_inclusions():
     builtin functor's source and of bundles 0..29, against ⊕ f_G ⊗ id on the
     reference big spaces, carried across the comparison isomorphisms."""
     from laxepi.corpus import BUILTIN_NAMES, builtin, random_instance
-    from laxepi.modules import free_cover, map_compose
-    from laxepi.radical import tops
+    from laxepi.modules import free_cover, map_compose, tops
 
     functors = [f for name in BUILTIN_NAMES for f in builtin(name).functors.values()]
     functors += [random_instance(seed).surjective_functor for seed in range(30)]

@@ -26,9 +26,9 @@ from laxepi.modules import (
     map_compose,
     quotient_by,
     sub_to_module,
+    tops,
     yoneda,
 )
-from laxepi.radical import tops
 from laxepi.torsion import (
     ideal_closure,
     is_torsion,
