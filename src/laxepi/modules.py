@@ -787,18 +787,21 @@ def ext1(l: Module, x: Module) -> int:
 def is_projective(x: Module) -> tuple[bool, ModuleMap | None]:
     """Does the cover of x's presentation split?  Returns the section when it does.
 
-    A nonzero kernel does not rule it out: the cover need not be a projective
-    cover when the category is not basic or an endomorphism ring is not local.
+    A map out of x is fixed by its values at the generators, so σ: x -> P0 is
+    a section when the cover sends each σ(e_{a_k}) back to e_{a_k}.  A nonzero
+    kernel does not rule this out: the cover need not be a projective cover
+    when the category is not basic or an endomorphism ring is not local.
     """
     if x.is_zero():
         return True, identity_map(x)
     cover, _ = free_cover(x)
-    sections = hom_modules(x, cover.source)
-    if not sections:
-        return False, None
-    cols = [flatten_map(map_compose(cover, s)) for s in sections]
-    target = flatten_map(identity_map(x))
-    sol = solve(RationalMatrix.from_columns(cols, len(target)), target)
+    sections, gens = hom_modules(x, cover.source), x.presentation.generators
+    cols = [
+        [y for g, a in gens for y in cover.components[g].apply(s.components[g].col(a))]
+        for s in sections
+    ]
+    sol = solve(RationalMatrix.from_columns(cols, sum(x.dims[g] for g, _ in gens)),
+                [int(r == a) for g, a in gens for r in range(x.dims[g])])
     if sol is None:
         return False, None
     sigma = zero_map(x, cover.source)
