@@ -23,8 +23,8 @@ from functools import cached_property
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import ONE, ZERO, EchelonBasis, Scalar, frac, nonzeros, vec, zero_vec
-from .linalg import RationalMatrix, Subspace, null_vectors, row_space, rref
+from .linalg import ONE, ZERO, EchelonBasis, RationalMatrix, Scalar, frac, nonzeros, null_vectors
+from .linalg import rref, vec, zero_vec
 
 Pair = tuple[str, str]
 Triple = tuple[str, str, str]
@@ -222,14 +222,6 @@ class LinearCategory:
             if basis := null_vectors(reduced.sp, pivots, self.hom_dim(v, u)):
                 rad[(v, u)] = basis
         return rad
-
-
-def radical_subspaces(c: LinearCategory) -> dict[Pair, Subspace]:
-    """The radical `c.radical` inside every hom space, as canonical subspaces."""
-    return {
-        (v, u): row_space(RationalMatrix.from_sparse_rows(c.radical.get((v, u), []), c.hom_dim(v, u)))
-        for v, u in product(c.objects, repeat=2)
-    }
 
 
 def contract(

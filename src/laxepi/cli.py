@@ -63,17 +63,23 @@ def _emit(report: dict) -> None:
 _LAWS = {"functors": validate_functor, "modules": validate_module}
 
 
-def _need(inst: Instance, kind: str, name: str):
-    """The named entry; a functor or module must obey its laws, and so must its categories."""
-    table = getattr(inst, kind)
-    if name not in table:
-        raise ParseError(f"no {kind[:-1]} named {name!r} in the instance file")
-    if kind in _LAWS:
-        obj, *cats = table[name]
-        for cat in cats:
-            _lawful(f"categories.{cat}", validate_category(inst.categories[cat]))
-        _lawful(f"{kind}.{name}", _LAWS[kind](obj))
-    return table[name]
+def _need(inst: Instance, *wanted: tuple[str, str]) -> list:
+    """The entries named by the (kind, name) pairs, once each category they
+    touch and then each functor and module among them obey their laws."""
+    entries = []
+    for kind, name in wanted:
+        table = getattr(inst, kind)
+        if name not in table:
+            raise ParseError(f"no {kind[:-1]} named {name!r} in the instance file")
+        entries.append(table[name])
+    # an ideal is (category, generators); a functor or module is (value, *categories)
+    cats = [c for (kind, _), e in zip(wanted, entries) for c in (e[:1] if kind == "ideals" else e[1:])]
+    for cat in dict.fromkeys(cats):
+        _lawful(f"categories.{cat}", validate_category(inst.categories[cat]))
+    for (kind, name), e in zip(wanted, entries):
+        if kind in _LAWS:
+            _lawful(f"{kind}.{name}", _LAWS[kind](e[0]))
+    return entries
 
 
 def _lawful(where: str, problems: list[str]) -> None:
@@ -82,9 +88,8 @@ def _lawful(where: str, problems: list[str]) -> None:
         raise InvalidInstance(f"{where}: {problems[0]}{more}")
 
 
-def _build_ideal(inst: Instance, name: str):
-    cat_name, gens = _need(inst, "ideals", name)
-    _lawful(f"categories.{cat_name}", validate_category(inst.categories[cat_name]))
+def _closure(inst: Instance, ideal: tuple):
+    cat_name, gens = ideal
     return ideal_closure(inst.categories[cat_name], gens)
 
 
@@ -105,9 +110,9 @@ def cmd_validate(args) -> int:
         if p:
             problems[f"modules.{name}"] = p
     ideal_status = {}
-    for name, (cat_name, gens) in inst.ideals.items():
+    for name, ideal in inst.ideals.items():
         try:
-            t = ideal_closure(inst.categories[cat_name], gens)
+            t = _closure(inst, ideal)
             ideal_status[name] = "degenerate (zero ideal)" if t.is_degenerate else "ok"
         except PreconditionError as e:
             ideal_status[name] = e.code
@@ -120,7 +125,7 @@ def cmd_validate(args) -> int:
 
 def cmd_factor(args) -> int:
     inst = load_instance(args.file)
-    f, src_name, tgt_name = _need(inst, "functors", args.functor)
+    [(f, src_name, tgt_name)] = _need(inst, ("functors", args.functor))
     t0 = time.perf_counter()
     fac = canonical_factorization(f)
     report = {
@@ -136,32 +141,29 @@ def cmd_factor(args) -> int:
     return 0
 
 
+_CHECKS = {  # --kind: its decider in `decide`
+    "epi": "is_epi",
+    "lax-epi": "is_lax_epi",
+    "flat": "is_flat",
+    "flat-epi": "is_flat_epi",
+    "cond-epi": "is_conditioned_epi",
+    "glax": "is_generalized_lax_epi",
+    "abelian-localization": "is_abelian_localization",
+}
+_IDEAL_CHECKS = ("cond-epi", "glax", "abelian-localization")  # deciders that take an ideal
+
+
 def cmd_check(args) -> int:
     from . import decide
 
     inst = load_instance(args.file)
-    f, _, _ = _need(inst, "functors", args.functor)
+    with_ideal = args.kind in _IDEAL_CHECKS
+    if with_ideal and not args.ideal:
+        raise ParseError(f"--ideal is required for kind {args.kind}")
+    wanted = [("functors", args.functor)] + [("ideals", args.ideal)] * with_ideal
+    (f, _, _), *ideals = _need(inst, *wanted)
     t0 = time.perf_counter()
-    if args.kind == "epi":
-        rep = decide.is_epi(f)
-    elif args.kind == "lax-epi":
-        rep = decide.is_lax_epi(f)
-    elif args.kind == "flat-epi":
-        rep = decide.is_flat_epi(f)
-    elif args.kind == "flat":
-        rep = decide.is_flat(f)
-    elif args.kind in ("cond-epi", "glax", "abelian-localization"):
-        if not args.ideal:
-            raise ParseError(f"--ideal is required for kind {args.kind}")
-        t = _build_ideal(inst, args.ideal)
-        if args.kind == "cond-epi":
-            rep = decide.is_conditioned_epi(f, t)
-        elif args.kind == "glax":
-            rep = decide.is_generalized_lax_epi(f, t)
-        else:
-            rep = decide.is_abelian_localization(f, t)
-    else:
-        raise ParseError(f"unknown check kind {args.kind}")
+    rep = getattr(decide, _CHECKS[args.kind])(f, *(_closure(inst, i) for i in ideals))
     report = {
         "command": "check",
         "kind": args.kind,
@@ -178,8 +180,8 @@ def cmd_check(args) -> int:
 
 def cmd_localize(args) -> int:
     inst = load_instance(args.file)
-    m, over_name = _need(inst, "modules", args.module)
-    t = _build_ideal(inst, args.ideal)
+    (m, over_name), ideal = _need(inst, ("modules", args.module), ("ideals", args.ideal))
+    t = _closure(inst, ideal)
     t0 = time.perf_counter()
     cm, unit = localize(t, m)
     report = {
@@ -198,12 +200,11 @@ def cmd_localize(args) -> int:
 
 def cmd_hom(args) -> int:
     inst = load_instance(args.file)
-    x, _ = _need(inst, "modules", getattr(args, "from"))
-    y, _ = _need(inst, "modules", args.to)
+    wanted = [("modules", getattr(args, "from")), ("modules", args.to)]
+    (x, _), (y, _), *ideal = _need(inst, *wanted, *[("ideals", args.ideal)] * bool(args.ideal))
     t0 = time.perf_counter()
-    if args.ideal:
-        t = _build_ideal(inst, args.ideal)
-        basis = quotient_hom(t, x, y)
+    if ideal:
+        basis = quotient_hom(_closure(inst, ideal[0]), x, y)
         kind = "quotient-hom"
     else:
         basis = hom_modules(x, y)
@@ -290,11 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check", help="run a decision procedure")
     sp.add_argument("file")
     sp.add_argument("--functor", required=True)
-    sp.add_argument(
-        "--kind",
-        required=True,
-        choices=["epi", "lax-epi", "flat", "flat-epi", "cond-epi", "glax", "abelian-localization"],
-    )
+    sp.add_argument("--kind", required=True, choices=list(_CHECKS))
     sp.add_argument("--ideal", default=None)
     sp.set_defaults(fn=cmd_check)
 

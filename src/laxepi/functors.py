@@ -22,8 +22,9 @@ from typing import Mapping, Sequence, Union
 
 from .category import LinearCategory, Morphism, combine, contract
 from .errors import InternalInvariantError
-from .linalg import ONE, ZERO, EchelonBasis, RationalMatrix, Scalar, nonzeros, zero_vec
+from .linalg import ONE, EchelonBasis, RationalMatrix, Scalar, nonzeros, zero_vec
 from .modules import (
+    ActionKey,
     Module,
     ModuleMap,
     Presentation,
@@ -72,6 +73,21 @@ class LinearFunctor:
     def columns(self) -> dict[Pair, list[dict[int, Scalar]]]:
         """Column i of each hom matrix, as nonzero coordinates: S(basis i)."""
         return {pair: m.transpose().sp for pair, m in self.hom_maps.items()}
+
+    @cached_property
+    def restricted_representables(self) -> tuple[dict[str, Module], dict[ActionKey, ModuleMap]]:
+        """restrict(self, yoneda G) at every target object G, and the maps between
+        them that the target's basis morphisms induce: the diagram coinduction reads."""
+        tgt = self.target
+        reps = {g: restrict(self, yoneda(tgt, g)) for g in tgt.objects}
+        maps = {}
+        for g2, g1 in tgt.hom_pairs():  # basis g: g2 -> g1 acts co(g1) -> co(g2)
+            for i in range(tgt.hom_dim(g2, g1)):
+                comps = yoneda_components(tgt, g2, g1, {i: ONE})
+                maps[(g2, g1, i)] = ModuleMap(
+                    reps[g2], reps[g1], {u: comps[self.apply_obj(u)] for u in self.source.objects}
+                )
+        return reps, maps
 
     def apply_obj(self, u: str) -> str:
         return self.object_map[u]
@@ -193,27 +209,9 @@ class CoinducedContext:
     hom_bases: dict[str, list[ModuleMap]]
 
 
-def restricted_representables(s: LinearFunctor) -> tuple[dict[str, Module], dict]:
-    """restrict(s, yoneda G) at every target object G, and the maps between them
-    that the target's basis morphisms induce."""
-    tgt = s.target
-    reps = {g: restrict(s, yoneda(tgt, g)) for g in tgt.objects}
-    maps = {}
-    for g2, g1 in tgt.hom_pairs():  # basis g: g2 -> g1 acts co(g1) -> co(g2)
-        for i in range(tgt.hom_dim(g2, g1)):
-            comps = yoneda_components(tgt, g2, g1, {i: ONE})
-            maps[(g2, g1, i)] = ModuleMap(
-                reps[g2], reps[g1], {u: comps[s.apply_obj(u)] for u in s.source.objects}
-            )
-    return reps, maps
-
-
-def coinduce(s: LinearFunctor, x: Module, diagram=None) -> CoinducedContext:
-    """Right adjoint of restriction: value at G is Hom(restrict(yoneda G), x).
-
-    A caller that coinduces along s more than once passes `diagram`, the
-    `restricted_representables` of s, so their presentations are made once."""
-    reps, maps = diagram if diagram is not None else restricted_representables(s)
+def coinduce(s: LinearFunctor, x: Module) -> CoinducedContext:
+    """Right adjoint of restriction: value at G is Hom(restrict(yoneda G), x)."""
+    reps, maps = s.restricted_representables
     co, bases = hom_diagram_module(s.target, reps, maps, x)
     return CoinducedContext(s, x, co, reps, bases)
 
@@ -360,16 +358,13 @@ class TensorContext:
     def lifted(self, g: str, c: Mapping[int, Scalar], h: str) -> list[dict[int, Scalar]]:
         """Column β: the big-space vector Σ_p c_p b(f_p) e_β at h of the element
         c of P0(g) tensored with basis vector β of b(g)(h)."""
-        b, pres = self.bimodule, self.presentation
+        b, offsets = self.bimodule, self.offsets[h]
         cols: list[dict[int, Scalar]] = [{} for _ in range(b.values[g].dims[h])]
-        for p, cp in c.items():
-            k, f = pres.p0[g][p]
-            off = self.offsets[h][k]
-            for r, row in enumerate(b.left_action[(g, pres.generators[k][0], f)].components[h].sp):
-                for beta, y in row.items():
-                    col = cols[beta]
-                    col[off + r] = col.get(off + r, ZERO) + cp * y
-        return [{j: y for j, y in col.items() if y} for col in cols]
+        terms = self.presentation.evaluate(  # slot k: b(f) from b(g)(h) to b(G_k)(h)
+            g, c, lambda gk, f: b.left_action[(g, gk, f)].components[h])
+        for (k, r, beta), y in terms.items():
+            cols[beta][offsets[k] + r] = y
+        return cols
 
     def represent(
         self, g: str, v: Mapping[int, Scalar], h: str, beta: Mapping[int, Scalar]
@@ -549,7 +544,7 @@ def adjunction_check(
         "hom_dim_coinduction": True,
         "failures": [],
     }
-    reg, diagram = regular_bimodule(s), restricted_representables(s)
+    reg = regular_bimodule(s)
     induced, coinduced, restricted = [], [], []
 
     for x in source_samples:
@@ -561,11 +556,11 @@ def adjunction_check(
         if flatten_map(t1) != flatten_map(identity_map(ind_x.module)):
             report["triangle_left_adjoint"] = False
             report["failures"].append(("triangle1", x.dims))
-        co_x = coinduce(s, x, diagram)
+        co_x = coinduce(s, x)
         induced.append(ind_x.module)
         coinduced.append(co_x.module)
         r_co = restrict(s, co_x.module)
-        ctx_rc = coinduce(s, r_co, diagram)
+        ctx_rc = coinduce(s, r_co)
         eps2 = coinduce_counit(co_x)
         t2 = map_compose(coinduce_map(ctx_rc, co_x, eps2), coinduce_unit(ctx_rc, co_x.module))
         if flatten_map(t2) != flatten_map(identity_map(co_x.module)):
@@ -581,7 +576,7 @@ def adjunction_check(
         if flatten_map(t2) != flatten_map(identity_map(ry)):
             report["triangle_right_adjoint"] = False
             report["failures"].append(("triangle2", y.dims))
-        co_ry = coinduce(s, ry, diagram)
+        co_ry = coinduce(s, ry)
         eps3 = coinduce_counit(co_ry)
         # (restrict ⊣ coinduce) triangle: counit'_{ry} ∘ restrict(unit'_y) = id_{ry}
         t3 = map_compose(eps3, restrict_map(s, coinduce_unit(co_ry, y), ry, restrict(s, co_ry.module)))

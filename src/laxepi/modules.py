@@ -415,14 +415,9 @@ def hom_modules(x: Module, y: Module) -> HomBasis:
     def evaluation(g: str, v: Mapping[int, Scalar]) -> list[dict[int, Scalar]]:
         """Row r of the linear map z ↦ E_g(z)·v, for v in P0(g), at each r in y(g)."""
         rows: list[dict[int, Scalar]] = [{} for _ in range(y.dims[g])]
-        for p, cp in v.items():
-            k, f = pres.p0[g][p]
-            for r, yrow in enumerate(y.action[(g, pres.generators[k][0], f)].sp):
-                row = rows[r]
-                for s, val in yrow.items():
-                    j = starts[k] + s
-                    row[j] = row.get(j, ZERO) + cp * val
-        return [{j: val for j, val in row.items() if val} for row in rows]
+        for (k, r, s), val in pres.evaluate(g, v, lambda gk, f: y.action[(g, gk, f)]).items():
+            rows[r][starts[k] + s] = val
+        return rows
 
     eqs = [row for g in c.objects for kappa in pres.kernels[g] for row in evaluation(g, kappa)]
     reduced, pivots = rref(RationalMatrix.from_sparse_rows(eqs, starts[-1]))
@@ -702,6 +697,20 @@ class Presentation:
     kernels: dict[str, tuple[dict[int, Scalar], ...]]
     preimages: dict[str, tuple[dict[int, Scalar], ...]]
 
+    def evaluate(self, g: str, v: Mapping[int, Scalar], action) -> dict[tuple[int, ...], Scalar]:
+        """Σ_p v_p·action(G_k, f) over the coordinates p = (k, f) of v in P0(g),
+        summed per generator: the nonzero entries (k, r, s) of slot k's matrix.
+
+        With action(G_k, f) = y(f), slot k is y(G_k) -> y(g) and this is the
+        Yoneda evaluation of v; the tensor passes b(f) at an object instead."""
+        out: dict[tuple[int, ...], Scalar] = {}
+        for p, cp in v.items():
+            k, f = self.p0[g][p]
+            for r, row in enumerate(action(self.generators[k][0], f).sp):
+                for s, val in row.items():
+                    out[k, r, s] = out.get((k, r, s), ZERO) + cp * val
+        return {key: val for key, val in out.items() if val}
+
 
 def present(x: Module) -> Presentation:
     """The presentation of x by greedy generators outside x·rad.
@@ -738,8 +747,6 @@ def _solve_presentation(images: Sequence[Mapping[int, Scalar]], n: int):
     """For the map P0(G) -> x(G) with these image columns and n = dim x(G): a
     basis of its kernel and a preimage of each e_a, from one elimination of [M | I]."""
     w = len(images)
-    if not n:
-        return tuple({q: ONE} for q in range(w)), ()
     rows: list[dict[int, Scalar]] = [{w + r: ONE} for r in range(n)]
     for p, col in enumerate(images):
         for r, y in col.items():

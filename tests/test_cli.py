@@ -186,6 +186,26 @@ def test_category_with_wrong_identity_is_refused(tmp_path, capsys):
     assert out["verdict"] is False and len(out["problems"]["categories.C"]) == 2
 
 
+def test_each_category_is_validated_once(corner_file, monkeypatch, capsys):
+    """A command validates every category it touches once, however many of its
+    functors, modules and ideals live over it."""
+    import laxepi.cli as cli
+
+    seen = []
+    real = cli.validate_category
+    monkeypatch.setattr(cli, "validate_category", lambda c: seen.append(c) or real(c))
+    calls = {
+        ("hom", corner_file, "--from", "regular", "--to", "regular", "--ideal", "e11"): 1,
+        ("localize", corner_file, "--module", "regular", "--ideal", "e11"): 1,
+        ("check", corner_file, "--functor", "p", "--kind", "glax", "--ideal", "e11"): 2,
+    }
+    for argv, n_categories in calls.items():
+        seen.clear()
+        assert main(list(argv)) == 0
+        capsys.readouterr()
+        assert len(seen) == len({id(c) for c in seen}) == n_categories
+
+
 def test_ideal_not_idempotent_exit_code(tmp_path, capsys):
     inst = bundle_to_instance(builtin("truncated_poly"))
     path = tmp_path / "trunc.json"

@@ -10,8 +10,7 @@ from laxepi.corpus import (
     truncated_polynomial_category,
     upper_triangular_category,
 )
-from laxepi.category import radical_subspaces
-from laxepi.linalg import RationalMatrix, Subspace
+from laxepi.linalg import RationalMatrix, Subspace, row_space
 from laxepi.modules import (
     Module,
     ModuleMap,
@@ -269,6 +268,15 @@ def test_trace_span_contains_identity_self():
     c = a2_category()
     s = trace_span(c, ["1"], "1")
     assert s.contains(c.identity("1").coords)
+
+
+def radical_subspaces(c):
+    """The radical `c.radical` inside every hom space, as canonical subspaces."""
+    return {
+        (v, u): row_space(RationalMatrix.from_sparse_rows(c.radical.get((v, u), []), c.hom_dim(v, u)))
+        for v in c.objects
+        for u in c.objects
+    }
 
 
 def test_radical_product_field():
