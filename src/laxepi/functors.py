@@ -24,7 +24,6 @@ from .category import LinearCategory, Morphism, combine, contract
 from .errors import InternalInvariantError
 from .linalg import ONE, EchelonBasis, RationalMatrix, Scalar, nonzeros, zero_vec
 from .modules import (
-    ActionKey,
     Module,
     ModuleMap,
     Presentation,
@@ -73,21 +72,6 @@ class LinearFunctor:
     def columns(self) -> dict[Pair, list[dict[int, Scalar]]]:
         """Column i of each hom matrix, as nonzero coordinates: S(basis i)."""
         return {pair: m.transpose().sp for pair, m in self.hom_maps.items()}
-
-    @cached_property
-    def restricted_representables(self) -> tuple[dict[str, Module], dict[ActionKey, ModuleMap]]:
-        """restrict(self, yoneda G) at every target object G, and the maps between
-        them that the target's basis morphisms induce: the diagram coinduction reads."""
-        tgt = self.target
-        reps = {g: restrict(self, yoneda(tgt, g)) for g in tgt.objects}
-        maps = {}
-        for g2, g1 in tgt.hom_pairs():  # basis g: g2 -> g1 acts co(g1) -> co(g2)
-            for i in range(tgt.hom_dim(g2, g1)):
-                comps = yoneda_components(tgt, g2, g1, {i: ONE})
-                maps[(g2, g1, i)] = ModuleMap(
-                    reps[g2], reps[g1], {u: comps[self.apply_obj(u)] for u in self.source.objects}
-                )
-        return reps, maps
 
     def apply_obj(self, u: str) -> str:
         return self.object_map[u]
@@ -211,8 +195,16 @@ class CoinducedContext:
 
 def coinduce(s: LinearFunctor, x: Module) -> CoinducedContext:
     """Right adjoint of restriction: value at G is Hom(restrict(yoneda G), x)."""
-    reps, maps = s.restricted_representables
-    co, bases = hom_diagram_module(s.target, reps, maps, x)
+    tgt = s.target
+    reps = {g: restrict(s, yoneda(tgt, g)) for g in tgt.objects}
+    maps = {}
+    for g2, g1 in tgt.hom_pairs():  # basis g: g2 -> g1 acts co(g1) -> co(g2)
+        for i in range(tgt.hom_dim(g2, g1)):
+            comps = yoneda_components(tgt, g2, g1, {i: ONE})
+            maps[(g2, g1, i)] = ModuleMap(
+                reps[g2], reps[g1], {u: comps[s.apply_obj(u)] for u in s.source.objects}
+            )
+    co, bases = hom_diagram_module(tgt, reps, maps, x)
     return CoinducedContext(s, x, co, reps, bases)
 
 

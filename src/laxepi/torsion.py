@@ -263,7 +263,9 @@ def localize(t: TorsionData, x: Module) -> tuple[ClosedModule, ModuleMap]:
             f"one Gabriel step on the torsion-free quotient did not close the module: "
             f"{cert.get('reason')}"
         )
-    if not q_iso(t, unit):
+    ker_mod, _ = kernel(unit)
+    coker_mod, _ = cokernel(unit)
+    if not (is_torsion(t, ker_mod) and is_torsion(t, coker_mod)):
         raise InternalInvariantError("localization unit does not have torsion kernel/cokernel")
     return ClosedModule(h, cert, (y0, proj, bases)), unit
 
