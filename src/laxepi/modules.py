@@ -708,7 +708,8 @@ class Presentation:
             k, f = self.p0[g][p]
             for r, row in enumerate(action(self.generators[k][0], f).sp):
                 for s, val in row.items():
-                    out[k, r, s] = out.get((k, r, s), ZERO) + cp * val
+                    key = (k, r, s)
+                    out[key] = out.get(key, ZERO) + cp * val
         return {key: val for key, val in out.items() if val}
 
 
@@ -747,6 +748,8 @@ def _solve_presentation(images: Sequence[Mapping[int, Scalar]], n: int):
     """For the map P0(G) -> x(G) with these image columns and n = dim x(G): a
     basis of its kernel and a preimage of each e_a, from one elimination of [M | I]."""
     w = len(images)
+    if not n:
+        return tuple({q: ONE} for q in range(w)), ()
     rows: list[dict[int, Scalar]] = [{w + r: ONE} for r in range(n)]
     for p, col in enumerate(images):
         for r, y in col.items():
