@@ -64,8 +64,9 @@ _LAWS = {"functors": validate_functor, "modules": validate_module}
 
 
 def _need(inst: Instance, *wanted: tuple[str, str]) -> list:
-    """The entries named by the (kind, name) pairs, once each category they
-    touch and then each functor and module among them obey their laws."""
+    """The entries named by the (kind, name) pairs.  Each category they touch
+    is validated once, then each functor and module among them; the first
+    broken law raises InvalidInstance."""
     entries = []
     for kind, name in wanted:
         table = getattr(inst, kind)
@@ -201,7 +202,8 @@ def cmd_localize(args) -> int:
 def cmd_hom(args) -> int:
     inst = load_instance(args.file)
     wanted = [("modules", getattr(args, "from")), ("modules", args.to)]
-    (x, _), (y, _), *ideal = _need(inst, *wanted, *[("ideals", args.ideal)] * bool(args.ideal))
+    wanted += [("ideals", args.ideal)] * bool(args.ideal)
+    (x, _), (y, _), *ideal = _need(inst, *wanted)
     t0 = time.perf_counter()
     if ideal:
         basis = quotient_hom(_closure(inst, ideal[0]), x, y)
