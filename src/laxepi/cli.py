@@ -64,16 +64,25 @@ _LAWS = {"functors": validate_functor, "modules": validate_module}
 
 
 def _need(inst: Instance, *wanted: tuple[str, str]) -> list:
-    """The entries named by the (kind, name) pairs.  Each category they touch
-    is validated once, then each functor and module among them; the first
-    broken law raises InvalidInstance."""
+    """The entries named by the (kind, name) pairs.  The modules and ideals
+    among them must live over one category, the target of the functor among
+    them; then each category they touch is validated once, then each functor
+    and module.  The first mismatch or broken law raises InvalidInstance."""
     entries = []
     for kind, name in wanted:
         table = getattr(inst, kind)
         if name not in table:
             raise ParseError(f"no {kind[:-1]} named {name!r} in the instance file")
         entries.append(table[name])
-    # an ideal is (category, generators); a functor or module is (value, *categories)
+    # an ideal is (category, generators); a functor or module is (value, *categories),
+    # and an entry lives over its last category: a functor over its target
+    (first, home), *rest = [
+        (f"{kind}.{name}" + "'s target" * (kind == "functors"), e[0] if kind == "ideals" else e[-1])
+        for (kind, name), e in zip(wanted, entries)
+    ]
+    for where, cat in rest:
+        if inst.categories[cat] != inst.categories[home]:
+            raise InvalidInstance(f"{where} lives over {cat}, not over {home} like {first}")
     cats = [c for (kind, _), e in zip(wanted, entries) for c in (e[:1] if kind == "ideals" else e[1:])]
     for cat in dict.fromkeys(cats):
         _lawful(f"categories.{cat}", validate_category(inst.categories[cat]))
@@ -227,10 +236,45 @@ def cmd_hom(args) -> int:
     return 0
 
 
-def cmd_corpus_run(args) -> int:
-    from . import decide
-    from .corpus import BUILTIN_NAMES, random_instance, run_builtin_table
+def _cross_check(rb) -> list[str]:
+    """Each disagreement, on one random bundle, of a decider with its
+    independent route: `is_lax_epi` with full faithfulness of restriction,
+    `is_epi` (on the surjective functor and the canonical factor) with the
+    multiplication-map oracle, `localize` with closedness and a q-iso unit,
+    and the adjunction laws."""
+    from . import decide, oracles
     from .functors import adjunction_check
+    from .torsion import is_closed, q_iso
+
+    problems = []
+    lax = decide.is_lax_epi(rb.functor)
+    if lax.verdict != decide.fully_faithful_restriction(rb.functor).verdict:
+        problems.append(f"is_lax_epi says {lax.verdict}; restriction's full faithfulness disagrees")
+    sf = rb.surjective_functor
+    epis = {
+        "surjective functor": (sf, decide.is_epi(sf).verdict),
+        "canonical factor": (canonical_factorization(rb.functor).s, lax.details["canonical_epi"]),
+    }
+    for label, (s, verdict) in epis.items():
+        if verdict != oracles.multiplication_map_iso(s)[0]:
+            problems.append(f"is_epi on the {label} says {verdict}; the multiplication-map "
+                            "oracle disagrees")
+    for m in rb.modules[:1]:
+        for t in rb.ideals[:1]:
+            if t.cat is m.over or t.cat == m.over:
+                cm, unit = localize(t, m)
+                if not is_closed(t, cm.module)[0]:
+                    problems.append("localize returned a module that is not closed")
+                if not q_iso(t, unit):
+                    problems.append("localize returned a unit that is not a q-isomorphism")
+    rep = adjunction_check(sf, rb.modules[:1], rb.modules[:1])
+    if not rep["ok"]:
+        problems.append(f"adjunction {rep['failures']}")
+    return problems
+
+
+def cmd_corpus_run(args) -> int:
+    from .corpus import BUILTIN_NAMES, random_instance, run_builtin_table
 
     t0 = time.perf_counter()
     failures = []
@@ -242,23 +286,12 @@ def cmd_corpus_run(args) -> int:
                 failures.append(desc)
     for k in range(args.count):
         seed = args.seed + k
-        rb = random_instance(seed)
-        before = len(failures)
         try:
-            decide.is_lax_epi(rb.functor)  # asserts agreement internally
-            decide.is_epi(rb.surjective_functor)  # asserts the tensor oracle
-            from .torsion import localize as _localize
-
-            for m in rb.modules[:1]:
-                for t in rb.ideals[:1]:
-                    if (t.cat is m.over) or (t.cat == m.over):
-                        _localize(t, m)  # asserts closedness and torsion unit
-            rep = adjunction_check(rb.surjective_functor, rb.modules[:1], rb.modules[:1])
-            if not rep["ok"]:
-                failures.append(f"random[{seed}]: adjunction {rep['failures']}")
+            problems = _cross_check(random_instance(seed))
         except InternalInvariantError as e:
-            failures.append(f"random[{seed}]: {e}")
-        lines.append(f"{'PASS' if len(failures) == before else 'FAIL'}  random seed {seed}")
+            problems = [str(e)]
+        failures += [f"random[{seed}]: {p}" for p in problems]
+        lines.append(f"{'FAIL' if problems else 'PASS'}  random seed {seed}")
     summary = {
         "command": "corpus run",
         "seed": args.seed,

@@ -21,6 +21,21 @@ def rat_to_str(x: Scalar) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _typed(value, kind: type, where: str):
+    """The value, if it has the JSON type `kind`; else a ParseError naming where."""
+    if not isinstance(value, kind):
+        raise ParseError(f"{where}: need {_JSON_TYPES[kind]}, got {type(value).__name__}")
+    return value
+
+
+def _section(doc: dict, key: str, where: str = "") -> dict:
+    """An optional JSON object field, {} when absent."""
+    return _typed(doc.get(key) or {}, dict, f"{where}.{key}".lstrip("."))
+
+
 def str_to_rat(s, where: str) -> Scalar:
     try:
         return frac(s if isinstance(s, int) else str(s))
@@ -75,27 +90,28 @@ def serialize_category(c: LinearCategory) -> dict:
 
 
 def parse_category(doc, where: str) -> LinearCategory:
-    if not isinstance(doc, dict):
-        raise ParseError(f"{where}: category must be an object")
-    objects = doc.get("objects")
-    if not isinstance(objects, list) or not objects:
+    _typed(doc, dict, where)
+    objects = _typed(doc.get("objects"), list, f"{where}.objects")
+    if not objects:
         raise ParseError(f"{where}.objects: need a nonempty list")
+    for k, u in enumerate(objects):
+        _typed(u, str, f"{where}.objects[{k}]")
     hom_dims: dict[tuple[str, str], int] = {}
     labels: dict[tuple[str, str], list[str]] = {}
-    for v, row in (doc.get("hom") or {}).items():
-        for u, spec in row.items():
+    for v, row in _section(doc, "hom", where).items():
+        for u, spec in _typed(row, dict, f"{where}.hom[{v}]").items():
             if v not in objects or u not in objects:
                 raise ParseError(f"{where}.hom: unknown object in pair ({v},{u})")
-            d = spec.get("dim")
+            d = _typed(spec, dict, f"{where}.hom[{v}][{u}]").get("dim")
             if not isinstance(d, int) or d < 0:
                 raise ParseError(f"{where}.hom[{v}][{u}].dim: need a nonnegative int")
             hom_dims[(v, u)] = d
             if "labels" in spec:
-                labels[(v, u)] = list(spec["labels"])
+                labels[(v, u)] = _typed(spec["labels"], list, f"{where}.hom[{v}][{u}].labels")
     comp: dict[tuple[str, str, str], Any] = {}
-    for w, lvl1 in (doc.get("comp") or {}).items():
-        for v, lvl2 in lvl1.items():
-            for u, triples in lvl2.items():
+    for w, lvl1 in _section(doc, "comp", where).items():
+        for v, lvl2 in _typed(lvl1, dict, f"{where}.comp[{w}]").items():
+            for u, triples in _typed(lvl2, dict, f"{where}.comp[{w}][{v}]").items():
                 dg = hom_dims.get((v, u), 0)
                 df = hom_dims.get((w, v), 0)
                 dr = hom_dims.get((w, u), 0)
@@ -117,7 +133,7 @@ def parse_category(doc, where: str) -> LinearCategory:
                     tab[gi][fi] = cv
                 comp[(w, v, u)] = tab
     ids = {}
-    for u, coords in (doc.get("id") or {}).items():
+    for u, coords in _section(doc, "id", where).items():
         ids[u] = _vec_in(coords, f"{where}.id[{u}]")
     try:
         return LinearCategory(objects, hom_dims, comp, ids, labels or None)
@@ -141,17 +157,23 @@ def serialize_functor(f: LinearFunctor, src_name: str, tgt_name: str) -> dict:
     }
 
 
+def _category_of(doc: dict, key: str, cats: dict[str, LinearCategory], where: str):
+    """The category that the name at doc[key] refers to."""
+    name = _typed(doc.get(key), str, f"{where}.{key}")
+    if name not in cats:
+        raise ParseError(f"{where}.{key}: unknown category {name!r}")
+    return cats[name]
+
+
 def parse_functor(doc, cats: dict[str, LinearCategory], where: str) -> tuple[LinearFunctor, str, str]:
-    for key in ("source", "target"):
-        if doc.get(key) not in cats:
-            raise ParseError(f"{where}.{key}: unknown category {doc.get(key)!r}")
-    src, tgt = cats[doc["source"]], cats[doc["target"]]
-    omap = doc.get("objects")
-    if not isinstance(omap, dict):
-        raise ParseError(f"{where}.objects: need an object map")
+    _typed(doc, dict, where)
+    src, tgt = (_category_of(doc, key, cats, where) for key in ("source", "target"))
+    omap = _typed(doc.get("objects"), dict, f"{where}.objects")
+    for u, image in omap.items():
+        _typed(image, str, f"{where}.objects[{u}]")
     hom_maps = {}
-    for v, row in (doc.get("hom") or {}).items():
-        for u, rows in row.items():
+    for v, row in _section(doc, "hom", where).items():
+        for u, rows in _typed(row, dict, f"{where}.hom[{v}]").items():
             sv, su = omap.get(v), omap.get(u)
             if sv is None or su is None:
                 raise ParseError(f"{where}.hom[{v}][{u}]: objects missing from map")
@@ -173,18 +195,15 @@ def serialize_module(m: Module, over_name: str) -> dict:
 
 
 def parse_module(doc, cats: dict[str, LinearCategory], where: str) -> tuple[Module, str]:
-    if doc.get("over") not in cats:
-        raise ParseError(f"{where}.over: unknown category {doc.get('over')!r}")
-    c = cats[doc["over"]]
-    dims = doc.get("dims")
-    if not isinstance(dims, dict):
-        raise ParseError(f"{where}.dims: need an object->dimension map")
+    _typed(doc, dict, where)
+    c = _category_of(doc, "over", cats, where)
+    dims = _typed(doc.get("dims"), dict, f"{where}.dims")
     for u, d in dims.items():
         if u not in c.objects or not isinstance(d, int) or d < 0:
             raise ParseError(f"{where}.dims[{u}]: bad dimension")
     action = {}
-    for v, row in (doc.get("action") or {}).items():
-        for u, mats in row.items():
+    for v, row in _section(doc, "action", where).items():
+        for u, mats in _typed(row, dict, f"{where}.action[{v}]").items():
             d = c.hom_dim(v, u)
             if not isinstance(mats, list) or len(mats) != d:
                 raise ParseError(f"{where}.action[{v}][{u}]: need {d} matrices")
@@ -209,13 +228,12 @@ def serialize_ideal(cat_name: str, generators) -> dict:
 
 
 def parse_ideal(doc, cats: dict[str, LinearCategory], where: str):
-    if doc.get("cat") not in cats:
-        raise ParseError(f"{where}.cat: unknown category {doc.get('cat')!r}")
-    c = cats[doc["cat"]]
+    _typed(doc, dict, where)
+    c = _category_of(doc, "cat", cats, where)
     gens = []
-    for k, g in enumerate(doc.get("generators") or []):
+    for k, g in enumerate(_typed(doc.get("generators") or [], list, f"{where}.generators")):
         loc = f"{where}.generators[{k}]"
-        v, u = g.get("source"), g.get("target")
+        v, u = _typed(g, dict, loc).get("source"), g.get("target")
         if v not in c.objects or u not in c.objects:
             raise ParseError(f"{loc}: unknown endpoint")
         coords = _vec_in(g.get("coords"), loc)
@@ -238,19 +256,18 @@ class Instance:
 
 
 def parse_instance(doc) -> Instance:
-    if not isinstance(doc, dict):
-        raise ParseError("top level: expected a JSON object")
+    _typed(doc, dict, "top level")
     inst = Instance()
-    cats = doc.get("categories")
-    if not isinstance(cats, dict) or not cats:
+    cats = _typed(doc.get("categories"), dict, "categories")
+    if not cats:
         raise ParseError("categories: need at least one category")
     for name, cdoc in cats.items():
         inst.categories[name] = parse_category(cdoc, f"categories.{name}")
-    for name, fdoc in (doc.get("functors") or {}).items():
+    for name, fdoc in _section(doc, "functors").items():
         inst.functors[name] = parse_functor(fdoc, inst.categories, f"functors.{name}")
-    for name, mdoc in (doc.get("modules") or {}).items():
+    for name, mdoc in _section(doc, "modules").items():
         inst.modules[name] = parse_module(mdoc, inst.categories, f"modules.{name}")
-    for name, idoc in (doc.get("ideals") or {}).items():
+    for name, idoc in _section(doc, "ideals").items():
         inst.ideals[name] = parse_ideal(idoc, inst.categories, f"ideals.{name}")
     return inst
 

@@ -21,7 +21,7 @@ from itertools import accumulate, product
 from typing import Mapping, Sequence, Union
 
 from .category import LinearCategory, Morphism, combine, contract
-from .errors import InternalInvariantError
+from .errors import InternalInvariantError, PreconditionError
 from .linalg import ONE, EchelonBasis, RationalMatrix, Scalar, nonzeros, zero_vec
 from .modules import (
     Module,
@@ -509,11 +509,7 @@ def counit_from_context(ctx: TensorContext, y: Module) -> ModuleMap:
 
 def counit(s: LinearFunctor, y: Module, reg: Bimodule | None = None) -> ModuleMap:
     """The adjunction counit induce(restrict(y)) -> y; `reg` as for `induce`."""
-    ctx = induce(s, restrict(s, y), reg)
-    eps = counit_from_context(ctx, y)
-    if s.is_surjective_on_objects() and not eps.is_epi():
-        raise InternalInvariantError("counit must be epi for surjective-on-objects functors")
-    return eps
+    return counit_from_context(induce(s, restrict(s, y), reg), y)
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +633,7 @@ def canonical_factorization_localized(p: LinearFunctor, torsion_prime) -> Factor
     src = p.source
     tgt_cat = p.target
     if not (torsion_prime.cat is tgt_cat or torsion_prime.cat == tgt_cat):
-        raise ValueError("torsion data must live on the functor's target")
+        raise PreconditionError("torsion data must live on the functor's target")
     # one localization per image object, shared by the objects that p sends there
     by_image = {g: localize(torsion_prime, yoneda(tgt_cat, g)) for g in p.image_objects()}
     loc = {u: by_image[p.apply_obj(u)] for u in src.objects}

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laxepi.cli import main
 from laxepi.corpus import builtin
@@ -206,6 +208,41 @@ def test_each_category_is_validated_once(corner_file, monkeypatch, capsys):
         assert len(seen) == len({id(c) for c in seen}) == n_categories
 
 
+@pytest.fixture()
+def mixed_file(tmp_path):
+    """corner_T2 (p: Q -> T2) with an ideal `onQ` and a module `q1` over Q."""
+    from laxepi.modules import yoneda
+
+    inst = bundle_to_instance(builtin("corner_T2"))
+    q = inst.categories["Q"]
+    inst.ideals["onQ"] = ("Q", [q.identity("*")])
+    inst.modules["q1"] = (yoneda(q, "*"), "Q")
+    return _write_instance(tmp_path, "mixed", inst)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--functor", "p", "--kind", "glax", "--ideal", "onQ"],
+        ["check", "--functor", "p", "--kind", "abelian-localization", "--ideal", "onQ"],
+        ["check", "--functor", "p", "--kind", "cond-epi", "--ideal", "onQ"],
+        ["localize", "--module", "regular", "--ideal", "onQ"],
+        ["hom", "--from", "regular", "--to", "regular", "--ideal", "onQ"],
+        ["localize", "--module", "q1", "--ideal", "e11"],
+        ["hom", "--from", "regular", "--to", "q1"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_entries_over_different_categories_are_refused(mixed_file, argv, capsys):
+    """An ideal must live on the functor's target or on the module's category,
+    and the two modules of hom over one category; otherwise exit 2."""
+    assert main([argv[0], mixed_file, *argv[1:]]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"] == "E_INVALID_INSTANCE"
+    assert "lives over" in out["message"]
+    assert "over Q" in out["message"] and "over T2" in out["message"]
+
+
 def test_ideal_not_idempotent_exit_code(tmp_path, capsys):
     inst = bundle_to_instance(builtin("truncated_poly"))
     path = tmp_path / "trunc.json"
@@ -241,6 +278,21 @@ def test_corpus_run_smoke(capsys):
     assert "PASS" in captured
 
 
+def test_corpus_run_reports_a_disagreeing_oracle(monkeypatch, capsys):
+    """corpus run compares is_epi with the multiplication-map oracle itself: an
+    oracle whose verdict is flipped makes it list random failures and exit 1."""
+    import laxepi.oracles as oracles
+
+    real = oracles.multiplication_map_iso
+    monkeypatch.setattr(oracles, "multiplication_map_iso", lambda s: (not real(s)[0], real(s)[1]))
+    assert main(["corpus", "run", "--count", "3"]) == 1
+    out = capsys.readouterr().out
+    summary = json.loads(out[out.index("\n{") + 1:])
+    assert summary["verdict"] is False
+    assert any(f.startswith("random[") and "multiplication-map" in f for f in summary["failures"])
+    assert "FAIL  random seed" in out
+
+
 def test_report_determinism(corner_file, capsys):
     main(["check", corner_file, "--functor", "p", "--kind", "glax", "--ideal", "e11"])
     out1 = json.loads(capsys.readouterr().out)
@@ -248,3 +300,90 @@ def test_report_determinism(corner_file, capsys):
     out2 = json.loads(capsys.readouterr().out)
     out1.pop("timing_s"), out2.pop("timing_s")
     assert out1 == out2
+
+
+def _builtin_docs():
+    from laxepi.corpus import BUILTIN_NAMES
+
+    return [serialize_instance(bundle_to_instance(builtin(name))) for name in BUILTIN_NAMES]
+
+
+_BUILTIN_DOCS = _builtin_docs()
+_WRONG_TYPES = ("x", 7, [], {}, ["x"], {"x": 1})
+
+
+def _paths(node, prefix=()):
+    """The path of every value inside a JSON document, the root excluded."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _parent(doc, path):
+    """The container that holds the value at path, and its key there."""
+    *up, key = path
+    for k in up:
+        doc = doc[k]
+    return doc, key
+
+
+def _mutations(doc, path):
+    """The single mutations that apply at a path: delete the key or drop the list
+    entry, duplicate a list entry, give the value the wrong type, or change an
+    integer by one."""
+    parent, key = _parent(doc, path)
+    value = parent[key]
+    out = [("delete", None)]
+    if isinstance(parent, list):
+        out.append(("duplicate", None))
+    out += [("replace", w) for w in _WRONG_TYPES if type(w) is not type(value)]
+    if isinstance(value, int) and not isinstance(value, bool):
+        out += [("replace", value + 1), ("replace", value - 1)]
+    return out
+
+
+def _mutate(doc, path, how, new):
+    doc = json.loads(json.dumps(doc))
+    parent, key = _parent(doc, path)
+    if how == "delete":
+        del parent[key]
+    elif how == "duplicate":
+        parent.insert(key, parent[key])
+    else:
+        parent[key] = new
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_instance_never_crashes(data):
+    """One mutation of a serialized builtin: validate, check, localize and hom
+    refuse it (exit 2 or 3) or answer (exit 0), never a traceback or exit 4."""
+    import contextlib
+    import io
+    import tempfile
+
+    from laxepi.cli import _CHECKS, _IDEAL_CHECKS
+
+    doc = data.draw(st.sampled_from(_BUILTIN_DOCS))
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    how, new = data.draw(st.sampled_from(_mutations(doc, path)))
+    modules, ideals = (list(doc.get(k, {})) for k in ("modules", "ideals"))
+    functor = data.draw(st.sampled_from(list(doc["functors"])))  # every builtin has one
+    kind = data.draw(st.sampled_from([k for k in _CHECKS if ideals or k not in _IDEAL_CHECKS]))
+    with tempfile.TemporaryDirectory() as tmp:
+        file = f"{tmp}/mutated.json"
+        with open(file, "w", encoding="utf-8") as fh:
+            json.dump(_mutate(doc, path, how, new), fh)
+        calls = [["validate", file], ["check", file, "--functor", functor, "--kind", kind]]
+        if kind in _IDEAL_CHECKS:
+            calls[-1] += ["--ideal", data.draw(st.sampled_from(ideals))]
+        if modules and ideals:
+            m, i = data.draw(st.sampled_from(modules)), data.draw(st.sampled_from(ideals))
+            calls += [["localize", file, "--module", m, "--ideal", i]]
+            calls += [["hom", file, "--from", m, "--to", data.draw(st.sampled_from(modules))]]
+        for argv in calls:
+            with contextlib.redirect_stdout(io.StringIO()):
+                rc = main(argv)
+            assert rc in (0, 2, 3), (argv[0], path, how, new, rc)

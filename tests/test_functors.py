@@ -193,6 +193,27 @@ def test_counit_diagonal_dims():
     assert validate_module_map(eps) == []
 
 
+def test_counit_epi_on_representables_of_surjective_functors():
+    """For a functor surjective on objects every counit on a representable is
+    epi: the builtins' such functors and those of bundles 0..59, at every
+    target object."""
+    from laxepi.corpus import BUILTIN_NAMES, builtin, random_instance
+
+    functors = [f for name in BUILTIN_NAMES for f in builtin(name).functors.values()]
+    for seed in range(60):
+        rb = random_instance(seed)
+        functors += [rb.functor, rb.surjective_functor]
+    cases = 0
+    for s in functors:
+        if not s.is_surjective_on_objects():
+            continue
+        reg = regular_bimodule(s)
+        for v in s.target.objects:
+            assert counit(s, yoneda(s.target, v), reg).is_epi(), v
+            cases += 1
+    assert cases >= 60
+
+
 def test_coinduce_identity():
     c = upper_triangular_category()
     co = coinduce(identity_functor(c), yoneda(c, "*"))
@@ -502,6 +523,16 @@ def test_canonical_factorization_localized_corner():
     assert fac.mid.hom_dim("*", "*") == 1  # quotient category ≅ Md(QQ)
     assert validate_functor(fac.s) == []
     assert validate_bimodule(fac.i) == []
+
+
+def test_canonical_factorization_localized_refuses_ideal_off_target():
+    import pytest
+
+    from laxepi.errors import PreconditionError
+
+    p = corner_unit_functor()  # Q -> T2; an ideal on Q is not on the target
+    with pytest.raises(PreconditionError, match="torsion data must live on the functor's target"):
+        canonical_factorization_localized(p, whole_ideal(p.source))
 
 
 def test_restriction_preserves_kernels_cokernels():

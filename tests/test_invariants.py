@@ -33,6 +33,7 @@ from laxepi.torsion import (
     ideal_closure,
     is_torsion,
     localize,
+    q_iso,
     quotient_hom,
     torsion_submodule,
     whole_ideal,
@@ -191,8 +192,8 @@ def test_factor_output_roundtrips_as_fixture(tmp_path):
 @given(st.integers(min_value=0, max_value=10_000))
 def test_random_functor_lax_agreement_property(seed):
     rb = random_instance(seed)
-    lax = decide.is_lax_epi(rb.functor)  # internal assertion checks the equivalence
-    assert lax.verdict in (True, False)
+    lax = decide.is_lax_epi(rb.functor)
+    assert lax.verdict == decide.fully_faithful_restriction(rb.functor).verdict
 
 
 @settings(max_examples=20, deadline=None)
@@ -203,5 +204,4 @@ def test_random_localization_laws_property(seed):
         for t in rb.ideals:
             if t.cat is m.over or t.cat == m.over:
                 cm, unit = localize(t, m)
-                ker_mod, _ = kernel(unit)
-                assert is_torsion(t, ker_mod)
+                assert q_iso(t, unit)
