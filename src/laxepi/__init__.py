@@ -39,7 +39,6 @@ from .errors import (
     RepresentableNotClosed,
 )
 from .functors import (
-    Bimodule,
     Factorization,
     LinearFunctor,
     adjunction_check,
@@ -65,6 +64,7 @@ from .linalg import (
     solve,
 )
 from .modules import (
+    Bimodule,
     Module,
     ModuleMap,
     Submodule,

@@ -263,7 +263,7 @@ def _cross_check(rb) -> list[str]:
         for t in rb.ideals[:1]:
             if t.cat is m.over or t.cat == m.over:
                 cm, unit = localize(t, m)
-                if not is_closed(t, cm.module)[0]:
+                if not is_closed(t, cm.module):
                     problems.append("localize returned a module that is not closed")
                 if not q_iso(t, unit):
                     problems.append("localize returned a unit that is not a q-isomorphism")

@@ -440,7 +440,8 @@ class RandomBundle:
 
 
 def _random_quiver_category(rng: random.Random, max_objects: int, max_hom_dim: int):
-    """Truncated path categories; retried until hom dimensions fit the bound."""
+    """Truncated path categories; retried until hom dimensions fit the bound,
+    then the one-vertex quiver, so that every random category is a path category."""
     for _ in range(50):
         n = rng.randint(1, max_objects)
         vertices = [f"v{i}" for i in range(n)]
@@ -460,7 +461,7 @@ def _random_quiver_category(rng: random.Random, max_objects: int, max_hom_dim: i
         cat = from_quiver(vertices, arrows, (), nilpotency)
         if all(cat.hom_dim(v, u) <= max_hom_dim for v in vertices for u in vertices):
             return cat
-    return field_category()
+    return from_quiver(["v0"], [], (), 1)
 
 
 def _random_morphism(rng: random.Random, c: LinearCategory, v: str, u: str) -> Morphism:
@@ -521,90 +522,50 @@ def random_functor(
                 continue
         else:
             object_map = {u: rng.choice(tgt_objs) for u in src_objs}
-        if not hasattr(src, "basis_paths"):
-            if src.total_dim() == len(src.objects):  # field-like: identities only
-                from .functors import LinearFunctor
-
-                hom_maps = {}
-                for v, u in src.hom_pairs():
-                    sv, su = object_map[v], object_map[u]
-                    if v == u:
-                        hom_maps[(v, u)] = RationalMatrix.from_columns(
-                            [tgt.identities[su]], tgt.hom_dim(sv, su)
-                        )
-                cand = LinearFunctor(src, tgt, object_map, hom_maps)
-            else:
-                raise ValueError("random functors need a path-category source")
-        else:
-            arrow_images = {}
-            ok = True
-            for name, (av, au) in src.arrow_endpoints.items():
-                sv, su = object_map[av], object_map[au]
-                arrow_images[name] = _random_morphism(rng, tgt, sv, su)
-            if not ok:
-                continue
-            cand = _functor_from_arrow_images(src, tgt, object_map, arrow_images)
+        arrow_images = {
+            name: _random_morphism(rng, tgt, object_map[av], object_map[au])
+            for name, (av, au) in src.arrow_endpoints.items()
+        }
+        cand = _functor_from_arrow_images(src, tgt, object_map, arrow_images)
         if validate_functor(cand) == []:
             return cand, attempts
     raise RuntimeError("functor rejection sampling exhausted its attempt budget")
 
 
 def random_module(rng: random.Random, c: LinearCategory, max_dim: int = 3):
-    """Random representation for quiver categories; presentations elsewhere."""
+    """Random representation of a path category: a matrix per arrow."""
     from .modules import Module, validate_module
 
-    if hasattr(c, "basis_paths"):
-        for _ in range(30):
-            dims = {v: rng.randint(0, max_dim) for v in c.objects}
-            mats = {
-                name: RationalMatrix(
-                    [
-                        [rng.choice([-1, 0, 0, 1, 2]) for _ in range(dims[au])]
-                        for _ in range(dims[av])
-                    ],
-                    dims[av],
-                    dims[au],
-                )
-                for name, (av, au) in c.arrow_endpoints.items()
-            }
-            action = {}
-            for v, u in c.hom_pairs():
-                for i, path in enumerate(c.basis_paths[(v, u)]):
-                    m = RationalMatrix.identity(dims[u])
-                    # X(a_k ∘ ... ∘ a_1) = X(a_1)·...·X(a_k)
-                    for a in reversed(path):
-                        m = mats[a] * m
-                    action[(v, u, i)] = m
-            x = Module(c, dims, action)
-            if validate_module(x) == []:
-                return x
-        raise RuntimeError("module rejection sampling exhausted its attempt budget")
-    # presentation route: cokernel of a random map between sums of representables
-    from .modules import cokernel, direct_sum, hom_modules, yoneda, zero_module
-
-    objs = [rng.choice(c.objects) for _ in range(rng.randint(1, 2))]
-    gens, _, _ = direct_sum([yoneda(c, u) for u in objs], over=c)
-    rel_objs = [rng.choice(c.objects) for _ in range(rng.randint(0, 2))]
-    if not rel_objs:
-        return gens
-    rels, _, _ = direct_sum([yoneda(c, u) for u in rel_objs], over=c)
-    basis = hom_modules(rels, gens)
-    if not basis:
-        return gens
-    from .modules import map_add, map_scale, zero_map
-
-    f = zero_map(rels, gens)
-    for b in basis:
-        co = rng.choice([-1, 0, 1, 1])
-        if co:
-            f = map_add(f, map_scale(co, b))
-    q, _ = cokernel(f)
-    return q
+    for _ in range(30):
+        dims = {v: rng.randint(0, max_dim) for v in c.objects}
+        mats = {
+            name: RationalMatrix(
+                [
+                    [rng.choice([-1, 0, 0, 1, 2]) for _ in range(dims[au])]
+                    for _ in range(dims[av])
+                ],
+                dims[av],
+                dims[au],
+            )
+            for name, (av, au) in c.arrow_endpoints.items()
+        }
+        action = {}
+        for v, u in c.hom_pairs():
+            for i, path in enumerate(c.basis_paths[(v, u)]):
+                m = RationalMatrix.identity(dims[u])
+                # X(a_k ∘ ... ∘ a_1) = X(a_1)·...·X(a_k)
+                for a in reversed(path):
+                    m = mats[a] * m
+                action[(v, u, i)] = m
+        x = Module(c, dims, action)
+        if validate_module(x) == []:
+            return x
+    raise RuntimeError("module rejection sampling exhausted its attempt budget")
 
 
 def random_ideal(rng: random.Random, c: LinearCategory):
     """A valid TorsionData: trivial, degenerate, vertex-generated, or sampled."""
-    from .torsion import TorsionData, ideal_closure, whole_ideal, zero_ideal
+    from .torsion import ideal_closure, whole_ideal, zero_ideal
     from .errors import IdealNotIdempotent
 
     roll = rng.random()

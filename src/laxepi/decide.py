@@ -23,7 +23,6 @@ from .errors import (
     RepresentableNotClosed,
 )
 from .functors import (
-    Bimodule,
     Factorization,
     LinearFunctor,
     canonical_factorization,
@@ -36,6 +35,7 @@ from .functors import (
 )
 from .linalg import RationalMatrix, Subspace, image_basis, kernel_basis, solve
 from .modules import (
+    Bimodule,
     Module,
     ModuleMap,
     Submodule,
@@ -203,8 +203,7 @@ def is_conditioned_epi(s: LinearFunctor, t: TorsionData) -> DecisionReport:
     if not (t.cat is s.target or t.cat == s.target):
         raise PreconditionError("torsion data must live on the functor's target")
     for g in s.target.objects:
-        ok, _ = is_closed(t, yoneda(s.target, g))
-        if not ok:
+        if not is_closed(t, yoneda(s.target, g)):
             raise RepresentableNotClosed(
                 f"hypothesis violated: representable at {g} is not closed"
             )
@@ -549,9 +548,8 @@ def is_generalized_closed_functor(
 
     cond_ii = True
     for a_mod in samples["closed_right_modules"]:
-        fa = _hom_restriction_module(b, a_mod)
-        ok, _ = is_closed(t_left, fa)
-        if not ok:
+        # the left module G -> Hom_right(b(G), a)
+        if not is_closed(t_left, hom_diagram_module(b, a_mod)[0]):
             cond_ii = False
 
     cond_iii = True
@@ -570,7 +568,3 @@ def is_generalized_closed_functor(
         verdicts | {"coincide": cond_i == cond_ii == cond_iii},
     )
 
-
-def _hom_restriction_module(b: Bimodule, a_mod: Module) -> Module:
-    """The left-category module G -> Hom_right(value(G), a)."""
-    return hom_diagram_module(b.left_cat, b.values, b.left_action, a_mod)[0]

@@ -1,12 +1,14 @@
 """Linear functors, the induction/restriction/coinduction triple, bimodule
 tensor products, and canonical factorizations.
 
-There is one coequalizer, the tensor x ⊗ b of a module with a bimodule, and
-it is computed from x's presentation (`modules.Presentation`): its
-generators (G_k, a_k) give a cover P0 = ⊕_k yoneda(G_k) -> x with kernel K,
-and as tensoring is right exact and yoneda(G) ⊗ b = b(G), x ⊗ b is
-⊕_k b(G_k) modulo the image of K ⊗ b, objectwise.  Induction along a functor
-is the tensor with its regular bimodule.  Coinduction is a hom-space module.
+There is one coequalizer, the tensor x ⊗ b of a module with a bimodule
+(`modules.Bimodule`), and it is computed from x's presentation
+(`modules.Presentation`): its generators (G_k, a_k) give a cover
+P0 = ⊕_k yoneda(G_k) -> x with kernel K, and as tensoring is right exact and
+yoneda(G) ⊗ b = b(G), x ⊗ b is ⊕_k b(G_k) modulo the image of K ⊗ b,
+objectwise.  Induction along a functor is the tensor with its regular
+bimodule.  Coinduction is its Hom-side twin, `modules.hom_diagram_module` on
+the bimodule of restricted representables.
 Contexts carry the presentation, the projections and the quotient
 coordinates, so units, counits and functoriality on maps are all computed in
 matching coordinates.
@@ -24,6 +26,7 @@ from .category import LinearCategory, Morphism, combine, contract
 from .errors import InternalInvariantError, PreconditionError
 from .linalg import ONE, EchelonBasis, RationalMatrix, Scalar, nonzeros, zero_vec
 from .modules import (
+    Bimodule,
     Module,
     ModuleMap,
     Presentation,
@@ -189,12 +192,11 @@ class CoinducedContext:
     functor: LinearFunctor
     source_module: Module
     module: Module
-    restricted_representables: dict[str, Module]
     hom_bases: dict[str, list[ModuleMap]]
 
 
 def coinduce(s: LinearFunctor, x: Module) -> CoinducedContext:
-    """Right adjoint of restriction: value at G is Hom(restrict(yoneda G), x)."""
+    """Right adjoint of restriction: Hom(D, x) for the bimodule D(G) = restrict(yoneda G)."""
     tgt = s.target
     reps = {g: restrict(s, yoneda(tgt, g)) for g in tgt.objects}
     maps = {}
@@ -204,8 +206,8 @@ def coinduce(s: LinearFunctor, x: Module) -> CoinducedContext:
             maps[(g2, g1, i)] = ModuleMap(
                 reps[g2], reps[g1], {u: comps[s.apply_obj(u)] for u in s.source.objects}
             )
-    co, bases = hom_diagram_module(tgt, reps, maps, x)
-    return CoinducedContext(s, x, co, reps, bases)
+    co, bases = hom_diagram_module(Bimodule(tgt, s.source, reps, maps), x)
+    return CoinducedContext(s, x, co, bases)
 
 
 def coinduce_counit(ctx: CoinducedContext) -> ModuleMap:
@@ -249,61 +251,6 @@ def coinduce_map(
 # ---------------------------------------------------------------------------
 # bimodules and the tensor functor
 # ---------------------------------------------------------------------------
-
-class Bimodule:
-    """A functor from left_cat into modules over right_cat."""
-
-    def __init__(
-        self,
-        left_cat: LinearCategory,
-        right_cat: LinearCategory,
-        values: Mapping[str, Module],
-        left_action: Mapping[tuple[str, str, int], ModuleMap],
-    ):
-        self.left_cat = left_cat
-        self.right_cat = right_cat
-        self.values = dict(values)
-        for g in left_cat.objects:
-            if g not in self.values:
-                raise ValueError(f"bimodule value missing at {g}")
-        self.left_action = dict(left_action)
-        for v, u in left_cat.hom_pairs():
-            for i in range(left_cat.hom_dim(v, u)):
-                if (v, u, i) not in self.left_action:
-                    raise ValueError(f"bimodule left action missing at {(v, u, i)}")
-
-    def left_act(self, m: Morphism) -> ModuleMap:
-        """Bilinear extension: value(source) -> value(target)."""
-        from .modules import map_add, map_scale, zero_map
-
-        out = zero_map(self.values[m.source], self.values[m.target])
-        for i, c in enumerate(m.coords):
-            if c:
-                out = map_add(out, map_scale(c, self.left_action[(m.source, m.target, i)]))
-        return out
-
-
-def validate_bimodule(b: Bimodule) -> list[str]:
-    from .modules import flatten_map, validate_module, validate_module_map
-
-    problems = []
-    for g, val in b.values.items():
-        problems += [f"value at {g}: {p}" for p in validate_module(val)]
-    for key, act in b.left_action.items():
-        problems += [f"left action at {key}: {p}" for p in validate_module_map(act)]
-    lc = b.left_cat
-    for g in lc.objects:
-        if flatten_map(b.left_act(lc.identity(g))) != flatten_map(identity_map(b.values[g])):
-            problems.append(f"left action of identity at {g} is not the identity")
-    for w, v, u in product(lc.objects, repeat=3):
-        for gi in range(lc.hom_dim(v, u)):
-            for fi in range(lc.hom_dim(w, v)):
-                lhs = b.left_act(Morphism(w, u, lc.comp_coords(w, v, u, gi, fi)))
-                rhs = map_compose(b.left_action[(v, u, gi)], b.left_action[(w, v, fi)])
-                if flatten_map(lhs) != flatten_map(rhs):
-                    problems.append(f"left action not functorial at ({(v, u, gi)}, {(w, v, fi)})")
-    return problems
-
 
 def regular_bimodule(s: LinearFunctor) -> Bimodule:
     """The bimodule computing induction along s: value(U) = yoneda(SU)."""

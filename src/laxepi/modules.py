@@ -7,8 +7,9 @@ matrix X(f) maps X(U) to X(V), and X(g∘f) = X(f)·X(g).  Each module has one
 X·rad, the cover P0 = ⊕_k yoneda(G_k) -> X they give, its kernel K and a
 preimage of each basis vector.  Natural transformations X -> Y are read off
 it as the values in ⊕_k Y(G_k) that kill K; the free cover, Ext^1, Tor_1,
-projectivity and the tensor with a bimodule all use the same cover.  Kernels
-and cokernels are computed objectwise.
+projectivity and the tensor with a bimodule all use the same cover.  A
+`Bimodule` is a diagram of modules; `hom_diagram_module(b, y)` is G ↦
+Hom(b(G), y).  Kernels and cokernels are computed objectwise.
 """
 
 from __future__ import annotations
@@ -353,6 +354,62 @@ def direct_sum(xs: Sequence[Module], over: LinearCategory | None = None):
 
 
 # ---------------------------------------------------------------------------
+# bimodules: diagrams of modules
+# ---------------------------------------------------------------------------
+
+class Bimodule:
+    """A functor from left_cat into modules over right_cat: a module `values[G]` at
+    each G, and the map `left_action[(G', G, i)]` of the i-th basis morphism G' -> G."""
+
+    def __init__(
+        self,
+        left_cat: LinearCategory,
+        right_cat: LinearCategory,
+        values: Mapping[str, Module],
+        left_action: Mapping[ActionKey, ModuleMap],
+    ):
+        self.left_cat = left_cat
+        self.right_cat = right_cat
+        self.values = dict(values)
+        for g in left_cat.objects:
+            if g not in self.values:
+                raise ValueError(f"bimodule value missing at {g}")
+        self.left_action = dict(left_action)
+        for v, u in left_cat.hom_pairs():
+            for i in range(left_cat.hom_dim(v, u)):
+                if (v, u, i) not in self.left_action:
+                    raise ValueError(f"bimodule left action missing at {(v, u, i)}")
+
+    def left_act(self, m: Morphism) -> ModuleMap:
+        """Bilinear extension: value(source) -> value(target)."""
+        out = zero_map(self.values[m.source], self.values[m.target])
+        for i, c in enumerate(m.coords):
+            if c:
+                out = map_add(out, map_scale(c, self.left_action[(m.source, m.target, i)]))
+        return out
+
+
+def validate_bimodule(b: Bimodule) -> list[str]:
+    problems = []
+    for g, val in b.values.items():
+        problems += [f"value at {g}: {p}" for p in validate_module(val)]
+    for key, act in b.left_action.items():
+        problems += [f"left action at {key}: {p}" for p in validate_module_map(act)]
+    lc = b.left_cat
+    for g in lc.objects:
+        if flatten_map(b.left_act(lc.identity(g))) != flatten_map(identity_map(b.values[g])):
+            problems.append(f"left action of identity at {g} is not the identity")
+    for w, v, u in product(lc.objects, repeat=3):
+        for gi in range(lc.hom_dim(v, u)):
+            for fi in range(lc.hom_dim(w, v)):
+                lhs = b.left_act(Morphism(w, u, lc.comp_coords(w, v, u, gi, fi)))
+                rhs = map_compose(b.left_action[(v, u, gi)], b.left_action[(w, v, fi)])
+                if flatten_map(lhs) != flatten_map(rhs):
+                    problems.append(f"left action not functorial at ({(v, u, gi)}, {(w, v, fi)})")
+    return problems
+
+
+# ---------------------------------------------------------------------------
 # hom spaces
 # ---------------------------------------------------------------------------
 
@@ -550,22 +607,17 @@ def evaluation_matrix(
     return _coordinate_columns(basis, rows)
 
 
-def hom_diagram_module(
-    c: LinearCategory,
-    values: Mapping[str, Module],
-    maps: Mapping[ActionKey, ModuleMap],
-    y: Module,
-) -> tuple[Module, dict[str, HomBasis]]:
-    """G ↦ Hom(values[G], y), acting by precomposition, and its hom bases.
+def hom_diagram_module(b: Bimodule, y: Module) -> tuple[Module, dict[str, HomBasis]]:
+    """G ↦ Hom(b.values[G], y), acting by precomposition, and its hom bases.
 
-    maps[(G', G, i)] is the diagram's map values[G'] -> values[G] for the
-    i-th basis morphism G' -> G, which acts Hom(values[G], y) -> Hom(values[G'], y).
+    The Hom-side twin of the tensor x ⊗ b: the basis morphism i: G' -> G
+    acts Hom(b.values[G], y) -> Hom(b.values[G'], y) by b.left_action[(G', G, i)].
     """
-    bases = {g: hom_modules(values[g], y) for g in c.objects}
-    action = {}
-    for v, u in c.hom_pairs():
-        for i in range(c.hom_dim(v, u)):
-            action[(v, u, i)] = hom_matrix(bases[u], bases[v], pre=maps[(v, u, i)])
+    c = b.left_cat
+    bases = {g: hom_modules(b.values[g], y) for g in c.objects}
+    action = {
+        (v, u, i): hom_matrix(bases[u], bases[v], pre=m) for (v, u, i), m in b.left_action.items()
+    }
     return Module(c, {g: len(bases[g]) for g in c.objects}, action), bases
 
 
@@ -839,7 +891,7 @@ def module_trace(family: Sequence[Module], x: Module) -> Submodule:
     return out
 
 
-def tor1(x: Module, b) -> Module:
+def tor1(x: Module, b: Bimodule) -> Module:
     """Tor_1(x, b) = ker( K ⊗ b -> P0 ⊗ b ) for the cover of x's presentation."""
     from .functors import tensor_map
 

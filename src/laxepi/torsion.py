@@ -10,21 +10,23 @@ one step already gives the module of quotients (Stenström, *Rings of
 Quotients*, 1975, Ch. IX), so `localize` runs that one step and does not
 test its result again; the tests and `laxepi corpus run` check that it is
 closed and that its unit is a q-isomorphism.  The step is
-`modules.hom_diagram_module` on the diagram (J_-, rho); its unit and maps come
-from `evaluation_matrix` and `hom_matrix`, so units and functoriality on maps
-are read off whole hom bases, and the quotient category is computed as homs
-between closed modules.
+`modules.hom_diagram_module` on the bimodule `TorsionData.j` (U ↦ J_U, acting
+by postcomposition); its unit and maps come from `evaluation_matrix` and
+`hom_matrix`, so units and functoriality on maps are read off whole hom bases,
+and the quotient category is computed as homs between closed modules.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 from .category import LinearCategory, Morphism, contract, postcompose_cells, precompose_cells
 from .errors import IdealNotIdempotent, InternalInvariantError
 from .linalg import ONE, EchelonBasis, RationalMatrix, Scalar, Subspace, kernel_basis, nonzeros
 from .modules import (
+    Bimodule,
     Module,
     ModuleMap,
     Submodule,
@@ -63,8 +65,6 @@ class TorsionData:
                 raise ValueError(f"ideal component at {(v, u)} has wrong ambient dimension")
             self.ideal[(v, u)] = s
         self.generators = tuple(generators)
-        self._j_cache: dict[str, tuple[Module, ModuleMap]] = {}
-        self._rho_cache: dict[tuple[str, str, int], ModuleMap] = {}
         if check:
             bad = self._two_sided_defect()
             if bad is not None:
@@ -114,32 +114,29 @@ class TorsionData:
         """Whole-category ideal: only the zero module is torsion."""
         return all(s.is_full() for s in self.ideal.values())
 
-    def j_module(self, u: str) -> tuple[Module, ModuleMap]:
-        """The minimal dense submodule of yoneda(u) as a module with inclusion."""
-        if u not in self._j_cache:
-            self._j_cache[u] = sub_to_module(self.j_submodule(u))
-        return self._j_cache[u]
-
     def j_submodule(self, u: str) -> Submodule:
         return Submodule(yoneda(self.cat, u), {v: self.ideal[(v, u)] for v in self.cat.objects})
 
-    def rho(self, v: str, u: str, i: int) -> ModuleMap:
-        """Postcomposition by the i-th basis morphism of Hom(v, u): J_v -> J_u."""
-        key = (v, u, i)
-        if key not in self._rho_cache:
-            c = self.cat
-            (jv, _), (ju, _) = self.j_module(v), self.j_module(u)
-            comps = {}
-            for w in c.objects:
-                # b_i ∘ h for the ideal's basis h of Hom(w, v), in its basis of Hom(w, u)
-                tab = c.table(w, v, u)
-                ims = [contract(tab, ((i, ONE),), h.items()) for h in self.ideal[(w, v)].basis.sp]
-                cols = [self.ideal[(w, u)].coordinates_of(m) for m in ims]
-                if None in cols:
-                    raise InternalInvariantError("ideal not closed under postcomposition")
-                comps[w] = RationalMatrix.from_columns(cols, ju.dims[w])
-            self._rho_cache[key] = ModuleMap(jv, ju, comps)
-        return self._rho_cache[key]
+    @cached_property
+    def j(self) -> Bimodule:
+        """U ↦ J_U, the minimal dense submodules of the representables; the
+        basis morphism i: V -> U acts J_V -> J_U by postcomposition."""
+        c, ideal = self.cat, self.ideal
+        values = {u: sub_to_module(self.j_submodule(u))[0] for u in c.objects}
+        action = {}
+        for v, u in c.hom_pairs():
+            for i in range(c.hom_dim(v, u)):
+                comps = {}
+                for w in c.objects:
+                    # b_i ∘ h for the ideal's basis h of Hom(w, v), in its basis of Hom(w, u)
+                    tab = c.table(w, v, u)
+                    cols = [ideal[(w, u)].coordinates_of(contract(tab, ((i, ONE),), h.items()))
+                            for h in ideal[(w, v)].basis.sp]
+                    if None in cols:
+                        raise InternalInvariantError("ideal not closed under postcomposition")
+                    comps[w] = RationalMatrix.from_columns(cols, values[u].dims[w])
+                action[(v, u, i)] = ModuleMap(values[v], values[u], comps)
+        return Bimodule(c, c, values, action)
 
 
 def whole_ideal(c: LinearCategory) -> TorsionData:
@@ -195,7 +192,12 @@ def torsion_submodule(t: TorsionData, x: Module) -> Submodule:
 
 
 def is_torsion(t: TorsionData, x: Module) -> bool:
-    return torsion_submodule(t, x).total_dim() == x.total_dim()
+    """X·J = 0: every basis element of every ideal component acts by zero."""
+    return all(
+        x.act_coords(v, u, a).is_zero()
+        for (v, u), s in t.ideal.items() if x.dims[v] and x.dims[u]
+        for a in s.basis.sp
+    )
 
 
 def is_torsion_free(t: TorsionData, x: Module) -> bool:
@@ -206,28 +208,19 @@ def is_torsion_free(t: TorsionData, x: Module) -> bool:
 # closedness and localization
 # ---------------------------------------------------------------------------
 
-def _restriction_to_j(t: TorsionData, x: Module, u: str, basis=None):
+def _restriction_to_j(t: TorsionData, x: Module, u: str, basis=None) -> RationalMatrix:
     """Matrix of X(u) = Hom(yoneda(u), x) -> Hom(J_u, x) in the given hom basis."""
-    jmod, _ = t.j_module(u)
     if basis is None:
-        basis = hom_modules(jmod, x)
+        basis = hom_modules(t.j.values[u], x)
     acts = {w: [x.act_coords(w, u, h) for h in t.ideal[(w, u)].basis.sp] for w in t.cat.objects}
-    return evaluation_matrix(basis, acts, x.dims[u]), basis
+    return evaluation_matrix(basis, acts, x.dims[u])
 
 
-def is_closed(t: TorsionData, x: Module) -> tuple[bool, dict]:
+def is_closed(t: TorsionData, x: Module) -> bool:
     """Torsion-free and X(U) ≅ Hom(J_U, x) under restriction, for every U."""
-    if not is_torsion_free(t, x):
-        return False, {"reason": "not torsion-free"}
-    from .linalg import is_iso as _is_iso
+    from .linalg import is_iso
 
-    cert = {}
-    for u in t.cat.objects:
-        mat, _ = _restriction_to_j(t, x, u)
-        if not _is_iso(mat):
-            return False, {"reason": f"restriction to J is not an isomorphism at {u}"}
-        cert[u] = mat
-    return True, cert
+    return is_torsion_free(t, x) and all(is_iso(_restriction_to_j(t, x, u)) for u in t.cat.objects)
 
 
 @dataclass
@@ -235,28 +228,26 @@ class ClosedModule:
     """A localization, with the steps that `localize_map` reads."""
 
     module: Module
-    # (torsion-free quotient, its projection, hom bases), set by localize for localize_map
+    # (torsion-free quotient, its projection, a section of each component, hom bases),
+    # set by localize for localize_map
     _steps: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def _gabriel_step(t: TorsionData, y: Module):
     """H(y) = Hom(J_-, y) with its action, the unit y -> H(y), and hom bases."""
-    c = t.cat
-    h, bases = hom_diagram_module(
-        c,
-        {u: t.j_module(u)[0] for u in c.objects},
-        {(v, u, i): t.rho(v, u, i) for v, u in c.hom_pairs() for i in range(c.hom_dim(v, u))},
-        y,
-    )
-    unit = ModuleMap(y, h, {u: _restriction_to_j(t, y, u, bases[u])[0] for u in c.objects})
+    h, bases = hom_diagram_module(t.j, y)
+    unit = ModuleMap(y, h, {u: _restriction_to_j(t, y, u, bases[u]) for u in t.cat.objects})
     return h, unit, bases
 
 
 def localize(t: TorsionData, x: Module) -> tuple[ClosedModule, ModuleMap]:
     """R(Q(x)) and the unit x -> R(Q(x)): one Gabriel step on the torsion-free quotient."""
-    y0, proj = quotient_by(torsion_submodule(t, x))
+    tors = torsion_submodule(t, x)
+    y0, proj = quotient_by(tors)
+    # the canonical section of quotient_by's projection, P·S = I
+    secs = {u: s.quotient_maps()[1] for u, s in tors.spaces.items()}
     h, eta, bases = _gabriel_step(t, y0)
-    return ClosedModule(h, (y0, proj, bases)), map_compose(eta, proj)
+    return ClosedModule(h, (y0, proj, secs, bases)), map_compose(eta, proj)
 
 
 def localize_map(
@@ -267,10 +258,9 @@ def localize_map(
 ) -> ModuleMap:
     """The induced map localize(source f) -> localize(target f): Hom(J_-, f0) for
     the map f0 that f induces on the torsion-free quotients."""
-    x0, proj_x, bx = loc_src._steps
-    y0, proj_y, by = loc_tgt._steps
+    x0, _, sec_x, bx = loc_src._steps
+    y0, proj_y, _, by = loc_tgt._steps
     objs = t.cat.objects
-    sec_x = {u: _section_of(proj_x.components[u]) for u in objs}
     f0 = ModuleMap(x0, y0, {u: proj_y.components[u] * f.components[u] * sec_x[u] for u in objs})
     comps = {u: hom_matrix(bx[u], by[u], post=f0) for u in objs}
     return ModuleMap(loc_src.module, loc_tgt.module, comps)
@@ -284,15 +274,6 @@ def localize_morphism(
     ys, yt = loc_src._steps[1].source, loc_tgt._steps[1].source
     comps = yoneda_components(t.cat, m.source, m.target, dict(nonzeros(m.coords)))
     return localize_map(t, ModuleMap(ys, yt, comps), loc_src, loc_tgt)
-
-
-def _section_of(proj: RationalMatrix) -> RationalMatrix:
-    from .linalg import solve_matrix
-
-    sec = solve_matrix(proj, RationalMatrix.identity(proj.rows))
-    if sec is None:
-        raise InternalInvariantError("projection has no section")
-    return sec
 
 
 def quotient_hom(t: TorsionData, x: Module, y: Module) -> list[ModuleMap]:

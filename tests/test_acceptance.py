@@ -119,7 +119,7 @@ def test_criterion_03_cond_epi_vs_fullness_oracle():
                 if not (t.cat is f.target or t.cat == f.target):
                     continue
                 closed = all(
-                    is_closed(t, yoneda(f.target, g))[0] for g in f.target.objects
+                    is_closed(t, yoneda(f.target, g)) for g in f.target.objects
                 )
                 if not closed:
                     with pytest.raises(RepresentableNotClosed):
@@ -203,7 +203,7 @@ def test_criterion_06_localization_laws():
             # localize proves nothing about its result: closed, unit a q-iso, idempotent
             cm, unit = localize(t, m)
             cm2, unit2 = localize(t, cm.module)
-            if not (q_iso(t, unit) and unit2.is_iso() and is_closed(t, cm.module)[0]):
+            if not (q_iso(t, unit) and unit2.is_iso() and is_closed(t, cm.module)):
                 failures.append(label)
         except Exception as e:  # noqa: BLE001 - any failure is a criterion failure
             failures.append(f"{label}: {e}")

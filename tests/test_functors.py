@@ -27,7 +27,6 @@ from laxepi.functors import (
     tensor_bimodule,
     tensor_map,
     tensor_yoneda_iso,
-    validate_bimodule,
     validate_functor,
 )
 from laxepi.linalg import RationalMatrix, is_iso
@@ -36,6 +35,7 @@ from laxepi.modules import (
     ModuleMap,
     kernel,
     tor1,
+    validate_bimodule,
     validate_module,
     validate_module_map,
     yoneda,

@@ -467,10 +467,9 @@ def _hom_matrix_cases(rng):
     cases = []
     for t, y in _torsion_cases():
         c = t.cat
-        js = {u: t.j_module(u)[0] for u in c.objects}
-        homs = {u: hom_modules(js[u], y) for u in c.objects}
+        homs = {u: hom_modules(t.j.values[u], y) for u in c.objects}
         for v, u in c.hom_pairs():
-            cases.append((homs[u], homs[v], t.rho(v, u, 0), None))
+            cases.append((homs[u], homs[v], t.j.left_action[(v, u, 0)], None))
         u = rng.choice(c.objects)
         cases.append((homs[u], homs[u], None, _random_map(rng, y, y)))
     for seed in range(10):
@@ -532,13 +531,13 @@ def test_gabriel_step_matches_per_element():
         for v, u in c.hom_pairs():
             for i in range(c.hom_dim(v, u)):
                 cols = [
-                    coordinates_in_hom_basis(map_compose(alpha, t.rho(v, u, i)), bases[v])
+                    coordinates_in_hom_basis(map_compose(alpha, t.j.left_action[(v, u, i)]), bases[v])
                     for alpha in bases[u]
                 ]
                 action[(v, u, i)] = RationalMatrix.from_columns(cols, len(bases[v]))
         assert h == Module(c, {u: len(bases[u]) for u in c.objects}, action)
         for u in c.objects:
-            jmod = t.j_module(u)[0]
+            jmod = t.j.values[u]
             acts = {w: [y.act(Morphism(w, u, g)) for g in t.ideal[(w, u)].basis_vectors()]
                     for w in c.objects}
             cols = []
@@ -562,7 +561,7 @@ def test_hom_diagram_module_matches_per_element():
         bim = regular_bimodule(b.functor)
         lc = bim.left_cat
         for y in [m for m in b.modules if m.over is bim.right_cat]:
-            h, bases = hom_diagram_module(lc, bim.values, bim.left_action, y)
+            h, bases = hom_diagram_module(bim, y)
             assert all(len(bases[g]) == h.dims[g] for g in lc.objects)
             for (gp, g, i), act in bim.left_action.items():
                 assert h.action[(gp, g, i)] == _per_element_matrix(bases[g], bases[gp], pre=act)

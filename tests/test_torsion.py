@@ -109,8 +109,7 @@ def test_is_closed_whole_ideal():
     c = upper_triangular_category()
     t = whole_ideal(c)
     for x in (yoneda(c, "*"), zero_module(c)):
-        ok, _ = is_closed(t, x)
-        assert ok
+        assert is_closed(t, x)
 
 
 def test_is_closed_negative_e11_ideal_module():
@@ -118,8 +117,7 @@ def test_is_closed_negative_e11_ideal_module():
     reg = yoneda(c, "*")
     e11t2, _ = sub_to_module(cyclic_submodule(reg, "*", [1, 0, 0]))
     assert e11t2.total_dim() == 2
-    ok, cert = is_closed(t, e11t2)
-    assert not ok
+    assert not is_closed(t, e11t2)
 
 
 def test_localize_closed_module_unit_iso():
@@ -264,10 +262,8 @@ def test_extension_closure_of_torsion():
 
 def test_representables_closed_iff_trivial_for_t2():
     c, t = t2_corner_ideal()
-    ok, _ = is_closed(t, yoneda(c, "*"))
-    assert not ok
-    ok2, _ = is_closed(whole_ideal(c), yoneda(c, "*"))
-    assert ok2
+    assert not is_closed(t, yoneda(c, "*"))
+    assert is_closed(whole_ideal(c), yoneda(c, "*"))
 
 
 def _module_ideal_pairs():
@@ -298,3 +294,60 @@ def test_second_gabriel_step_changes_nothing():
         h, unit, _ = _gabriel_step(t, cm.module)
         assert unit.is_iso()
         assert h.dims == cm.module.dims
+
+
+def test_j_bimodule_is_the_dense_submodules():
+    """TorsionData.j is a valid bimodule whose value at U is J_U as a module,
+    on the builtin ideals, those of bundles 0..29 and the vertex ideals of A_3..A_6."""
+    from laxepi.category import from_quiver
+    from laxepi.corpus import BUILTIN_NAMES, builtin, random_instance
+    from laxepi.modules import validate_bimodule
+
+    ideals = [t for name in BUILTIN_NAMES for t in builtin(name).ideals.values()]
+    ideals += [t for seed in range(30) for t in random_instance(seed).ideals]
+    for n in range(3, 7):
+        vertices = [str(i) for i in range(1, n + 1)]
+        arrows = [(f"a{i}", str(i), str(i + 1)) for i in range(1, n)]
+        c = from_quiver(vertices, arrows, (), nilpotency=n)
+        ideals += [ideal_closure(c, [c.identity(u)]) for u in c.objects]
+    for t in ideals:
+        assert validate_bimodule(t.j) == []
+        for u in t.cat.objects:
+            assert t.j.values[u] == sub_to_module(t.j_submodule(u))[0]
+
+
+def _torsion_test_cases():
+    """(ideal, module): the modules and representables of the builtins and of
+    bundles 0..59, the kernels of the counits at the representables, and the
+    kernel and cokernel of the localization unit of each of these."""
+    from laxepi.corpus import BUILTIN_NAMES, builtin, random_instance
+    from laxepi.functors import counit
+    from laxepi.modules import cokernel
+
+    groups = []
+    for name in BUILTIN_NAMES:
+        b = builtin(name)
+        groups.append((b.ideals.values(), b.modules.values(), b.functors.values()))
+    for seed in range(60):
+        b = random_instance(seed)
+        groups.append((b.ideals, b.modules, [b.functor, b.surjective_functor]))
+    for ideals, mods, functors in groups:
+        for t in ideals:
+            c = t.cat
+            xs = [m for m in mods if m.over is c] + [yoneda(c, u) for u in c.objects]
+            xs += [kernel(counit(s, yoneda(c, g)))[0]
+                   for s in functors if s.target is c for g in c.objects]
+            for x in list(xs):
+                _, unit = localize(t, x)
+                xs += [kernel(unit)[0], cokernel(unit)[0]]
+            yield from ((t, x) for x in xs)
+
+
+def test_is_torsion_matches_torsion_submodule():
+    """X·J = 0 read off the actions agrees with the torsion submodule being all of X."""
+    seen = {True: 0, False: 0}  # nonzero modules by verdict
+    for t, x in _torsion_test_cases():
+        want = torsion_submodule(t, x).total_dim() == x.total_dim()
+        assert is_torsion(t, x) == want
+        seen[want] += not x.is_zero()
+    assert min(seen.values()) > 50
