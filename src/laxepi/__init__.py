@@ -13,11 +13,7 @@ from .category import (
 )
 from .decide import (
     DecisionReport,
-    check_kernel_description,
-    condition_F,
-    condition_G,
     fully_faithful_restriction,
-    induced_filter_membership,
     is_abelian_localization,
     is_conditioned_epi,
     is_epi,
@@ -27,7 +23,6 @@ from .decide import (
     is_generalized_closed_functor,
     is_generalized_lax_epi,
     is_lax_epi,
-    ulmer_certificate_check,
 )
 from .errors import (
     IdealNotIdempotent,
@@ -86,13 +81,11 @@ from .modules import (
 from .torsion import (
     ClosedModule,
     TorsionData,
-    filter_membership,
     ideal_closure,
     is_closed,
     is_torsion,
     is_torsion_free,
     localize,
-    preimage_submodule,
     q_iso,
     quotient_hom,
     torsion_submodule,

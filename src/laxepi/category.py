@@ -157,12 +157,6 @@ class LinearCategory:
             raise ValueError(f"basis index {i} out of range for Hom({v},{u})")
         return Morphism(v, u, tuple(ONE if j == i else ZERO for j in range(d)))
 
-    def basis_morphisms(self, v: str, u: str) -> list[Morphism]:
-        return [self.basis_morphism(v, u, i) for i in range(self.hom_dim(v, u))]
-
-    def zero_morphism(self, v: str, u: str) -> Morphism:
-        return Morphism(v, u, zero_vec(self.hom_dim(v, u)))
-
     def identity(self, u: str) -> Morphism:
         return Morphism(u, u, self.identities[u])
 

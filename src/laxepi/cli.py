@@ -13,6 +13,7 @@ import sys
 import time
 from fractions import Fraction
 
+from . import decide
 from .category import validate_category
 from .errors import InternalInvariantError, InvalidInstance, ParseError, PreconditionError
 from .fileio import (
@@ -151,29 +152,15 @@ def cmd_factor(args) -> int:
     return 0
 
 
-_CHECKS = {  # --kind: its decider in `decide`
-    "epi": "is_epi",
-    "lax-epi": "is_lax_epi",
-    "flat": "is_flat",
-    "flat-epi": "is_flat_epi",
-    "cond-epi": "is_conditioned_epi",
-    "glax": "is_generalized_lax_epi",
-    "abelian-localization": "is_abelian_localization",
-}
-_IDEAL_CHECKS = ("cond-epi", "glax", "abelian-localization")  # deciders that take an ideal
-
-
 def cmd_check(args) -> int:
-    from . import decide
-
     inst = load_instance(args.file)
-    with_ideal = args.kind in _IDEAL_CHECKS
+    with_ideal = args.kind in decide.IDEAL_CHECKS
     if with_ideal and not args.ideal:
         raise ParseError(f"--ideal is required for kind {args.kind}")
     wanted = [("functors", args.functor)] + [("ideals", args.ideal)] * with_ideal
     (f, _, _), *ideals = _need(inst, *wanted)
     t0 = time.perf_counter()
-    rep = getattr(decide, _CHECKS[args.kind])(f, *(_closure(inst, i) for i in ideals))
+    rep = getattr(decide, decide.CHECKS[args.kind])(f, *(_closure(inst, i) for i in ideals))
     report = {
         "command": "check",
         "kind": args.kind,
@@ -242,7 +229,7 @@ def _cross_check(rb) -> list[str]:
     `is_epi` (on the surjective functor and the canonical factor) with the
     multiplication-map oracle, `localize` with closedness and a q-iso unit,
     and the adjunction laws."""
-    from . import decide, oracles
+    from . import oracles
     from .functors import adjunction_check
     from .torsion import is_closed, q_iso
 
@@ -307,6 +294,14 @@ def cmd_corpus_run(args) -> int:
     return 0 if not failures else 1
 
 
+def non_negative_int(text: str) -> int:
+    """A non-negative int, for argparse."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, not {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="laxepi",
@@ -326,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check", help="run a decision procedure")
     sp.add_argument("file")
     sp.add_argument("--functor", required=True)
-    sp.add_argument("--kind", required=True, choices=list(_CHECKS))
+    sp.add_argument("--kind", required=True, choices=list(decide.CHECKS))
     sp.add_argument("--ideal", default=None)
     sp.set_defaults(fn=cmd_check)
 
@@ -347,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     csub = sp.add_subparsers(dest="corpus_cmd", required=True)
     run = csub.add_parser("run", help="run builtin tables and random cross-validation")
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--count", type=int, default=10)
+    run.add_argument("--count", type=non_negative_int, default=10)
     run.set_defaults(fn=cmd_corpus_run)
 
     return p

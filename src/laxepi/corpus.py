@@ -350,28 +350,11 @@ def run_expectation(bundle: InstanceBundle, exp: Expectation) -> tuple[bool, obj
     from .torsion import ideal_closure, quotient_hom
 
     kind, args = exp.kind, exp.args
-    if kind == "epi":
-        got = decide.is_epi(bundle.functors[args["functor"]]).verdict
+    if kind in decide.CHECKS:
+        ideals = [bundle.ideals[args["ideal"]]] if kind in decide.IDEAL_CHECKS else []
+        got = getattr(decide, decide.CHECKS[kind])(bundle.functors[args["functor"]], *ideals).verdict
     elif kind == "ffr":
         got = decide.fully_faithful_restriction(bundle.functors[args["functor"]]).verdict
-    elif kind == "lax-epi":
-        got = decide.is_lax_epi(bundle.functors[args["functor"]]).verdict
-    elif kind == "flat":
-        got = decide.is_flat(bundle.functors[args["functor"]]).verdict
-    elif kind == "flat-epi":
-        got = decide.is_flat_epi(bundle.functors[args["functor"]]).verdict
-    elif kind == "cond-epi":
-        got = decide.is_conditioned_epi(
-            bundle.functors[args["functor"]], bundle.ideals[args["ideal"]]
-        ).verdict
-    elif kind == "glax":
-        got = decide.is_generalized_lax_epi(
-            bundle.functors[args["functor"]], bundle.ideals[args["ideal"]]
-        ).verdict
-    elif kind == "abelian-localization":
-        got = decide.is_abelian_localization(
-            bundle.functors[args["functor"]], bundle.ideals[args["ideal"]]
-        ).verdict
     elif kind == "epi-error":
         try:
             decide.is_epi(bundle.functors[args["functor"]])

@@ -5,64 +5,49 @@ module category) to the finite criteria that make it decidable at desk scale:
 counits on representables, per-object torsion tests on counit kernels,
 generation by trace submodules, projectivity of finitely many hom modules.
 Each decider runs one route.  The independent reference routes (tensor
-multiplication spans, restriction-hom ranks, corner algebras) are compared
-with these deciders by the acceptance suite and by `laxepi corpus run`.
+multiplication spans, restriction-hom ranks, corner algebras) and the
+sufficiency conditions (G) and (F) live in `oracles`; the acceptance suite
+and `laxepi corpus run` compare them with these deciders.  `CHECKS` names the
+decider of each check kind that the CLI and the corpus tables accept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
-from typing import Sequence
 
-from .category import LinearCategory, Morphism, compose, opposite, postcompose_cells
-from .errors import (
-    InternalInvariantError,
-    NotSurjectiveOnObjects,
-    PreconditionError,
-    RepresentableNotClosed,
-)
+from .category import LinearCategory, opposite, postcompose_cells
+from .errors import NotSurjectiveOnObjects, PreconditionError, RepresentableNotClosed
 from .functors import (
     Factorization,
     LinearFunctor,
     canonical_factorization,
     canonical_factorization_localized,
     counit,
-    induce,
     regular_bimodule,
     tensor_bimodule,
     tensor_map,
 )
-from .linalg import RationalMatrix, Subspace, image_basis, kernel_basis, solve
+from .linalg import RationalMatrix
 from .modules import (
     Bimodule,
     Module,
-    ModuleMap,
-    Submodule,
     hom_diagram_module,
-    hom_matrix,
     identity_map,
-    image,
     is_projective,
     kernel,
-    map_compose,
     module_trace,
     quotient_by,
     sub_to_module,
-    submodule_sum,
     tops,
     tor1,
     trace_span,
-    validate_module_map,
     yoneda,
-    zero_submodule,
 )
 from .torsion import (
     TorsionData,
     is_closed,
     is_torsion,
     localize,
-    localize_morphism,
     q_iso,
     whole_ideal,
 )
@@ -76,6 +61,20 @@ class DecisionReport:
 
     def __bool__(self) -> bool:
         return self.verdict
+
+
+# Each check kind and the name of its decider in this module.  Callers look the
+# decider up by name when they run it, so they see a decider rebound here.
+CHECKS = {
+    "epi": "is_epi",
+    "lax-epi": "is_lax_epi",
+    "flat": "is_flat",
+    "flat-epi": "is_flat_epi",
+    "cond-epi": "is_conditioned_epi",
+    "glax": "is_generalized_lax_epi",
+    "abelian-localization": "is_abelian_localization",
+}
+IDEAL_CHECKS = ("cond-epi", "glax", "abelian-localization")  # deciders that take an ideal
 
 
 # ---------------------------------------------------------------------------
@@ -286,194 +285,6 @@ def is_abelian_localization(p: LinearFunctor, t_prime: TorsionData) -> DecisionR
     verdict = glax.verdict and flat.verdict
     details = {"glax": glax.details | {"verdict": glax.verdict}, "flat": flat.verdict}
     return DecisionReport("abelian-localization", verdict, details)
-
-
-def induced_filter_membership(
-    p: LinearFunctor, t_prime: TorsionData, sub: Submodule
-) -> bool:
-    """Is a submodule of a representable dense for the induced filter, i.e. does
-    induction turn its inclusion into an isomorphism of the quotient category?"""
-    sub_mod, incl = sub_to_module(sub)
-    ctx_sub = induce(p, sub_mod)
-    ctx_amb = induce(p, sub.of)
-    ind_incl = tensor_map(incl, ctx_amb.bimodule, ctx_sub, ctx_amb)
-    return q_iso(t_prime, ind_incl)
-
-
-def check_kernel_description(
-    p: LinearFunctor, t_prime: TorsionData, samples: Sequence[Module]
-) -> DecisionReport:
-    """Membership in Ker T^* computed two ways must coincide on every sample."""
-    disagreements = []
-    for k, x in enumerate(samples):
-        ind = induce(p, x).module
-        torsion_route = is_torsion(t_prime, ind)
-        cm, _ = localize(t_prime, ind)
-        localize_route = cm.module.is_zero()
-        if torsion_route != localize_route:
-            disagreements.append(
-                {"sample": k, "torsion": torsion_route, "localize_zero": localize_route}
-            )
-    return DecisionReport(
-        "kernel-description", not disagreements, {"disagreements": disagreements}
-    )
-
-
-# ---------------------------------------------------------------------------
-# sufficiency conditions (G) and (F)
-# ---------------------------------------------------------------------------
-
-def condition_G(p: LinearFunctor, t_prime: TorsionData) -> bool:
-    fac = canonical_factorization_localized(p, t_prime)
-    ok, _ = _generation_check(fac, p)
-    return ok
-
-
-def condition_F(
-    p: LinearFunctor,
-    t_prime: TorsionData,
-    u_obj: str,
-    u2_obj: str,
-    gamma: ModuleMap,
-    fac: Factorization | None = None,
-) -> tuple[bool, dict]:
-    """Solvability γ·T(u) = T(u') on the maximal subspace, with covering images.
-
-    For every source object V the subspace K_V of morphisms u: V -> U with
-    γ∘T(u) in the image of T on Hom(V, U') is computed exactly; the condition
-    holds when the joint image of T over all K_V covers T(U) up to torsion.
-    """
-    if fac is None:
-        fac = canonical_factorization_localized(p, t_prime)
-    loc = fac.localized_representables
-    src = p.source
-    if gamma.source != loc[u_obj][0].module or gamma.target != loc[u2_obj][0].module:
-        err = PreconditionError(
-            "gamma is not a map between the localized induced representables"
-        )
-        err.code = "E_INVALID_QUOTIENT_HOM"
-        raise err
-    if validate_module_map(gamma):
-        err = PreconditionError("gamma is not natural")
-        err.code = "E_INVALID_QUOTIENT_HOM"
-        raise err
-
-    def t_of(u_mor: Morphism) -> ModuleMap:
-        return localize_morphism(
-            t_prime, p.apply(u_mor), loc[u_mor.source][0], loc[u_mor.target][0]
-        )
-
-    certificate = {}
-    trace = zero_submodule(loc[u_obj][0].module)
-    covering_maps = []
-    for v in src.objects:
-        if not src.hom_dim(v, u_obj):
-            certificate[v] = {"K_basis": [], "solved": []}
-            continue
-        basis_v_u2 = fac.hom_bases[(v, u2_obj)]
-        # T on Hom(V, U') and phi: u ↦ gamma ∘ T(u) on Hom(V, U), in quotient-hom coordinates
-        t_mat = fac.s.hom_maps.get((v, u2_obj), RationalMatrix.zeros(len(basis_v_u2), 0))
-        phi = hom_matrix(fac.hom_bases[(v, u_obj)], basis_v_u2, post=gamma)
-        phi = phi * fac.s.hom_maps[(v, u_obj)]
-        proj, _ = image_basis(t_mat).quotient_maps()
-        k_v = kernel_basis(proj * phi)
-        solved = []
-        for u_coords in k_v.basis_vectors():
-            rhs = phi.apply(u_coords)
-            u_prime = solve(t_mat, rhs)
-            if u_prime is None:
-                raise InternalInvariantError("K_V element not actually solvable")
-            solved.append((tuple(u_coords), tuple(u_prime)))
-            u_mor = Morphism(v, u_obj, u_coords)
-            covering_maps.append(t_of(u_mor))
-        certificate[v] = {"K_basis": k_v.basis_vectors(), "solved": solved}
-    for cm in covering_maps:
-        trace = submodule_sum(trace, image(cm))
-    q, _ = quotient_by(trace)
-    ok = is_torsion(t_prime, q)
-    return ok, certificate
-
-
-def _hcat(blocks: Sequence[RationalMatrix], rows: int) -> RationalMatrix:
-    return reduce(RationalMatrix.hstack, blocks, RationalMatrix.zeros(rows, 0))
-
-
-def _vcat(blocks: Sequence[RationalMatrix], cols: int) -> RationalMatrix:
-    return reduce(RationalMatrix.vstack, blocks, RationalMatrix.zeros(0, cols))
-
-
-def ulmer_certificate_check(
-    p: LinearFunctor,
-    t_prime: TorsionData,
-    u_obj: str,
-    u_family: Sequence[Morphism],
-    relation_family: Sequence[tuple[str, Sequence[Morphism]]],
-) -> bool:
-    """Verify Σ u_i u_ij = 0 and exactness of ⊕TV_j -> ⊕TU_i -> TU in the quotient.
-
-    relation_family entries are (V_j, [u_1j, ..., u_nj]) with u_ij: V_j -> U_i.
-    """
-    from .modules import direct_sum
-
-    src = p.source
-    n = len(u_family)
-    for u_i in u_family:
-        if u_i.target != u_obj:
-            raise PreconditionError("family morphisms must share the target object")
-    for v_j, col in relation_family:
-        if len(col) != n:
-            raise PreconditionError("relation column length mismatch")
-        total = src.zero_morphism(v_j, u_obj)
-        for u_i, u_ij in zip(u_family, col):
-            if u_ij.source != v_j or u_ij.target != u_i.source:
-                raise PreconditionError("relation morphism endpoints mismatch")
-            total = total.add(compose(src, u_i, u_ij))
-        if not total.is_zero():
-            return False
-
-    fac = canonical_factorization_localized(p, t_prime)
-    loc = fac.localized_representables
-
-    def t_of(m: Morphism) -> ModuleMap:
-        return localize_morphism(t_prime, p.apply(m), loc[m.source][0], loc[m.target][0])
-
-    objs = t_prime.cat.objects
-    mids = [loc[u_i.source][0].module for u_i in u_family]
-    f0, f0_incl, _ = direct_sum(mids, over=t_prime.cat)
-    tu = loc[u_obj][0].module
-    # beta: F0 -> TU is the row of the T(u_i); alpha: F1 -> F0 the block matrix of the T(u_ij)
-    t_u = [t_of(u_i).components for u_i in u_family]
-    beta = ModuleMap(f0, tu, {w: _hcat([t[w] for t in t_u], tu.dims[w]) for w in objs})
-
-    if relation_family:
-        lefts = [loc[v_j][0].module for v_j, _ in relation_family]
-        f1, _, _ = direct_sum(lefts, over=t_prime.cat)
-        t_rel = [[t_of(u_ij).components for u_ij in col] for _, col in relation_family]
-        alpha_comps = {}
-        for w in objs:
-            stacks = [_vcat([t[w] for t in ts], lft.dims[w]) for ts, lft in zip(t_rel, lefts)]
-            alpha_comps[w] = _hcat(stacks, f0.dims[w])
-        alpha = ModuleMap(f1, f0, alpha_comps)
-        comp = map_compose(beta, alpha)
-        if not comp.is_zero():
-            raise InternalInvariantError("relations do not compose to zero after induction")
-        im_alpha = image(alpha)
-    else:
-        im_alpha = zero_submodule(f0)
-
-    ker_mod, ker_incl = kernel(beta)
-    # express im_alpha inside the kernel coordinates and quotient
-    spaces = {}
-    for w in t_prime.cat.objects:
-        vecs = []
-        for bv in im_alpha.spaces[w].basis_vectors():
-            coords = solve(ker_incl.components[w], bv)
-            if coords is None:
-                raise InternalInvariantError("image not inside kernel")
-            vecs.append(coords)
-        spaces[w] = Subspace.from_vectors(vecs, ker_mod.dims[w])
-    q, _ = quotient_by(Submodule(ker_mod, spaces))
-    return is_torsion(t_prime, q)
 
 
 # ---------------------------------------------------------------------------

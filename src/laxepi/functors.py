@@ -135,29 +135,6 @@ def identity_functor(c: LinearCategory) -> LinearFunctor:
     )
 
 
-def compose_functors(g: LinearFunctor, f: LinearFunctor) -> LinearFunctor:
-    if f.target is not g.source and f.target != g.source:
-        raise ValueError("functors not composable")
-    return LinearFunctor(
-        f.source,
-        g.target,
-        {u: g.apply_obj(f.apply_obj(u)) for u in f.source.objects},
-        {
-            (v, u): g.hom_maps[(f.apply_obj(v), f.apply_obj(u))] * f.hom_maps[(v, u)]
-            for v, u in f.source.hom_pairs()
-        },
-    )
-
-
-def functors_equal(a: LinearFunctor, b: LinearFunctor) -> bool:
-    return (
-        a.source == b.source
-        and a.target == b.target
-        and a.object_map == b.object_map
-        and a.hom_maps == b.hom_maps
-    )
-
-
 # ---------------------------------------------------------------------------
 # restriction
 # ---------------------------------------------------------------------------
@@ -312,12 +289,6 @@ class TensorContext:
         cols = self.lifted(g, self.preimage(g, v), h)
         return combine((y, cols[j]) for j, y in beta.items())
 
-    def class_of(
-        self, g: str, v: Mapping[int, Scalar], h: str, beta: Mapping[int, Scalar]
-    ) -> tuple[Scalar, ...]:
-        """Coordinates in module(h) of v ⊗ β."""
-        return _descend(self.projections[h], [self.represent(g, v, h, beta)]).col(0)
-
     @cached_property
     def unit(self) -> ModuleMap:
         """For an induction, x -> restrict(functor, module): e_a at U goes to the
@@ -404,22 +375,6 @@ def tensor_map(
             cols.append(lifts[k][j])
         comps[h] = _descend(ctx_tgt.projections[h], cols)
     return ModuleMap(ctx_src.module, ctx_tgt.module, comps)
-
-
-def tensor_yoneda_iso(g_obj: str, b: Bimodule, ctx: TensorContext | None = None) -> ModuleMap:
-    """The canonical map b(G) -> yoneda(G) ⊗ b, β ↦ class of id_G ⊗ β; an
-    isomorphism (checked by callers)."""
-    lc = b.left_cat
-    ctx = ctx if ctx is not None else tensor_bimodule(yoneda(lc, g_obj), b)
-    idc = dict(nonzeros(lc.identities[g_obj]))
-    comps = {
-        h: _descend(
-            ctx.projections[h],
-            [ctx.represent(g_obj, idc, h, {j: ONE}) for j in range(b.values[g_obj].dims[h])],
-        )
-        for h in b.right_cat.objects
-    }
-    return ModuleMap(b.values[g_obj], ctx.module, comps)
 
 
 # ---------------------------------------------------------------------------

@@ -328,15 +328,6 @@ class RationalMatrix:
             raise DimensionMismatch("vstack column mismatch")
         return RationalMatrix.from_sparse_rows(self.sp + other.sp, self.cols)
 
-    def kronecker(self, other: "RationalMatrix") -> "RationalMatrix":
-        n = other.cols
-        out = [
-            {j1 * n + j2: a * b for j1, a in r1.items() for j2, b in r2.items()}
-            for r1 in self.sp
-            for r2 in other.sp
-        ]
-        return RationalMatrix.from_sparse_rows(out, self.cols * n)
-
 
 # the slots' own setters, which the raising __setattr__ does not reach
 _set_rows, _set_cols, _set_sp = (
@@ -550,11 +541,6 @@ class Subspace:
     def contains(self, v: Sequence[Scalar] | Mapping[int, Scalar]) -> bool:
         return not self._residue(v)
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        if self.ambient_dim != other.ambient_dim:
-            raise DimensionMismatch("ambient dimensions differ")
-        return all(self.contains(r) for r in other.basis.sp)
-
     def coordinates_of(
         self, v: Sequence[Scalar] | Mapping[int, Scalar]
     ) -> tuple[Scalar, ...] | None:
@@ -576,19 +562,6 @@ class Subspace:
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("ambient dimensions differ")
         return Subspace._spanned_by(self.basis.sp + other.basis.sp, self.ambient_dim)
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        if self.ambient_dim != other.ambient_dim:
-            raise DimensionMismatch("ambient dimensions differ")
-        # x = B1^T u = B2^T w; kernel of [B1^T | -B2^T] yields the intersection.
-        d1, d2 = self.dim, other.dim
-        if d1 == 0 or d2 == 0:
-            return Subspace.zero(self.ambient_dim)
-        stacked = self.basis.transpose().hstack(-other.basis.transpose())
-        ker = kernel_basis(stacked)
-        us = [{k: a for k, a in kv.items() if k < d1} for kv in ker.basis.sp]
-        vecs = RationalMatrix.from_sparse_rows(us, d1) * self.basis
-        return Subspace._spanned_by(vecs.sp, self.ambient_dim)
 
     def quotient_maps(self) -> tuple[RationalMatrix, RationalMatrix]:
         """(projection P, section S) for QQ^n / self; P S = identity.

@@ -123,9 +123,6 @@ class ModuleMap:
                 raise ValueError(f"component shape mismatch at {u}")
             self.components[u] = m
 
-    def component(self, u: str) -> RationalMatrix:
-        return self.components[u]
-
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.components.values())
 
@@ -136,9 +133,6 @@ class ModuleMap:
 
     def is_epi(self) -> bool:
         return all(image_basis(m).dim == m.rows for m in self.components.values())
-
-    def is_mono(self) -> bool:
-        return all(kernel_basis(m).is_zero() for m in self.components.values())
 
     def __eq__(self, other) -> bool:
         return (
@@ -263,12 +257,6 @@ def yoneda(c: LinearCategory, u: str) -> Module:
         for i, r in enumerate(rows):
             action[(w, v, i)] = RationalMatrix.from_sparse_rows(r, dims[v])
     return Module(c, dims, action)
-
-
-def yoneda_map(c: LinearCategory, m: Morphism) -> ModuleMap:
-    """Postcomposition by m as a map of representables yoneda(source) -> yoneda(target)."""
-    comps = yoneda_components(c, m.source, m.target, dict(nonzeros(m.coords)))
-    return ModuleMap(yoneda(c, m.source), yoneda(c, m.target), comps)
 
 
 def yoneda_components(
@@ -738,14 +726,15 @@ class Presentation:
     """A cover P0 = ⊕_k yoneda(G_k) -> x by generators, and its kernel K.
 
     The generators (G_k, a_k) are basis vectors e_{a_k} of x(G_k).  At each
-    object G, coordinate p of P0(G) is the pair `p0[G][p]` = (k, basis
-    f: G -> G_k), which the cover sends to x(f) e_{a_k}.  `kernels[G]` is a
-    basis of K(G), and `preimages[G][a]` is an element of P0(G) over e_a,
-    both given by their nonzero coordinates.
+    object G, P0(G) = ⊕_k Hom(G, G_k), and slot k starts at coordinate
+    `offsets[G][k]`: coordinate offsets[G][k] + f is basis f: G -> G_k of
+    slot k, which the cover sends to x(f) e_{a_k}; `offsets[G][-1]` is
+    dim P0(G).  `kernels[G]` is a basis of K(G), and `preimages[G][a]` is an
+    element of P0(G) over e_a, both given by their nonzero coordinates.
     """
 
     generators: tuple[tuple[str, int], ...]
-    p0: dict[str, tuple[tuple[int, int], ...]]
+    offsets: dict[str, tuple[int, ...]]
     kernels: dict[str, tuple[dict[int, Scalar], ...]]
     preimages: dict[str, tuple[dict[int, Scalar], ...]]
 
@@ -756,8 +745,10 @@ class Presentation:
         With action(G_k, f) = y(f), slot k is y(G_k) -> y(g) and this is the
         Yoneda evaluation of v; the tensor passes b(f) at an object instead."""
         out: dict[tuple[int, ...], Scalar] = {}
+        offsets = self.offsets[g]
         for p, cp in v.items():
-            k, f = self.p0[g][p]
+            k = bisect_right(offsets, p) - 1
+            f = p - offsets[k]
             for r, row in enumerate(action(self.generators[k][0], f).sp):
                 for s, val in row.items():
                     key = (k, r, s)
@@ -788,12 +779,12 @@ def present(x: Module) -> Presentation:
                     images[gp].append(img)
                     if img and spans[gp].dim < dims[gp]:
                         spans[gp].insert(img)
-    p0 = {g: tuple((k, f) for k, (gk, _) in enumerate(gens) for f in range(c.hom_dim(g, gk)))
-          for g in c.objects}
+    offsets = {g: tuple(accumulate((c.hom_dim(g, gk) for gk, _ in gens), initial=0))
+               for g in c.objects}
     kernels, preimages = {}, {}
     for g in c.objects:
         kernels[g], preimages[g] = _solve_presentation(images[g], dims[g])
-    return Presentation(tuple(gens), p0, kernels, preimages)
+    return Presentation(tuple(gens), offsets, kernels, preimages)
 
 
 def _solve_presentation(images: Sequence[Mapping[int, Scalar]], n: int):

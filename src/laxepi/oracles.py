@@ -13,30 +13,48 @@ induction/localization machinery it cross-checks:
   enumeration corpus;
 * test-only cross-checks of the deciders, which unlike the oracles above
   build their samples with the induction and localization under test, then
-  compare restriction-hom ranks.
+  compare restriction-hom ranks;
+* the sufficiency conditions (G) and (F) for a generalized lax epimorphism,
+  read off the localized factorization: generation of the quotient category
+  by the localized induced representables, and solvability of γ·T(u) = T(u')
+  with covering images.  Like the cross-checks they use the machinery under
+  test; the tests compare them with `decide.is_generalized_lax_epi`.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .category import LinearCategory, Morphism, combine, compose
 from .category import postcompose_cells, precompose_cells
-from .linalg import ONE, ZERO, EchelonBasis, Scalar, image_basis, solve_matrix
+from .errors import InternalInvariantError, PreconditionError
+from .functors import (
+    Factorization,
+    LinearFunctor,
+    canonical_factorization_localized,
+    counit_from_context,
+    induce,
+    restrict,
+    restrict_map,
+)
+from .linalg import ONE, ZERO, EchelonBasis, RationalMatrix, Scalar, image_basis, kernel_basis
+from .linalg import solve, solve_matrix
 from .modules import (
     Module,
+    ModuleMap,
     cokernel,
     cyclic_submodule,
+    hom_matrix,
     hom_modules,
+    image,
     quotient_by,
     submodule_sum,
+    validate_module_map,
     yoneda,
+    zero_submodule,
 )
-
-if TYPE_CHECKING:
-    from .functors import LinearFunctor
-    from .torsion import TorsionData
+from .torsion import TorsionData, is_torsion, localize, localize_morphism
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +191,6 @@ def multiplication_map_iso(s) -> tuple[bool, dict]:
 
 def restriction_hom_ranks(s, x: Module, y: Module) -> tuple[int, int, int]:
     """(dim Hom_target, dim Hom_source, rank of the restricted family)."""
-    from .functors import restrict, restrict_map
     from .modules import flatten_map
 
     top = hom_modules(x, y)
@@ -238,7 +255,6 @@ def bounded_quotient_family(c: LinearCategory, cap: int = 12) -> list[Module]:
 def ffr_oracle_agrees(t: LinearFunctor) -> bool:
     """Hom-restriction bijectivity sampling, with constructed witnesses on failure."""
     from .decide import fully_faithful_restriction
-    from .functors import counit_from_context, induce, restrict
 
     report = fully_faithful_restriction(t)
     all_ok = True
@@ -260,8 +276,6 @@ def conditioned_epi_fullness_oracle(
     s: LinearFunctor, t: TorsionData, family: Sequence[Module] | None = None
 ) -> bool:
     """Brute-force fullness of restriction on localized pairs from a bounded family."""
-    from .torsion import localize
-
     if family is None:
         family = bounded_quotient_family(s.target)
     localized = []
@@ -286,8 +300,6 @@ def glax_falsification_oracle(
     """If the decision is true, no sampled pair of localized target modules may
     exhibit non-bijectivity of the total restriction hom map."""
     from .decide import is_generalized_lax_epi
-    from .torsion import localize
-
     verdict = is_generalized_lax_epi(p, t_prime).verdict
     family = list(bounded_quotient_family(t_prime.cat, cap=6)) + list(extra_modules)
     closed = []
@@ -302,3 +314,80 @@ def glax_falsification_oracle(
     if verdict and not ok:
         return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# sufficiency conditions (G) and (F)
+# ---------------------------------------------------------------------------
+
+def condition_G(p: LinearFunctor, t_prime: TorsionData) -> bool:
+    from .decide import _generation_check
+
+    fac = canonical_factorization_localized(p, t_prime)
+    ok, _ = _generation_check(fac, p)
+    return ok
+
+
+def condition_F(
+    p: LinearFunctor,
+    t_prime: TorsionData,
+    u_obj: str,
+    u2_obj: str,
+    gamma: ModuleMap,
+    fac: Factorization | None = None,
+) -> tuple[bool, dict]:
+    """Solvability γ·T(u) = T(u') on the maximal subspace, with covering images.
+
+    For every source object V the subspace K_V of morphisms u: V -> U with
+    γ∘T(u) in the image of T on Hom(V, U') is computed exactly; the condition
+    holds when the joint image of T over all K_V covers T(U) up to torsion.
+    """
+    if fac is None:
+        fac = canonical_factorization_localized(p, t_prime)
+    loc = fac.localized_representables
+    src = p.source
+    if gamma.source != loc[u_obj][0].module or gamma.target != loc[u2_obj][0].module:
+        err = PreconditionError(
+            "gamma is not a map between the localized induced representables"
+        )
+        err.code = "E_INVALID_QUOTIENT_HOM"
+        raise err
+    if validate_module_map(gamma):
+        err = PreconditionError("gamma is not natural")
+        err.code = "E_INVALID_QUOTIENT_HOM"
+        raise err
+
+    def t_of(u_mor: Morphism) -> ModuleMap:
+        return localize_morphism(
+            t_prime, p.apply(u_mor), loc[u_mor.source][0], loc[u_mor.target][0]
+        )
+
+    certificate = {}
+    trace = zero_submodule(loc[u_obj][0].module)
+    covering_maps = []
+    for v in src.objects:
+        if not src.hom_dim(v, u_obj):
+            certificate[v] = {"K_basis": [], "solved": []}
+            continue
+        basis_v_u2 = fac.hom_bases[(v, u2_obj)]
+        # T on Hom(V, U') and phi: u ↦ gamma ∘ T(u) on Hom(V, U), in quotient-hom coordinates
+        t_mat = fac.s.hom_maps.get((v, u2_obj), RationalMatrix.zeros(len(basis_v_u2), 0))
+        phi = hom_matrix(fac.hom_bases[(v, u_obj)], basis_v_u2, post=gamma)
+        phi = phi * fac.s.hom_maps[(v, u_obj)]
+        proj, _ = image_basis(t_mat).quotient_maps()
+        k_v = kernel_basis(proj * phi)
+        solved = []
+        for u_coords in k_v.basis_vectors():
+            rhs = phi.apply(u_coords)
+            u_prime = solve(t_mat, rhs)
+            if u_prime is None:
+                raise InternalInvariantError("K_V element not actually solvable")
+            solved.append((tuple(u_coords), tuple(u_prime)))
+            u_mor = Morphism(v, u_obj, u_coords)
+            covering_maps.append(t_of(u_mor))
+        certificate[v] = {"K_basis": k_v.basis_vectors(), "solved": solved}
+    for cm in covering_maps:
+        trace = submodule_sum(trace, image(cm))
+    q, _ = quotient_by(trace)
+    ok = is_torsion(t_prime, q)
+    return ok, certificate

@@ -288,23 +288,3 @@ def q_iso(t: TorsionData, f: ModuleMap) -> bool:
     ker_mod, _ = kernel(f)
     coker_mod, _ = cokernel(f)
     return is_torsion(t, ker_mod) and is_torsion(t, coker_mod)
-
-
-# ---------------------------------------------------------------------------
-# Gabriel filter predicates
-# ---------------------------------------------------------------------------
-
-def filter_membership(t: TorsionData, sub: Submodule) -> bool:
-    """Is the submodule dense, i.e. is the quotient torsion?"""
-    q, _ = quotient_by(sub)
-    return is_torsion(t, q)
-
-
-def preimage_submodule(c: LinearCategory, sub: Submodule, u_mor: Morphism) -> Submodule:
-    """(X : u) for X ≤ yoneda(U) and u: V -> U, as a submodule of yoneda(V)."""
-    post = yoneda_components(c, u_mor.source, u_mor.target, dict(nonzeros(u_mor.coords)))
-    spaces = {}
-    for w in c.objects:
-        proj, _ = sub.spaces[w].quotient_maps()
-        spaces[w] = kernel_basis(proj * post[w])
-    return Submodule(yoneda(c, u_mor.source), spaces)

@@ -278,6 +278,13 @@ def test_corpus_run_smoke(capsys):
     assert "PASS" in captured
 
 
+def test_corpus_run_refuses_a_negative_count(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["corpus", "run", "--count", "-3"])
+    assert exc.value.code == 2
+    assert "--count: must be non-negative" in capsys.readouterr().err
+
+
 def test_corpus_run_reports_a_disagreeing_oracle(monkeypatch, capsys):
     """corpus run compares is_epi with the multiplication-map oracle itself: an
     oracle whose verdict is flipped makes it list random failures and exit 1."""
@@ -364,20 +371,20 @@ def test_mutated_instance_never_crashes(data):
     import io
     import tempfile
 
-    from laxepi.cli import _CHECKS, _IDEAL_CHECKS
+    from laxepi.decide import CHECKS, IDEAL_CHECKS
 
     doc = data.draw(st.sampled_from(_BUILTIN_DOCS))
     path = data.draw(st.sampled_from(list(_paths(doc))))
     how, new = data.draw(st.sampled_from(_mutations(doc, path)))
     modules, ideals = (list(doc.get(k, {})) for k in ("modules", "ideals"))
     functor = data.draw(st.sampled_from(list(doc["functors"])))  # every builtin has one
-    kind = data.draw(st.sampled_from([k for k in _CHECKS if ideals or k not in _IDEAL_CHECKS]))
+    kind = data.draw(st.sampled_from([k for k in CHECKS if ideals or k not in IDEAL_CHECKS]))
     with tempfile.TemporaryDirectory() as tmp:
         file = f"{tmp}/mutated.json"
         with open(file, "w", encoding="utf-8") as fh:
             json.dump(_mutate(doc, path, how, new), fh)
         calls = [["validate", file], ["check", file, "--functor", functor, "--kind", kind]]
-        if kind in _IDEAL_CHECKS:
+        if kind in IDEAL_CHECKS:
             calls[-1] += ["--ideal", data.draw(st.sampled_from(ideals))]
         if modules and ideals:
             m, i = data.draw(st.sampled_from(modules)), data.draw(st.sampled_from(ideals))

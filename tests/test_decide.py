@@ -15,11 +15,7 @@ from laxepi.corpus import (
     upper_triangular_category,
 )
 from laxepi.decide import (
-    check_kernel_description,
-    condition_F,
-    condition_G,
     fully_faithful_restriction,
-    induced_filter_membership,
     is_abelian_localization,
     is_conditioned_epi,
     is_epi,
@@ -29,7 +25,6 @@ from laxepi.decide import (
     is_generalized_closed_functor,
     is_generalized_lax_epi,
     is_lax_epi,
-    ulmer_certificate_check,
     _hom_from_object_module,
 )
 from laxepi.errors import NotSurjectiveOnObjects, PreconditionError, RepresentableNotClosed
@@ -39,15 +34,14 @@ from laxepi.functors import (
     regular_bimodule,
 )
 from laxepi.modules import (
-    Submodule,
     identity_map,
     validate_module,
     yoneda,
     zero_map,
-    zero_module,
 )
-from laxepi.linalg import Subspace
 from laxepi.oracles import (
+    condition_F,
+    condition_G,
     conditioned_epi_fullness_oracle,
     ffr_oracle_agrees,
     glax_falsification_oracle,
@@ -327,29 +321,6 @@ def test_flat_quotient_tops_match_split_reference():
     assert (len(cases), failing) == (166, 58)
 
 
-def test_induced_filter_membership_corner():
-    p, t = corner_pair()
-    tgt = p.target
-    yu = yoneda(p.source, "*")
-    full = Submodule(yu, {"*": Subspace.full(1)})
-    assert induced_filter_membership(p, t, full)
-    zero_sub = Submodule(yu, {"*": Subspace.zero(1)})
-    # induction of 0 -> QQ is not a quotient-iso: T(U) is not torsion
-    assert not induced_filter_membership(p, t, zero_sub)
-
-
-def test_check_kernel_description():
-    p, t = corner_pair()
-    samples = [zero_module(p.source), yoneda(p.source, "*")]
-    rep = check_kernel_description(p, t, samples)
-    assert rep.verdict
-    d = diagonal_functor()
-    rep2 = check_kernel_description(
-        d, whole_ideal(d.target), [zero_module(d.source), yoneda(d.source, "*")]
-    )
-    assert rep2.verdict
-
-
 # -- conditions (G) and (F) ----------------------------------------------------
 
 def test_condition_g():
@@ -394,32 +365,6 @@ def test_gf_soundness_on_corner():
         ok, _ = condition_F(p, t, "*", "*", gamma, fac)
         assert ok
     assert is_generalized_lax_epi(p, t).verdict
-
-
-# -- Ulmer certificates ---------------------------------------------------------
-
-def test_ulmer_identity_family():
-    p, t = corner_pair()
-    src = p.source
-    u_id = src.identity("*")
-    assert ulmer_certificate_check(p, t, "*", [u_id], [])
-
-
-def test_ulmer_diagonal_relation():
-    p, t = corner_pair()
-    src = p.source
-    one = src.identity("*")
-    minus = one.scale(-1)
-    rels = [("*", [one, one])]
-    assert ulmer_certificate_check(p, t, "*", [one, minus], rels)
-
-
-def test_ulmer_sign_violation():
-    p, t = corner_pair()
-    src = p.source
-    one = src.identity("*")
-    # sum u_i u_ij = 2 != 0 -> certificate rejected
-    assert not ulmer_certificate_check(p, t, "*", [one, one], [("*", [one, one])])
 
 
 # -- generalized closed functors ------------------------------------------------

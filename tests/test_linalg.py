@@ -87,17 +87,6 @@ def test_kernel_of_sum_row():
     assert k.contains([1, -1])
 
 
-def test_intersect_complementary_axes():
-    s1 = Subspace.from_vectors([[1, 0]], 2)
-    s2 = Subspace.from_vectors([[0, 1]], 2)
-    assert s1.intersect(s2).is_zero()
-
-
-def test_kronecker_identity_factor():
-    k = RationalMatrix.identity(2).kronecker(M([[2]]))
-    assert k == M([[2, 0], [0, 2]])
-
-
 def test_is_iso():
     assert is_iso(RationalMatrix.identity(3))
     assert not is_iso(M([[1, 2], [2, 4]]))
@@ -165,10 +154,8 @@ def test_sum_and_intersection_dims(a, b):
         a = b
     s1, s2 = row_space(a), row_space(b)
     total = s1.sum(s2)
-    inter = s1.intersect(s2)
-    assert total.dim + inter.dim == s1.dim + s2.dim
-    assert total.contains_subspace(s1) and total.contains_subspace(s2)
-    assert s1.contains_subspace(inter) and s2.contains_subspace(inter)
+    assert total.dim == row_space(a.vstack(b)).dim
+    assert all(total.contains(v) for v in s1.basis_vectors() + s2.basis_vectors())
 
 
 def test_echelon_matches_subspace():
@@ -287,7 +274,7 @@ def test_sparse_storage_is_canonical(data):
     assert (a * ker.transpose()).is_zero()
     results = [
         a + b, a - b, a - a, -a, a.scale(s), a.scale(0), a * c, cancelled, partly,
-        a.transpose(), a.hstack(b), a.vstack(b), a.kronecker(c), block_diag([a, c, b]),
+        a.transpose(), a.hstack(b), a.vstack(b), block_diag([a, c, b]),
         columns, rref(a)[0], sol, ker, a * ker.transpose(),
     ]
     for m in results:

@@ -35,7 +35,7 @@ from laxepi.modules import (
     validate_module_map,
     validate_submodule,
     yoneda,
-    yoneda_map,
+    yoneda_components,
     zero_map,
     zero_module,
 )
@@ -81,6 +81,11 @@ def test_hom_a2_between_representables():
     assert len(hom_modules(yoneda(c, "2"), yoneda(c, "1"))) == 0
 
 
+def _basis(c, v, u):
+    """The basis morphisms of Hom(v, u)."""
+    return [c.basis_morphism(v, u, i) for i in range(c.hom_dim(v, u))]
+
+
 def test_yoneda_matches_per_basis_compose():
     """yoneda's action and yoneda_components against composing basis morphisms
     one at a time, on builtin and corpus categories (bundles 0..29) and A_3..A_5."""
@@ -89,7 +94,6 @@ def test_yoneda_matches_per_basis_compose():
 
     from laxepi.category import compose, from_quiver
     from laxepi.corpus import BUILTIN_NAMES, builtin, random_instance
-    from laxepi.modules import yoneda_components
 
     cats = [c for name in BUILTIN_NAMES for c in builtin(name).categories.values()]
     for seed in range(30):
@@ -103,23 +107,24 @@ def test_yoneda_matches_per_basis_compose():
         for u in c.objects:
             y = yoneda(c, u)
             for w, v in c.hom_pairs():
-                for i, f in enumerate(c.basis_morphisms(w, v)):
-                    cols = [compose(c, g, f).coords for g in c.basis_morphisms(v, u)]
+                for i, f in enumerate(_basis(c, w, v)):
+                    cols = [compose(c, g, f).coords for g in _basis(c, v, u)]
                     assert y.action[(w, v, i)] == RationalMatrix.from_columns(cols, c.hom_dim(w, u))
         for v, u in c.hom_pairs():
-            ms = c.basis_morphisms(v, u)
+            ms = _basis(c, v, u)
             ms.append(c.morphism(v, u, [rng.choice([0, 1, -1, Fraction(2, 3)]) for _ in ms]))
             for m in ms:
                 comps = yoneda_components(c, v, u, {k: x for k, x in enumerate(m.coords) if x})
                 for w in c.objects:
-                    cols = [compose(c, m, b).coords for b in c.basis_morphisms(w, v)]
+                    cols = [compose(c, m, b).coords for b in _basis(c, w, v)]
                     assert comps[w] == RationalMatrix.from_columns(cols, c.hom_dim(w, u))
 
 
 def test_yoneda_map_naturality():
     c = summand_pair_category()
     m = c.basis_morphism("P", "PP", 0)
-    f = yoneda_map(c, m)
+    comps = yoneda_components(c, "P", "PP", {k: x for k, x in enumerate(m.coords) if x})
+    f = ModuleMap(yoneda(c, "P"), yoneda(c, "PP"), comps)
     assert validate_module_map(f) == []
 
 
@@ -798,7 +803,7 @@ def test_presentation_cover_kernel_and_preimages():
         assert cover.is_epi() and validate_module_map(cover) == []
         for g in x.over.objects:
             m = cover.components[g]
-            assert m.cols == len(pres.p0[g])
+            assert m.cols == pres.offsets[g][-1]
             def dense(v):
                 return [v.get(p, 0) for p in range(m.cols)]
 

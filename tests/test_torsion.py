@@ -8,7 +8,7 @@ from laxepi.corpus import (
     upper_triangular_category,
 )
 from laxepi.errors import IdealNotIdempotent
-from laxepi.linalg import Subspace
+from laxepi.linalg import Subspace, kernel_basis, nonzeros
 from laxepi.modules import (
     Submodule,
     cyclic_submodule,
@@ -19,18 +19,17 @@ from laxepi.modules import (
     quotient_by,
     sub_to_module,
     yoneda,
+    yoneda_components,
     zero_map,
     zero_module,
 )
 from laxepi.torsion import (
-    filter_membership,
     ideal_closure,
     is_closed,
     is_torsion,
     is_torsion_free,
     localize,
     localize_map,
-    preimage_submodule,
     q_iso,
     quotient_hom,
     torsion_submodule,
@@ -212,6 +211,22 @@ def test_localize_map_of_q_iso_is_iso():
     cm2, _ = localize(t, cm.module)
     lu = localize_map(t, unit, cm, cm2)
     assert lu.is_iso()
+
+
+def filter_membership(t, sub):
+    """Is the submodule dense, i.e. is the quotient torsion?"""
+    q, _ = quotient_by(sub)
+    return is_torsion(t, q)
+
+
+def preimage_submodule(c, sub, u_mor):
+    """(X : u) for X ≤ yoneda(U) and u: V -> U, as a submodule of yoneda(V)."""
+    post = yoneda_components(c, u_mor.source, u_mor.target, dict(nonzeros(u_mor.coords)))
+    spaces = {}
+    for w in c.objects:
+        proj, _ = sub.spaces[w].quotient_maps()
+        spaces[w] = kernel_basis(proj * post[w])
+    return Submodule(yoneda(c, u_mor.source), spaces)
 
 
 def test_filter_membership_gf1_and_j():
