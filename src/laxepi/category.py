@@ -2,8 +2,10 @@
 
 A category here is a "ring with several objects": finitely many objects,
 finite-dimensional hom spaces with chosen bases, a composition tensor giving
-g∘f on basis pairs, and identity coordinates.  Quivers with relations are a
-convenience constructor that elaborates to the same presentation.
+g∘f on basis pairs, and identity coordinates.  `ideal_spans` closes a set of
+morphisms to the two-sided ideal they generate; it is the one closure, which
+torsion ideals use too.  A quiver with relations (`from_quiver`) is its
+truncated path category modulo the ideal that the relations generate.
 
 The composition tensor is stored sparse, as `cells`: for each triple
 (W, V, U) a table mapping a basis pair (g: V -> U, f: W -> V), by index, to
@@ -23,8 +25,8 @@ from functools import cached_property
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import ONE, ZERO, EchelonBasis, RationalMatrix, Scalar, frac, nonzeros, null_vectors
-from .linalg import rref, vec, zero_vec
+from .linalg import ONE, ZERO, EchelonBasis, RationalMatrix, Scalar, Subspace, frac, nonzeros
+from .linalg import null_vectors, rref, vec, zero_vec
 
 Pair = tuple[str, str]
 Triple = tuple[str, str, str]
@@ -39,17 +41,6 @@ class Morphism:
     source: str
     target: str
     coords: tuple[Scalar, ...]
-
-    def scale(self, c) -> "Morphism":
-        c = frac(c)
-        return Morphism(self.source, self.target, tuple(c * x for x in self.coords))
-
-    def add(self, other: "Morphism") -> "Morphism":
-        if (self.source, self.target) != (other.source, other.target):
-            raise ValueError("cannot add morphisms with different endpoints")
-        return Morphism(
-            self.source, self.target, tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
 
     def is_zero(self) -> bool:
         return not any(self.coords)
@@ -179,12 +170,6 @@ class LinearCategory:
             )
             for (w, v, u) in self.cells
         }
-
-    def morphism(self, v: str, u: str, coords: Sequence) -> Morphism:
-        c = vec(coords)
-        if len(c) != self.hom_dim(v, u):
-            raise ValueError(f"coordinate length mismatch for Hom({v},{u})")
-        return Morphism(v, u, c)
 
     def label_of(self, v: str, u: str, i: int) -> str:
         return self.basis_labels[(v, u)][i]
@@ -337,16 +322,21 @@ def from_algebra(
     )
 
 
-class _Path:
-    __slots__ = ("source", "target", "arrows")
-
-    def __init__(self, source: str, target: str, arrows: tuple[str, ...]):
-        self.source = source
-        self.target = target
-        self.arrows = arrows
-
-    def key(self):
-        return (self.source, self.target, self.arrows)
+def ideal_spans(c: LinearCategory, generators: Iterable[Morphism]) -> dict[Pair, Subspace]:
+    """The smallest two-sided ideal of c that contains the generators, as one
+    subspace of every hom space (Mitchell, "Rings with several objects", 1972)."""
+    spans = {(v, u): EchelonBasis(c.hom_dim(v, u)) for v in c.objects for u in c.objects}
+    # (source, target, nonzero coordinates) of the morphisms still to add
+    pending = [(g.source, g.target, dict(nonzeros(g.coords))) for g in generators]
+    while pending:
+        v, u, m = pending.pop()
+        if not spans[(v, u)].insert(m):
+            continue
+        for w in c.objects:
+            # g ∘ m for each basis g: u -> w, then m ∘ f for each basis f: w -> v
+            pending += [(v, w, nm) for nm in precompose_cells(c, v, u, w, m) if nm]
+            pending += [(w, u, nm) for nm in postcompose_cells(c, w, v, u, m) if nm]
+    return {pair: eb.to_subspace() for pair, eb in spans.items()}
 
 
 def from_quiver(
@@ -355,151 +345,95 @@ def from_quiver(
     relations: Sequence[Sequence[tuple, ]] = (),
     nilpotency: int = 2,
 ) -> LinearCategory:
-    """Path category of a quiver modulo relations and all paths of length >= nilpotency.
+    """The path category of a quiver, truncated at paths of length >= nilpotency,
+    modulo the two-sided ideal that the relations generate (`ideal_spans`).
 
     arrows: (name, source, target).  A relation is a list of (coeff, path)
     where each path is a tuple of arrow names composed left-to-right
     (path (a, b) means b∘a) and all paths in one relation are parallel.
+    Each basis vector is one path, listed in `basis_paths`; `quiver_arrows`
+    holds the morphism of each arrow and `arrow_endpoints` its (source, target).
     """
     if nilpotency < 1:
         raise ValueError("nilpotency bound must be at least 1")
-    names = set()
-    by_name: dict[str, tuple[str, str]] = {}
-    out_of: dict[str, list[tuple[str, str, str]]] = {v: [] for v in vertices}
+    endpoints: dict[str, tuple[str, str]] = {}
     for name, s, t in arrows:
-        if name in names:
+        if name in endpoints:
             raise ValueError(f"duplicate arrow name {name}")
         if s not in vertices or t not in vertices:
             raise ValueError(f"arrow {name} uses unknown vertex")
-        names.add(name)
-        by_name[name] = (s, t)
-        out_of[s].append((name, s, t))
+        endpoints[name] = (s, t)
 
-    # enumerate paths of length < nilpotency, grouped by (source, target)
-    paths: list[_Path] = [_Path(v, v, ()) for v in vertices]
-    frontier = list(paths)
+    # the paths of length < nilpotency by length, each extended by the arrows in order
+    paths = frontier = [(v, v, ()) for v in vertices]
     for _ in range(nilpotency - 1):
-        nxt = []
-        for p in frontier:
-            for name, _, t in out_of[p.target]:
-                nxt.append(_Path(p.source, t, p.arrows + (name,)))
-        paths.extend(nxt)
-        frontier = nxt
+        frontier = [
+            (s, t, p + (a,)) for s, m, p in frontier for a, (n, t) in endpoints.items() if n == m
+        ]
         if not frontier:
             break
+        paths = paths + frontier
+    by_pair: dict[Pair, list[tuple[str, ...]]] = {}
+    index: dict[tuple, int] = {}  # (source, target, arrows) -> its index in by_pair
+    for s, t, p in paths:
+        index[(s, t, p)] = len(by_pair.setdefault((s, t), []))
+        by_pair[(s, t)].append(p)
 
-    by_pair: dict[Pair, list[_Path]] = {}
-    index: dict[tuple, int] = {}
-    for p in paths:
-        lst = by_pair.setdefault((p.source, p.target), [])
-        index[p.key()] = len(lst)
-        lst.append(p)
-
-    def path_vector(pair: Pair, combos: Sequence[tuple]) -> list[Scalar]:
-        out = [ZERO] * len(by_pair[pair])
-        for coeff, arrow_seq in combos:
-            key = (pair[0], pair[1], tuple(arrow_seq))
-            if key not in index:
-                raise ValueError(f"unknown or non-parallel path {arrow_seq} for {pair}")
-            out[index[key]] += frac(coeff)
-        return out
-
-    def concat(p: _Path, q: _Path) -> _Path | None:
-        """q ∘ p with truncation: None when the result is too long."""
-        if len(p.arrows) + len(q.arrows) >= nilpotency:
-            return None
-        return _Path(p.source, q.target, p.arrows + q.arrows)
-
-    # relation ideal inside the truncated path algebra, closed under both compositions
-    spans: dict[Pair, EchelonBasis] = {
-        pair: EchelonBasis(len(lst)) for pair, lst in by_pair.items()
-    }
-    pending: list[tuple[Pair, list[Scalar]]] = []
-    for rel in relations:
-        combos = list(rel)
-        if not combos:
-            continue
-        first = combos[0][1]
-        if not first:
-            raise ValueError("relation paths must have positive length")
-        s = by_name[first[0]][0]
-        t = by_name[first[-1]][1]
-        pending.append(((s, t), path_vector((s, t), combos)))
-    while pending:
-        pair, v = pending.pop()
-        if not spans[pair].insert(v):
-            continue
-        s, t = pair
-        plist = by_pair[pair]
-        # postcompose with every path out of t, precompose with every path into s
-        for (s2, t2), qlist in by_pair.items():
-            if s2 == t and (s, t2) in by_pair:  # q ∘ (element) for q: t -> t2
-                for q in qlist:
-                    out = [ZERO] * len(by_pair[(s, t2)])
-                    for coeff, p in zip(v, plist):
-                        if not coeff:
-                            continue
-                        pq = concat(p, q)
-                        if pq is not None:
-                            out[index[pq.key()]] += coeff
-                    if any(out):
-                        pending.append(((s, t2), out))
-            if t2 == s and (s2, t) in by_pair:  # (element) ∘ q for q: s2 -> s
-                for q in qlist:
-                    out = [ZERO] * len(by_pair[(s2, t)])
-                    for coeff, p in zip(v, plist):
-                        if not coeff:
-                            continue
-                        qp = concat(q, p)
-                        if qp is not None:
-                            out[index[qp.key()]] += coeff
-                    if any(out):
-                        pending.append(((s2, t), out))
-
-    # quotient bases: complement coordinates of each relation span; the
-    # sections pick out non-pivot paths, so each quotient basis vector is
-    # represented by a single path
-    quots = {pair: spans[pair].quotient_maps() for pair in by_pair}
-    hom_dims = {pair: quots[pair][0].rows for pair in by_pair}
-    reps = {
-        pair: [lst[min(col)] for col in quots[pair][1].transpose().sp]
-        for pair, lst in by_pair.items()
-    }
-    labels = {
-        pair: ["e_" + p.source if not p.arrows else "*".join(p.arrows) for p in ps]
-        for pair, ps in reps.items()
-    }
-    proj_cols = {pair: proj.transpose().sp for pair, (proj, _) in quots.items()}
-
-    # the cell of g ∘ f is the projection's column at the concatenated path
-    comp: dict[Triple, dict] = {}
-    for ((w, v), fs), ((v2, u), gs) in product(reps.items(), repeat=2):
-        if v2 == v:
-            comp[(w, v, u)] = {
-                (gi, fi): proj_cols[(w, u)][index[pq.key()]]
+    def build(basis: dict[Pair, list], cols: dict[Pair, list[Cell]]) -> LinearCategory:
+        """The category with these paths as bases, where cols[pair][k] is the cell
+        of the path with index k; the cell of g ∘ f is that of the path f + g."""
+        comp = {
+            (w, v, u): {
+                (gi, fi): cols[(w, u)][index[(w, u, f + g)]]
                 for (gi, g), (fi, f) in product(enumerate(gs), enumerate(fs))
-                if (pq := concat(f, g)) is not None
+                if len(f) + len(g) < nilpotency
             }
+            for ((w, v), fs), ((v2, u), gs) in product(basis.items(), repeat=2) if v2 == v
+        }
+        identities = {}
+        for v in vertices:
+            if not (cell := cols[(v, v)][0]):  # the trivial path comes first
+                raise ValueError(f"relations collapse the identity at vertex {v}")
+            identities[v] = [cell.get(i, ZERO) for i in range(len(basis[(v, v)]))]
+        dims = {pair: len(ps) for pair, ps in basis.items()}
+        labels = {
+            (s, t): ["*".join(p) if p else "e_" + s for p in ps] for (s, t), ps in basis.items()
+        }
+        return LinearCategory(vertices, dims, comp, identities, labels)
 
-    identities = {}
-    for vtx in vertices:
-        proj, _ = quots[(vtx, vtx)]
-        triv = [ZERO] * len(by_pair[(vtx, vtx)])
-        triv[index[(vtx, vtx, ())]] = ONE
-        idc = proj.apply(triv)
-        if not any(idc):
-            raise ValueError(f"relations collapse the identity at vertex {vtx}")
-        identities[vtx] = idc
+    # the truncated path category, then its quotient by the relations' ideal
+    basis = by_pair
+    cols = {pair: [{k: ONE} for k in range(len(ps))] for pair, ps in by_pair.items()}
+    cat = build(basis, cols)
+    generators = []
+    for rel in relations:
+        if not (combos := list(rel)):
+            continue
+        if not (first := combos[0][1]):
+            raise ValueError("relation paths must have positive length")
+        pair = (endpoints[first[0]][0], endpoints[first[-1]][1])
+        coords = [ZERO] * cat.hom_dim(*pair)
+        for coeff, seq in combos:
+            if (k := index.get((*pair, tuple(seq)))) is None:
+                raise ValueError(f"unknown or non-parallel path {seq} for {pair}")
+            coords[k] += frac(coeff)
+        generators.append(Morphism(*pair, tuple(coords)))
+    if generators:
+        # coordinates off the pivots of each span; the section's columns are unit
+        # vectors at those coordinates, so each basis vector is one path
+        ideal, basis, cols = ideal_spans(cat, generators), {}, {}
+        for pair, ps in by_pair.items():
+            proj, sec = ideal[pair].quotient_maps()
+            cols[pair] = proj.transpose().sp
+            basis[pair] = [ps[min(col)] for col in sec.transpose().sp]
+        cat = build(basis, cols)
 
-    cat = LinearCategory(vertices, hom_dims, comp, identities, labels)
     cat.quiver_arrows = {}  # type: ignore[attr-defined]
-    for name, s, t in arrows:
-        proj, _ = quots[(s, t)]
-        pv = [ZERO] * len(by_pair[(s, t)])
-        pv[index[(s, t, (name,))]] = ONE
-        cat.quiver_arrows[name] = Morphism(s, t, proj.apply(pv))  # type: ignore[attr-defined]
-    cat.arrow_endpoints = {name: by_name[name] for name in by_name}  # type: ignore[attr-defined]
-    # representative path (arrow-name tuple) of each quotient basis vector
-    basis_paths = {pair: [p.arrows for p in ps] for pair, ps in reps.items()}
-    cat.basis_paths = basis_paths  # type: ignore[attr-defined]
+    for name, (s, t) in endpoints.items():
+        k = index.get((s, t, (name,)))  # None when nilpotency is 1: the arrow is zero
+        cell = {} if k is None else cols[(s, t)][k]
+        coords = tuple(cell.get(i, ZERO) for i in range(cat.hom_dim(s, t)))
+        cat.quiver_arrows[name] = Morphism(s, t, coords)  # type: ignore[attr-defined]
+    cat.arrow_endpoints = endpoints  # type: ignore[attr-defined]
+    cat.basis_paths = basis  # type: ignore[attr-defined]
     return cat

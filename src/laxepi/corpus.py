@@ -410,6 +410,11 @@ def run_builtin_table(name: str) -> list[tuple[str, bool, object, object]]:
 # seeded random generators
 # ---------------------------------------------------------------------------
 
+MAX_OBJECTS, MAX_HOM_DIM = 3, 4  # bounds of every random category
+MAX_MODULE_DIM = 3  # bound of a random module at each object
+FUNCTOR_TRIES = 120  # candidates drawn per random functor
+
+
 @dataclass
 class RandomBundle:
     seed: int
@@ -422,11 +427,11 @@ class RandomBundle:
     acceptance_rate: float  # share of functor candidates that validated
 
 
-def _random_quiver_category(rng: random.Random, max_objects: int, max_hom_dim: int):
+def _random_quiver_category(rng: random.Random):
     """Truncated path categories; retried until hom dimensions fit the bound,
     then the one-vertex quiver, so that every random category is a path category."""
     for _ in range(50):
-        n = rng.randint(1, max_objects)
+        n = rng.randint(1, MAX_OBJECTS)
         vertices = [f"v{i}" for i in range(n)]
         arrows = []
         n_arrows = rng.randint(0, min(3, n + 1))
@@ -442,7 +447,7 @@ def _random_quiver_category(rng: random.Random, max_objects: int, max_hom_dim: i
                 has_loop = True
         nilpotency = rng.randint(2, 3) if has_loop else n + 1
         cat = from_quiver(vertices, arrows, (), nilpotency)
-        if all(cat.hom_dim(v, u) <= max_hom_dim for v in vertices for u in vertices):
+        if all(cat.hom_dim(v, u) <= MAX_HOM_DIM for v in vertices for u in vertices):
             return cat
     return from_quiver(["v0"], [], (), 1)
 
@@ -478,11 +483,7 @@ def _functor_from_arrow_images(src, tgt, object_map, arrow_images):
 
 
 def random_functor(
-    rng: random.Random,
-    src: LinearCategory,
-    tgt: LinearCategory,
-    surjective: bool = False,
-    max_tries: int = 120,
+    rng: random.Random, src: LinearCategory, tgt: LinearCategory, surjective: bool = False
 ) -> tuple[object, int]:
     """Rejection-sample a valid functor; returns (functor, attempts used)."""
     from .functors import validate_functor
@@ -490,7 +491,7 @@ def random_functor(
     src_objs = list(src.objects)
     tgt_objs = list(tgt.objects)
     attempts = 0
-    while attempts < max_tries:
+    while attempts < FUNCTOR_TRIES:
         attempts += 1
         if surjective:
             if len(tgt_objs) > len(src_objs):
@@ -515,12 +516,12 @@ def random_functor(
     raise RuntimeError("functor rejection sampling exhausted its attempt budget")
 
 
-def random_module(rng: random.Random, c: LinearCategory, max_dim: int = 3):
+def random_module(rng: random.Random, c: LinearCategory):
     """Random representation of a path category: a matrix per arrow."""
     from .modules import Module, validate_module
 
     for _ in range(30):
-        dims = {v: rng.randint(0, max_dim) for v in c.objects}
+        dims = {v: rng.randint(0, MAX_MODULE_DIM) for v in c.objects}
         mats = {
             name: RationalMatrix(
                 [
@@ -572,7 +573,7 @@ def random_ideal(rng: random.Random, c: LinearCategory):
     return whole_ideal(c)
 
 
-def random_instance(seed: int, max_objects: int = 3, max_hom_dim: int = 4) -> RandomBundle:
+def random_instance(seed: int) -> RandomBundle:
     """Deterministic bundle: categories, a functor, a surjective functor, modules, ideals.
 
     If a rejection-sampling budget runs out (heavily constrained nilpotent
@@ -581,8 +582,8 @@ def random_instance(seed: int, max_objects: int = 3, max_hom_dim: int = 4) -> Ra
     """
     rng = random.Random(seed)
     while True:
-        src = _random_quiver_category(rng, max_objects, max_hom_dim)
-        tgt = _random_quiver_category(rng, max_objects, max_hom_dim)
+        src = _random_quiver_category(rng)
+        tgt = _random_quiver_category(rng)
         tries_total = 0
         try:
             f, tries = random_functor(rng, src, tgt)

@@ -49,7 +49,6 @@ from .torsion import (
     is_torsion,
     localize,
     q_iso,
-    whole_ideal,
 )
 
 
@@ -227,8 +226,8 @@ def _generation_check(fac: Factorization, p: LinearFunctor) -> tuple[bool, dict]
     t_prime: TorsionData = fac.torsion
     tgt_cat = t_prime.cat
     loc = fac.localized_representables
-    family = [loc[u][0].module for u in fac.s.source.objects]
-    localized = {p.apply_obj(u): loc[u][0] for u in p.source.objects}
+    family = [loc[u].module for u in fac.s.source.objects]
+    localized = {p.apply_obj(u): loc[u] for u in p.source.objects}
     failures = {}
     for v in tgt_cat.objects:
         cm = localized[v] if v in localized else localize(t_prime, yoneda(tgt_cat, v))[0]
@@ -291,7 +290,7 @@ def is_abelian_localization(p: LinearFunctor, t_prime: TorsionData) -> DecisionR
 # generalized closed functors
 # ---------------------------------------------------------------------------
 
-def default_closed_functor_samples(b: Bimodule, t_left: TorsionData, t_right: TorsionData) -> dict:
+def _closed_functor_samples(b: Bimodule, t_left: TorsionData, t_right: TorsionData) -> dict:
     """Torsion modules, short exact sequences, closed right-modules, q-iso maps."""
     lc, rc = b.left_cat, b.right_cat
     torsion_modules = []
@@ -329,10 +328,7 @@ def default_closed_functor_samples(b: Bimodule, t_left: TorsionData, t_right: To
 
 
 def is_generalized_closed_functor(
-    b: Bimodule,
-    t_left: TorsionData,
-    t_right: TorsionData | None = None,
-    samples: dict | None = None,
+    b: Bimodule, t_left: TorsionData, t_right: TorsionData
 ) -> DecisionReport:
     """Check the three equivalent closedness conditions on sampled data.
 
@@ -340,10 +336,7 @@ def is_generalized_closed_functor(
     (ii) hom-restriction of sampled closed right-modules is a closed left-module;
     (iii) tensoring sends sampled q-isomorphisms to q-isomorphisms.
     """
-    if t_right is None:
-        t_right = whole_ideal(b.right_cat)
-    if samples is None:
-        samples = default_closed_functor_samples(b, t_left, t_right)
+    samples = _closed_functor_samples(b, t_left, t_right)
 
     cond_i = True
     for l_mod in samples["torsion_modules"]:

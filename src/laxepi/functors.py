@@ -503,7 +503,7 @@ class Factorization:
     s: LinearFunctor
     i: Union[LinearFunctor, Bimodule]
     torsion: object | None = None  # TorsionData on the target, for localized targets
-    localized_representables: dict | None = None  # obj -> (ClosedModule, unit)
+    localized_representables: dict | None = None  # obj -> ClosedModule
     hom_bases: dict | None = None  # (V, U) -> list[ModuleMap]
 
 
@@ -537,10 +537,10 @@ def canonical_factorization_localized(p: LinearFunctor, torsion_prime) -> Factor
     if not (torsion_prime.cat is tgt_cat or torsion_prime.cat == tgt_cat):
         raise PreconditionError("torsion data must live on the functor's target")
     # one localization per image object, shared by the objects that p sends there
-    by_image = {g: localize(torsion_prime, yoneda(tgt_cat, g)) for g in p.image_objects()}
+    by_image = {g: localize(torsion_prime, yoneda(tgt_cat, g))[0] for g in p.image_objects()}
     loc = {u: by_image[p.apply_obj(u)] for u in src.objects}
     bases = {
-        (v, u): hom_modules(loc[v][0].module, loc[u][0].module)
+        (v, u): hom_modules(loc[v].module, loc[u].module)
         for v in src.objects
         for u in src.objects
     }
@@ -557,7 +557,7 @@ def canonical_factorization_localized(p: LinearFunctor, torsion_prime) -> Factor
             }
     ids = {}
     for u in src.objects:
-        cc = coordinates_in_hom_basis(identity_map(loc[u][0].module), bases[(u, u)])
+        cc = coordinates_in_hom_basis(identity_map(loc[u].module), bases[(u, u)])
         if cc is None:
             raise InternalInvariantError("identity escapes quotient hom basis")
         ids[u] = cc
@@ -568,7 +568,7 @@ def canonical_factorization_localized(p: LinearFunctor, torsion_prime) -> Factor
         cols = []
         for i in range(src.hom_dim(v, u)):
             m = p.apply(src.basis_morphism(v, u, i))
-            lpm = localize_morphism(torsion_prime, m, loc[v][0], loc[u][0])
+            lpm = localize_morphism(torsion_prime, m, loc[v], loc[u])
             cc = coordinates_in_hom_basis(lpm, bases[(v, u)])
             if cc is None:
                 raise InternalInvariantError("localized image escapes quotient hom basis")
@@ -576,7 +576,7 @@ def canonical_factorization_localized(p: LinearFunctor, torsion_prime) -> Factor
         s_hom[(v, u)] = RationalMatrix.from_columns(cols, len(bases[(v, u)]))
     s = LinearFunctor(src, mid, {u: u for u in src.objects}, s_hom)
 
-    values = {u: loc[u][0].module for u in src.objects}
+    values = {u: loc[u].module for u in src.objects}
     left_action = {}
     for v, u in mid.hom_pairs():
         for i in range(mid.hom_dim(v, u)):

@@ -323,11 +323,6 @@ class RationalMatrix:
             n + other.cols,
         )
 
-    def vstack(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.cols != other.cols:
-            raise DimensionMismatch("vstack column mismatch")
-        return RationalMatrix.from_sparse_rows(self.sp + other.sp, self.cols)
-
 
 # the slots' own setters, which the raising __setattr__ does not reach
 _set_rows, _set_cols, _set_sp = (

@@ -346,7 +346,7 @@ def condition_F(
         fac = canonical_factorization_localized(p, t_prime)
     loc = fac.localized_representables
     src = p.source
-    if gamma.source != loc[u_obj][0].module or gamma.target != loc[u2_obj][0].module:
+    if gamma.source != loc[u_obj].module or gamma.target != loc[u2_obj].module:
         err = PreconditionError(
             "gamma is not a map between the localized induced representables"
         )
@@ -359,11 +359,11 @@ def condition_F(
 
     def t_of(u_mor: Morphism) -> ModuleMap:
         return localize_morphism(
-            t_prime, p.apply(u_mor), loc[u_mor.source][0], loc[u_mor.target][0]
+            t_prime, p.apply(u_mor), loc[u_mor.source], loc[u_mor.target]
         )
 
     certificate = {}
-    trace = zero_submodule(loc[u_obj][0].module)
+    trace = zero_submodule(loc[u_obj].module)
     covering_maps = []
     for v in src.objects:
         if not src.hom_dim(v, u_obj):

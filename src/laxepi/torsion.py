@@ -2,7 +2,9 @@
 
 An ideal assigns a subspace of every hom space, closed under composition on
 both sides; idempotency (the span of pairwise composites recovers the ideal)
-makes the annihilated modules a hereditary torsion class.  Each representable
+makes the annihilated modules a hereditary torsion class.  `ideal_closure`
+takes the ideal that its generators generate from `category.ideal_spans`
+and checks both properties.  Each representable
 then contains a minimal "dense" submodule J_U (the ideal's components into U),
 and localization is the Gabriel construction: kill torsion, then apply
 Hom(J_-, ·) once.  For a torsion-free module and the minimal dense J_U, that
@@ -22,7 +24,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
-from .category import LinearCategory, Morphism, contract, postcompose_cells, precompose_cells
+from .category import LinearCategory, Morphism, contract, ideal_spans, postcompose_cells
+from .category import precompose_cells
 from .errors import IdealNotIdempotent, InternalInvariantError
 from .linalg import ONE, EchelonBasis, RationalMatrix, Scalar, Subspace, kernel_basis, nonzeros
 from .modules import (
@@ -154,21 +157,7 @@ def zero_ideal(c: LinearCategory) -> TorsionData:
 
 def ideal_closure(c: LinearCategory, generators: Sequence[Morphism]) -> TorsionData:
     """Smallest two-sided ideal containing the generators; errors if not idempotent."""
-    spans: dict[Pair, EchelonBasis] = {
-        (v, u): EchelonBasis(c.hom_dim(v, u)) for v in c.objects for u in c.objects
-    }
-    # (source, target, nonzero coordinates) of the morphisms still to add
-    pending = [(g.source, g.target, dict(nonzeros(g.coords))) for g in generators]
-    while pending:
-        v, u, m = pending.pop()
-        if not spans[(v, u)].insert(m):
-            continue
-        for w in c.objects:
-            # g ∘ m for each basis g: u -> w, then m ∘ f for each basis f: w -> v
-            pending += [(v, w, nm) for nm in precompose_cells(c, v, u, w, m) if nm]
-            pending += [(w, u, nm) for nm in postcompose_cells(c, w, v, u, m) if nm]
-    ideal = {pair: eb.to_subspace() for pair, eb in spans.items()}
-    return TorsionData(c, ideal, generators=generators, check=True)
+    return TorsionData(c, ideal_spans(c, generators), generators=generators, check=True)
 
 
 # ---------------------------------------------------------------------------

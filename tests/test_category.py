@@ -65,7 +65,7 @@ def test_a2_path_category_valid_and_dims():
 
 def test_compose_identity():
     c = upper_triangular_category()
-    f = c.morphism("*", "*", [2, 3, 5])
+    f = Morphism("*", "*", (2, 3, 5))
     assert compose(c, c.identity("*"), f).coords == f.coords
     assert compose(c, f, c.identity("*")).coords == f.coords
 
@@ -83,8 +83,8 @@ def test_compose_matrix_units():
 
 def test_compose_zero_morphism():
     c = upper_triangular_category()
-    z = c.morphism("*", "*", [0, 0, 0])
-    f = c.morphism("*", "*", [1, 1, 1])
+    z = Morphism("*", "*", (0, 0, 0))
+    f = Morphism("*", "*", (1, 1, 1))
     assert compose(c, z, f).is_zero()
 
 
@@ -133,6 +133,18 @@ def test_from_quiver_relation():
     ab = compose(c, c.quiver_arrows["b"], c.quiver_arrows["a"])
     cd = compose(c, c.quiver_arrows["d"], c.quiver_arrows["c"])
     assert ab.coords == cd.coords
+
+
+def test_from_quiver_nilpotency_one_arrows_are_zero():
+    """With nilpotency 1 every path of positive length is zero: the arrows
+    are the zero morphisms and only the identities remain."""
+    for arrow in (("x", "a", "b"), ("x", "a", "a")):
+        c = from_quiver(["a", "b"], [arrow], (), 1)
+        assert validate_category(c) == []
+        x = c.quiver_arrows["x"]
+        assert (x.source, x.target) == arrow[1:] and x.is_zero()
+        assert len(x.coords) == c.hom_dim(*arrow[1:])
+        assert all(c.hom_dim(v, u) == (v == u) for v in c.objects for u in c.objects)
 
 
 def test_relation_collapsing_identity_rejected():
@@ -342,8 +354,8 @@ def test_contractions_match_dense_definition():
                 for f in _basis(c, w, v):
                     assert compose(c, g, f).coords == _dense_compose(dense, c, g, f)
             for _ in range(3):
-                g = c.morphism(v, u, [rng.choice([0, 0, 1, -2, Q(1, 3)]) for _ in range(c.hom_dim(v, u))])
-                f = c.morphism(w, v, [rng.choice([0, 0, 1, 3, Q(-1, 2)]) for _ in range(c.hom_dim(w, v))])
+                g = Morphism(v, u, tuple(rng.choice([0, 0, 1, -2, Q(1, 3)]) for _ in range(c.hom_dim(v, u))))
+                f = Morphism(w, v, tuple(rng.choice([0, 0, 1, 3, Q(-1, 2)]) for _ in range(c.hom_dim(w, v))))
                 want = _dense_compose(dense, c, g, f)
                 assert compose(c, g, f).coords == want
                 tab = c.table(w, v, u)

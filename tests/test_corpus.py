@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -6,13 +8,14 @@ from pathlib import Path
 import pytest
 
 import laxepi
-from laxepi.category import validate_category
+from laxepi.category import from_quiver, validate_category
 from laxepi.corpus import (
     BUILTIN_NAMES,
     builtin,
     random_instance,
     run_builtin_table,
 )
+from laxepi.fileio import serialize_category, serialize_functor, serialize_module
 from laxepi.functors import validate_functor
 from laxepi.modules import validate_module
 
@@ -92,3 +95,63 @@ def test_random_bounds_respected():
             assert all(
                 c.hom_dim(v, u) <= 4 for v in c.objects for u in c.objects
             )
+
+
+def _quiver_data(c) -> dict:
+    """The quiver attributes of a `from_quiver` category, in JSON form."""
+    return {
+        "basis_paths": [[v, u, [list(p) for p in ps]] for (v, u), ps in sorted(c.basis_paths.items())],
+        "quiver_arrows": {
+            name: [m.source, m.target, [str(x) for x in m.coords]]
+            for name, m in sorted(c.quiver_arrows.items())
+        },
+        "arrow_endpoints": {name: list(st) for name, st in sorted(c.arrow_endpoints.items())},
+    }
+
+
+def _generated_data():
+    """Everything the random stream and `from_quiver` produce, in JSON form."""
+    for seed in range(200):  # the pools of the corpus-sweep and glax-tail benchmarks
+        b = random_instance(seed)
+        yield [serialize_category(b.category), _quiver_data(b.category)]
+        yield [serialize_category(b.target_category), _quiver_data(b.target_category)]
+        yield serialize_functor(b.functor, "src", "tgt")
+        yield serialize_functor(b.surjective_functor, "src", "src")
+        yield [serialize_module(m, "") for m in b.modules]
+        yield [
+            [[v, u, [sorted((k, str(x)) for k, x in row.items()) for row in s.basis.sp]]
+             for (v, u), s in sorted(t.ideal.items())]
+            for t in b.ideals
+        ]
+        yield repr(b.acceptance_rate)
+    for n in range(2, 13):  # A_n, as the an-ladder benchmark builds it
+        vs = [str(i) for i in range(1, n + 1)]
+        c = from_quiver(vs, [(f"a{i}", str(i), str(i + 1)) for i in range(1, n)], (), n)
+        yield [serialize_category(c), _quiver_data(c)]
+    square = from_quiver(
+        ["1", "2", "3", "4"],
+        [("a", "1", "2"), ("b", "2", "4"), ("c", "1", "3"), ("d", "3", "4")],
+        [[(1, ("a", "b")), (-1, ("c", "d"))]],
+        3,
+    )
+    # a loop and two relations: x^3 = 0 and b = -a∘x
+    loop = from_quiver(
+        ["1", "2"],
+        [("x", "1", "1"), ("a", "1", "2"), ("b", "1", "2")],
+        [[(1, ("x", "x", "x"))], [(1, ("x", "a")), (1, ("b",))]],
+        4,
+    )
+    for c in (square, loop):
+        yield [serialize_category(c), _quiver_data(c)]
+
+
+def test_generated_categories_are_pinned():
+    """The random bundles 0..199, A_2..A_12 and two quivers with relations
+    serialize to the same bytes as when this digest was computed, at the
+    commit before `from_quiver` was rebuilt on `category.ideal_spans`; the
+    benchmark's verdict tables in benchmarks/expected/ rest on this data."""
+    h = hashlib.sha256()
+    for item in _generated_data():
+        h.update(json.dumps(item, sort_keys=True).encode())
+        h.update(b"\n")
+    assert h.hexdigest() == "a23b8e4f627f1c5f3d7273a3faefc5e36a4db09dfcd95c46056ca7dfdd1005a9"

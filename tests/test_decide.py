@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from laxepi.category import Morphism, opposite
+from laxepi.category import opposite
 from laxepi.corpus import (
     a2_category,
     a2_vertex_functor,
@@ -333,7 +333,7 @@ def test_condition_g():
 def test_condition_f_identity_gamma():
     p, t = corner_pair()
     fac = canonical_factorization_localized(p, t)
-    gamma = identity_map(fac.localized_representables["*"][0].module)
+    gamma = identity_map(fac.localized_representables["*"].module)
     ok, cert = condition_F(p, t, "*", "*", gamma, fac)
     assert ok
     assert cert["*"]["K_basis"]
@@ -342,7 +342,7 @@ def test_condition_f_identity_gamma():
 def test_condition_f_zero_gamma():
     p, t = corner_pair()
     fac = canonical_factorization_localized(p, t)
-    loc = fac.localized_representables["*"][0].module
+    loc = fac.localized_representables["*"].module
     gamma = zero_map(loc, loc)
     ok, _ = condition_F(p, t, "*", "*", gamma, fac)
     assert ok
@@ -495,7 +495,7 @@ def test_generation_check_matches_fresh_localizations():
                 if not (t.cat is p.target or t.cat == p.target):
                     continue
                 fac = canonical_factorization_localized(p, t)
-                family = [fac.localized_representables[u][0].module for u in p.source.objects]
+                family = [fac.localized_representables[u].module for u in p.source.objects]
                 want = {}
                 for v in t.cat.objects:
                     cm, _ = localize(t, yoneda(t.cat, v))

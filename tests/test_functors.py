@@ -5,7 +5,6 @@ from laxepi.corpus import (
     a2_vertex_functor,
     corner_unit_functor,
     diagonal_functor,
-    field_category,
     summand_inclusion_functor,
     t2_semisimple_surjection,
     upper_triangular_category,

@@ -38,7 +38,6 @@ from laxepi.torsion import (
     q_iso,
     quotient_hom,
     torsion_submodule,
-    whole_ideal,
 )
 
 

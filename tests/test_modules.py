@@ -90,9 +90,8 @@ def test_yoneda_matches_per_basis_compose():
     """yoneda's action and yoneda_components against composing basis morphisms
     one at a time, on builtin and corpus categories (bundles 0..29) and A_3..A_5."""
     import random
-    from itertools import product
 
-    from laxepi.category import compose, from_quiver
+    from laxepi.category import Morphism, compose, from_quiver
     from laxepi.corpus import BUILTIN_NAMES, builtin, random_instance
 
     cats = [c for name in BUILTIN_NAMES for c in builtin(name).categories.values()]
@@ -112,7 +111,7 @@ def test_yoneda_matches_per_basis_compose():
                     assert y.action[(w, v, i)] == RationalMatrix.from_columns(cols, c.hom_dim(w, u))
         for v, u in c.hom_pairs():
             ms = _basis(c, v, u)
-            ms.append(c.morphism(v, u, [rng.choice([0, 1, -1, Fraction(2, 3)]) for _ in ms]))
+            ms.append(Morphism(v, u, tuple(rng.choice([0, 1, -1, Fraction(2, 3)]) for _ in ms)))
             for m in ms:
                 comps = yoneda_components(c, v, u, {k: x for k, x in enumerate(m.coords) if x})
                 for w in c.objects:
