@@ -411,6 +411,8 @@ def from_quiver(
             continue
         if not (first := combos[0][1]):
             raise ValueError("relation paths must have positive length")
+        if first[0] not in endpoints or first[-1] not in endpoints:
+            raise ValueError(f"unknown or non-parallel path {first}")
         pair = (endpoints[first[0]][0], endpoints[first[-1]][1])
         coords = [ZERO] * cat.hom_dim(*pair)
         for coeff, seq in combos:

@@ -228,9 +228,10 @@ def _cross_check(rb) -> list[str]:
     independent route: `is_lax_epi` with full faithfulness of restriction,
     `is_epi` (on the surjective functor and the canonical factor) with the
     multiplication-map oracle, `localize` with closedness and a q-iso unit,
-    and the adjunction laws."""
+    the adjunction laws, and `is_generalized_closed_functor` with the Hom
+    side, which may fail only where the decider fails."""
     from . import oracles
-    from .functors import adjunction_check
+    from .functors import adjunction_check, regular_bimodule
     from .torsion import is_closed, q_iso
 
     problems = []
@@ -257,6 +258,10 @@ def _cross_check(rb) -> list[str]:
     rep = adjunction_check(sf, rb.modules[:1], rb.modules[:1])
     if not rep["ok"]:
         problems.append(f"adjunction {rep['failures']}")
+    closed = (regular_bimodule(rb.functor), *rb.ideals)
+    if (decide.is_generalized_closed_functor(*closed).verdict
+            and not oracles.hom_restriction_closed(*closed)):
+        problems.append("is_generalized_closed_functor says True; Hom-restriction does not")
     return problems
 
 

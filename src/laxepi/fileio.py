@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any
 
 from .category import LinearCategory, Morphism
 from .errors import ParseError
 from .functors import LinearFunctor
-from .linalg import ZERO, RationalMatrix, Scalar, frac
+from .linalg import RationalMatrix, Scalar, frac
 from .modules import Module
 
 
@@ -108,14 +107,14 @@ def parse_category(doc, where: str) -> LinearCategory:
             hom_dims[(v, u)] = d
             if "labels" in spec:
                 labels[(v, u)] = _typed(spec["labels"], list, f"{where}.hom[{v}][{u}].labels")
-    comp: dict[tuple[str, str, str], Any] = {}
+    comp: dict[tuple[str, str, str], dict[tuple[int, int], list[Scalar]]] = {}
     for w, lvl1 in _section(doc, "comp", where).items():
         for v, lvl2 in _typed(lvl1, dict, f"{where}.comp[{w}]").items():
             for u, triples in _typed(lvl2, dict, f"{where}.comp[{w}][{v}]").items():
                 dg = hom_dims.get((v, u), 0)
                 df = hom_dims.get((w, v), 0)
                 dr = hom_dims.get((w, u), 0)
-                tab = [[[ZERO] * dr for _ in range(df)] for _ in range(dg)]
+                tab = {}
                 if not isinstance(triples, list):
                     raise ParseError(f"{where}.comp[{w}][{v}][{u}]: need a triple list")
                 for k, trip in enumerate(triples):
@@ -130,7 +129,7 @@ def parse_category(doc, where: str) -> LinearCategory:
                     cv = _vec_in(coeffs, loc)
                     if len(cv) != dr:
                         raise ParseError(f"{loc}: coefficient vector must have length {dr}")
-                    tab[gi][fi] = cv
+                    tab[(gi, fi)] = cv
                 comp[(w, v, u)] = tab
     ids = {}
     for u, coords in _section(doc, "id", where).items():

@@ -304,13 +304,18 @@ def map_scale(c, f: ModuleMap) -> ModuleMap:
     return ModuleMap(f.source, f.target, {u: f.components[u].scale(c) for u in f.components})
 
 
-def flatten_map(f: ModuleMap) -> tuple[Scalar, ...]:
-    """All component entries in fixed object order (for rank computations)."""
-    out: list[Scalar] = []
+def flatten_map(f: ModuleMap) -> dict[int, Scalar]:
+    """The nonzero entries of f by position, components in object order, row-major."""
+    out: dict[int, Scalar] = {}
+    base = 0
     for u in f.source.over.objects:
-        for row in f.components[u].data:
-            out.extend(row)
-    return tuple(out)
+        m = f.components[u]
+        for r, row in enumerate(m.sp):
+            off = base + r * m.cols
+            for j, val in row.items():
+                out[off + j] = val
+        base += m.rows * m.cols
+    return out
 
 
 def direct_sum(xs: Sequence[Module], over: LinearCategory | None = None):
@@ -487,27 +492,13 @@ def hom_modules(x: Module, y: Module) -> HomBasis:
     return HomBasis(out, space, x, y)
 
 
-def _flatten_sparse(f: ModuleMap) -> dict[int, Scalar]:
-    """The nonzero entries of `flatten_map(f)`, by position."""
-    out: dict[int, Scalar] = {}
-    base = 0
-    for u in f.source.over.objects:
-        m = f.components[u]
-        for r, row in enumerate(m.sp):
-            off = base + r * m.cols
-            for j, val in row.items():
-                out[off + j] = val
-        base += m.rows * m.cols
-    return out
-
-
 def coordinates_in_hom_basis(f: ModuleMap, basis: HomBasis) -> tuple[Scalar, ...] | None:
     """Coefficients of f in a basis returned by `hom_modules`, or None if f is outside its span.
 
     The basis is the canonical basis of `basis.space`, so the coefficients
     are read at its pivots without an elimination.
     """
-    return basis.space.coordinates_of(_flatten_sparse(f))
+    return basis.space.coordinates_of(flatten_map(f))
 
 
 def _scatter(terms) -> dict[int, dict[int, Scalar]]:
@@ -521,7 +512,7 @@ def _scatter(terms) -> dict[int, dict[int, Scalar]]:
 
 
 def _composites(src: HomBasis, pre: ModuleMap | None, post: ModuleMap | None):
-    """`_flatten_sparse(post ∘ α ∘ pre)` for each basis map α of src, in order.
+    """`flatten_map(post ∘ α ∘ pre)` for each basis map α of src, in order.
 
     Each composite is contracted from α's flattened row, object by object:
     α's entry (r, s) adds its multiple of row s of pre to row r, then each

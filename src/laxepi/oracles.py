@@ -11,9 +11,9 @@ induction/localization machinery it cross-checks:
 * restriction-hom bijectivity/fullness checked as one rank computation;
 * a bounded, deterministic family of quotients of representables used as an
   enumeration corpus;
-* test-only cross-checks of the deciders, which unlike the oracles above
-  build their samples with the induction and localization under test, then
-  compare restriction-hom ranks;
+* cross-checks of the deciders that build their samples with the induction
+  and localization under test: restriction-hom ranks, and the Hom side of
+  the closed-functor condition (`hom_restriction_closed`);
 * the sufficiency conditions (G) and (F) for a generalized lax epimorphism,
   read off the localized factorization: generation of the quotient category
   by the localized induced representables, and solvability of γ·T(u) = T(u')
@@ -41,10 +41,12 @@ from .functors import (
 from .linalg import ONE, ZERO, EchelonBasis, RationalMatrix, Scalar, image_basis, kernel_basis
 from .linalg import solve, solve_matrix
 from .modules import (
+    Bimodule,
     Module,
     ModuleMap,
     cokernel,
     cyclic_submodule,
+    hom_diagram_module,
     hom_matrix,
     hom_modules,
     image,
@@ -54,7 +56,7 @@ from .modules import (
     yoneda,
     zero_submodule,
 )
-from .torsion import TorsionData, is_torsion, localize, localize_morphism
+from .torsion import TorsionData, is_closed, is_torsion, localize, localize_morphism
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +315,18 @@ def glax_falsification_oracle(
                 ok = False
     if verdict and not ok:
         return False
+    return True
+
+
+def hom_restriction_closed(b: Bimodule, t_left: TorsionData, t_right: TorsionData) -> bool:
+    """The paper's condition (ii) on samples: Hom-restriction G ↦ Hom(b(G), a)
+    sends the localization a of each representable of the right category to a
+    t_left-closed module.  A failure is a closed module sent to one that is not
+    closed, so `decide.is_generalized_closed_functor` must fail too."""
+    for h in b.right_cat.objects:
+        closed, _ = localize(t_right, yoneda(b.right_cat, h))
+        if not is_closed(t_left, hom_diagram_module(b, closed.module)[0]):
+            return False
     return True
 
 

@@ -147,6 +147,14 @@ def test_from_quiver_nilpotency_one_arrows_are_zero():
         assert all(c.hom_dim(v, u) == (v == u) for v in c.objects for u in c.objects)
 
 
+def test_from_quiver_unknown_arrow_in_first_path_rejected():
+    """An unknown arrow at either end of a relation's first path gets the
+    ValueError that an unknown arrow in a later path gets."""
+    for path in (("x", "y"), ("y", "x")):
+        with pytest.raises(ValueError, match="unknown or non-parallel path"):
+            from_quiver(["1"], [("x", "1", "1")], [[(1, path)]], 3)
+
+
 def test_relation_collapsing_identity_rejected():
     with pytest.raises(ValueError):
         from_quiver(["1"], [("x", "1", "1")], relations=[[(1, ())]], nilpotency=2)

@@ -45,6 +45,7 @@ from laxepi.oracles import (
     conditioned_epi_fullness_oracle,
     ffr_oracle_agrees,
     glax_falsification_oracle,
+    hom_restriction_closed,
 )
 from laxepi.torsion import ideal_closure, whole_ideal
 
@@ -372,8 +373,10 @@ def test_gf_soundness_on_corner():
 def test_closed_functor_embedding_bimodule_all_true():
     p, t = corner_pair()
     fac = canonical_factorization_localized(p, t)
-    rep = is_generalized_closed_functor(fac.i, whole_ideal(fac.mid), t)
-    assert rep.verdict and rep.details["coincide"]
+    args = (fac.i, whole_ideal(fac.mid), t)
+    rep = is_generalized_closed_functor(*args)
+    assert rep.verdict and hom_restriction_closed(*args)
+    assert rep.details["failures"] == []
 
 
 def test_closed_functor_regular_bimodule_nontrivial_torsion_all_false():
@@ -382,17 +385,19 @@ def test_closed_functor_regular_bimodule_nontrivial_torsion_all_false():
     b = regular_bimodule(identity_functor(c))
     rep = is_generalized_closed_functor(b, t_left, whole_ideal(c))
     assert not rep.verdict
-    assert rep.details["coincide"]
-    assert not rep.details["tensor_kills_torsion"]
-    assert not rep.details["hom_restriction_closed"]
-    assert not rep.details["factors_through_localization"]
+    assert not hom_restriction_closed(b, t_left, whole_ideal(c))
+    # the torsion simple at the one object is its own tensor with b, and not
+    # torsion for the whole ideal
+    (failure,) = rep.details["failures"]
+    assert failure["object"] == "*" and failure["tensor_dims"] == {"*": 1}
 
 
 def test_closed_functor_trivial_torsion_vacuous_true():
     c = upper_triangular_category()
     b = regular_bimodule(identity_functor(c))
     rep = is_generalized_closed_functor(b, whole_ideal(c), whole_ideal(c))
-    assert rep.verdict and rep.details["coincide"]
+    assert rep.verdict and hom_restriction_closed(b, whole_ideal(c), whole_ideal(c))
+    assert rep.details["failures"] == []
 
 
 def _dense_multiplication_map_iso(s):
