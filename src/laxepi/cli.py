@@ -228,8 +228,10 @@ def _cross_check(rb) -> list[str]:
     independent route: `is_lax_epi` with full faithfulness of restriction,
     `is_epi` (on the surjective functor and the canonical factor) with the
     multiplication-map oracle, `localize` with closedness and a q-iso unit,
-    the adjunction laws, and `is_generalized_closed_functor` with the Hom
-    side, which may fail only where the decider fails."""
+    the adjunction laws, and two one-way oracles that may fail only where
+    their decider fails: the Hom side of `is_generalized_closed_functor`, and
+    sampled restriction Hom maps for `is_generalized_lax_epi` on the
+    surjective functor and the first ideal, when that ideal is on its target."""
     from . import oracles
     from .functors import adjunction_check, regular_bimodule
     from .torsion import is_closed, q_iso
@@ -262,6 +264,10 @@ def _cross_check(rb) -> list[str]:
     if (decide.is_generalized_closed_functor(*closed).verdict
             and not oracles.hom_restriction_closed(*closed)):
         problems.append("is_generalized_closed_functor says True; Hom-restriction does not")
+    t = rb.ideals[0]
+    if (t.cat is sf.target or t.cat == sf.target) and not oracles.glax_falsification_oracle(sf, t):
+        problems.append("is_generalized_lax_epi says True; a sampled restriction hom map "
+                        "is not bijective")
     return problems
 
 

@@ -218,16 +218,18 @@ def is_conditioned_epi(s: LinearFunctor, t: TorsionData) -> DecisionReport:
 
 def _generation_check(fac: Factorization, p: LinearFunctor) -> tuple[bool, dict]:
     """Do the localized induced representables generate the quotient category?
-    `fac` is p's localized factorization: it holds the localized representable
-    at every object that p hits."""
+    `fac` is p's localized factorization.  At an object v = p(u) the family
+    holds loc[u], the localization of yoneda(v) itself, so the trace there is
+    all of it (it holds the image of the identity) and needs no Hom solve;
+    only the objects that p misses are localized and their traces taken."""
     t_prime: TorsionData = fac.torsion
     tgt_cat = t_prime.cat
     loc = fac.localized_representables
     family = [loc[u].module for u in fac.s.source.objects]
-    localized = {p.apply_obj(u): loc[u] for u in p.source.objects}
+    missed = [v for v in tgt_cat.objects if v not in p.image_objects()]
     failures = {}
-    for v in tgt_cat.objects:
-        cm = localized[v] if v in localized else localize(t_prime, yoneda(tgt_cat, v))[0]
+    for v in missed:
+        cm, _ = localize(t_prime, yoneda(tgt_cat, v))
         tr = module_trace(family, cm.module)
         q, _ = quotient_by(tr)
         if not is_torsion(t_prime, q):
@@ -241,7 +243,7 @@ def _conditioned_check(fac: Factorization) -> tuple[bool, dict]:
     failures = {}
     reg = regular_bimodule(fac.s)
     for g in fac.mid.objects:
-        eps = counit(fac.s, yoneda(fac.mid, g), reg)
+        eps = counit(fac.s, reg.values[g], reg)  # fac.s is the identity on objects
         ker_mod, _ = kernel(eps)
         tens = tensor_bimodule(ker_mod, fac.i)
         if not is_torsion(t_prime, tens.module):

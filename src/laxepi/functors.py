@@ -528,7 +528,11 @@ def canonical_factorization_localized(p: LinearFunctor, torsion_prime) -> Factor
     """Factor U -> Md(U')/L' through the category of localized induced representables.
 
     Mid homs are quotient-category homs between localizations of yoneda(PU);
-    i is the bimodule sending each mid object to that closed module.
+    i is the bimodule sending each mid object to that closed module.  Each
+    Hom basis is solved once and kept in `hom_bases`; S reads each localized
+    basis morphism's coordinates there, save an identity: p keeps identities
+    (`validate_functor` checks it) and so does localization, so id_u goes to
+    `ids[u]`, the coordinates of loc[u]'s identity, with no solve.
     """
     from .torsion import localize, localize_morphism
 
@@ -567,8 +571,10 @@ def canonical_factorization_localized(p: LinearFunctor, torsion_prime) -> Factor
     for v, u in src.hom_pairs():
         cols = []
         for i in range(src.hom_dim(v, u)):
-            m = p.apply(src.basis_morphism(v, u, i))
-            lpm = localize_morphism(torsion_prime, m, loc[v], loc[u])
+            if (b := src.basis_morphism(v, u, i)) == src.identity(u):
+                cols.append(ids[u])
+                continue
+            lpm = localize_morphism(torsion_prime, p.apply(b), loc[v], loc[u])
             cc = coordinates_in_hom_basis(lpm, bases[(v, u)])
             if cc is None:
                 raise InternalInvariantError("localized image escapes quotient hom basis")

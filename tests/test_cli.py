@@ -286,18 +286,25 @@ def test_corpus_run_refuses_a_negative_count(capsys):
 
 
 def test_corpus_run_reports_a_disagreeing_oracle(monkeypatch, capsys):
-    """corpus run compares is_epi with the multiplication-map oracle itself: an
+    """corpus run compares is_epi with the multiplication-map oracle, and
+    is_generalized_lax_epi with the glax falsification oracle, itself: an
     oracle whose verdict is flipped makes it list random failures and exit 1."""
     import laxepi.oracles as oracles
 
-    real = oracles.multiplication_map_iso
-    monkeypatch.setattr(oracles, "multiplication_map_iso", lambda s: (not real(s)[0], real(s)[1]))
-    assert main(["corpus", "run", "--count", "3"]) == 1
-    out = capsys.readouterr().out
-    summary = json.loads(out[out.index("\n{") + 1:])
-    assert summary["verdict"] is False
-    assert any(f.startswith("random[") and "multiplication-map" in f for f in summary["failures"])
-    assert "FAIL  random seed" in out
+    mult, glax = oracles.multiplication_map_iso, oracles.glax_falsification_oracle
+    flips = {
+        "multiplication_map_iso": (lambda s: (not mult(s)[0], mult(s)[1]), "multiplication-map"),
+        "glax_falsification_oracle": (lambda p, t: not glax(p, t), "restriction hom map"),
+    }
+    for name, (flipped, message) in flips.items():
+        with monkeypatch.context() as m:
+            m.setattr(oracles, name, flipped)
+            assert main(["corpus", "run", "--count", "3"]) == 1
+        out = capsys.readouterr().out
+        summary = json.loads(out[out.index("\n{") + 1:])
+        assert summary["verdict"] is False
+        assert any(f.startswith("random[") and message in f for f in summary["failures"])
+        assert "FAIL  random seed" in out
 
 
 def test_report_determinism(corner_file, capsys):

@@ -484,9 +484,10 @@ def test_multiplication_map_iso_matches_dense_loop():
 
 
 def test_generation_check_matches_fresh_localizations():
-    """The generation check reuses the factorization's localized representables
-    at the objects p hits; its verdict and failures equal those found by
-    localizing every representable of the target afresh (reference)."""
+    """The generation check skips the objects p hits, where the family holds
+    the localized representable itself; its verdict and failures equal those
+    found by localizing every representable of the target afresh and taking
+    every trace (reference)."""
     from laxepi.corpus import random_instance
     from laxepi.decide import _generation_check
     from laxepi.modules import module_trace, quotient_by
@@ -508,5 +509,35 @@ def test_generation_check_matches_fresh_localizations():
                     if not is_torsion(t, quotient_by(tr)[0]):
                         want[v] = {"trace_dims": {u: tr.spaces[u].dim for u in t.cat.objects}}
                 assert _generation_check(fac, p) == (not want, want)
+                failing += bool(want)
+    assert failing > 5
+
+
+def test_conditioned_check_matches_fresh_representables():
+    """The conditioned check runs the counit on the values of fac.s's regular
+    bimodule; its verdict and failures equal those found with a fresh
+    representable of the mid category at every object (reference)."""
+    from laxepi.corpus import random_instance
+    from laxepi.decide import _conditioned_check
+    from laxepi.functors import counit, tensor_bimodule
+    from laxepi.modules import kernel
+    from laxepi.torsion import is_torsion
+
+    failing = 0
+    for seed in range(30):
+        b = random_instance(seed)
+        for p in (b.functor, b.surjective_functor):
+            for t in b.ideals:
+                if not (t.cat is p.target or t.cat == p.target):
+                    continue
+                fac = canonical_factorization_localized(p, t)
+                want = {}
+                for g in fac.mid.objects:
+                    ker_mod, _ = kernel(counit(fac.s, yoneda(fac.mid, g)))
+                    tens = tensor_bimodule(ker_mod, fac.i).module
+                    if not is_torsion(t, tens):
+                        want[g] = {"kernel_dims": dict(ker_mod.dims),
+                                   "tensor_dims": dict(tens.dims)}
+                assert _conditioned_check(fac) == (not want, want)
                 failing += bool(want)
     assert failing > 5

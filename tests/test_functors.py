@@ -566,6 +566,55 @@ def test_canonical_factorization_localized_corner():
     assert validate_bimodule(fac.i) == []
 
 
+def _localized_s_per_basis(p, t, fac):
+    """fac.s's hom matrices and fac.mid's identities by the per-basis route:
+    localize_morphism and a coordinate solve for every basis morphism of the
+    source, identities included (reference)."""
+    from laxepi.modules import coordinates_in_hom_basis, identity_map
+    from laxepi.torsion import localize_morphism
+
+    src, loc, bases = p.source, fac.localized_representables, fac.hom_bases
+    ids = {u: coordinates_in_hom_basis(identity_map(loc[u].module), bases[(u, u)])
+           for u in src.objects}
+    hom_maps = {}
+    for v, u in src.hom_pairs():
+        cols = []
+        for i in range(src.hom_dim(v, u)):
+            lpm = localize_morphism(t, p.apply(src.basis_morphism(v, u, i)), loc[v], loc[u])
+            cols.append(coordinates_in_hom_basis(lpm, bases[(v, u)]))
+        hom_maps[(v, u)] = RationalMatrix.from_columns(cols, len(bases[(v, u)]))
+    return hom_maps, ids
+
+
+def test_localized_factorization_s_matches_per_basis_route():
+    """S of the localized factorization sends identities to the mid identities
+    without a solve; its hom matrices and the mid identities equal the
+    per-basis route's on both functors of bundles 0..29, with each ideal on
+    their target, and on the builtin glax cases."""
+    from laxepi.corpus import BUILTIN_NAMES, builtin, random_instance
+
+    cases = []
+    for name in BUILTIN_NAMES:
+        b = builtin(name)
+        cases += [(b.functors[e.args["functor"]], b.ideals[e.args["ideal"]])
+                  for e in b.expected if e.kind == "glax"]
+    for seed in range(30):
+        b = random_instance(seed)
+        cases += [(p, t) for p in (b.functor, b.surjective_functor) for t in b.ideals
+                  if t.cat is p.target or t.cat == p.target]
+    identities = 0
+    for p, t in cases:
+        fac = canonical_factorization_localized(p, t)
+        hom_maps, ids = _localized_s_per_basis(p, t, fac)
+        assert fac.s.hom_maps == hom_maps
+        assert fac.mid.identities == ids
+        assert validate_functor(fac.s) == []
+        src = p.source
+        identities += sum(src.basis_morphism(u, u, i) == src.identity(u)
+                          for u in src.objects for i in range(src.hom_dim(u, u)))
+    assert len(cases) == 68 and identities > 100
+
+
 def test_canonical_factorization_localized_refuses_ideal_off_target():
     import pytest
 
