@@ -300,22 +300,14 @@ def glax_falsification_oracle(
     p: LinearFunctor, t_prime: TorsionData, extra_modules: Sequence[Module] = ()
 ) -> bool:
     """If the decision is true, no sampled pair of localized target modules may
-    exhibit non-bijectivity of the total restriction hom map."""
+    exhibit non-bijectivity of the total restriction hom map.  A false decision
+    needs no samples; the first non-bijective pair settles a true one."""
     from .decide import is_generalized_lax_epi
-    verdict = is_generalized_lax_epi(p, t_prime).verdict
+    if not is_generalized_lax_epi(p, t_prime).verdict:
+        return True
     family = list(bounded_quotient_family(t_prime.cat, cap=6)) + list(extra_modules)
-    closed = []
-    for m in family:
-        cm, _ = localize(t_prime, m)
-        closed.append(cm.module)
-    ok = True
-    for x in closed:
-        for y in closed:
-            if not restriction_hom_bijective(p, x, y):
-                ok = False
-    if verdict and not ok:
-        return False
-    return True
+    closed = [localize(t_prime, m)[0].module for m in family]
+    return all(restriction_hom_bijective(p, x, y) for x in closed for y in closed)
 
 
 def hom_restriction_closed(b: Bimodule, t_left: TorsionData, t_right: TorsionData) -> bool:

@@ -13,7 +13,9 @@ Quotients*, 1975, Ch. IX), so `localize` runs that one step and does not
 test its result again; the tests and `laxepi corpus run` check that it is
 closed and that its unit is a q-isomorphism.  The step is
 `modules.hom_diagram_module` on the bimodule `TorsionData.j` (U ↦ J_U, acting
-by postcomposition); its unit and maps come from `evaluation_matrix` and
+by postcomposition), whose values and action are read off the ideal's
+canonical bases and the composition cells, with no representable built and
+cut down; its unit and maps come from `evaluation_matrix` and
 `hom_matrix`, so units and functoriality on maps are read off whole hom bases,
 and the quotient category is computed as homs between closed modules.
 """
@@ -41,8 +43,6 @@ from .modules import (
     cokernel,
     map_compose,
     quotient_by,
-    sub_to_module,
-    yoneda,
     yoneda_components,
 )
 
@@ -117,28 +117,37 @@ class TorsionData:
         """Whole-category ideal: only the zero module is torsion."""
         return all(s.is_full() for s in self.ideal.values())
 
-    def j_submodule(self, u: str) -> Submodule:
-        return Submodule(yoneda(self.cat, u), {v: self.ideal[(v, u)] for v in self.cat.objects})
-
     @cached_property
     def j(self) -> Bimodule:
-        """U ↦ J_U, the minimal dense submodules of the representables; the
-        basis morphism i: V -> U acts J_V -> J_U by postcomposition."""
+        """U ↦ J_U, the minimal dense submodules of the representables, read off
+        the ideal's canonical bases: J_U(W) = ideal(W, U), the basis morphism
+        b_i: W' -> W acts on J_U by h ↦ h ∘ b_i, and b_i: V -> U acts J_V -> J_U
+        by h ↦ b_i ∘ h."""
         c, ideal = self.cat, self.ideal
-        values = {u: sub_to_module(self.j_submodule(u))[0] for u in c.objects}
-        action = {}
-        for v, u in c.hom_pairs():
-            for i in range(c.hom_dim(v, u)):
-                comps = {}
-                for w in c.objects:
-                    # b_i ∘ h for the ideal's basis h of Hom(w, v), in its basis of Hom(w, u)
-                    tab = c.table(w, v, u)
-                    cols = [ideal[(w, u)].coordinates_of(contract(tab, ((i, ONE),), h.items()))
-                            for h in ideal[(w, v)].basis.sp]
-                    if None in cols:
-                        raise InternalInvariantError("ideal not closed under postcomposition")
-                    comps[w] = RationalMatrix.from_columns(cols, values[u].dims[w])
-                action[(v, u, i)] = ModuleMap(values[v], values[u], comps)
+
+        def composites(w, v, u, pairs):
+            # coordinates of each g ∘ f: w -> v -> u in ideal(w, u)'s basis, as columns
+            tab = c.table(w, v, u)
+            cols = [ideal[(w, u)].coordinates_of(contract(tab, g, f)) for g, f in pairs]
+            if None in cols:
+                raise InternalInvariantError(f"ideal not closed under composition at {(w, u)}")
+            return RationalMatrix.from_columns(cols, ideal[(w, u)].dim)
+
+        hs = {vu: [h.items() for h in s.basis.sp] for vu, s in ideal.items()}
+        values = {}
+        for u in c.objects:
+            action = {
+                (w2, w, i): composites(w2, w, u, [(h, ((i, ONE),)) for h in hs[(w, u)]])
+                for w2, w in c.hom_pairs() if hs[(w, u)] for i in range(c.hom_dim(w2, w))
+            }
+            values[u] = Module(c, {w: ideal[(w, u)].dim for w in c.objects}, action)
+        action = {
+            (v, u, i): ModuleMap(values[v], values[u], {
+                w: composites(w, v, u, [(((i, ONE),), h) for h in hs[(w, v)]])
+                for w in c.objects if hs[(w, v)]
+            })
+            for v, u in c.hom_pairs() for i in range(c.hom_dim(v, u))
+        }
         return Bimodule(c, c, values, action)
 
 

@@ -18,6 +18,7 @@ from laxepi.functors import (
 )
 from laxepi.linalg import kernel_basis
 from laxepi.modules import (
+    Submodule,
     coordinates_in_hom_basis,
     ext1,
     hom_modules,
@@ -126,7 +127,7 @@ def test_is_closed_cross_oracle_hom_and_ext1_vanish():
     reg = yoneda(c, "*")
     torsion_quotients = []
     for u in c.objects:
-        q, _ = quotient_by(t.j_submodule(u))
+        q, _ = quotient_by(Submodule(yoneda(c, u), {v: t.ideal[(v, u)] for v in c.objects}))
         if is_torsion(t, q) and not q.is_zero():
             torsion_quotients.append(q)
     ts, _ = sub_to_module(torsion_submodule(t, reg))

@@ -625,7 +625,7 @@ def _submodule_cases():
         ideals += [ideal_closure(c, [c.identity(u)]) for u in c.objects]
     for t in ideals:
         for u in t.cat.objects:
-            j = t.j_submodule(u)
+            j = Submodule(yoneda(t.cat, u), {v: t.ideal[(v, u)] for v in t.cat.objects})
             cases += [as_sub(j), as_kernel(quotient_by(j)[1])]
     return cases
 

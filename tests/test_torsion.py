@@ -2,12 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from laxepi.category import Morphism
+from laxepi.category import Morphism, postcompose_cells, precompose_cells
 from laxepi.corpus import (
     truncated_polynomial_category,
     upper_triangular_category,
 )
-from laxepi.errors import IdealNotIdempotent
+from laxepi.errors import IdealNotIdempotent, InternalInvariantError
 from laxepi.linalg import Subspace, kernel_basis, nonzeros
 from laxepi.modules import (
     Submodule,
@@ -24,6 +24,7 @@ from laxepi.modules import (
     zero_module,
 )
 from laxepi.torsion import (
+    TorsionData,
     ideal_closure,
     is_closed,
     is_torsion,
@@ -38,6 +39,12 @@ from laxepi.torsion import (
 )
 
 Q = Fraction
+
+
+def _j_submodule(t, u):
+    """J_U as the submodule of the representable at U: the reference route for
+    `TorsionData.j`, which reads J off the ideal's bases."""
+    return Submodule(yoneda(t.cat, u), {v: t.ideal[(v, u)] for v in t.cat.objects})
 
 
 def t2_corner_ideal():
@@ -234,14 +241,14 @@ def test_filter_membership_gf1_and_j():
     reg = yoneda(c, "*")
     full = Submodule(reg, {"*": Subspace.full(3)})
     assert filter_membership(t, full)  # GF1
-    assert filter_membership(t, t.j_submodule("*"))
+    assert filter_membership(t, _j_submodule(t, "*"))
     zero_sub = Submodule(reg, {"*": Subspace.zero(3)})
     assert not filter_membership(t, zero_sub)
 
 
 def test_filter_gf2_preimage():
     c, t = t2_corner_ideal()
-    j = t.j_submodule("*")
+    j = _j_submodule(t, "*")
     for i in range(3):
         u = c.basis_morphism("*", "*", i)
         pre = preimage_submodule(c, j, u)
@@ -312,23 +319,48 @@ def test_second_gabriel_step_changes_nothing():
 
 
 def test_j_bimodule_is_the_dense_submodules():
-    """TorsionData.j is a valid bimodule whose value at U is J_U as a module,
-    on the builtin ideals, those of bundles 0..29 and the vertex ideals of A_3..A_6."""
+    """TorsionData.j is a valid bimodule whose value at U is J_U as a submodule
+    of the representable, and whose left action is postcomposition restricted
+    to those submodules, on the builtin ideals, those of bundles 0..149 and the
+    vertex ideals of A_2..A_8."""
     from laxepi.category import from_quiver
     from laxepi.corpus import BUILTIN_NAMES, builtin, random_instance
     from laxepi.modules import validate_bimodule
 
     ideals = [t for name in BUILTIN_NAMES for t in builtin(name).ideals.values()]
-    ideals += [t for seed in range(30) for t in random_instance(seed).ideals]
-    for n in range(3, 7):
+    ideals += [t for seed in range(150) for t in random_instance(seed).ideals]
+    for n in range(2, 9):
         vertices = [str(i) for i in range(1, n + 1)]
         arrows = [(f"a{i}", str(i), str(i + 1)) for i in range(1, n)]
         c = from_quiver(vertices, arrows, (), nilpotency=n)
         ideals += [ideal_closure(c, [c.identity(u)]) for u in c.objects]
+    assert len(ideals) == 341
     for t in ideals:
+        c = t.cat
         assert validate_bimodule(t.j) == []
-        for u in t.cat.objects:
-            assert t.j.values[u] == sub_to_module(t.j_submodule(u))[0]
+        subs = {u: sub_to_module(_j_submodule(t, u)) for u in c.objects}
+        for u, (value, _) in subs.items():
+            assert t.j.values[u] == value
+        for (v, u, i), act in t.j.left_action.items():
+            post = yoneda_components(c, v, u, {i: 1})
+            for w in c.objects:
+                incl_u, incl_v = subs[u][1].components[w], subs[v][1].components[w]
+                assert incl_u * act.components[w] == post[w] * incl_v
+
+
+def test_j_raises_on_a_one_sided_family():
+    """Reading J checks closure on both sides: on T2, the span of basis
+    morphism 0 is closed under postcomposition only and that of basis
+    morphism 2 under precomposition only; built unchecked, each raises."""
+    c = upper_triangular_category()
+    for k, post_closed in ((0, True), (2, False)):
+        s = Subspace.from_vectors([[int(i == k) for i in range(3)]], 3)
+        by_post = precompose_cells(c, "*", "*", "*", {k: 1})  # g_i ∘ b_k
+        by_pre = postcompose_cells(c, "*", "*", "*", {k: 1})  # b_k ∘ g_j
+        assert all(map(s.contains, by_post)) == post_closed != all(map(s.contains, by_pre))
+        t = TorsionData(c, {("*", "*"): s}, check=False)
+        with pytest.raises(InternalInvariantError, match="not closed under composition"):
+            t.j
 
 
 def _torsion_test_cases():
