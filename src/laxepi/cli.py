@@ -207,15 +207,14 @@ def cmd_hom(args) -> int:
     else:
         basis = hom_modules(x, y)
         kind = "hom"
+    src_dims, tgt_dims = basis.source.dims, basis.target.dims  # localized, for a quotient Hom
     report = {
         "command": "hom",
         "kind": kind,
         "from": getattr(args, "from"),
         "to": args.to,
         "dimension": len(basis),
-        "component_shapes": {
-            u: [m.components[u].rows, m.components[u].cols] for m in basis[:1] for u in m.components
-        },
+        "component_shapes": {u: [tgt_dims[u], d] for u, d in src_dims.items()} if basis else {},
         "instance_hash": _hash_file(args.file),
         "timing_s": round(time.perf_counter() - t0, 6),
     }

@@ -27,6 +27,7 @@ from .errors import InternalInvariantError, PreconditionError
 from .linalg import ONE, EchelonBasis, RationalMatrix, Scalar, nonzeros, zero_vec
 from .modules import (
     Bimodule,
+    HomBasis,
     Module,
     ModuleMap,
     Presentation,
@@ -169,7 +170,7 @@ class CoinducedContext:
     functor: LinearFunctor
     source_module: Module
     module: Module
-    hom_bases: dict[str, list[ModuleMap]]
+    hom_bases: dict[str, HomBasis]
 
 
 def coinduce(s: LinearFunctor, x: Module) -> CoinducedContext:
@@ -504,7 +505,7 @@ class Factorization:
     i: Union[LinearFunctor, Bimodule]
     torsion: object | None = None  # TorsionData on the target, for localized targets
     localized_representables: dict | None = None  # obj -> ClosedModule
-    hom_bases: dict | None = None  # (V, U) -> list[ModuleMap]
+    hom_bases: dict | None = None  # (V, U) -> HomBasis
 
 
 def canonical_factorization(t: LinearFunctor) -> Factorization:

@@ -406,19 +406,46 @@ def validate_bimodule(b: Bimodule) -> list[str]:
 # hom spaces
 # ---------------------------------------------------------------------------
 
-class HomBasis(list):
-    """The basis maps from `hom_modules`, with the space their flattenings span.
+class HomBasis:
+    """A basis of the natural transformations source -> target, from `hom_modules`.
 
-    `space` is the span of the flattened maps (`flatten_map` order) as a
-    canonical `Subspace`; the maps are its basis rows, in order.  `source`
-    and `target` are the modules the maps run between.
+    Its length, the dimension, is known from the solve.  `space`, the canonical
+    span of the rows `flatten()` returns (`flatten_map` order), and `maps`, its
+    basis rows as maps, are built on first use: many callers read less.
     """
 
-    def __init__(self, maps: Sequence[ModuleMap], space: Subspace, source: Module, target: Module):
-        super().__init__(maps)
-        self.space = space
-        self.source = source
-        self.target = target
+    def __init__(self, source: Module, target: Module, dim: int, flatten):
+        self.source, self.target, self._dim, self._flatten = source, target, dim, flatten
+
+    @cached_property
+    def space(self) -> Subspace:
+        n = _offsets(self.source, self.target)[1]
+        if not self._dim:  # a zero Hom needs no elimination
+            return Subspace.zero(n)
+        space = row_space(RationalMatrix.from_sparse_rows(self._flatten(), n))
+        if space.dim != self._dim:
+            raise InternalInvariantError("hom basis flattenings span the wrong dimension")
+        return space
+
+    @cached_property
+    def maps(self) -> list[ModuleMap]:
+        x, y = self.source, self.target
+        return [ModuleMap(x, y, {
+            u: RationalMatrix.from_sparse_rows([rs.get(r, {}) for r in range(y.dims[u])], x.dims[u])
+            for u, rs in blocks.items()
+        }) for blocks in _blocks(self.space.basis.sp, x, y)]
+
+    def __len__(self) -> int:
+        return self._dim
+
+    def __iter__(self):
+        return iter(self.maps)
+
+    def __getitem__(self, i):
+        return self.maps[i]
+
+    def __eq__(self, other) -> bool:
+        return list(self) == list(other) if isinstance(other, (HomBasis, list)) else NotImplemented
 
 
 def _offsets(x: Module, y: Module) -> tuple[dict[str, int], int]:
@@ -451,14 +478,16 @@ def hom_modules(x: Module, y: Module) -> HomBasis:
     A map α is fixed by its values z_k = α(e_{a_k}) in y(G_k).  Any z in
     ⊕_k y(G_k) gives the map P0 -> y that is E_G(z) at G, sending coordinate
     (k, f) of P0(G) to y(f) z_k; it factors through x exactly when E_G(z)
-    kills K(G) at every G, and then α_G = E_G(z)·Pre_G.
+    kills K(G) at every G, and then α_G = E_G(z)·Pre_G.  The dimension is the
+    number of null vectors z; the flattened maps and their span are left to
+    the `HomBasis` to build on first use.
     """
     if not (x.over is y.over or x.over == y.over):
         raise ValueError("hom between modules over different categories")
     c = x.over
     offsets, n = _offsets(x, y)
     if n == 0:
-        return HomBasis([], Subspace.zero(0), x, y)
+        return HomBasis(x, y, 0, list)
     pres = x.presentation
     starts = list(accumulate((y.dims[g] for g, _ in pres.generators), initial=0))
 
@@ -472,24 +501,19 @@ def hom_modules(x: Module, y: Module) -> HomBasis:
     eqs = [row for g in c.objects for kappa in pres.kernels[g] for row in evaluation(g, kappa)]
     reduced, pivots = rref(RationalMatrix.from_sparse_rows(eqs, starts[-1]))
     zs = null_vectors(reduced.sp, pivots, starts[-1])
-    # column j of z ↦ flatten(α): entry (r, a) of α_g is row r of E_g(z)·Pre_g[a]
-    cols: list[dict[int, Scalar]] = [{} for _ in range(starts[-1])]
-    for g in c.objects:
-        base, width = offsets[g], x.dims[g]
-        for a, pre in enumerate(pres.preimages[g]):
-            for r, row in enumerate(evaluation(g, pre)):
-                for j, val in row.items():
-                    cols[j][base + r * width + a] = val
-    flat = [combine((a, cols[j]) for j, a in z.items()) for z in zs]
-    space = row_space(RationalMatrix.from_sparse_rows(flat, n))
-    out = []
-    for blocks in _blocks(space.basis.sp, x, y):
-        comps = {
-            u: RationalMatrix.from_sparse_rows([rs.get(r, {}) for r in range(y.dims[u])], x.dims[u])
-            for u, rs in blocks.items()
-        }
-        out.append(ModuleMap(x, y, comps))
-    return HomBasis(out, space, x, y)
+
+    def flatten() -> list[dict[int, Scalar]]:
+        # column j of z ↦ flatten(α): entry (r, a) of α_g is row r of E_g(z)·Pre_g[a]
+        cols: list[dict[int, Scalar]] = [{} for _ in range(starts[-1])]
+        for g in c.objects:
+            base, width = offsets[g], x.dims[g]
+            for a, pre in enumerate(pres.preimages[g]):
+                for r, row in enumerate(evaluation(g, pre)):
+                    for j, val in row.items():
+                        cols[j][base + r * width + a] = val
+        return [combine((a, cols[j]) for j, a in z.items()) for z in zs]
+
+    return HomBasis(x, y, len(zs), flatten)
 
 
 def coordinates_in_hom_basis(f: ModuleMap, basis: HomBasis) -> tuple[Scalar, ...] | None:

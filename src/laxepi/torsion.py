@@ -32,6 +32,7 @@ from .errors import IdealNotIdempotent, InternalInvariantError
 from .linalg import ONE, EchelonBasis, RationalMatrix, Scalar, Subspace, kernel_basis, nonzeros
 from .modules import (
     Bimodule,
+    HomBasis,
     Module,
     ModuleMap,
     Submodule,
@@ -274,7 +275,7 @@ def localize_morphism(
     return localize_map(t, ModuleMap(ys, yt, comps), loc_src, loc_tgt)
 
 
-def quotient_hom(t: TorsionData, x: Module, y: Module) -> list[ModuleMap]:
+def quotient_hom(t: TorsionData, x: Module, y: Module) -> HomBasis:
     """Basis of Hom in the quotient category: maps between the localizations."""
     lx, _ = localize(t, x)
     ly, _ = localize(t, y)

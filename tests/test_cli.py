@@ -103,15 +103,25 @@ def test_localize_command(corner_file, capsys):
     assert out["closed_module"]["dims"]["*"] == 1
 
 
-def test_hom_command(corner_file, capsys):
+def test_hom_command(corner_file, tmp_path, capsys):
+    """The dimension, and the shape of each component of a map between the
+    two modules: of the localized modules for a quotient Hom, none when the
+    Hom is zero."""
     rc = main(["hom", corner_file, "--from", "regular", "--to", "regular"])
     assert rc == 0
-    assert json.loads(capsys.readouterr().out)["dimension"] == 3
+    out = json.loads(capsys.readouterr().out)
+    assert (out["dimension"], out["component_shapes"]) == (3, {"*": [3, 3]})
     rc = main(
         ["hom", corner_file, "--from", "regular", "--to", "regular", "--ideal", "e11"]
     )
     assert rc == 0
-    assert json.loads(capsys.readouterr().out)["dimension"] == 1
+    out = json.loads(capsys.readouterr().out)
+    assert (out["dimension"], out["component_shapes"]) == (1, {"*": [1, 1]})
+    a2_file = _write_instance(tmp_path, "a2", bundle_to_instance(builtin("A2_quiver")))
+    for src, tgt, want in (("P2", "P1", (0, {})), ("P1", "P2", (1, {"1": [1, 1], "2": [1, 0]}))):
+        assert main(["hom", a2_file, "--from", src, "--to", tgt]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["dimension"], out["component_shapes"]) == want
 
 
 def test_precondition_exit_code(tmp_path, capsys):

@@ -8,16 +8,20 @@ from pathlib import Path
 import pytest
 
 import laxepi
+from laxepi import decide
 from laxepi.category import from_quiver, validate_category
+from laxepi.cli import _sanitize
 from laxepi.corpus import (
     BUILTIN_NAMES,
     builtin,
     random_instance,
     run_builtin_table,
 )
+from laxepi.errors import LaxepiError
 from laxepi.fileio import serialize_category, serialize_functor, serialize_module
 from laxepi.functors import validate_functor
-from laxepi.modules import validate_module
+from laxepi.modules import hom_modules, validate_module
+from laxepi.torsion import localize
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -155,3 +159,55 @@ def test_generated_categories_are_pinned():
         h.update(json.dumps(item, sort_keys=True).encode())
         h.update(b"\n")
     assert h.hexdigest() == "a23b8e4f627f1c5f3d7273a3faefc5e36a4db09dfcd95c46056ca7dfdd1005a9"
+
+
+def _check_outcome(kind, *args):
+    """A decider's verdict and details, or its refusal's class and message."""
+    try:
+        rep = getattr(decide, decide.CHECKS[kind])(*args)
+    except LaxepiError as e:
+        return [type(e).__name__, str(e)]
+    return [rep.verdict, rep.details]
+
+
+def _computed_data(functors, ideals, modules):
+    """Every check on each functor (with each ideal on its target, for the
+    ideal checks), each localization with its unit and each hom basis
+    between the modules, in JSON form."""
+    def same(a, b):
+        return a is b or a == b
+
+    for fi, f in enumerate(functors):
+        for kind in decide.CHECKS:
+            if kind not in decide.IDEAL_CHECKS:
+                yield [fi, kind, _check_outcome(kind, f)]
+                continue
+            for ti, t in enumerate(ideals):
+                if same(t.cat, f.target):
+                    yield [fi, kind, ti, _check_outcome(kind, f, t)]
+    for mi, m in enumerate(modules):
+        for ti, t in enumerate(ideals):
+            if same(t.cat, m.over):
+                cm, unit = localize(t, m)
+                yield [mi, ti, serialize_module(cm.module, "c"), unit.components]
+    for i, x in enumerate(modules):
+        for j, y in enumerate(modules):
+            if same(x.over, y.over):
+                yield [i, j, [f.components for f in hom_modules(x, y)]]
+
+
+def test_computed_outputs_are_pinned():
+    """Every check report, localization with its unit and hom basis between
+    modules, on the builtins and bundles 0..49, serializes to the same
+    bytes as when this digest was computed, before hom bases became lazy."""
+    h = hashlib.sha256()
+    for name in BUILTIN_NAMES:
+        b = builtin(name)
+        bundle = (list(b.functors.values()), list(b.ideals.values()), list(b.modules.values()))
+        for item in _computed_data(*bundle):
+            h.update(json.dumps(_sanitize([name, item]), sort_keys=True).encode())
+    for seed in range(50):
+        b = random_instance(seed)
+        for item in _computed_data([b.functor, b.surjective_functor], b.ideals, b.modules):
+            h.update(json.dumps(_sanitize([seed, item]), sort_keys=True).encode())
+    assert h.hexdigest() == "d8eb3fe0f35f86d8751857698c1dd444fa0f00201c9654e52c91f43c61c914b3"

@@ -763,7 +763,8 @@ def _reference_ext1(l, x):
     hom_kx = _reference_hom_space(syz, x)
     if hom_kx.is_zero():
         return 0
-    hom_px = HomBasis([], _reference_hom_space(cover.source, x), cover.source, x)
+    ref_px = _reference_hom_space(cover.source, x)
+    hom_px = HomBasis(cover.source, x, ref_px.dim, lambda: ref_px.basis.sp)
     eb = EchelonBasis(hom_kx.ambient_dim)
     for row in _composites(hom_px, incl, None):
         eb.insert(row)
@@ -840,15 +841,19 @@ def test_presentation_generators_are_the_top_on_path_categories():
 def test_hom_space_matches_global_reference():
     """hom_modules reads the same canonical space as the global system on every
     pair of the builtin families, of bundles 0..59, and on Hom(reg, reg) of
-    A_n for n <= 12."""
+    A_n for n <= 12.  Its length and truth are read without building the
+    space or the maps."""
     pairs = [(x, y) for fam in _builtin_module_families() for x in fam for y in fam]
     builtin_pairs = len(pairs)
     pairs += [(x, y) for fam in _bundle_module_families() for x in fam for y in fam]
     pairs += [(reg, reg) for reg in map(_a_n_regular, range(2, 13))]
     for x, y in pairs:
         basis = hom_modules(x, y)
+        dim, nonzero = len(basis), bool(basis)
+        assert "space" not in vars(basis) and "maps" not in vars(basis)  # built on first use
         assert basis.space == _reference_hom_space(x, y)
         assert [flatten_map(f) for f in basis] == list(basis.space.basis.sp)
+        assert dim == basis.space.dim == len(list(basis)) and nonzero == (dim > 0)
     assert builtin_pairs > 150 and len(pairs) > 4000
 
 
