@@ -202,6 +202,34 @@ class LinearCategory:
                 rad[(v, u)] = basis
         return rad
 
+    @cached_property
+    def action_plan(self) -> dict[tuple[str, str, int], tuple | str | None]:
+        """How a module acts at each basis morphism (V, U, k), after those it is read
+        from; built on first use, once the cells are complete.  "id": id_U is basis
+        vector k.  (f, g, x): the cell of g ∘ f is {k: x} for earlier non-identity
+        basis morphisms f, g.  None: computed, as is a cycle (b = b ∘ e, e a non-unit
+        idempotent).  It assumes the category laws, which `validate_category` checks."""
+        plan: dict[tuple[str, str, int], tuple | str | None] = {}
+        for u in self.objects:
+            if len(nz := nonzeros(self.identities[u])) == 1 and nz[0][1] == ONE:
+                plan[(u, u, nz[0][0])] = "id"
+        splits: dict[tuple[str, str, int], list] = {}  # single-term composites of non-identities
+        for (w, v, u), tab in self.cells.items():
+            for (gi, fi), cell in tab.items():
+                if len(cell) == 1 and (w, v, fi) not in plan and (v, u, gi) not in plan:
+                    ((k, x),) = cell.items()
+                    splits.setdefault((w, u, k), []).append(((w, v, fi), (v, u, gi), x))
+        pending = [(v, u, k) for v, u in self._hom_pairs for k in range(self._hom[(v, u)])]
+        while pending := [key for key in pending if key not in plan]:
+            placed = len(plan)
+            for key in pending:  # a composite waits until a split's factors are placed
+                ready = [s for s in splits.get(key, ()) if s[0] in plan and s[1] in plan]
+                if ready or key not in splits:
+                    plan[key] = ready[0] if ready else None
+            if len(plan) == placed:  # every pending key waits on a cycle: compute the first
+                plan[pending[0]] = None
+        return plan
+
 
 def contract(
     tab: Table, g: Iterable[tuple[int, Scalar]], f: Iterable[tuple[int, Scalar]]

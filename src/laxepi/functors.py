@@ -33,6 +33,7 @@ from .modules import (
     Presentation,
     coordinates_in_hom_basis,
     evaluation_matrix,
+    fill_action,
     hom_diagram_module,
     hom_matrix,
     hom_modules,
@@ -309,7 +310,9 @@ def tensor_bimodule(x: Module, b: Bimodule) -> TensorContext:
 
     K is the kernel of the cover P0 -> x of x's presentation.  Tensoring is
     right exact and yoneda(G) ⊗ b = b(G), so the relations at h are the vectors
-    Σ_k b(κ_k) β for κ in a basis of K(G) and β in a basis of b(G)(h).
+    Σ_k b(κ_k) β for κ in a basis of K(G) and β in a basis of b(G)(h).  The
+    action is pushed down from the slots only where right_cat's `action_plan`
+    leaves it to compute; identities and composites are read off (`fill_action`).
     """
     lc, rc = b.left_cat, b.right_cat
     if not (x.over is lc or x.over == lc):
@@ -330,17 +333,17 @@ def tensor_bimodule(x: Module, b: Bimodule) -> TensorContext:
         ctx.projections[h] = rels.quotient_maps()[0]
         ctx.free[h] = rels.free_columns()
 
-    # b(G_k)'s own action in every slot, pushed down to the quotients
-    action = {}
-    for h2, h1 in rc.hom_pairs():
-        for i in range(rc.hom_dim(h2, h1)):
-            cols = []
-            for col in ctx.free[h1]:
-                k, j = ctx.slot(h1, col)
-                m = b.values[gens[k][0]].action[(h2, h1, i)]  # b(G_k)(h1) -> b(G_k)(h2)
-                cols.append({offsets[h2][k] + r: row[j] for r, row in enumerate(m.sp) if j in row})
-            action[(h2, h1, i)] = _descend(ctx.projections[h2], cols)
-    ctx.module = Module(rc, {h: len(ctx.free[h]) for h in rc.objects}, action)
+    def act(h2: str, h1: str, i: int) -> RationalMatrix:
+        """b(G_k)'s own action in every slot, pushed down to the quotients."""
+        cols = []
+        for col in ctx.free[h1]:
+            k, j = ctx.slot(h1, col)
+            m = b.values[gens[k][0]].action[(h2, h1, i)]  # b(G_k)(h1) -> b(G_k)(h2)
+            cols.append({offsets[h2][k] + r: row[j] for r, row in enumerate(m.sp) if j in row})
+        return _descend(ctx.projections[h2], cols)
+
+    dims = {h: len(ctx.free[h]) for h in rc.objects}
+    ctx.module = Module(rc, dims, fill_action(rc, dims, act))
     return ctx
 
 

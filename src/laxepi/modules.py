@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, product
 from typing import Mapping, Sequence
@@ -30,6 +31,7 @@ from .linalg import (
     Scalar,
     Subspace,
     block_diag,
+    frac,
     image_basis,
     kernel_basis,
     nonzeros,
@@ -41,6 +43,30 @@ from .linalg import (
 )
 
 ActionKey = tuple[str, str, int]  # (V, U, basis index of Hom(V, U))
+
+
+class _Zeros(dict):
+    """Zero matrices by (rows, cols), each built once and shared: matrices are immutable."""
+
+    def __missing__(self, shape: tuple[int, int]) -> RationalMatrix:
+        self[shape] = m = RationalMatrix.zeros(*shape)
+        return m
+
+
+def fill_action(c: LinearCategory, dims: Mapping, compute) -> dict[ActionKey, RationalMatrix]:
+    """A module's action along `c.action_plan`: an identity acts as the identity,
+    a composite g ∘ f = x·b_k as X(f)·X(g)/x, and `compute(v, u, k)` gives the rest."""
+    action: dict[ActionKey, RationalMatrix] = {}
+    for key, how in c.action_plan.items():
+        if how is None:
+            action[key] = compute(*key)
+        elif how == "id":
+            action[key] = RationalMatrix.identity(dims[key[1]])
+        else:
+            m, x = action[how[0]] * action[how[1]], how[2]
+            action[key] = m if x == ONE else RationalMatrix.from_sparse_rows(
+                [{j: frac(Fraction(y, x)) for j, y in r.items()} for r in m.sp], m.cols)
+    return action
 
 
 class Module:
@@ -55,12 +81,12 @@ class Module:
         self.over = over
         self.dims = {u: int(dims.get(u, 0)) for u in over.objects}
         self.action: dict[ActionKey, RationalMatrix] = {}
+        zeros = _Zeros()
         for v, u in over.hom_pairs():
             for i in range(over.hom_dim(v, u)):
                 m = action.get((v, u, i))
                 if m is None:
-                    m = RationalMatrix.zeros(self.dims[v], self.dims[u])
-
+                    m = zeros[(self.dims[v], self.dims[u])]
                 if (m.rows, m.cols) != (self.dims[v], self.dims[u]):
                     raise ValueError(f"action matrix shape mismatch at {(v, u, i)}")
                 self.action[(v, u, i)] = m
@@ -115,10 +141,11 @@ class ModuleMap:
         self.source = source
         self.target = target
         self.components: dict[str, RationalMatrix] = {}
+        zeros = _Zeros()
         for u in source.over.objects:
             m = components.get(u)
             if m is None:
-                m = RationalMatrix.zeros(target.dims[u], source.dims[u])
+                m = zeros[(target.dims[u], source.dims[u])]
             if (m.rows, m.cols) != (target.dims[u], source.dims[u]):
                 raise ValueError(f"component shape mismatch at {u}")
             self.components[u] = m
@@ -615,13 +642,14 @@ def hom_diagram_module(b: Bimodule, y: Module) -> tuple[Module, dict[str, HomBas
 
     The Hom-side twin of the tensor x ⊗ b: the basis morphism i: G' -> G
     acts Hom(b.values[G], y) -> Hom(b.values[G'], y) by b.left_action[(G', G, i)].
+    Its actions are `hom_matrix` solves where `action_plan` leaves them to compute.
     """
     c = b.left_cat
     bases = {g: hom_modules(b.values[g], y) for g in c.objects}
-    action = {
-        (v, u, i): hom_matrix(bases[u], bases[v], pre=m) for (v, u, i), m in b.left_action.items()
-    }
-    return Module(c, {g: len(bases[g]) for g in c.objects}, action), bases
+    dims = {g: len(bases[g]) for g in c.objects}
+    action = fill_action(c, dims, lambda v, u, i: hom_matrix(
+        bases[u], bases[v], pre=b.left_action[(v, u, i)]))
+    return Module(c, dims, action), bases
 
 
 # ---------------------------------------------------------------------------
@@ -679,14 +707,13 @@ def image(f: ModuleMap) -> Submodule:
 
 
 def quotient_by(s: Submodule) -> tuple[Module, ModuleMap]:
+    """x / s and its projection; the actions that the category's `action_plan`
+    leaves to compute are proj·x(b)·section, the rest are read off (`fill_action`)."""
     x = s.of
     c = x.over
     maps = {u: s.spaces[u].quotient_maps() for u in c.objects}
     dims = {u: maps[u][0].rows for u in c.objects}
-    action = {}
-    for v, u in c.hom_pairs():
-        for i in range(c.hom_dim(v, u)):
-            action[(v, u, i)] = maps[v][0] * x.action[(v, u, i)] * maps[u][1]
+    action = fill_action(c, dims, lambda v, u, i: maps[v][0] * x.action[(v, u, i)] * maps[u][1])
     quot = Module(c, dims, action)
     proj = ModuleMap(x, quot, {u: maps[u][0] for u in c.objects})
     return quot, proj

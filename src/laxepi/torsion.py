@@ -37,6 +37,7 @@ from .modules import (
     ModuleMap,
     Submodule,
     evaluation_matrix,
+    fill_action,
     hom_diagram_module,
     hom_matrix,
     hom_modules,
@@ -123,7 +124,9 @@ class TorsionData:
         """U ↦ J_U, the minimal dense submodules of the representables, read off
         the ideal's canonical bases: J_U(W) = ideal(W, U), the basis morphism
         b_i: W' -> W acts on J_U by h ↦ h ∘ b_i, and b_i: V -> U acts J_V -> J_U
-        by h ↦ b_i ∘ h."""
+        by h ↦ b_i ∘ h.  In J_U, only the actions that the category's
+        `action_plan` leaves to compute are contracted; identities and
+        composites are read off (`fill_action`)."""
         c, ideal = self.cat, self.ideal
 
         def composites(w, v, u, pairs):
@@ -137,11 +140,9 @@ class TorsionData:
         hs = {vu: [h.items() for h in s.basis.sp] for vu, s in ideal.items()}
         values = {}
         for u in c.objects:
-            action = {
-                (w2, w, i): composites(w2, w, u, [(h, ((i, ONE),)) for h in hs[(w, u)]])
-                for w2, w in c.hom_pairs() if hs[(w, u)] for i in range(c.hom_dim(w2, w))
-            }
-            values[u] = Module(c, {w: ideal[(w, u)].dim for w in c.objects}, action)
+            dims = {w: ideal[(w, u)].dim for w in c.objects}
+            values[u] = Module(c, dims, fill_action(c, dims, lambda w2, w, i: composites(
+                w2, w, u, [(h, ((i, ONE),)) for h in hs[(w, u)]])))
         action = {
             (v, u, i): ModuleMap(values[v], values[u], {
                 w: composites(w, v, u, [(((i, ONE),), h) for h in hs[(w, v)]])

@@ -27,6 +27,8 @@ from laxepi.corpus import (
     upper_triangular_category,
 )
 from laxepi.fileio import parse_category, serialize_category
+from laxepi.linalg import RationalMatrix
+from laxepi.modules import fill_action, yoneda
 
 Q = Fraction
 
@@ -390,3 +392,133 @@ def test_zero_table_equals_its_round_trip():
     assert ("x", "y", "z") not in c.cells
     assert c == plain
     assert parse_category(serialize_category(c), "c") == c
+
+
+# ---------------------------------------------------------------------------
+# the action plan
+# ---------------------------------------------------------------------------
+
+
+def _a_n(n):
+    vs = [str(i) for i in range(1, n + 1)]
+    return from_quiver(vs, [(f"a{i}", str(i), str(i + 1)) for i in range(1, n)], (), n)
+
+
+def _plan_categories():
+    """The builtins' categories, both categories of bundles 0..49, A_2..A_8 and
+    the glax mid categories of bundles 0..29, each once."""
+    from laxepi.functors import canonical_factorization_localized
+
+    cats = []
+    for name in BUILTIN_NAMES:
+        b = builtin(name)
+        cats += [c for f in b.functors.values() for c in (f.source, f.target)]
+        cats += [m.over for m in b.modules.values()]
+    for seed in range(50):
+        b = random_instance(seed)
+        cats += [b.category, b.target_category]
+    cats += [_a_n(n) for n in range(2, 9)]
+    for seed in range(30):
+        b = random_instance(seed)
+        cats.append(canonical_factorization_localized(b.surjective_functor, b.ideals[0]).mid)
+    return list({id(c): c for c in cats}.values())
+
+
+def _is_identity(c, key):
+    v, u, k = key
+    return v == u and c.basis_morphism(v, u, k).coords == c.identities[u]
+
+
+def _check_plan(c):
+    """Every basis morphism once; "id" exactly at the identities; a composite
+    (f, g, x) has the cell {k: x} at g ∘ f and non-identity factors placed earlier."""
+    plan = c.action_plan
+    keys = [(v, u, k) for v, u in c.hom_pairs() for k in range(c.hom_dim(v, u))]
+    assert len(plan) == len(keys) and set(plan) == set(keys)
+    placed = []
+    for key, how in plan.items():
+        assert (how == "id") == _is_identity(c, key)
+        if how not in (None, "id"):
+            (w, v, fi), (v2, u, gi), x = how
+            assert v2 == v and (w, u) == key[:2]
+            assert c.table(w, v, u)[(gi, fi)] == {key[2]: x}
+            for factor in how[:2]:
+                assert factor in placed and not _is_identity(c, factor)
+        placed.append(key)
+    return plan
+
+
+def test_action_plan_structure():
+    cats = _plan_categories()
+    composites = 0
+    for c in cats:
+        plan = _check_plan(c)
+        composites += sum(how not in (None, "id") for how in plan.values())
+    assert composites > 100
+
+
+def _reads_back(x):
+    """The module's action, read off its category's plan, is the action."""
+    return fill_action(x.over, x.dims, lambda v, u, k: x.action[(v, u, k)]) == x.action
+
+
+def test_fill_action_reads_back_representables_and_bundle_modules():
+    for c in _plan_categories():
+        assert all(_reads_back(yoneda(c, u)) for u in c.objects)
+    for name in BUILTIN_NAMES:
+        assert all(map(_reads_back, builtin(name).modules.values()))
+    for seed in range(50):
+        assert all(map(_reads_back, random_instance(seed).modules))
+
+
+def _chain(scalar):
+    """Objects 1 -> 2 -> 3 with one morphism a, b, c between each pair, identities
+    the units, and b ∘ a = scalar·c."""
+    objs = ["1", "2", "3"]
+    hom = {(v, u): 1 for v, u in product(objs, repeat=2) if v <= u}
+    comp = {}
+    for v, u in hom:
+        comp[(v, u, u)] = comp[(v, v, u)] = {(0, 0): {0: 1}}
+    comp[("1", "2", "3")] = {(0, 0): {0: scalar}}
+    return LinearCategory(objs, hom, comp, {u: [1] for u in objs})
+
+
+def test_action_plan_divides_by_the_cell_scalar():
+    c = _chain(2)
+    assert validate_category(c) == []
+    assert c.action_plan[("1", "3", 0)] == (("1", "2", 0), ("2", "3", 0), 2)
+    _check_plan(c)
+    for u in c.objects:
+        x = yoneda(c, u)
+        assert _reads_back(x)
+    # X(a) = X(b) = (t) gives X(c) = (t²/2), kept an int when integral
+    for t, want in ((1, Q(1, 2)), (2, 2)):
+        action = fill_action(c, dict.fromkeys(c.objects, 1), lambda *key: RationalMatrix([[t]]))
+        assert action[("1", "3", 0)].sp == ({0: want},)
+        assert type(action[("1", "3", 0)].sp[0][0]) is type(want)
+
+
+def test_action_plan_without_unit_basis_vectors_computes_everything():
+    """In Q × Q the unit is e1 + e2, so no basis vector is an identity, and
+    e_i = e_i ∘ e_i is a cycle."""
+    c = product_field_category()
+    assert list(c.action_plan.values()) == [None, None]
+    assert all(_reads_back(yoneda(c, u)) for u in c.objects)
+
+
+def test_action_plan_computes_a_self_referential_composite():
+    """b ∘ e = b for a non-unit idempotent e: b would be read off itself."""
+    hom = {("x", "x"): 2, ("x", "y"): 1, ("y", "y"): 1}
+    comp = {
+        ("x", "x", "x"): {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {1: 1}},
+        ("x", "x", "y"): {(0, 0): {0: 1}, (0, 1): {0: 1}},  # b ∘ 1 = b ∘ e = b
+        ("x", "y", "y"): {(0, 0): {0: 1}},
+        ("y", "y", "y"): {(0, 0): {0: 1}},
+    }
+    c = LinearCategory(["x", "y"], hom, comp, {"x": [1, 0], "y": [1]})
+    assert validate_category(c) == []
+    assert c.action_plan == {
+        ("x", "x", 0): "id", ("y", "y", 0): "id", ("x", "x", 1): None, ("x", "y", 0): None
+    }
+    _check_plan(c)
+    assert all(_reads_back(yoneda(c, u)) for u in c.objects)

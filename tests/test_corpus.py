@@ -20,8 +20,8 @@ from laxepi.corpus import (
 from laxepi.errors import LaxepiError
 from laxepi.fileio import serialize_category, serialize_functor, serialize_module
 from laxepi.functors import validate_functor
-from laxepi.modules import hom_modules, validate_module
-from laxepi.torsion import localize
+from laxepi.modules import direct_sum, hom_modules, validate_module, yoneda
+from laxepi.torsion import ideal_closure, localize
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -211,3 +211,30 @@ def test_computed_outputs_are_pinned():
         for item in _computed_data([b.functor, b.surjective_functor], b.ideals, b.modules):
             h.update(json.dumps(_sanitize([seed, item]), sort_keys=True).encode())
     assert h.hexdigest() == "d8eb3fe0f35f86d8751857698c1dd444fa0f00201c9654e52c91f43c61c914b3"
+
+
+def _path_category_data():
+    """localize(reg) with its unit, and J's values and left action, at the ideal
+    of every vertex of A_2..A_9, in JSON form; reg is the sum of the representables."""
+    for n in range(2, 10):
+        vs = [str(i) for i in range(1, n + 1)]
+        c = from_quiver(vs, [(f"a{i}", str(i), str(i + 1)) for i in range(1, n)], (), n)
+        reg, _, _ = direct_sum([yoneda(c, u) for u in vs], over=c)
+        for u in vs:
+            t = ideal_closure(c, [c.identity(u)])
+            cm, unit = localize(t, reg)
+            yield [
+                n, u, serialize_module(cm.module, "c"), unit.components,
+                [serialize_module(t.j.values[g], "c") for g in vs],
+                [[list(key), f.components] for key, f in t.j.left_action.items()],
+            ]
+
+
+def test_path_category_outputs_are_pinned():
+    """Localizations of the path categories A_2..A_9, whose bases are mostly
+    composites, serialize to the same bytes as when this digest was computed,
+    before module actions were read off the category's action plan."""
+    h = hashlib.sha256()
+    for item in _path_category_data():
+        h.update(json.dumps(_sanitize(item), sort_keys=True).encode())
+    assert h.hexdigest() == "fc55098d7ee7d01514460dcfe6411bb81f9c6123361f485dfde257571d2a6fc0"
