@@ -40,9 +40,10 @@ from .functors import (
     canonical_factorization,
     canonical_factorization_localized,
     coinduce,
-    counit,
+    counits,
     identity_functor,
-    induce,
+    induction_counit,
+    induction_unit,
     regular_bimodule,
     restrict,
     tensor_bimodule,

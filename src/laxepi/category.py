@@ -14,8 +14,8 @@ nonzero cells are stored and a table without one is not stored, so equal
 categories have equal cells; within one category, equal cells and equal
 tables are stored once.  Composites of basis morphisms, and of morphisms
 given by their nonzero coordinates, are contracted straight from the cells
-(`contract`, `postcompose_cells`, `precompose_cells`).  The dense tables
-`comp` are a view built on each access, for serialization and tests.
+(`contract`, `postcompose_cells`, `precompose_cells`); serialization reads
+them densely through `comp_coords`.
 """
 
 from __future__ import annotations
@@ -159,17 +159,6 @@ class LinearCategory:
         """Coordinates of basis_g ∘ basis_f in Hom(w, u), dense."""
         cell = self.table(w, v, u).get((gi, fi), {})
         return tuple(cell.get(k, ZERO) for k in range(self.hom_dim(w, u)))
-
-    @property
-    def comp(self) -> dict[Triple, tuple[tuple[tuple[Scalar, ...], ...], ...]]:
-        """Dense tables [g][f] -> coordinates of g∘f per stored table, built on access."""
-        return {
-            (w, v, u): tuple(
-                tuple(self.comp_coords(w, v, u, gi, fi) for fi in range(self.hom_dim(w, v)))
-                for gi in range(self.hom_dim(v, u))
-            )
-            for (w, v, u) in self.cells
-        }
 
     def label_of(self, v: str, u: str, i: int) -> str:
         return self.basis_labels[(v, u)][i]

@@ -154,11 +154,8 @@ def restrict(s: LinearFunctor, x: Module) -> Module:
     return Module(src, dims, action)
 
 
-def restrict_map(
-    s: LinearFunctor, f: ModuleMap, rx: Module | None = None, ry: Module | None = None
-) -> ModuleMap:
-    rx = rx if rx is not None else restrict(s, f.source)
-    ry = ry if ry is not None else restrict(s, f.target)
+def restrict_map(s: LinearFunctor, f: ModuleMap, rx: Module, ry: Module) -> ModuleMap:
+    """f ∘ s from rx = restrict(s, f.source) to ry = restrict(s, f.target)."""
     return ModuleMap(rx, ry, {u: f.components[s.apply_obj(u)] for u in s.source.objects})
 
 
@@ -251,8 +248,7 @@ class TensorContext:
     At each right object h the big space is ⊕_k b(G_k)(h) over the
     presentation's generators (G_k, a_k), slot k starting at `offsets[h][k]`;
     `projections[h]` maps it onto module(h), whose coordinates are the
-    big-space columns `free[h]`.  An induction also records its functor,
-    which gives the unit.
+    big-space columns `free[h]`.
     """
 
     bimodule: Bimodule
@@ -262,7 +258,6 @@ class TensorContext:
     projections: dict[str, RationalMatrix] = field(default_factory=dict)
     free: dict[str, list[int]] = field(default_factory=dict)
     module: Module | None = None
-    functor: LinearFunctor | None = None
 
     def slot(self, h: str, col: int) -> tuple[int, int]:
         """(k, j): big-space column col at h is basis vector j of b(G_k)(h)."""
@@ -290,19 +285,6 @@ class TensorContext:
         """A big-space vector at h of v ⊗ β, for v in x(g) and β in b(g)(h)."""
         cols = self.lifted(g, self.preimage(g, v), h)
         return combine((y, cols[j]) for j, y in beta.items())
-
-    @cached_property
-    def unit(self) -> ModuleMap:
-        """For an induction, x -> restrict(functor, module): e_a at U goes to the
-        class of e_a ⊗ id_SU."""
-        s, x = self.functor, self.source_module
-        comps = {}
-        for u in s.source.objects:
-            su = s.apply_obj(u)
-            idc = dict(nonzeros(s.target.identities[su]))
-            reps = [self.represent(u, {a: ONE}, su, idc) for a in range(x.dims[u])]
-            comps[u] = _descend(self.projections[su], reps)
-        return ModuleMap(x, restrict(s, self.module), comps)
 
 
 def tensor_bimodule(x: Module, b: Bimodule) -> TensorContext:
@@ -356,20 +338,14 @@ def _descend(proj: RationalMatrix, cols: Sequence[Mapping[int, Scalar]]) -> Rati
     return proj * RationalMatrix.from_sparse_rows(rows, len(cols))
 
 
-def tensor_map(
-    f: ModuleMap,
-    b: Bimodule,
-    ctx_src: TensorContext | None = None,
-    ctx_tgt: TensorContext | None = None,
-) -> ModuleMap:
-    """f ⊗ b on the quotients: the class of e_{a_k} ⊗ β goes to the class of
-    f(e_{a_k}) ⊗ β, lifted to the target's big space by its preimage solve."""
-    ctx_src = ctx_src if ctx_src is not None else tensor_bimodule(f.source, b)
-    ctx_tgt = ctx_tgt if ctx_tgt is not None else tensor_bimodule(f.target, b)
+def tensor_map(f: ModuleMap, ctx_src: TensorContext, ctx_tgt: TensorContext) -> ModuleMap:
+    """f ⊗ b on the quotients, for the contexts of f.source ⊗ b and f.target ⊗ b:
+    the class of e_{a_k} ⊗ β goes to the class of f(e_{a_k}) ⊗ β, lifted to the
+    target's big space by its preimage solve."""
     gens = ctx_src.presentation.generators
     pre = [ctx_tgt.preimage(g, dict(nonzeros(f.components[g].col(a)))) for g, a in gens]
     comps = {}
-    for h in b.right_cat.objects:
+    for h in ctx_src.bimodule.right_cat.objects:
         lifts: dict[int, list[dict[int, Scalar]]] = {}
         cols = []
         for col in ctx_src.free[h]:
@@ -385,23 +361,22 @@ def tensor_map(
 # induction: the tensor with the regular bimodule
 # ---------------------------------------------------------------------------
 
-def induce(s: LinearFunctor, x: Module, reg: Bimodule | None = None) -> TensorContext:
-    """Left Kan extension along s, as x ⊗ regular_bimodule(s).
+def induction_unit(s: LinearFunctor, ctx: TensorContext) -> ModuleMap:
+    """x -> restrict(s, x ⊗ regular_bimodule(s)), for ctx the context of that
+    tensor: e_a at U goes to the class of e_a ⊗ id_SU."""
+    x = ctx.source_module
+    comps = {}
+    for u in s.source.objects:
+        su = s.apply_obj(u)
+        idc = dict(nonzeros(s.target.identities[su]))
+        reps = [ctx.represent(u, {a: ONE}, su, idc) for a in range(x.dims[u])]
+        comps[u] = _descend(ctx.projections[su], reps)
+    return ModuleMap(x, restrict(s, ctx.module), comps)
 
-    Its value at T is ⊕_k Hom(T, S G_k) modulo the vectors Σ_k S(κ_k) ∘ h, for
-    κ in the kernel K(G) of the cover of x by its generators (G_k, a_k) and
-    h: T -> SG; the context's `unit` is x -> restrict(s, module).  A caller
-    that induces along s more than once passes `reg`, s's regular bimodule.
-    """
-    ctx = tensor_bimodule(x, reg if reg is not None else regular_bimodule(s))
-    ctx.functor = s
-    return ctx
 
-
-def counit_from_context(ctx: TensorContext, y: Module) -> ModuleMap:
-    """Evaluation induce(restrict y) -> y, given the context of induce(restrict y):
-    the class of e_{a_k} ⊗ h, for h: T -> S G_k, goes to y(h) e_{a_k}."""
-    s = ctx.functor
+def induction_counit(s: LinearFunctor, ctx: TensorContext, y: Module) -> ModuleMap:
+    """Evaluation restrict(s, y) ⊗ regular_bimodule(s) -> y, for ctx the context
+    of that tensor: the class of e_{a_k} ⊗ h, for h: T -> S G_k, goes to y(h) e_{a_k}."""
     comps = {}
     for t_obj in s.target.objects:
         cols = []
@@ -413,9 +388,17 @@ def counit_from_context(ctx: TensorContext, y: Module) -> ModuleMap:
     return ModuleMap(ctx.module, y, comps)
 
 
-def counit(s: LinearFunctor, y: Module, reg: Bimodule | None = None) -> ModuleMap:
-    """The adjunction counit induce(restrict(y)) -> y; `reg` as for `induce`."""
-    return counit_from_context(induce(s, restrict(s, y), reg), y)
+def counits(s: LinearFunctor) -> dict[str, ModuleMap]:
+    """The counit at every representable of the target, by object.  One regular
+    bimodule serves them all, and its own representables are the ones at the
+    objects that s hits."""
+    reg = regular_bimodule(s)
+    reps = {s.apply_obj(u): m for u, m in reg.values.items()}
+    out = {}
+    for v in s.target.objects:
+        y = reps[v] if v in reps else yoneda(s.target, v)
+        out[v] = induction_counit(s, tensor_bimodule(restrict(s, y), reg), y)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -442,11 +425,11 @@ def adjunction_check(
     induced, coinduced, restricted = [], [], []
 
     for x in source_samples:
-        ind_x = induce(s, x, reg)
+        ind_x = tensor_bimodule(x, reg)
         r_ind = restrict(s, ind_x.module)
-        ctx2 = induce(s, r_ind, reg)
-        eps = counit_from_context(ctx2, ind_x.module)
-        t1 = map_compose(eps, tensor_map(ind_x.unit, ctx2.bimodule, ind_x, ctx2))
+        ctx2 = tensor_bimodule(r_ind, reg)
+        eps = induction_counit(s, ctx2, ind_x.module)
+        t1 = map_compose(eps, tensor_map(induction_unit(s, ind_x), ind_x, ctx2))
         if flatten_map(t1) != flatten_map(identity_map(ind_x.module)):
             report["triangle_left_adjoint"] = False
             report["failures"].append(("triangle1", x.dims))
@@ -464,9 +447,10 @@ def adjunction_check(
     for y in target_samples:
         ry = restrict(s, y)
         restricted.append(ry)
-        ind_ry = induce(s, ry, reg)
-        eps_y = counit_from_context(ind_ry, y)
-        t2 = map_compose(restrict_map(s, eps_y, restrict(s, ind_ry.module), ry), ind_ry.unit)
+        ind_ry = tensor_bimodule(ry, reg)
+        eps_y = induction_counit(s, ind_ry, y)
+        unit = induction_unit(s, ind_ry)
+        t2 = map_compose(restrict_map(s, eps_y, unit.target, ry), unit)
         if flatten_map(t2) != flatten_map(identity_map(ry)):
             report["triangle_right_adjoint"] = False
             report["failures"].append(("triangle2", y.dims))

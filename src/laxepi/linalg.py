@@ -254,12 +254,17 @@ class RationalMatrix:
         )
 
     def scale(self, c) -> "RationalMatrix":
+        """c times the matrix; an integral product comes out as an int."""
         c = frac(c)
         if not c:
             return RationalMatrix.zeros(self.rows, self.cols)
-        return RationalMatrix.from_sparse_rows(
-            [{j: c * x for j, x in r.items()} for r in self.sp], self.cols
-        )
+        rows = []
+        for r in self.sp:
+            if type(c) is int and _INT_ONLY.issuperset(map(type, r.values())):
+                rows.append({j: c * x for j, x in r.items()})  # int × int: ints already
+            else:
+                rows.append({j: frac(c * x) for j, x in r.items()})
+        return RationalMatrix.from_sparse_rows(rows, self.cols)
 
     def __mul__(self, other):
         """Matrix product, or scalar multiple when `other` is a scalar.

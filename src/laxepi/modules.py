@@ -31,7 +31,6 @@ from .linalg import (
     Scalar,
     Subspace,
     block_diag,
-    frac,
     image_basis,
     kernel_basis,
     nonzeros,
@@ -64,8 +63,7 @@ def fill_action(c: LinearCategory, dims: Mapping, compute) -> dict[ActionKey, Ra
             action[key] = RationalMatrix.identity(dims[key[1]])
         else:
             m, x = action[how[0]] * action[how[1]], how[2]
-            action[key] = m if x == ONE else RationalMatrix.from_sparse_rows(
-                [{j: frac(Fraction(y, x)) for j, y in r.items()} for r in m.sp], m.cols)
+            action[key] = m if x == ONE else m.scale(Fraction(1, x))
     return action
 
 
@@ -926,10 +924,10 @@ def module_trace(family: Sequence[Module], x: Module) -> Submodule:
 
 def tor1(x: Module, b: Bimodule) -> Module:
     """Tor_1(x, b) = ker( K ⊗ b -> P0 ⊗ b ) for the cover of x's presentation."""
-    from .functors import tensor_map
+    from .functors import tensor_bimodule, tensor_map
 
     cover, _ = free_cover(x)
     syz, incl = kernel(cover)
-    tincl = tensor_map(incl, b)
+    tincl = tensor_map(incl, tensor_bimodule(syz, b), tensor_bimodule(cover.source, b))
     tor, _ = kernel(tincl)
     return tor

@@ -24,7 +24,6 @@ induction/localization machinery it cross-checks:
 from __future__ import annotations
 
 from itertools import product
-from typing import Sequence
 
 from .category import LinearCategory, Morphism, combine, compose
 from .category import postcompose_cells, precompose_cells
@@ -33,8 +32,7 @@ from .functors import (
     Factorization,
     LinearFunctor,
     canonical_factorization_localized,
-    counit_from_context,
-    induce,
+    counits,
     restrict,
     restrict_map,
 )
@@ -261,12 +259,10 @@ def ffr_oracle_agrees(t: LinearFunctor) -> bool:
     report = fully_faithful_restriction(t)
     all_ok = True
     any_witness = False
-    for v in t.target.objects:
-        yv = yoneda(t.target, v)
-        ctx = induce(t, restrict(t, yv))
-        eps = counit_from_context(ctx, yv)
+    for eps in counits(t).values():
+        yv = eps.target
         coker_mod, _ = cokernel(eps)
-        pairs = [(yv, ctx.module), (yv, coker_mod), (yv, yv)]
+        pairs = [(yv, eps.source), (yv, coker_mod), (yv, yv)]
         for x, y in pairs:
             if not restriction_hom_bijective(t, x, y):
                 all_ok = False
@@ -274,15 +270,11 @@ def ffr_oracle_agrees(t: LinearFunctor) -> bool:
     return report.verdict == all_ok if report.verdict else any_witness
 
 
-def conditioned_epi_fullness_oracle(
-    s: LinearFunctor, t: TorsionData, family: Sequence[Module] | None = None
-) -> bool:
+def conditioned_epi_fullness_oracle(s: LinearFunctor, t: TorsionData) -> bool:
     """Brute-force fullness of restriction on localized pairs from a bounded family."""
-    if family is None:
-        family = bounded_quotient_family(s.target)
     localized = []
     seen = set()
-    for m in family:
+    for m in bounded_quotient_family(s.target):
         cm, _ = localize(t, m)
         key = tuple(sorted(cm.module.dims.items()))
         if (key, cm.module.total_dim()) in seen and cm.module.total_dim() == 0:
@@ -296,17 +288,14 @@ def conditioned_epi_fullness_oracle(
     return True
 
 
-def glax_falsification_oracle(
-    p: LinearFunctor, t_prime: TorsionData, extra_modules: Sequence[Module] = ()
-) -> bool:
+def glax_falsification_oracle(p: LinearFunctor, t_prime: TorsionData) -> bool:
     """If the decision is true, no sampled pair of localized target modules may
     exhibit non-bijectivity of the total restriction hom map.  A false decision
     needs no samples; the first non-bijective pair settles a true one."""
     from .decide import is_generalized_lax_epi
     if not is_generalized_lax_epi(p, t_prime).verdict:
         return True
-    family = list(bounded_quotient_family(t_prime.cat, cap=6)) + list(extra_modules)
-    closed = [localize(t_prime, m)[0].module for m in family]
+    closed = [localize(t_prime, m)[0].module for m in bounded_quotient_family(t_prime.cat, cap=6)]
     return all(restriction_hom_bijective(p, x, y) for x in closed for y in closed)
 
 
@@ -340,16 +329,15 @@ def condition_F(
     u_obj: str,
     u2_obj: str,
     gamma: ModuleMap,
-    fac: Factorization | None = None,
+    fac: Factorization,
 ) -> tuple[bool, dict]:
     """Solvability γ·T(u) = T(u') on the maximal subspace, with covering images.
 
     For every source object V the subspace K_V of morphisms u: V -> U with
     γ∘T(u) in the image of T on Hom(V, U') is computed exactly; the condition
-    holds when the joint image of T over all K_V covers T(U) up to torsion.
+    holds when the joint image of T over all K_V covers T(U) up to torsion;
+    `fac` is p's localized factorization.
     """
-    if fac is None:
-        fac = canonical_factorization_localized(p, t_prime)
     loc = fac.localized_representables
     src = p.source
     if gamma.source != loc[u_obj].module or gamma.target != loc[u2_obj].module:

@@ -3,8 +3,8 @@
 An ideal assigns a subspace of every hom space, closed under composition on
 both sides; idempotency (the span of pairwise composites recovers the ideal)
 makes the annihilated modules a hereditary torsion class.  `ideal_closure`
-takes the ideal that its generators generate from `category.ideal_spans`
-and checks both properties.  Each representable
+takes the ideal that its generators generate from `category.ideal_spans`,
+two-sided by construction, and checks that it is idempotent.  Each representable
 then contains a minimal "dense" submodule J_U (the ideal's components into U),
 and localization is the Gabriel construction: kill torsion, then apply
 Hom(J_-, ·) once.  For a torsion-free module and the minimal dense J_U, that
@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
-from .category import LinearCategory, Morphism, contract, ideal_spans, postcompose_cells
-from .category import precompose_cells
+from .category import LinearCategory, Morphism, contract, ideal_spans
 from .errors import IdealNotIdempotent, InternalInvariantError
 from .linalg import ONE, EchelonBasis, RationalMatrix, Scalar, Subspace, kernel_basis, nonzeros
 from .modules import (
@@ -52,14 +51,18 @@ Pair = tuple[str, str]
 
 
 class TorsionData:
-    """An idempotent two-sided ideal, presenting a localizing subcategory."""
+    """An idempotent two-sided ideal, presenting a localizing subcategory.
+
+    One comes from `ideal_closure`, `whole_ideal` or `zero_ideal`: the first
+    closes its generators on both sides and checks idempotency, and the other
+    two are two-sided and idempotent by construction.
+    """
 
     def __init__(
         self,
         cat: LinearCategory,
         ideal: dict[Pair, Subspace],
         generators: Sequence[Morphism] = (),
-        check: bool = True,
     ):
         self.cat = cat
         self.ideal: dict[Pair, Subspace] = {}
@@ -70,29 +73,8 @@ class TorsionData:
                 raise ValueError(f"ideal component at {(v, u)} has wrong ambient dimension")
             self.ideal[(v, u)] = s
         self.generators = tuple(generators)
-        if check:
-            bad = self._two_sided_defect()
-            if bad is not None:
-                raise ValueError(f"not a two-sided ideal: fails at hom pair {bad}")
-            bad = self.idempotency_defect()
-            if bad is not None:
-                raise IdealNotIdempotent(
-                    f"ideal is not idempotent: defect at hom pair {bad}"
-                )
 
     # -- structure ----------------------------------------------------------
-
-    def _two_sided_defect(self) -> Pair | None:
-        c = self.cat
-        for (v, u), s in self.ideal.items():
-            for a in s.basis.sp:
-                for w in c.objects:
-                    # g ∘ a for each basis g: u -> w, then a ∘ f for each basis f: w -> v
-                    if not all(map(self.ideal[(v, w)].contains, precompose_cells(c, v, u, w, a))):
-                        return (v, w)
-                    if not all(map(self.ideal[(w, u)].contains, postcompose_cells(c, w, v, u, a))):
-                        return (w, u)
-        return None
 
     def idempotency_defect(self) -> Pair | None:
         """First hom pair where span{a ∘ a'} differs from the ideal, if any."""
@@ -156,19 +138,22 @@ class TorsionData:
 def whole_ideal(c: LinearCategory) -> TorsionData:
     """Trivial torsion theory: ideal = every hom space, torsion class = {0}."""
     return TorsionData(
-        c, {(v, u): Subspace.full(c.hom_dim(v, u)) for v in c.objects for u in c.objects},
-        check=False,
+        c, {(v, u): Subspace.full(c.hom_dim(v, u)) for v in c.objects for u in c.objects}
     )
 
 
 def zero_ideal(c: LinearCategory) -> TorsionData:
     """Degenerate: every module is torsion and the quotient category is zero."""
-    return TorsionData(c, {}, check=False)
+    return TorsionData(c, {})
 
 
 def ideal_closure(c: LinearCategory, generators: Sequence[Morphism]) -> TorsionData:
     """Smallest two-sided ideal containing the generators; errors if not idempotent."""
-    return TorsionData(c, ideal_spans(c, generators), generators=generators, check=True)
+    t = TorsionData(c, ideal_spans(c, generators), generators=generators)
+    bad = t.idempotency_defect()
+    if bad is not None:
+        raise IdealNotIdempotent(f"ideal is not idempotent: defect at hom pair {bad}")
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +193,8 @@ def is_torsion_free(t: TorsionData, x: Module) -> bool:
 # closedness and localization
 # ---------------------------------------------------------------------------
 
-def _restriction_to_j(t: TorsionData, x: Module, u: str, basis=None) -> RationalMatrix:
-    """Matrix of X(u) = Hom(yoneda(u), x) -> Hom(J_u, x) in the given hom basis."""
-    if basis is None:
-        basis = hom_modules(t.j.values[u], x)
+def _restriction_to_j(t: TorsionData, x: Module, u: str, basis: HomBasis) -> RationalMatrix:
+    """Matrix of X(u) = Hom(yoneda(u), x) -> Hom(J_u, x) in the hom basis of Hom(J_u, x)."""
     acts = {w: [x.act_coords(w, u, h) for h in t.ideal[(w, u)].basis.sp] for w in t.cat.objects}
     return evaluation_matrix(basis, acts, x.dims[u])
 
@@ -220,17 +203,21 @@ def is_closed(t: TorsionData, x: Module) -> bool:
     """Torsion-free and X(U) ≅ Hom(J_U, x) under restriction, for every U."""
     from .linalg import is_iso
 
-    return is_torsion_free(t, x) and all(is_iso(_restriction_to_j(t, x, u)) for u in t.cat.objects)
+    return is_torsion_free(t, x) and all(
+        is_iso(_restriction_to_j(t, x, u, hom_modules(t.j.values[u], x))) for u in t.cat.objects
+    )
 
 
 @dataclass
 class ClosedModule:
-    """A localization, with the steps that `localize_map` reads."""
+    """A localization, with the steps that `localize_map` reads: the projection
+    onto the torsion-free quotient that the Gabriel step ran on, a section of
+    each of its components, and the hom bases of Hom(J_U, quotient)."""
 
     module: Module
-    # (torsion-free quotient, its projection, a section of each component, hom bases),
-    # set by localize for localize_map
-    _steps: tuple | None = field(default=None, repr=False, compare=False)
+    projection: ModuleMap = field(repr=False, compare=False)
+    sections: dict[str, RationalMatrix] = field(repr=False, compare=False)
+    hom_bases: dict[str, HomBasis] = field(repr=False, compare=False)
 
 
 def _gabriel_step(t: TorsionData, y: Module):
@@ -247,7 +234,7 @@ def localize(t: TorsionData, x: Module) -> tuple[ClosedModule, ModuleMap]:
     # the canonical section of quotient_by's projection, P·S = I
     secs = {u: s.quotient_maps()[1] for u, s in tors.spaces.items()}
     h, eta, bases = _gabriel_step(t, y0)
-    return ClosedModule(h, (y0, proj, secs, bases)), map_compose(eta, proj)
+    return ClosedModule(h, proj, secs, bases), map_compose(eta, proj)
 
 
 def localize_map(
@@ -258,11 +245,11 @@ def localize_map(
 ) -> ModuleMap:
     """The induced map localize(source f) -> localize(target f): Hom(J_-, f0) for
     the map f0 that f induces on the torsion-free quotients."""
-    x0, _, sec_x, bx = loc_src._steps
-    y0, proj_y, _, by = loc_tgt._steps
+    proj_y, sec_x = loc_tgt.projection, loc_src.sections
     objs = t.cat.objects
-    f0 = ModuleMap(x0, y0, {u: proj_y.components[u] * f.components[u] * sec_x[u] for u in objs})
-    comps = {u: hom_matrix(bx[u], by[u], post=f0) for u in objs}
+    f0 = ModuleMap(loc_src.projection.target, proj_y.target,
+                   {u: proj_y.components[u] * f.components[u] * sec_x[u] for u in objs})
+    comps = {u: hom_matrix(loc_src.hom_bases[u], loc_tgt.hom_bases[u], post=f0) for u in objs}
     return ModuleMap(loc_src.module, loc_tgt.module, comps)
 
 
@@ -271,7 +258,7 @@ def localize_morphism(
 ) -> ModuleMap:
     """`localize_map` of postcomposition by m, for the localizations of its representables."""
     # the projections start at the modules that were localized
-    ys, yt = loc_src._steps[1].source, loc_tgt._steps[1].source
+    ys, yt = loc_src.projection.source, loc_tgt.projection.source
     comps = yoneda_components(t.cat, m.source, m.target, dict(nonzeros(m.coords)))
     return localize_map(t, ModuleMap(ys, yt, comps), loc_src, loc_tgt)
 

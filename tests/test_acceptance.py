@@ -21,8 +21,8 @@ from laxepi.functors import (
     adjunction_check,
     canonical_factorization_localized,
     identity_functor,
-    induce,
     regular_bimodule,
+    tensor_bimodule,
 )
 from laxepi.linalg import RationalMatrix, kernel_basis, row_space, rref, solve
 from laxepi.modules import (
@@ -309,11 +309,13 @@ def test_criterion_08_closed_functor_coherence():
 
 
 def _kernel_description_disagreements(p, t, samples) -> list[int]:
-    """The samples x on which membership of induce(p, x) in Ker T^*, computed
-    two ways, differs: is the induction torsion, and does it localize to zero?"""
+    """The samples x on which membership of the induction x ⊗ regular_bimodule(p)
+    in Ker T^*, computed two ways, differs: is the induction torsion, and does
+    it localize to zero?"""
     disagreements = []
+    reg = regular_bimodule(p)
     for k, x in enumerate(samples):
-        ind = induce(p, x).module
+        ind = tensor_bimodule(x, reg).module
         torsion_route = is_torsion(t, ind)
         cm, _ = localize(t, ind)
         localize_route = cm.module.is_zero()

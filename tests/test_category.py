@@ -95,7 +95,7 @@ def test_opposite_involution():
         cop = opposite(c)
         assert validate_category(cop) == []
         copop = opposite(cop)
-        assert copop.comp == c.comp
+        assert copop.cells == c.cells
         assert copop._hom == c._hom
         assert copop.identities == c.identities
 
@@ -304,7 +304,7 @@ def test_cells_match_dense_tables():
         dense = _dense_tables(c)
         hom = {pair: c.hom_dim(*pair) for pair in c.hom_pairs()}
         c2 = LinearCategory(c.objects, hom, dense, c.identities, c.basis_labels)
-        assert c2 == c and c2.comp == c.comp
+        assert c2 == c and c2.cells == c.cells
         for key, tab in c2.cells.items():
             assert key in dense and tab
             for (gi, fi), cell in tab.items():

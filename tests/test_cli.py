@@ -175,7 +175,7 @@ def test_category_with_wrong_identity_is_refused(tmp_path, capsys):
     from laxepi.modules import yoneda
 
     good = product_field_category()
-    bad = LinearCategory(["*"], {("*", "*"): 2}, good.comp, {"*": [1, 0]}, good.basis_labels)
+    bad = LinearCategory(["*"], {("*", "*"): 2}, good.cells, {"*": [1, 0]}, good.basis_labels)
     inst = Instance(
         {"C": bad},
         {"id": (identity_functor(bad), "C", "C")},

@@ -9,7 +9,7 @@ import pytest
 
 import laxepi
 from laxepi import decide
-from laxepi.category import from_quiver, validate_category
+from laxepi.category import Morphism, compose, from_quiver, validate_category
 from laxepi.cli import _sanitize
 from laxepi.corpus import (
     BUILTIN_NAMES,
@@ -70,7 +70,7 @@ def test_random_instance_deterministic():
     a = random_instance(42)
     b = random_instance(42)
     assert a.category.objects == b.category.objects
-    assert a.category.comp == b.category.comp
+    assert a.category.cells == b.category.cells
     assert a.functor.object_map == b.functor.object_map
     assert a.functor.hom_maps == b.functor.hom_maps
     assert [m.dims for m in a.modules] == [m.dims for m in b.modules]
@@ -89,6 +89,37 @@ def test_random_instances_validate():
             assert validate_module(m) == []
         for t in rb.ideals:
             assert t.idempotency_defect() is None
+
+
+def _two_sided_defect(t):
+    """The first (hom pair, basis vector) of t's ideal that has a composite with
+    a basis morphism, on either side, outside the ideal; None if there is none."""
+    c = t.cat
+    for (v, u), s in t.ideal.items():
+        for a in s.basis_vectors():
+            m = Morphism(v, u, a)
+            for w in c.objects:
+                pre = [compose(c, c.basis_morphism(u, w, i), m) for i in range(c.hom_dim(u, w))]
+                post = [compose(c, m, c.basis_morphism(w, v, i)) for i in range(c.hom_dim(w, v))]
+                if not all(t.ideal[(g.source, g.target)].contains(g.coords) for g in pre + post):
+                    return (v, u), a
+    return None
+
+
+def test_every_ideal_is_two_sided():
+    """Every ideal the library builds is closed under composition on both sides:
+    the builtins' ideals, both ideals of bundles 0..199 and the vertex ideals of
+    A_2..A_9."""
+    ideals = [t for name in BUILTIN_NAMES for t in builtin(name).ideals.values()]
+    for seed in range(200):
+        ideals += random_instance(seed).ideals
+    for n in range(2, 10):
+        vs = [str(i) for i in range(1, n + 1)]
+        c = from_quiver(vs, [(f"a{i}", str(i), str(i + 1)) for i in range(1, n)], (), n)
+        ideals += [ideal_closure(c, [c.identity(u)]) for u in c.objects]
+    assert sum(not (t.is_trivial or t.is_degenerate) for t in ideals) > 100
+    for t in ideals:
+        assert _two_sided_defect(t) is None
 
 
 def test_random_bounds_respected():

@@ -519,7 +519,7 @@ def test_conditioned_check_matches_fresh_representables():
     representable of the mid category at every object (reference)."""
     from laxepi.corpus import random_instance
     from laxepi.decide import _conditioned_check
-    from laxepi.functors import counit, tensor_bimodule
+    from laxepi.functors import induction_counit, regular_bimodule, restrict, tensor_bimodule
     from laxepi.modules import kernel
     from laxepi.torsion import is_torsion
 
@@ -532,8 +532,11 @@ def test_conditioned_check_matches_fresh_representables():
                     continue
                 fac = canonical_factorization_localized(p, t)
                 want = {}
+                reg = regular_bimodule(fac.s)
                 for g in fac.mid.objects:
-                    ker_mod, _ = kernel(counit(fac.s, yoneda(fac.mid, g)))
+                    y = yoneda(fac.mid, g)
+                    eps = induction_counit(fac.s, tensor_bimodule(restrict(fac.s, y), reg), y)
+                    ker_mod, _ = kernel(eps)
                     tens = tensor_bimodule(ker_mod, fac.i).module
                     if not is_torsion(t, tens):
                         want[g] = {"kernel_dims": dict(ker_mod.dims),

@@ -13,7 +13,8 @@ from laxepi.corpus import (
 from laxepi.functors import (
     canonical_factorization_localized,
     identity_functor,
-    induce,
+    regular_bimodule,
+    tensor_bimodule,
     tensor_map,
 )
 from laxepi.linalg import kernel_basis
@@ -91,8 +92,9 @@ def test_abelian_localization_preserves_exactness():
     for f in hom_modules(x, x):
         if not all(kernel_basis(m).is_zero() for m in f.components.values()):
             continue
-        ctx_s, ctx_t = induce(p, f.source), induce(p, f.target)
-        ind_f = tensor_map(f, ctx_t.bimodule, ctx_s, ctx_t)
+        reg = regular_bimodule(p)
+        ctx_s, ctx_t = tensor_bimodule(f.source, reg), tensor_bimodule(f.target, reg)
+        ind_f = tensor_map(f, ctx_s, ctx_t)
         ker_mod, _ = kernel(ind_f)
         assert is_torsion(t, ker_mod)
 

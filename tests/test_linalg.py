@@ -360,3 +360,16 @@ def test_scalar_form_of_results(data):
         assert coords is not None
         assert all(type(x) in (int, Fraction) for x in coords)
         assert RationalMatrix([coords]) * span.basis == RationalMatrix([v])
+
+
+def test_scale_keeps_integral_products_ints():
+    """A scaled entry that is integral comes out as an int, as everywhere in
+    linalg; one that is not stays a Fraction."""
+    half = RationalMatrix([[4, 1]]).scale(Fraction(1, 2))
+    assert half.sp == ({0: 2, 1: Fraction(1, 2)},)
+    assert type(half.sp[0][0]) is int and type(half.sp[0][1]) is Fraction
+    two = RationalMatrix([[Fraction(1, 2)]]).scale(2)
+    assert two.sp == ({0: 1},) and type(two.sp[0][0]) is int
+    ints = RationalMatrix([[3, -1], [0, 2]]).scale(-2)
+    assert ints.sp == ({0: -6, 1: 2}, {1: -4})
+    assert all(type(x) is int for row in ints.sp for x in row.values())

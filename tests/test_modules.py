@@ -599,7 +599,7 @@ def _submodule_cases():
     each also as the kernel of its quotient map."""
     from laxepi.corpus import random_instance
     from laxepi.errors import PreconditionError
-    from laxepi.functors import canonical_factorization_localized, counit
+    from laxepi.functors import canonical_factorization_localized, counits
     from laxepi.linalg import kernel_basis
     from laxepi.torsion import ideal_closure
 
@@ -618,7 +618,7 @@ def _submodule_cases():
         except PreconditionError:
             pass
         for s in functors:
-            cases += [as_kernel(counit(s, yoneda(s.target, g))) for g in s.target.objects]
+            cases += [as_kernel(eps) for eps in counits(s).values()]
         ideals += b.ideals
     for n in (3, 4, 5, 6):
         c = _a_n(n)
