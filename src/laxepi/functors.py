@@ -24,14 +24,13 @@ from typing import Mapping, Sequence, Union
 
 from .category import LinearCategory, Morphism, combine, contract
 from .errors import InternalInvariantError, PreconditionError
-from .linalg import ONE, EchelonBasis, RationalMatrix, Scalar, nonzeros, zero_vec
+from .linalg import ONE, EchelonBasis, RationalMatrix, Scalar, nonzeros, solve_matrix, zero_vec
 from .modules import (
     Bimodule,
     HomBasis,
     Module,
     ModuleMap,
     Presentation,
-    coordinates_in_hom_basis,
     evaluation_matrix,
     fill_action,
     hom_diagram_module,
@@ -515,59 +514,60 @@ def canonical_factorization(t: LinearFunctor) -> Factorization:
 def canonical_factorization_localized(p: LinearFunctor, torsion_prime) -> Factorization:
     """Factor U -> Md(U')/L' through the category of localized induced representables.
 
-    Mid homs are quotient-category homs between localizations of yoneda(PU);
+    Mid homs are quotient-category homs between the localizations a(y_PU);
     i is the bimodule sending each mid object to that closed module.  Each
-    Hom basis is solved once and kept in `hom_bases`; S reads each localized
-    basis morphism's coordinates there, save an identity: p keeps identities
-    (`validate_functor` checks it) and so does localization, so id_u goes to
-    `ids[u]`, the coordinates of loc[u]'s identity, with no solve.
+    Hom basis is solved once and kept in `hom_bases`.  Every map
+    α: a(y_PV) -> a(y_PU) is read at e_V, the unit's image of id_PV: a closed
+    Z has Hom(a(y_PV), Z) ≅ Hom(y_PV, Z) ≅ Z(PV) (Stenström, *Rings of
+    Quotients*, 1975, Ch. IX), so the matrix E_(V, U) of α ↦ α_PV(e_V) on
+    `hom_bases[(V, U)]` is square and invertible.  A composite g ∘ f, an
+    identity and S's image of a basis morphism b are then the coordinates
+    E⁻¹·z of their values z at e: g_PW·f_PW·e_W, e_U and η_PU(p(b)).
     """
-    from .torsion import localize, localize_morphism
+    from .torsion import localize
 
     src = p.source
     tgt_cat = p.target
     if not (torsion_prime.cat is tgt_cat or torsion_prime.cat == tgt_cat):
         raise PreconditionError("torsion data must live on the functor's target")
-    # one localization per image object, shared by the objects that p sends there
-    by_image = {g: localize(torsion_prime, yoneda(tgt_cat, g))[0] for g in p.image_objects()}
-    loc = {u: by_image[p.apply_obj(u)] for u in src.objects}
+    # one localization and unit per image object, shared by the objects that p sends there
+    by_image = {g: localize(torsion_prime, yoneda(tgt_cat, g)) for g in p.image_objects()}
+    loc = {u: by_image[p.apply_obj(u)][0] for u in src.objects}
+    unit = {u: by_image[p.apply_obj(u)][1] for u in src.objects}
+    e = {u: unit[u].components[p.apply_obj(u)].apply(tgt_cat.identities[p.apply_obj(u)])
+         for u in src.objects}
     bases = {
         (v, u): hom_modules(loc[v].module, loc[u].module)
         for v in src.objects
         for u in src.objects
     }
+    ev, inv = {}, {}  # E_(v, u): column k is basis map k at e_v; and E⁻¹
+    for (v, u), basis in bases.items():
+        pv = p.apply_obj(v)
+        m = RationalMatrix.from_columns(
+            [a.components[pv].apply(e[v]) for a in basis], loc[u].module.dims[pv])
+        m_inv = solve_matrix(m, RationalMatrix.identity(m.rows)) if m.rows == m.cols else None
+        if m_inv is None:
+            raise InternalInvariantError(f"evaluation at e_{v} is not invertible at {(v, u)}")
+        ev[(v, u)], inv[(v, u)] = m, m_inv
     hom_dims = {pair: len(basis) for pair, basis in bases.items() if basis}
     comp = {}
     for w, v, u in product(src.objects, repeat=3):
         if bases[(v, u)] and bases[(w, v)] and bases[(w, u)]:
-            # column gi of by_f[fi]: basis g_gi ∘ basis f_fi in Hom(w, u)
-            by_f = [hom_matrix(bases[(v, u)], bases[(w, u)], pre=f) for f in bases[(w, v)]]
+            # column fi of E⁻¹·g_gi·E_(w, v): basis g_gi ∘ basis f_fi in Hom(w, u)
+            pw = p.apply_obj(w)
             comp[(w, v, u)] = {
                 (gi, fi): cell
-                for fi, m in enumerate(by_f)
-                for gi, cell in enumerate(m.transpose().sp)
+                for gi, g in enumerate(bases[(v, u)])
+                for fi, cell in enumerate(
+                    (inv[(w, u)] * g.components[pw] * ev[(w, v)]).transpose().sp)
             }
-    ids = {}
-    for u in src.objects:
-        cc = coordinates_in_hom_basis(identity_map(loc[u].module), bases[(u, u)])
-        if cc is None:
-            raise InternalInvariantError("identity escapes quotient hom basis")
-        ids[u] = cc
+    ids = {u: inv[(u, u)].apply(e[u]) for u in src.objects}
     mid = LinearCategory(src.objects, hom_dims, comp, ids)
-
-    s_hom = {}
-    for v, u in src.hom_pairs():
-        cols = []
-        for i in range(src.hom_dim(v, u)):
-            if (b := src.basis_morphism(v, u, i)) == src.identity(u):
-                cols.append(ids[u])
-                continue
-            lpm = localize_morphism(torsion_prime, p.apply(b), loc[v], loc[u])
-            cc = coordinates_in_hom_basis(lpm, bases[(v, u)])
-            if cc is None:
-                raise InternalInvariantError("localized image escapes quotient hom basis")
-            cols.append(cc)
-        s_hom[(v, u)] = RationalMatrix.from_columns(cols, len(bases[(v, u)]))
+    s_hom = {
+        (v, u): inv[(v, u)] * unit[u].components[p.apply_obj(v)] * p.hom_maps[(v, u)]
+        for v, u in src.hom_pairs()
+    }
     s = LinearFunctor(src, mid, {u: u for u in src.objects}, s_hom)
 
     values = {u: loc[u].module for u in src.objects}

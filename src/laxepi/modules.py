@@ -89,9 +89,6 @@ class Module:
                     raise ValueError(f"action matrix shape mismatch at {(v, u, i)}")
                 self.action[(v, u, i)] = m
 
-    def dim(self, u: str) -> int:
-        return self.dims[u]
-
     def total_dim(self) -> int:
         return sum(self.dims.values())
 
@@ -178,9 +175,6 @@ class Submodule:
 
     of: Module
     spaces: dict[str, Subspace]
-
-    def dim(self, u: str) -> int:
-        return self.spaces[u].dim
 
     def total_dim(self) -> int:
         return sum(s.dim for s in self.spaces.values())
@@ -539,15 +533,6 @@ def hom_modules(x: Module, y: Module) -> HomBasis:
         return [combine((a, cols[j]) for j, a in z.items()) for z in zs]
 
     return HomBasis(x, y, len(zs), flatten)
-
-
-def coordinates_in_hom_basis(f: ModuleMap, basis: HomBasis) -> tuple[Scalar, ...] | None:
-    """Coefficients of f in a basis returned by `hom_modules`, or None if f is outside its span.
-
-    The basis is the canonical basis of `basis.space`, so the coefficients
-    are read at its pivots without an elimination.
-    """
-    return basis.space.coordinates_of(flatten_map(f))
 
 
 def _scatter(terms) -> dict[int, dict[int, Scalar]]:

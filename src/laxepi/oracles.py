@@ -54,7 +54,7 @@ from .modules import (
     yoneda,
     zero_submodule,
 )
-from .torsion import TorsionData, is_closed, is_torsion, localize, localize_morphism
+from .torsion import TorsionData, is_closed, is_torsion, localize
 
 
 # ---------------------------------------------------------------------------
@@ -351,11 +351,6 @@ def condition_F(
         err.code = "E_INVALID_QUOTIENT_HOM"
         raise err
 
-    def t_of(u_mor: Morphism) -> ModuleMap:
-        return localize_morphism(
-            t_prime, p.apply(u_mor), loc[u_mor.source], loc[u_mor.target]
-        )
-
     certificate = {}
     trace = zero_submodule(loc[u_obj].module)
     covering_maps = []
@@ -377,8 +372,8 @@ def condition_F(
             if u_prime is None:
                 raise InternalInvariantError("K_V element not actually solvable")
             solved.append((tuple(u_coords), tuple(u_prime)))
-            u_mor = Morphism(v, u_obj, u_coords)
-            covering_maps.append(t_of(u_mor))
+            # T(u) = I(S(u)): the combination of fac.hom_bases[(v, u_obj)] by S's coordinates
+            covering_maps.append(fac.i.left_act(fac.s.apply(Morphism(v, u_obj, u_coords))))
         certificate[v] = {"K_basis": k_v.basis_vectors(), "solved": solved}
     for cm in covering_maps:
         trace = submodule_sum(trace, image(cm))

@@ -15,20 +15,22 @@ closed and that its unit is a q-isomorphism.  The step is
 `modules.hom_diagram_module` on the bimodule `TorsionData.j` (U ↦ J_U, acting
 by postcomposition), whose values and action are read off the ideal's
 canonical bases and the composition cells, with no representable built and
-cut down; its unit and maps come from `evaluation_matrix` and
-`hom_matrix`, so units and functoriality on maps are read off whole hom bases,
-and the quotient category is computed as homs between closed modules.
+cut down; its unit comes from `evaluation_matrix`, read off whole hom bases,
+and the quotient category is computed as homs between closed modules.  No
+map is localized: a closed Z has Hom(a(y_V), Z) ≅ Z(V), so
+`functors.canonical_factorization_localized` reads each map between
+localized representables at the unit's image of the identity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 from .category import LinearCategory, Morphism, contract, ideal_spans
 from .errors import IdealNotIdempotent, InternalInvariantError
-from .linalg import ONE, EchelonBasis, RationalMatrix, Scalar, Subspace, kernel_basis, nonzeros
+from .linalg import ONE, EchelonBasis, RationalMatrix, Scalar, Subspace, kernel_basis
 from .modules import (
     Bimodule,
     HomBasis,
@@ -38,13 +40,11 @@ from .modules import (
     evaluation_matrix,
     fill_action,
     hom_diagram_module,
-    hom_matrix,
     hom_modules,
     kernel,
     cokernel,
     map_compose,
     quotient_by,
-    yoneda_components,
 )
 
 Pair = tuple[str, str]
@@ -210,57 +210,22 @@ def is_closed(t: TorsionData, x: Module) -> bool:
 
 @dataclass
 class ClosedModule:
-    """A localization, with the steps that `localize_map` reads: the projection
-    onto the torsion-free quotient that the Gabriel step ran on, a section of
-    each of its components, and the hom bases of Hom(J_U, quotient)."""
+    """A localization: the closed module R(Q(x)) that `localize` returns."""
 
     module: Module
-    projection: ModuleMap = field(repr=False, compare=False)
-    sections: dict[str, RationalMatrix] = field(repr=False, compare=False)
-    hom_bases: dict[str, HomBasis] = field(repr=False, compare=False)
 
 
-def _gabriel_step(t: TorsionData, y: Module):
-    """H(y) = Hom(J_-, y) with its action, the unit y -> H(y), and hom bases."""
+def _gabriel_step(t: TorsionData, y: Module) -> tuple[Module, ModuleMap]:
+    """H(y) = Hom(J_-, y) with its action, and the unit y -> H(y)."""
     h, bases = hom_diagram_module(t.j, y)
-    unit = ModuleMap(y, h, {u: _restriction_to_j(t, y, u, bases[u]) for u in t.cat.objects})
-    return h, unit, bases
+    return h, ModuleMap(y, h, {u: _restriction_to_j(t, y, u, bases[u]) for u in t.cat.objects})
 
 
 def localize(t: TorsionData, x: Module) -> tuple[ClosedModule, ModuleMap]:
     """R(Q(x)) and the unit x -> R(Q(x)): one Gabriel step on the torsion-free quotient."""
-    tors = torsion_submodule(t, x)
-    y0, proj = quotient_by(tors)
-    # the canonical section of quotient_by's projection, P·S = I
-    secs = {u: s.quotient_maps()[1] for u, s in tors.spaces.items()}
-    h, eta, bases = _gabriel_step(t, y0)
-    return ClosedModule(h, proj, secs, bases), map_compose(eta, proj)
-
-
-def localize_map(
-    t: TorsionData,
-    f: ModuleMap,
-    loc_src: ClosedModule,
-    loc_tgt: ClosedModule,
-) -> ModuleMap:
-    """The induced map localize(source f) -> localize(target f): Hom(J_-, f0) for
-    the map f0 that f induces on the torsion-free quotients."""
-    proj_y, sec_x = loc_tgt.projection, loc_src.sections
-    objs = t.cat.objects
-    f0 = ModuleMap(loc_src.projection.target, proj_y.target,
-                   {u: proj_y.components[u] * f.components[u] * sec_x[u] for u in objs})
-    comps = {u: hom_matrix(loc_src.hom_bases[u], loc_tgt.hom_bases[u], post=f0) for u in objs}
-    return ModuleMap(loc_src.module, loc_tgt.module, comps)
-
-
-def localize_morphism(
-    t: TorsionData, m: Morphism, loc_src: ClosedModule, loc_tgt: ClosedModule
-) -> ModuleMap:
-    """`localize_map` of postcomposition by m, for the localizations of its representables."""
-    # the projections start at the modules that were localized
-    ys, yt = loc_src.projection.source, loc_tgt.projection.source
-    comps = yoneda_components(t.cat, m.source, m.target, dict(nonzeros(m.coords)))
-    return localize_map(t, ModuleMap(ys, yt, comps), loc_src, loc_tgt)
+    y0, proj = quotient_by(torsion_submodule(t, x))
+    h, eta = _gabriel_step(t, y0)
+    return ClosedModule(h), map_compose(eta, proj)
 
 
 def quotient_hom(t: TorsionData, x: Module, y: Module) -> HomBasis:

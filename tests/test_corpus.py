@@ -19,7 +19,7 @@ from laxepi.corpus import (
 )
 from laxepi.errors import LaxepiError
 from laxepi.fileio import serialize_category, serialize_functor, serialize_module
-from laxepi.functors import validate_functor
+from laxepi.functors import canonical_factorization_localized, validate_functor
 from laxepi.modules import direct_sum, hom_modules, validate_module, yoneda
 from laxepi.torsion import ideal_closure, localize
 
@@ -269,3 +269,69 @@ def test_path_category_outputs_are_pinned():
     for item in _path_category_data():
         h.update(json.dumps(_sanitize(item), sort_keys=True).encode())
     assert h.hexdigest() == "fc55098d7ee7d01514460dcfe6411bb81f9c6123361f485dfde257571d2a6fc0"
+
+
+def _localized_cases():
+    """(label, functor, ideal) for every functor of the builtins and both
+    functors of bundles 0..199, with each ideal on the functor's target."""
+    def same(a, b):
+        return a is b or a == b
+
+    for name in BUILTIN_NAMES:
+        b = builtin(name)
+        for f in b.functors.values():
+            yield from ((name, f, t) for t in b.ideals.values() if same(t.cat, f.target))
+    for seed in range(200):
+        b = random_instance(seed)
+        for f in (b.functor, b.surjective_functor):
+            yield from ((seed, f, t) for t in b.ideals if same(t.cat, f.target))
+
+
+def _localized_data():
+    """The localized factorization's mid category (hom dims, composition cells,
+    identities) and S's hom matrices, with the glax and abelian-localization
+    outcomes, for each case of `_localized_cases`, in JSON form."""
+    for label, f, t in _localized_cases():
+        try:
+            fac = canonical_factorization_localized(f, t)
+        except LaxepiError as e:
+            fac_data = [type(e).__name__, str(e)]
+        else:
+            mid = fac.mid
+            fac_data = [
+                [[v, u, mid.hom_dim(v, u)] for v, u in mid.hom_pairs()],
+                [[list(key), [[list(gf), cell] for gf, cell in sorted(cells.items())]]
+                 for key, cells in sorted(mid.cells.items())],
+                mid.identities,
+                [[list(key), m] for key, m in sorted(fac.s.hom_maps.items())],
+            ]
+        yield [label, fac_data, _check_outcome("glax", f, t),
+               _check_outcome("abelian-localization", f, t)]
+
+
+def test_localized_factorizations_are_pinned():
+    """The localized factorizations of 430 (functor, ideal) cases, and their
+    glax and abelian-localization reports, serialize to the same bytes as when
+    this digest was computed, before the mid category and S were read off
+    each localized representable at the unit's image of the identity."""
+    h = hashlib.sha256()
+    n = 0
+    for item in _localized_data():
+        h.update(json.dumps(_sanitize(item), sort_keys=True).encode())
+        n += 1
+    assert n == 430
+    assert h.hexdigest() == "bc24489a4229e9cb54f4dedeb666f566f8b519973e9d5f5b5f3ce91e1d4dd5a8"
+
+
+def test_localized_hom_dims_read_yoneda():
+    """Hom(a(y_PV), a(y_PU)) ≅ a(y_PU)(PV) for the closed a(y_PU): every Hom
+    basis of the localized factorization, on the pinned cases, has the
+    dimension of the localized representable at the image of its source."""
+    pairs = 0
+    for _, f, t in _localized_cases():
+        fac = canonical_factorization_localized(f, t)
+        loc = fac.localized_representables
+        for (v, u), basis in fac.hom_bases.items():
+            assert len(basis) == loc[u].module.dims[f.apply_obj(v)]
+            pairs += bool(basis)
+    assert pairs > 1000

@@ -565,30 +565,50 @@ def test_canonical_factorization_localized_corner():
 
 
 def _localized_s_per_basis(p, t, fac):
-    """fac.s's hom matrices and fac.mid's identities by the per-basis route:
-    localize_morphism and a coordinate solve for every basis morphism of the
-    source, identities included (reference)."""
-    from laxepi.modules import coordinates_in_hom_basis, identity_map
-    from laxepi.torsion import localize_morphism
+    """fac.mid and fac.s's hom matrices by the per-basis routes (reference):
+    each composition cell by `hom_matrix(pre=f)`, and each identity and each
+    localized basis morphism of the source by its localized map and a
+    coordinate solve in `fac.hom_bases`, identities included."""
+    from itertools import product
 
-    src, loc, bases = p.source, fac.localized_representables, fac.hom_bases
-    ids = {u: coordinates_in_hom_basis(identity_map(loc[u].module), bases[(u, u)])
-           for u in src.objects}
+    from test_torsion import localize_map
+
+    from laxepi.category import LinearCategory
+    from laxepi.linalg import nonzeros
+    from laxepi.modules import flatten_map, hom_matrix, identity_map, yoneda_components
+
+    src, tgt, loc, bases = p.source, p.target, fac.localized_representables, fac.hom_bases
+
+    def coordinates(f, basis):
+        return basis.space.coordinates_of(flatten_map(f))
+
+    def localize_morphism(m):
+        """`localize_map` of postcomposition by m between its representables."""
+        comps = yoneda_components(tgt, m.source, m.target, dict(nonzeros(m.coords)))
+        return localize_map(t, ModuleMap(yoneda(tgt, m.source), yoneda(tgt, m.target), comps))
+
+    comp = {}
+    for w, v, u in product(src.objects, repeat=3):
+        if bases[(v, u)] and bases[(w, v)] and bases[(w, u)]:
+            # column gi of by_f[fi]: basis g_gi ∘ basis f_fi in Hom(w, u)
+            by_f = [hom_matrix(bases[(v, u)], bases[(w, u)], pre=f) for f in bases[(w, v)]]
+            comp[(w, v, u)] = {(gi, fi): cell for fi, m in enumerate(by_f)
+                               for gi, cell in enumerate(m.transpose().sp)}
+    ids = {u: coordinates(identity_map(loc[u].module), bases[(u, u)]) for u in src.objects}
+    mid = LinearCategory(src.objects, {pair: len(b) for pair, b in bases.items()}, comp, ids)
     hom_maps = {}
     for v, u in src.hom_pairs():
-        cols = []
-        for i in range(src.hom_dim(v, u)):
-            lpm = localize_morphism(t, p.apply(src.basis_morphism(v, u, i)), loc[v], loc[u])
-            cols.append(coordinates_in_hom_basis(lpm, bases[(v, u)]))
+        cols = [coordinates(localize_morphism(p.apply(src.basis_morphism(v, u, i))), bases[(v, u)])
+                for i in range(src.hom_dim(v, u))]
         hom_maps[(v, u)] = RationalMatrix.from_columns(cols, len(bases[(v, u)]))
-    return hom_maps, ids
+    return mid, hom_maps
 
 
 def test_localized_factorization_s_matches_per_basis_route():
-    """S of the localized factorization sends identities to the mid identities
-    without a solve; its hom matrices and the mid identities equal the
-    per-basis route's on both functors of bundles 0..29, with each ideal on
-    their target, and on the builtin glax cases."""
+    """The localized factorization reads every map at the unit's image of the
+    identity; its mid category (composition cells and identities) and S's hom
+    matrices equal the per-basis routes' on both functors of bundles 0..29,
+    with each ideal on their target, and on the builtin glax cases."""
     from laxepi.corpus import BUILTIN_NAMES, builtin, random_instance
 
     cases = []
@@ -600,17 +620,18 @@ def test_localized_factorization_s_matches_per_basis_route():
         b = random_instance(seed)
         cases += [(p, t) for p in (b.functor, b.surjective_functor) for t in b.ideals
                   if t.cat is p.target or t.cat == p.target]
-    identities = 0
+    identities = cells = 0
     for p, t in cases:
         fac = canonical_factorization_localized(p, t)
-        hom_maps, ids = _localized_s_per_basis(p, t, fac)
+        mid, hom_maps = _localized_s_per_basis(p, t, fac)
+        assert fac.mid == mid
         assert fac.s.hom_maps == hom_maps
-        assert fac.mid.identities == ids
         assert validate_functor(fac.s) == []
         src = p.source
         identities += sum(src.basis_morphism(u, u, i) == src.identity(u)
                           for u in src.objects for i in range(src.hom_dim(u, u)))
-    assert len(cases) == 68 and identities > 100
+        cells += sum(map(len, mid.cells.values()))
+    assert len(cases) == 68 and identities > 100 and cells > 100
 
 
 def test_canonical_factorization_localized_refuses_ideal_off_target():

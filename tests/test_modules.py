@@ -328,6 +328,12 @@ def test_module_trace_of_representables_covers():
     assert tr.is_full()
 
 
+def coordinates_in_hom_basis(f, basis):
+    """Coefficients of f in a basis from `hom_modules`, or None if f is outside
+    its span: read at the pivots of the basis's canonical span, no elimination."""
+    return basis.space.coordinates_of(flatten_map(f))
+
+
 def _solve_coordinates(f, basis):
     """Coordinates of f by solving against the flattened basis (reference route)."""
     from laxepi.linalg import solve
@@ -361,7 +367,7 @@ def test_hom_coordinates_match_solve():
     """Pivot read-off agrees with solving, and rejects exactly the non-natural maps."""
     import random
 
-    from laxepi.modules import coordinates_in_hom_basis, map_add, map_scale
+    from laxepi.modules import map_add, map_scale
 
     rng = random.Random(6)
     kinds = set()
@@ -402,7 +408,7 @@ def test_hom_coordinates_match_solve():
 def _per_element_matrix(src, tgt, pre=None, post=None):
     """hom_matrix the reference way: one composite ModuleMap and one
     coordinate read per basis map; None when a composite leaves tgt's span."""
-    from laxepi.modules import coordinates_in_hom_basis, map_compose
+    from laxepi.modules import map_compose
 
     cols = []
     for alpha in src:
@@ -526,12 +532,13 @@ def test_hom_matrix_matches_per_element():
 def test_gabriel_step_matches_per_element():
     """The Gabriel step's module and unit equal the ones assembled map by map."""
     from laxepi.category import Morphism
-    from laxepi.modules import coordinates_in_hom_basis, map_compose
+    from laxepi.modules import hom_diagram_module, map_compose
     from laxepi.torsion import _gabriel_step
 
     for t, y in _torsion_cases():
         c = t.cat
-        h, unit, bases = _gabriel_step(t, y)
+        h, unit = _gabriel_step(t, y)
+        bases = hom_diagram_module(t.j, y)[1]
         action = {}
         for v, u in c.hom_pairs():
             for i in range(c.hom_dim(v, u)):

@@ -10,9 +10,12 @@ from laxepi.corpus import (
 from laxepi.errors import IdealNotIdempotent, InternalInvariantError
 from laxepi.linalg import Subspace, kernel_basis, nonzeros
 from laxepi.modules import (
+    ModuleMap,
     Submodule,
     cyclic_submodule,
     direct_sum,
+    hom_diagram_module,
+    hom_matrix,
     hom_modules,
     identity_map,
     kernel,
@@ -30,7 +33,6 @@ from laxepi.torsion import (
     is_torsion,
     is_torsion_free,
     localize,
-    localize_map,
     q_iso,
     quotient_hom,
     torsion_submodule,
@@ -45,6 +47,25 @@ def _j_submodule(t, u):
     """J_U as the submodule of the representable at U: the reference route for
     `TorsionData.j`, which reads J off the ideal's bases."""
     return Submodule(yoneda(t.cat, u), {v: t.ideal[(v, u)] for v in t.cat.objects})
+
+
+def localize_map(t, f):
+    """The induced map localize(f.source) -> localize(f.target), the per-map
+    route: Hom(J_-, f0) for the map f0 that f induces on the torsion-free
+    quotients, which are recomputed with a section of each projection, and
+    the J hom bases of the Gabriel step on them (reference)."""
+    def gabriel(x):
+        tors = torsion_submodule(t, x)
+        y0, proj = quotient_by(tors)
+        h, bases = hom_diagram_module(t.j, y0)
+        return h, proj, {u: s.quotient_maps()[1] for u, s in tors.spaces.items()}, bases
+
+    h_src, proj_src, sec_src, bases_src = gabriel(f.source)
+    h_tgt, proj_tgt, _, bases_tgt = gabriel(f.target)
+    objs = t.cat.objects
+    f0 = ModuleMap(proj_src.target, proj_tgt.target,
+                   {u: proj_tgt.components[u] * f.components[u] * sec_src[u] for u in objs})
+    return ModuleMap(h_src, h_tgt, {u: hom_matrix(bases_src[u], bases_tgt[u], post=f0) for u in objs})
 
 
 def t2_corner_ideal():
@@ -215,8 +236,8 @@ def test_localize_map_of_q_iso_is_iso():
     c, t = t2_corner_ideal()
     reg = yoneda(c, "*")
     cm, unit = localize(t, reg)
-    cm2, _ = localize(t, cm.module)
-    lu = localize_map(t, unit, cm, cm2)
+    lu = localize_map(t, unit)
+    assert lu.source == cm.module and lu.target == localize(t, cm.module)[0].module
     assert lu.is_iso()
 
 
@@ -313,7 +334,7 @@ def test_second_gabriel_step_changes_nothing():
     assert len(pairs) > 90
     for x, t in pairs:
         cm, _ = localize(t, x)
-        h, unit, _ = _gabriel_step(t, cm.module)
+        h, unit = _gabriel_step(t, cm.module)
         assert unit.is_iso()
         assert h.dims == cm.module.dims
 
