@@ -321,6 +321,21 @@ def opposite(c: LinearCategory) -> LinearCategory:
     return op
 
 
+def full_subcategory(c: LinearCategory, objs: Iterable[str]):
+    """The inclusion functor of the full subcategory on objs, which is its source,
+    with c's object order, bases, labels and cell tables."""
+    from .functors import LinearFunctor
+
+    objs = set(objs)
+    keep = [u for u in c.objects if u in objs]
+    pairs = [(v, u) for v, u in c.hom_pairs() if v in objs and u in objs]
+    sub = LinearCategory(keep, {p: c.hom_dim(*p) for p in pairs}, {},
+                         {u: c.identities[u] for u in keep}, {p: c.basis_labels[p] for p in pairs})
+    sub.cells = {k: tab for k, tab in c.cells.items() if objs.issuperset(k)}
+    return LinearFunctor(sub, c, {u: u for u in keep},
+                         {p: RationalMatrix.identity(c.hom_dim(*p)) for p in pairs})
+
+
 def from_algebra(
     mult: Sequence[Sequence[Sequence]],
     unit: Sequence,

@@ -226,14 +226,15 @@ def _cross_check(rb) -> list[str]:
     """Each disagreement, on one random bundle, of a decider with its
     independent route: `is_lax_epi` with full faithfulness of restriction,
     `is_epi` (on the surjective functor and the canonical factor) with the
-    multiplication-map oracle, `localize` with closedness and a q-iso unit,
+    multiplication-map oracle, `localize` on every (module, ideal) pair with
+    closedness, a q-iso unit and, through the corner, the Gabriel step,
     the adjunction laws, and two one-way oracles that may fail only where
     their decider fails: the Hom side of `is_generalized_closed_functor`, and
     sampled restriction Hom maps for `is_generalized_lax_epi` on the
     surjective functor and the first ideal, when that ideal is on its target."""
     from . import oracles
     from .functors import adjunction_check, regular_bimodule
-    from .torsion import is_closed, q_iso
+    from .torsion import gabriel_localize, is_closed, q_iso
 
     problems = []
     lax = decide.is_lax_epi(rb.functor)
@@ -248,14 +249,16 @@ def _cross_check(rb) -> list[str]:
         if verdict != oracles.multiplication_map_iso(s)[0]:
             problems.append(f"is_epi on the {label} says {verdict}; the multiplication-map "
                             "oracle disagrees")
-    for m in rb.modules[:1]:
-        for t in rb.ideals[:1]:
+    for m in rb.modules:
+        for t in rb.ideals:
             if t.cat is m.over or t.cat == m.over:
                 cm, unit = localize(t, m)
                 if not is_closed(t, cm.module):
                     problems.append("localize returned a module that is not closed")
                 if not q_iso(t, unit):
                     problems.append("localize returned a unit that is not a q-isomorphism")
+                if t.corner is not None and (cm, unit) != gabriel_localize(t, m):
+                    problems.append("localize through the corner differs from the Gabriel step")
     rep = adjunction_check(sf, rb.modules[:1], rb.modules[:1])
     if not rep["ok"]:
         problems.append(f"adjunction {rep['failures']}")

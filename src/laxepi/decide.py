@@ -149,7 +149,7 @@ def _hom_from_object_module(t: LinearFunctor, op: LinearCategory, v: str) -> Mod
         for i, timg in enumerate(t.columns[(b_obj, a)]):  # T(b_obj) -> T(a)
             # column j: timg ∘ h_j for the basis h_j of Hom(v, T(b_obj))
             cells = postcompose_cells(tgt, v, tb, ta, timg)
-            action[(a, b_obj, i)] = RationalMatrix.from_sparse_rows(cells, dims[a]).transpose()
+            action[(a, b_obj, i)] = RationalMatrix.from_columns(cells, dims[a])
     return Module(op, dims, action)
 
 

@@ -8,7 +8,7 @@ P0 = ⊕_k yoneda(G_k) -> x with kernel K, and as tensoring is right exact and
 yoneda(G) ⊗ b = b(G), x ⊗ b is ⊕_k b(G_k) modulo the image of K ⊗ b,
 objectwise.  Induction along a functor is the tensor with its regular
 bimodule.  Coinduction is its Hom-side twin, `modules.hom_diagram_module` on
-the bimodule of restricted representables.
+D(G) = restrict(yoneda G), read off the target's cells (`coinduction_bimodule`).
 Contexts carry the presentation, the projections and the quotient
 coordinates, so units, counits and functoriality on maps are all computed in
 matching coordinates.
@@ -22,7 +22,7 @@ from functools import cached_property
 from itertools import accumulate, product
 from typing import Mapping, Sequence, Union
 
-from .category import LinearCategory, Morphism, combine, contract
+from .category import LinearCategory, Morphism, combine, contract, postcompose_cells, precompose_cells
 from .errors import InternalInvariantError, PreconditionError
 from .linalg import ONE, EchelonBasis, RationalMatrix, Scalar, nonzeros, solve_matrix, zero_vec
 from .modules import (
@@ -76,6 +76,25 @@ class LinearFunctor:
     def columns(self) -> dict[Pair, list[dict[int, Scalar]]]:
         """Column i of each hom matrix, as nonzero coordinates: S(basis i)."""
         return {pair: m.transpose().sp for pair, m in self.hom_maps.items()}
+
+    @cached_property
+    def coinduction_bimodule(self) -> Bimodule:
+        """D(G) = restrict(yoneda G), which `coinduce` reads, built once straight
+        off the target's cells: D(G)(U) = Hom(SU, G), where the basis morphism i
+        of the source acts by precomposition with S(i), and a basis g: G' -> G
+        of the target acts D(G') -> D(G) by postcomposition."""
+        src, tgt, obj = self.source, self.target, self.object_map
+        values = {}
+        for g in tgt.objects:
+            dims = {u: tgt.hom_dim(obj[u], g) for u in src.objects}
+            values[g] = Module(src, dims, fill_action(src, dims, lambda v, u, i: (
+                RationalMatrix.from_columns(
+                    precompose_cells(tgt, obj[v], obj[u], g, self.columns[(v, u)][i]), dims[v]))))
+        left = {(g2, g1, i): ModuleMap(values[g2], values[g1], {
+            u: RationalMatrix.from_columns(postcompose_cells(tgt, obj[u], g2, g1, {i: ONE}), d)
+            for u, d in values[g1].dims.items()
+        }) for g2, g1 in tgt.hom_pairs() for i in range(tgt.hom_dim(g2, g1))}
+        return Bimodule(tgt, src, values, left)
 
     def apply_obj(self, u: str) -> str:
         return self.object_map[u]
@@ -171,17 +190,9 @@ class CoinducedContext:
 
 
 def coinduce(s: LinearFunctor, x: Module) -> CoinducedContext:
-    """Right adjoint of restriction: Hom(D, x) for the bimodule D(G) = restrict(yoneda G)."""
-    tgt = s.target
-    reps = {g: restrict(s, yoneda(tgt, g)) for g in tgt.objects}
-    maps = {}
-    for g2, g1 in tgt.hom_pairs():  # basis g: g2 -> g1 acts co(g1) -> co(g2)
-        for i in range(tgt.hom_dim(g2, g1)):
-            comps = yoneda_components(tgt, g2, g1, {i: ONE})
-            maps[(g2, g1, i)] = ModuleMap(
-                reps[g2], reps[g1], {u: comps[s.apply_obj(u)] for u in s.source.objects}
-            )
-    co, bases = hom_diagram_module(Bimodule(tgt, s.source, reps, maps), x)
+    """Right adjoint of restriction: Hom(D, x) for s's `coinduction_bimodule` D;
+    along the inclusion of a corner, x's localization (`torsion.localize`)."""
+    co, bases = hom_diagram_module(s.coinduction_bimodule, x)
     return CoinducedContext(s, x, co, bases)
 
 
@@ -201,15 +212,15 @@ def coinduce_counit(ctx: CoinducedContext) -> ModuleMap:
 def coinduce_unit(ctx: CoinducedContext, y: Module) -> ModuleMap:
     """y -> coinduce(restrict y) for y over the target (ctx built on restrict y)."""
     s = ctx.functor
-    src, tgt = s.source, s.target
-    comps = {}
-    for g in tgt.objects:
-        acts = {}
-        for u in src.objects:
-            su = s.apply_obj(u)
-            acts[u] = [y.action[(su, g, j)] for j in range(tgt.hom_dim(su, g))]
-        comps[g] = evaluation_matrix(ctx.hom_bases[g], acts, y.dims[g])
-    return ModuleMap(y, ctx.module, comps)
+    return ModuleMap(y, ctx.module, {g: coinduce_unit_at(s, y, g, b) for g, b in ctx.hom_bases.items()})
+
+
+def coinduce_unit_at(s: LinearFunctor, y: Module, g: str, basis: HomBasis) -> RationalMatrix:
+    """The unit's component y(G) -> Hom(D(G), restrict y), a ↦ (h ↦ y(h)a), in `basis`."""
+    sus = {u: s.apply_obj(u) for u in s.source.objects}
+    acts = {u: [y.action[(su, g, j)] for j in range(s.target.hom_dim(su, g))]
+            for u, su in sus.items()}
+    return evaluation_matrix(basis, acts, y.dims[g])
 
 
 def coinduce_map(
@@ -330,11 +341,7 @@ def tensor_bimodule(x: Module, b: Bimodule) -> TensorContext:
 
 def _descend(proj: RationalMatrix, cols: Sequence[Mapping[int, Scalar]]) -> RationalMatrix:
     """proj * B for the big-space matrix B with these columns, given as nonzero entries."""
-    rows: list[dict[int, Scalar]] = [{} for _ in range(proj.cols)]
-    for k, col in enumerate(cols):
-        for r, y in col.items():
-            rows[r][k] = y
-    return proj * RationalMatrix.from_sparse_rows(rows, len(cols))
+    return proj * RationalMatrix.from_columns(cols, proj.cols)
 
 
 def tensor_map(f: ModuleMap, ctx_src: TensorContext, ctx_tgt: TensorContext) -> ModuleMap:

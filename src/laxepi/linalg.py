@@ -5,9 +5,9 @@ yes/no rank or solvability question, so all arithmetic is exact, and
 subspaces carry a canonical reduced row-echelon basis so that equality of
 subspaces is plain equality of entries.  A scalar is a Python `int` while it
 is integral and a `fractions.Fraction` otherwise: inputs are converted on the
-way in, and pivot rows are scaled by exact inverses that give ints back.  A
-sum of non-integral Fractions may still leave an integral Fraction; it
-compares and hashes equal to the int.
+way in, pivot rows are scaled by exact inverses that give ints back, and
+products demote integral entries.  A sum of non-integral Fractions may still
+leave an integral Fraction; it compares and hashes equal to the int.
 
 Storage is sparse, because the systems the module and functor layers build
 are mostly zeros.  A `RationalMatrix` keeps each row as a `{column: value}`
@@ -129,6 +129,12 @@ def _add_rows(a: SparseRow, b: SparseRow) -> SparseRow:
     return out
 
 
+def _ints(row: SparseRow) -> SparseRow:
+    """row with its integral values as ints; row itself when it holds only ints."""
+    return row if _INT_ONLY.issuperset(map(type, row.values())) else {
+        j: frac(x) for j, x in row.items()}
+
+
 def _shift(row: Mapping[int, Scalar], by: int) -> SparseRow:
     return {j + by: x for j, x in row.items()}
 
@@ -187,13 +193,15 @@ class RationalMatrix:
         return m
 
     @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[Scalar]], rows: int) -> "RationalMatrix":
-        """The rows x len(columns) matrix with the given columns of scalars."""
+    def from_columns(
+        cls, columns: Sequence[Sequence[Scalar] | SparseRow], rows: int
+    ) -> "RationalMatrix":
+        """The rows x len(columns) matrix of these columns, dense or `{row: value}`."""
         sp: list[SparseRow] = [{} for _ in range(rows)]
         for j, col in enumerate(columns):
-            if len(col) != rows:
+            if not isinstance(col, dict) and len(col) != rows:
                 raise DimensionMismatch(f"column of length {len(col)} in a matrix of {rows} rows")
-            for i, x in enumerate(col):
+            for i, x in (col.items() if isinstance(col, dict) else enumerate(col)):
                 if x:
                     sp[i][j] = x
         return cls.from_sparse_rows(sp, len(columns))
@@ -204,7 +212,8 @@ class RationalMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls.from_sparse_rows([{i: ONE} for i in range(n)], n)
+        return _IDENTITIES.get(n) or _IDENTITIES.setdefault(
+            n, cls.from_sparse_rows([{i: ONE} for i in range(n)], n))
 
     def __getitem__(self, ij: tuple[int, int]) -> Scalar:
         i, j = ij
@@ -270,7 +279,8 @@ class RationalMatrix:
         """Matrix product, or scalar multiple when `other` is a scalar.
 
         Row i of the product is the sum of x * (row k of other) over the
-        entries x = self[i, k] of row i; entries that cancel are dropped.
+        entries x = self[i, k] of row i; entries that cancel are dropped, and
+        integral ones are ints.
         """
         if isinstance(other, RationalMatrix):
             if self.cols != other.rows:
@@ -284,7 +294,7 @@ class RationalMatrix:
                     # one term: no sums, so no cancellation
                     ((k, x),) = r.items()
                     br = b_rows[k]
-                    out.append(br if x is ONE else {j: x * y for j, y in br.items()})
+                    out.append(br if x is ONE else _ints({j: x * y for j, y in br.items()}))
                     continue
                 acc: SparseRow = {}
                 summed = False
@@ -296,7 +306,7 @@ class RationalMatrix:
                         else:
                             acc[j] = s + x * y
                             summed = True
-                out.append({j: v for j, v in acc.items() if v} if summed else acc)
+                out.append(_ints({j: v for j, v in acc.items() if v} if summed else acc))
             return RationalMatrix.from_sparse_rows(out, other.cols)
         return self.scale(other)
 
@@ -333,6 +343,7 @@ class RationalMatrix:
 _set_rows, _set_cols, _set_sp = (
     RationalMatrix.__dict__[a].__set__ for a in RationalMatrix.__slots__
 )
+_IDENTITIES: dict[int, RationalMatrix] = {}  # one identity per size: matrices are immutable
 
 
 def block_diag(blocks: Sequence[RationalMatrix]) -> RationalMatrix:

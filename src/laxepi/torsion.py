@@ -4,22 +4,22 @@ An ideal assigns a subspace of every hom space, closed under composition on
 both sides; idempotency (the span of pairwise composites recovers the ideal)
 makes the annihilated modules a hereditary torsion class.  `ideal_closure`
 takes the ideal that its generators generate from `category.ideal_spans`,
-two-sided by construction, and checks that it is idempotent.  Each representable
-then contains a minimal "dense" submodule J_U (the ideal's components into U),
-and localization is the Gabriel construction: kill torsion, then apply
-Hom(J_-, ·) once.  For a torsion-free module and the minimal dense J_U, that
-one step already gives the module of quotients (Stenström, *Rings of
-Quotients*, 1975, Ch. IX), so `localize` runs that one step and does not
-test its result again; the tests and `laxepi corpus run` check that it is
-closed and that its unit is a q-isomorphism.  The step is
-`modules.hom_diagram_module` on the bimodule `TorsionData.j` (U ↦ J_U, acting
-by postcomposition), whose values and action are read off the ideal's
-canonical bases and the composition cells, with no representable built and
-cut down; its unit comes from `evaluation_matrix`, read off whole hom bases,
-and the quotient category is computed as homs between closed modules.  No
-map is localized: a closed Z has Hom(a(y_V), Z) ≅ Z(V), so
-`functors.canonical_factorization_localized` reads each map between
-localized representables at the unit's image of the identity.
+two-sided by construction, and checks that it is idempotent.
+
+Localization takes one of two routes.  When J = AeA, that is, each J(w, u) is
+spanned by composites through the objects E whose identities lie in J
+(`TorsionData.corner`), Mod(A)/Ker j* ≃ Mod(eAe) and a = j_* j*: `localize`
+restricts x to the full subcategory on E and coinduces it back (Geigle and
+Lenzing 1991; Psaroudakis 2014), and `is_closed` reads that unit object by
+object.  Any other ideal, such as `corner_T2`'s e11, whose J = {e11, e12}
+holds no identity, takes the Gabriel step (`gabriel_localize`): kill torsion,
+then apply Hom(J_-, ·) once, on the bimodule `TorsionData.j` (U ↦ J_U, read
+off the ideal's bases and the cells); for the minimal dense J_U that already
+gives the module of quotients (Stenström, *Rings of Quotients*, 1975, Ch. IX).
+The two routes agree entry for entry; the tests and `laxepi corpus run`
+compare them.  No map is localized: a closed Z has Hom(a(y_V), Z) ≅ Z(V), so
+`functors.canonical_factorization_localized` reads each map between localized
+representables at the unit's image of the identity.
 """
 
 from __future__ import annotations
@@ -28,9 +28,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .category import LinearCategory, Morphism, contract, ideal_spans
+from .category import LinearCategory, Morphism, contract, full_subcategory, ideal_spans
 from .errors import IdealNotIdempotent, InternalInvariantError
-from .linalg import ONE, EchelonBasis, RationalMatrix, Scalar, Subspace, kernel_basis
+from .functors import coinduce, coinduce_unit, coinduce_unit_at, restrict
+from .linalg import ONE, EchelonBasis, RationalMatrix, Scalar, Subspace, is_iso, kernel_basis
 from .modules import (
     Bimodule,
     HomBasis,
@@ -134,6 +135,19 @@ class TorsionData:
         }
         return Bimodule(c, c, values, action)
 
+    @cached_property
+    def corner(self):
+        """The inclusion of the full subcategory on E = {e : id_e in J} when J =
+        AeA, that is, each J(w, u) is spanned by the composites w -> e -> u; else None."""
+        c = self.cat
+        objs = [u for u in c.objects if self.ideal[(u, u)].contains(c.identities[u])]
+        for (w, u), s in self.ideal.items():
+            span = EchelonBasis(s.ambient_dim)
+            if s.dim and not any(span.insert(cell) and span.dim == s.dim
+                                 for e in objs for cell in c.table(w, e, u).values()):
+                return None
+        return full_subcategory(c, objs)
+
 
 def whole_ideal(c: LinearCategory) -> TorsionData:
     """Trivial torsion theory: ideal = every hom space, torsion class = {0}."""
@@ -193,19 +207,16 @@ def is_torsion_free(t: TorsionData, x: Module) -> bool:
 # closedness and localization
 # ---------------------------------------------------------------------------
 
-def _restriction_to_j(t: TorsionData, x: Module, u: str, basis: HomBasis) -> RationalMatrix:
-    """Matrix of X(u) = Hom(yoneda(u), x) -> Hom(J_u, x) in the hom basis of Hom(J_u, x)."""
-    acts = {w: [x.act_coords(w, u, h) for h in t.ideal[(w, u)].basis.sp] for w in t.cat.objects}
-    return evaluation_matrix(basis, acts, x.dims[u])
-
-
 def is_closed(t: TorsionData, x: Module) -> bool:
-    """Torsion-free and X(U) ≅ Hom(J_U, x) under restriction, for every U."""
-    from .linalg import is_iso
-
-    return is_torsion_free(t, x) and all(
-        is_iso(_restriction_to_j(t, x, u, hom_modules(t.j.values[u], x))) for u in t.cat.objects
-    )
+    """Torsion-free, and the unit is an isomorphism: object by object through
+    the corner, X(U) ≅ Hom_eAe(D(U), x|E), or else by one Gabriel step."""
+    if not is_torsion_free(t, x):
+        return False
+    if (inc := t.corner) is None:
+        return _gabriel_step(t, x)[1].is_iso()
+    d, rx = inc.coinduction_bimodule, restrict(inc, x)
+    return all(is_iso(coinduce_unit_at(inc, x, u, hom_modules(d.values[u], rx)))
+               for u in t.cat.objects)
 
 
 @dataclass
@@ -216,13 +227,25 @@ class ClosedModule:
 
 
 def _gabriel_step(t: TorsionData, y: Module) -> tuple[Module, ModuleMap]:
-    """H(y) = Hom(J_-, y) with its action, and the unit y -> H(y)."""
+    """H(y) = Hom(J_-, y) with its action, and the unit y -> H(y), which
+    restricts y(U) = Hom(yoneda(U), y) to Hom(J_U, y)."""
     h, bases = hom_diagram_module(t.j, y)
-    return h, ModuleMap(y, h, {u: _restriction_to_j(t, y, u, bases[u]) for u in t.cat.objects})
+    return h, ModuleMap(y, h, {u: evaluation_matrix(bases[u], {
+        w: [y.act_coords(w, u, a) for a in t.ideal[(w, u)].basis.sp] for w in t.cat.objects
+    }, y.dims[u]) for u in t.cat.objects})
 
 
 def localize(t: TorsionData, x: Module) -> tuple[ClosedModule, ModuleMap]:
-    """R(Q(x)) and the unit x -> R(Q(x)): one Gabriel step on the torsion-free quotient."""
+    """R(Q(x)) and the unit x -> R(Q(x)): for J = AeA, j_* j* x, which restricts x
+    to the corner and coinduces it back; otherwise `gabriel_localize`."""
+    if (inc := t.corner) is None:
+        return gabriel_localize(t, x)
+    ctx = coinduce(inc, restrict(inc, x))
+    return ClosedModule(ctx.module), coinduce_unit(ctx, x)
+
+
+def gabriel_localize(t: TorsionData, x: Module) -> tuple[ClosedModule, ModuleMap]:
+    """`localize` by one Gabriel step on the torsion-free quotient, for any ideal."""
     y0, proj = quotient_by(torsion_submodule(t, x))
     h, eta = _gabriel_step(t, y0)
     return ClosedModule(h), map_compose(eta, proj)

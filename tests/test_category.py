@@ -10,6 +10,7 @@ from laxepi.category import (
     contract,
     from_algebra,
     from_quiver,
+    full_subcategory,
     opposite,
     postcompose_cells,
     precompose_cells,
@@ -522,3 +523,27 @@ def test_action_plan_computes_a_self_referential_composite():
     }
     _check_plan(c)
     assert all(_reads_back(yoneda(c, u)) for u in c.objects)
+
+
+def test_full_subcategories_and_inclusions_are_lawful():
+    """On every (category, E) of bundles 0..199, E running over all object
+    subsets, the full subcategory is a valid category on E in c's order with
+    c's homs, and its inclusion is a valid functor."""
+    from itertools import combinations
+
+    from laxepi.functors import validate_functor
+
+    cases = 0
+    for seed in range(200):
+        b = random_instance(seed)
+        for c in (b.category, b.target_category):
+            for k in range(len(c.objects) + 1):
+                for objs in combinations(reversed(c.objects), k):
+                    inc = full_subcategory(c, objs)
+                    sub = inc.source
+                    assert sub.objects == tuple(u for u in c.objects if u in objs)
+                    assert {p: sub.hom_dim(*p) for p in sub.hom_pairs()} == {
+                        (v, u): c.hom_dim(v, u) for v, u in c.hom_pairs() if {v, u} <= set(objs)}
+                    assert validate_category(sub) == [] and validate_functor(inc) == []
+                    cases += 1
+    assert cases == 1904

@@ -373,3 +373,17 @@ def test_scale_keeps_integral_products_ints():
     ints = RationalMatrix([[3, -1], [0, 2]]).scale(-2)
     assert ints.sp == ({0: -6, 1: 2}, {1: -4})
     assert all(type(x) is int for row in ints.sp for x in row.values())
+
+
+def test_product_keeps_integral_entries_ints():
+    """A product entry that is integral comes out as an int, through the
+    one-term path and through sums alike; one that is not stays a Fraction."""
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    one = RationalMatrix([[half]]) * RationalMatrix([[2]])
+    assert one.sp == ({0: 1},) and type(one.sp[0][0]) is int
+    summed = RationalMatrix([[half, half, third]]) * RationalMatrix([[1, 1], [1, 0], [0, 3]])
+    assert summed.sp == ({0: 1, 1: Fraction(3, 2)},)
+    assert type(summed.sp[0][0]) is int and type(summed.sp[0][1]) is Fraction
+    ints = RationalMatrix([[2, 0], [1, 3]]) * RationalMatrix([[1, 1], [0, 2]])
+    assert ints.sp == ({0: 2, 1: 2}, {0: 1, 1: 7})
+    assert all(type(x) is int for row in ints.sp for x in row.values())

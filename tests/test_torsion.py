@@ -19,6 +19,7 @@ from laxepi.modules import (
     hom_modules,
     identity_map,
     kernel,
+    map_compose,
     quotient_by,
     sub_to_module,
     yoneda,
@@ -28,6 +29,7 @@ from laxepi.modules import (
 )
 from laxepi.torsion import (
     TorsionData,
+    gabriel_localize,
     ideal_closure,
     is_closed,
     is_torsion,
@@ -418,4 +420,93 @@ def test_is_torsion_matches_torsion_submodule():
         want = torsion_submodule(t, x).total_dim() == x.total_dim()
         assert is_torsion(t, x) == want
         seen[want] += not x.is_zero()
+    assert min(seen.values()) > 50
+
+
+def _a_n(n):
+    from laxepi.category import from_quiver
+
+    vertices = [str(i) for i in range(1, n + 1)]
+    arrows = [(f"a{i}", str(i), str(i + 1)) for i in range(1, n)]
+    return from_quiver(vertices, arrows, (), nilpotency=n)
+
+
+def _serialized(m):
+    """A matrix's entries as `fileio` writes them: equal for byte-identical output."""
+    from laxepi.fileio import rat_to_str
+
+    return [[rat_to_str(x) for x in row] for row in m.data]
+
+
+def test_corner_localization_is_the_gabriel_step_entry_for_entry():
+    """For J = AeA, `localize` restricts x to the corner on E and coinduces it
+    back.  The Gabriel step on the torsion-free quotient, called directly,
+    gives the same closed module and unit, as serialized bytes: on every
+    AeA (ideal, module) pair of the builtins, the modules and representables
+    of bundles 0..199, and every vertex ideal of A_2..A_9 on the regular
+    module."""
+    from laxepi.corpus import BUILTIN_NAMES, builtin, random_instance
+    from laxepi.torsion import _gabriel_step
+
+    groups = [(b.ideals.values(), b.modules.values()) for b in map(builtin, BUILTIN_NAMES)]
+    groups += [(b.ideals, b.modules) for b in map(random_instance, range(200))]
+    cases = [(t, x) for ideals, mods in groups for t in ideals
+             for x in [m for m in mods if m.over is t.cat] + [yoneda(t.cat, u) for u in t.cat.objects]]
+    for n in range(2, 10):
+        c = _a_n(n)
+        reg, _, _ = direct_sum([yoneda(c, u) for u in c.objects], over=c)
+        cases += [(ideal_closure(c, [c.identity(u)]), reg) for u in c.objects]
+    compared = 0
+    for t, x in cases:
+        if t.corner is None:
+            continue
+        cm, unit = localize(t, x)
+        y0, proj = quotient_by(torsion_submodule(t, x))
+        h, eta = _gabriel_step(t, y0)
+        assert cm.module.dims == h.dims
+        assert {k: _serialized(m) for k, m in cm.module.action.items()} == {
+            k: _serialized(m) for k, m in h.action.items()}
+        assert {u: _serialized(m) for u, m in unit.components.items()} == {
+            u: _serialized(m) for u, m in map_compose(eta, proj).components.items()}
+        compared += 1
+    assert compared == len(cases) - 2 == 1468  # all but corner_T2: e11 on its two modules
+
+
+def test_corner_is_found_exactly_for_aea_ideals():
+    """The corner is E = {u : id_u in J} when J = AeA: all of the objects for
+    the whole ideal, one vertex for a vertex ideal of A_n, none for the zero
+    ideal, whose localization is zero.  corner_T2's e11 generates J = {e11,
+    e12}, which holds no identity, so it gets no corner and `localize` is the
+    Gabriel step there."""
+    c = _a_n(4)
+    assert whole_ideal(c).corner.source.objects == c.objects
+    assert ideal_closure(c, [c.identity("3")]).corner.source.objects == ("3",)
+    for cat in (c, upper_triangular_category(), truncated_polynomial_category()):
+        t = zero_ideal(cat)
+        assert t.corner.source.objects == ()
+        for u in cat.objects:
+            cm, unit = localize(t, yoneda(cat, u))
+            assert cm.module.is_zero() and unit.source == yoneda(cat, u)
+    c, t = t2_corner_ideal()
+    assert t.corner is None
+    reg = yoneda(c, "*")
+    cm, unit = localize(t, reg)
+    assert (cm, unit) == gabriel_localize(t, reg)
+    assert cm.module.dims == {"*": 1}
+
+
+def test_is_closed_through_the_corner_matches_j():
+    """For J = AeA, `is_closed` reads the corner's unit object by object; the
+    Gabriel step's unit X(U) -> Hom(J_U, x), the reference, agrees on every
+    case of `_torsion_test_cases` and on the localizations of its modules."""
+    from laxepi.torsion import _gabriel_step
+
+    seen = {True: 0, False: 0}
+    for t, x in _torsion_test_cases():
+        if t.corner is None:
+            continue
+        for y in (x, localize(t, x)[0].module):
+            want = is_torsion_free(t, y) and _gabriel_step(t, y)[1].is_iso()
+            assert is_closed(t, y) == want
+            seen[want] += not y.is_zero()
     assert min(seen.values()) > 50
