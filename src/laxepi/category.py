@@ -321,19 +321,29 @@ def opposite(c: LinearCategory) -> LinearCategory:
     return op
 
 
-def full_subcategory(c: LinearCategory, objs: Iterable[str]):
-    """The inclusion functor of the full subcategory on objs, which is its source,
-    with c's object order, bases, labels and cell tables."""
+def full_image(c: LinearCategory, object_map: Mapping[str, str]):
+    """The inclusion functor of the full image of object_map: its source has
+    object_map's keys as objects, in their order, and c's homs between their
+    images, with c's bases, labels, identities and cell tables."""
     from .functors import LinearFunctor
 
+    objs = list(object_map)
+    images = {(v, u): (object_map[v], object_map[u]) for v, u in product(objs, repeat=2)}
+    pairs = [p for p, im in images.items() if c.hom_dim(*im)]
+    sub = LinearCategory(objs, {p: c.hom_dim(*images[p]) for p in pairs}, {},
+                         {u: c.identities[object_map[u]] for u in objs},
+                         {p: c.basis_labels[images[p]] for p in pairs})
+    for w, v, u in product(objs, repeat=3):  # the homs are c's: share its tables
+        if tab := c.table(object_map[w], object_map[v], object_map[u]):
+            sub.cells[(w, v, u)] = tab
+    return LinearFunctor(sub, c, object_map,
+                         {p: RationalMatrix.identity(c.hom_dim(*images[p])) for p in pairs})
+
+
+def full_subcategory(c: LinearCategory, objs: Iterable[str]):
+    """The inclusion functor of the full subcategory on objs, in c's object order."""
     objs = set(objs)
-    keep = [u for u in c.objects if u in objs]
-    pairs = [(v, u) for v, u in c.hom_pairs() if v in objs and u in objs]
-    sub = LinearCategory(keep, {p: c.hom_dim(*p) for p in pairs}, {},
-                         {u: c.identities[u] for u in keep}, {p: c.basis_labels[p] for p in pairs})
-    sub.cells = {k: tab for k, tab in c.cells.items() if objs.issuperset(k)}
-    return LinearFunctor(sub, c, {u: u for u in keep},
-                         {p: RationalMatrix.identity(c.hom_dim(*p)) for p in pairs})
+    return full_image(c, {u: u for u in c.objects if u in objs})
 
 
 def from_algebra(

@@ -222,59 +222,9 @@ def cmd_hom(args) -> int:
     return 0
 
 
-def _cross_check(rb) -> list[str]:
-    """Each disagreement, on one random bundle, of a decider with its
-    independent route: `is_lax_epi` with full faithfulness of restriction,
-    `is_epi` (on the surjective functor and the canonical factor) with the
-    multiplication-map oracle, `localize` on every (module, ideal) pair with
-    closedness, a q-iso unit and, through the corner, the Gabriel step,
-    the adjunction laws, and two one-way oracles that may fail only where
-    their decider fails: the Hom side of `is_generalized_closed_functor`, and
-    sampled restriction Hom maps for `is_generalized_lax_epi` on the
-    surjective functor and the first ideal, when that ideal is on its target."""
-    from . import oracles
-    from .functors import adjunction_check, regular_bimodule
-    from .torsion import gabriel_localize, is_closed, q_iso
-
-    problems = []
-    lax = decide.is_lax_epi(rb.functor)
-    if lax.verdict != decide.fully_faithful_restriction(rb.functor).verdict:
-        problems.append(f"is_lax_epi says {lax.verdict}; restriction's full faithfulness disagrees")
-    sf = rb.surjective_functor
-    epis = {
-        "surjective functor": (sf, decide.is_epi(sf).verdict),
-        "canonical factor": (canonical_factorization(rb.functor).s, lax.details["canonical_epi"]),
-    }
-    for label, (s, verdict) in epis.items():
-        if verdict != oracles.multiplication_map_iso(s)[0]:
-            problems.append(f"is_epi on the {label} says {verdict}; the multiplication-map "
-                            "oracle disagrees")
-    for m in rb.modules:
-        for t in rb.ideals:
-            if t.cat is m.over or t.cat == m.over:
-                cm, unit = localize(t, m)
-                if not is_closed(t, cm.module):
-                    problems.append("localize returned a module that is not closed")
-                if not q_iso(t, unit):
-                    problems.append("localize returned a unit that is not a q-isomorphism")
-                if t.corner is not None and (cm, unit) != gabriel_localize(t, m):
-                    problems.append("localize through the corner differs from the Gabriel step")
-    rep = adjunction_check(sf, rb.modules[:1], rb.modules[:1])
-    if not rep["ok"]:
-        problems.append(f"adjunction {rep['failures']}")
-    closed = (regular_bimodule(rb.functor), *rb.ideals)
-    if (decide.is_generalized_closed_functor(*closed).verdict
-            and not oracles.hom_restriction_closed(*closed)):
-        problems.append("is_generalized_closed_functor says True; Hom-restriction does not")
-    t = rb.ideals[0]
-    if (t.cat is sf.target or t.cat == sf.target) and not oracles.glax_falsification_oracle(sf, t):
-        problems.append("is_generalized_lax_epi says True; a sampled restriction hom map "
-                        "is not bijective")
-    return problems
-
-
 def cmd_corpus_run(args) -> int:
     from .corpus import BUILTIN_NAMES, random_instance, run_builtin_table
+    from .oracles import cross_check
 
     t0 = time.perf_counter()
     failures = []
@@ -287,7 +237,7 @@ def cmd_corpus_run(args) -> int:
     for k in range(args.count):
         seed = args.seed + k
         try:
-            problems = _cross_check(random_instance(seed))
+            problems = cross_check(random_instance(seed))
         except InternalInvariantError as e:
             problems = [str(e)]
         failures += [f"random[{seed}]: {p}" for p in problems]

@@ -5,9 +5,9 @@ module category) to the finite criteria that make it decidable at desk scale:
 counits on representables, per-object torsion tests on counit kernels,
 generation by trace submodules, projectivity of finitely many hom modules.
 Each decider runs one route.  The independent reference routes (tensor
-multiplication spans, restriction-hom ranks, corner algebras) and the
-sufficiency conditions (G) and (F) live in `oracles`; the acceptance suite
-and `laxepi corpus run` compare them with these deciders.  `CHECKS` names the
+multiplication spans, restriction-hom ranks, corner algebras) live in
+`oracles`; the acceptance suite and `laxepi corpus run` (`oracles.cross_check`)
+compare them with these deciders.  `CHECKS` names the
 decider of each check kind that the CLI and the corpus tables accept.
 """
 

@@ -22,7 +22,8 @@ from functools import cached_property
 from itertools import accumulate, product
 from typing import Mapping, Sequence, Union
 
-from .category import LinearCategory, Morphism, combine, contract, postcompose_cells, precompose_cells
+from .category import LinearCategory, Morphism, combine, contract, full_image
+from .category import postcompose_cells, precompose_cells
 from .errors import InternalInvariantError, PreconditionError
 from .linalg import ONE, EchelonBasis, RationalMatrix, Scalar, nonzeros, solve_matrix, zero_vec
 from .modules import (
@@ -210,17 +211,16 @@ def coinduce_counit(ctx: CoinducedContext) -> ModuleMap:
 
 
 def coinduce_unit(ctx: CoinducedContext, y: Module) -> ModuleMap:
-    """y -> coinduce(restrict y) for y over the target (ctx built on restrict y)."""
+    """y -> coinduce(restrict y) for y over the target (ctx built on restrict y):
+    at G, a ↦ (h ↦ y(h)a) for h in D(G)(U) = Hom(SU, G), in ctx's hom basis."""
     s = ctx.functor
-    return ModuleMap(y, ctx.module, {g: coinduce_unit_at(s, y, g, b) for g, b in ctx.hom_bases.items()})
-
-
-def coinduce_unit_at(s: LinearFunctor, y: Module, g: str, basis: HomBasis) -> RationalMatrix:
-    """The unit's component y(G) -> Hom(D(G), restrict y), a ↦ (h ↦ y(h)a), in `basis`."""
     sus = {u: s.apply_obj(u) for u in s.source.objects}
-    acts = {u: [y.action[(su, g, j)] for j in range(s.target.hom_dim(su, g))]
-            for u, su in sus.items()}
-    return evaluation_matrix(basis, acts, y.dims[g])
+    comps = {}
+    for g, basis in ctx.hom_bases.items():
+        acts = {u: [y.action[(su, g, j)] for j in range(s.target.hom_dim(su, g))]
+                for u, su in sus.items()}
+        comps[g] = evaluation_matrix(basis, acts, y.dims[g])
+    return ModuleMap(y, ctx.module, comps)
 
 
 def coinduce_map(
@@ -503,19 +503,9 @@ class Factorization:
 
 def canonical_factorization(t: LinearFunctor) -> Factorization:
     """Mid category has the source's objects and the target's homs between images."""
-    src, tgt = t.source, t.target
-    images = {pair: tuple(map(t.apply_obj, pair)) for pair in product(src.objects, repeat=2)}
-    hom_dims = {pair: tgt.hom_dim(*im) for pair, im in images.items() if tgt.hom_dim(*im)}
-    labels = {pair: tgt.basis_labels[images[pair]] for pair in hom_dims}
-    ids = {u: tgt.identities[t.apply_obj(u)] for u in src.objects}
-    mid = LinearCategory(src.objects, hom_dims, {}, ids, labels)
-    for w, v, u in product(src.objects, repeat=3):  # mid's homs are the target's: share its tables
-        if tab := tgt.table(*(t.apply_obj(o) for o in (w, v, u))):
-            mid.cells[(w, v, u)] = tab
-    s = LinearFunctor(src, mid, {u: u for u in src.objects}, dict(t.hom_maps))
-    identities = {pair: RationalMatrix.identity(d) for pair, d in hom_dims.items()}
-    i = LinearFunctor(mid, tgt, {u: t.apply_obj(u) for u in src.objects}, identities)
-    return Factorization(mid=mid, s=s, i=i)
+    i = full_image(t.target, {u: t.apply_obj(u) for u in t.source.objects})  # in source order
+    s = LinearFunctor(t.source, i.source, {u: u for u in t.source.objects}, dict(t.hom_maps))
+    return Factorization(mid=i.source, s=s, i=i)
 
 
 def canonical_factorization_localized(p: LinearFunctor, torsion_prime) -> Factorization:

@@ -1,4 +1,4 @@
-"""Independent brute-force oracles.
+"""Independent brute-force oracles, and `cross_check`, the verify mode.
 
 Everything here is deliberately written against the raw presentations
 (structure constants, span arithmetic, global hom systems) rather than the
@@ -8,53 +8,43 @@ induction/localization machinery it cross-checks:
   recollement equivalence used to certify quotient-category hom dimensions;
 * the multiplication-map criterion for epimorphisms, via direct span
   computation of the middle tensor product in each hom component;
-* restriction-hom bijectivity/fullness checked as one rank computation;
+* restriction-hom bijectivity checked as one rank computation;
 * a bounded, deterministic family of quotients of representables used as an
   enumeration corpus;
 * cross-checks of the deciders that build their samples with the induction
   and localization under test: restriction-hom ranks, and the Hom side of
   the closed-functor condition (`hom_restriction_closed`);
-* the sufficiency conditions (G) and (F) for a generalized lax epimorphism,
-  read off the localized factorization: generation of the quotient category
-  by the localized induced representables, and solvability of γ·T(u) = T(u')
-  with covering images.  Like the cross-checks they use the machinery under
-  test; the tests compare them with `decide.is_generalized_lax_epi`.
+* `cross_check`, which `laxepi corpus run` calls on each random bundle: every
+  comparison of a decider with its independent route is one branch of it.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
+from . import decide
 from .category import LinearCategory, Morphism, combine, compose
 from .category import postcompose_cells, precompose_cells
-from .errors import InternalInvariantError, PreconditionError
 from .functors import (
-    Factorization,
     LinearFunctor,
-    canonical_factorization_localized,
-    counits,
+    adjunction_check,
+    canonical_factorization,
+    regular_bimodule,
     restrict,
     restrict_map,
 )
-from .linalg import ONE, ZERO, EchelonBasis, RationalMatrix, Scalar, image_basis, kernel_basis
-from .linalg import solve, solve_matrix
+from .linalg import ONE, ZERO, EchelonBasis, Scalar, image_basis, solve_matrix
 from .modules import (
     Bimodule,
     Module,
-    ModuleMap,
-    cokernel,
     cyclic_submodule,
     hom_diagram_module,
-    hom_matrix,
     hom_modules,
-    image,
     quotient_by,
     submodule_sum,
-    validate_module_map,
     yoneda,
-    zero_submodule,
 )
-from .torsion import TorsionData, is_closed, is_torsion, localize
+from .torsion import TorsionData, gabriel_localize, is_closed, localize, q_iso
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +197,6 @@ def restriction_hom_bijective(s, x: Module, y: Module) -> bool:
     return up == down == rk
 
 
-def restriction_hom_full(s, x: Module, y: Module) -> bool:
-    _, down, rk = restriction_hom_ranks(s, x, y)
-    return rk == down
-
-
 # ---------------------------------------------------------------------------
 # bounded enumeration family
 # ---------------------------------------------------------------------------
@@ -252,48 +237,11 @@ def bounded_quotient_family(c: LinearCategory, cap: int = 12) -> list[Module]:
 # cross-checks of the deciders
 # ---------------------------------------------------------------------------
 
-def ffr_oracle_agrees(t: LinearFunctor) -> bool:
-    """Hom-restriction bijectivity sampling, with constructed witnesses on failure."""
-    from .decide import fully_faithful_restriction
-
-    report = fully_faithful_restriction(t)
-    all_ok = True
-    any_witness = False
-    for eps in counits(t).values():
-        yv = eps.target
-        coker_mod, _ = cokernel(eps)
-        pairs = [(yv, eps.source), (yv, coker_mod), (yv, yv)]
-        for x, y in pairs:
-            if not restriction_hom_bijective(t, x, y):
-                all_ok = False
-                any_witness = True
-    return report.verdict == all_ok if report.verdict else any_witness
-
-
-def conditioned_epi_fullness_oracle(s: LinearFunctor, t: TorsionData) -> bool:
-    """Brute-force fullness of restriction on localized pairs from a bounded family."""
-    localized = []
-    seen = set()
-    for m in bounded_quotient_family(s.target):
-        cm, _ = localize(t, m)
-        key = tuple(sorted(cm.module.dims.items()))
-        if (key, cm.module.total_dim()) in seen and cm.module.total_dim() == 0:
-            continue
-        seen.add((key, cm.module.total_dim()))
-        localized.append(cm.module)
-    for x in localized:
-        for y in localized:
-            if not restriction_hom_full(s, x, y):
-                return False
-    return True
-
-
 def glax_falsification_oracle(p: LinearFunctor, t_prime: TorsionData) -> bool:
     """If the decision is true, no sampled pair of localized target modules may
     exhibit non-bijectivity of the total restriction hom map.  A false decision
     needs no samples; the first non-bijective pair settles a true one."""
-    from .decide import is_generalized_lax_epi
-    if not is_generalized_lax_epi(p, t_prime).verdict:
+    if not decide.is_generalized_lax_epi(p, t_prime).verdict:
         return True
     closed = [localize(t_prime, m)[0].module for m in bounded_quotient_family(t_prime.cat, cap=6)]
     return all(restriction_hom_bijective(p, x, y) for x in closed for y in closed)
@@ -311,72 +259,48 @@ def hom_restriction_closed(b: Bimodule, t_left: TorsionData, t_right: TorsionDat
     return True
 
 
-# ---------------------------------------------------------------------------
-# sufficiency conditions (G) and (F)
-# ---------------------------------------------------------------------------
-
-def condition_G(p: LinearFunctor, t_prime: TorsionData) -> bool:
-    from .decide import _generation_check
-
-    fac = canonical_factorization_localized(p, t_prime)
-    ok, _ = _generation_check(fac, p)
-    return ok
-
-
-def condition_F(
-    p: LinearFunctor,
-    t_prime: TorsionData,
-    u_obj: str,
-    u2_obj: str,
-    gamma: ModuleMap,
-    fac: Factorization,
-) -> tuple[bool, dict]:
-    """Solvability γ·T(u) = T(u') on the maximal subspace, with covering images.
-
-    For every source object V the subspace K_V of morphisms u: V -> U with
-    γ∘T(u) in the image of T on Hom(V, U') is computed exactly; the condition
-    holds when the joint image of T over all K_V covers T(U) up to torsion;
-    `fac` is p's localized factorization.
-    """
-    loc = fac.localized_representables
-    src = p.source
-    if gamma.source != loc[u_obj].module or gamma.target != loc[u2_obj].module:
-        err = PreconditionError(
-            "gamma is not a map between the localized induced representables"
-        )
-        err.code = "E_INVALID_QUOTIENT_HOM"
-        raise err
-    if validate_module_map(gamma):
-        err = PreconditionError("gamma is not natural")
-        err.code = "E_INVALID_QUOTIENT_HOM"
-        raise err
-
-    certificate = {}
-    trace = zero_submodule(loc[u_obj].module)
-    covering_maps = []
-    for v in src.objects:
-        if not src.hom_dim(v, u_obj):
-            certificate[v] = {"K_basis": [], "solved": []}
-            continue
-        basis_v_u2 = fac.hom_bases[(v, u2_obj)]
-        # T on Hom(V, U') and phi: u ↦ gamma ∘ T(u) on Hom(V, U), in quotient-hom coordinates
-        t_mat = fac.s.hom_maps.get((v, u2_obj), RationalMatrix.zeros(len(basis_v_u2), 0))
-        phi = hom_matrix(fac.hom_bases[(v, u_obj)], basis_v_u2, post=gamma)
-        phi = phi * fac.s.hom_maps[(v, u_obj)]
-        proj, _ = image_basis(t_mat).quotient_maps()
-        k_v = kernel_basis(proj * phi)
-        solved = []
-        for u_coords in k_v.basis_vectors():
-            rhs = phi.apply(u_coords)
-            u_prime = solve(t_mat, rhs)
-            if u_prime is None:
-                raise InternalInvariantError("K_V element not actually solvable")
-            solved.append((tuple(u_coords), tuple(u_prime)))
-            # T(u) = I(S(u)): the combination of fac.hom_bases[(v, u_obj)] by S's coordinates
-            covering_maps.append(fac.i.left_act(fac.s.apply(Morphism(v, u_obj, u_coords))))
-        certificate[v] = {"K_basis": k_v.basis_vectors(), "solved": solved}
-    for cm in covering_maps:
-        trace = submodule_sum(trace, image(cm))
-    q, _ = quotient_by(trace)
-    ok = is_torsion(t_prime, q)
-    return ok, certificate
+def cross_check(rb) -> list[str]:
+    """Each disagreement, on one random bundle, of a decider with its
+    independent route: `is_lax_epi` with full faithfulness of restriction,
+    `is_epi` (on the surjective functor and the canonical factor) with the
+    multiplication-map oracle, `localize` on every (module, ideal) pair with
+    closedness, a q-iso unit and, through the corner, the Gabriel step,
+    the adjunction laws, and two one-way oracles that may fail only where
+    their decider fails: the Hom side of `is_generalized_closed_functor`, and
+    sampled restriction Hom maps for `is_generalized_lax_epi` on the
+    surjective functor and the first ideal, when that ideal is on its target."""
+    problems = []
+    lax = decide.is_lax_epi(rb.functor)
+    if lax.verdict != decide.fully_faithful_restriction(rb.functor).verdict:
+        problems.append(f"is_lax_epi says {lax.verdict}; restriction's full faithfulness disagrees")
+    sf = rb.surjective_functor
+    epis = {
+        "surjective functor": (sf, decide.is_epi(sf).verdict),
+        "canonical factor": (canonical_factorization(rb.functor).s, lax.details["canonical_epi"]),
+    }
+    for label, (s, verdict) in epis.items():
+        if verdict != multiplication_map_iso(s)[0]:
+            problems.append(f"is_epi on the {label} says {verdict}; the multiplication-map "
+                            "oracle disagrees")
+    for m in rb.modules:
+        for t in rb.ideals:
+            if t.cat is m.over or t.cat == m.over:
+                cm, unit = localize(t, m)
+                if not is_closed(t, cm.module):
+                    problems.append("localize returned a module that is not closed")
+                if not q_iso(t, unit):
+                    problems.append("localize returned a unit that is not a q-isomorphism")
+                if t.corner is not None and (cm, unit) != gabriel_localize(t, m):
+                    problems.append("localize through the corner differs from the Gabriel step")
+    rep = adjunction_check(sf, rb.modules[:1], rb.modules[:1])
+    if not rep["ok"]:
+        problems.append(f"adjunction {rep['failures']}")
+    closed = (regular_bimodule(rb.functor), *rb.ideals)
+    if (decide.is_generalized_closed_functor(*closed).verdict
+            and not hom_restriction_closed(*closed)):
+        problems.append("is_generalized_closed_functor says True; Hom-restriction does not")
+    t = rb.ideals[0]
+    if (t.cat is sf.target or t.cat == sf.target) and not glax_falsification_oracle(sf, t):
+        problems.append("is_generalized_lax_epi says True; a sampled restriction hom map "
+                        "is not bijective")
+    return problems

@@ -1,0 +1,140 @@
+"""Reference oracles that only the tests compare with the deciders.
+
+Like `laxepi.oracles`, each works against the raw presentations or a second
+route rather than the decider it checks; unlike those, `laxepi corpus run`
+does not reach them, so they live here, beside the tests that read them:
+
+* full faithfulness of restriction, sampled on representables, their counit
+  cokernels and kernels, against `decide.fully_faithful_restriction`;
+* fullness of restriction on localized pairs from a bounded family, against
+  `decide.is_conditioned_epi`;
+* the sufficiency conditions (G) and (F) for a generalized lax epimorphism,
+  read off the localized factorization: generation of the quotient category
+  by the localized induced representables, and solvability of γ·T(u) = T(u')
+  with covering images.
+"""
+
+from __future__ import annotations
+
+from laxepi.category import Morphism
+from laxepi.decide import _generation_check, fully_faithful_restriction
+from laxepi.errors import InternalInvariantError, PreconditionError
+from laxepi.functors import Factorization, LinearFunctor, canonical_factorization_localized, counits
+from laxepi.linalg import RationalMatrix, image_basis, kernel_basis, solve
+from laxepi.modules import (
+    Module,
+    ModuleMap,
+    cokernel,
+    hom_matrix,
+    image,
+    quotient_by,
+    submodule_sum,
+    validate_module_map,
+    zero_submodule,
+)
+from laxepi.oracles import bounded_quotient_family, restriction_hom_bijective, restriction_hom_ranks
+from laxepi.torsion import TorsionData, is_torsion, localize
+
+
+def restriction_hom_full(s, x: Module, y: Module) -> bool:
+    _, down, rk = restriction_hom_ranks(s, x, y)
+    return rk == down
+
+
+def ffr_oracle_agrees(t: LinearFunctor) -> bool:
+    """Hom-restriction bijectivity sampling, with constructed witnesses on failure."""
+    report = fully_faithful_restriction(t)
+    all_ok = True
+    any_witness = False
+    for eps in counits(t).values():
+        yv = eps.target
+        coker_mod, _ = cokernel(eps)
+        pairs = [(yv, eps.source), (yv, coker_mod), (yv, yv)]
+        for x, y in pairs:
+            if not restriction_hom_bijective(t, x, y):
+                all_ok = False
+                any_witness = True
+    return report.verdict == all_ok if report.verdict else any_witness
+
+
+def conditioned_epi_fullness_oracle(s: LinearFunctor, t: TorsionData) -> bool:
+    """Brute-force fullness of restriction on localized pairs from a bounded family."""
+    localized = []
+    seen = set()
+    for m in bounded_quotient_family(s.target):
+        cm, _ = localize(t, m)
+        key = tuple(sorted(cm.module.dims.items()))
+        if (key, cm.module.total_dim()) in seen and cm.module.total_dim() == 0:
+            continue
+        seen.add((key, cm.module.total_dim()))
+        localized.append(cm.module)
+    for x in localized:
+        for y in localized:
+            if not restriction_hom_full(s, x, y):
+                return False
+    return True
+
+
+def condition_G(p: LinearFunctor, t_prime: TorsionData) -> bool:
+    fac = canonical_factorization_localized(p, t_prime)
+    ok, _ = _generation_check(fac, p)
+    return ok
+
+
+def condition_F(
+    p: LinearFunctor,
+    t_prime: TorsionData,
+    u_obj: str,
+    u2_obj: str,
+    gamma: ModuleMap,
+    fac: Factorization,
+) -> tuple[bool, dict]:
+    """Solvability γ·T(u) = T(u') on the maximal subspace, with covering images.
+
+    For every source object V the subspace K_V of morphisms u: V -> U with
+    γ∘T(u) in the image of T on Hom(V, U') is computed exactly; the condition
+    holds when the joint image of T over all K_V covers T(U) up to torsion;
+    `fac` is p's localized factorization.
+    """
+    loc = fac.localized_representables
+    src = p.source
+    if gamma.source != loc[u_obj].module or gamma.target != loc[u2_obj].module:
+        err = PreconditionError(
+            "gamma is not a map between the localized induced representables"
+        )
+        err.code = "E_INVALID_QUOTIENT_HOM"
+        raise err
+    if validate_module_map(gamma):
+        err = PreconditionError("gamma is not natural")
+        err.code = "E_INVALID_QUOTIENT_HOM"
+        raise err
+
+    certificate = {}
+    trace = zero_submodule(loc[u_obj].module)
+    covering_maps = []
+    for v in src.objects:
+        if not src.hom_dim(v, u_obj):
+            certificate[v] = {"K_basis": [], "solved": []}
+            continue
+        basis_v_u2 = fac.hom_bases[(v, u2_obj)]
+        # T on Hom(V, U') and phi: u ↦ gamma ∘ T(u) on Hom(V, U), in quotient-hom coordinates
+        t_mat = fac.s.hom_maps.get((v, u2_obj), RationalMatrix.zeros(len(basis_v_u2), 0))
+        phi = hom_matrix(fac.hom_bases[(v, u_obj)], basis_v_u2, post=gamma)
+        phi = phi * fac.s.hom_maps[(v, u_obj)]
+        proj, _ = image_basis(t_mat).quotient_maps()
+        k_v = kernel_basis(proj * phi)
+        solved = []
+        for u_coords in k_v.basis_vectors():
+            rhs = phi.apply(u_coords)
+            u_prime = solve(t_mat, rhs)
+            if u_prime is None:
+                raise InternalInvariantError("K_V element not actually solvable")
+            solved.append((tuple(u_coords), tuple(u_prime)))
+            # T(u) = I(S(u)): the combination of fac.hom_bases[(v, u_obj)] by S's coordinates
+            covering_maps.append(fac.i.left_act(fac.s.apply(Morphism(v, u_obj, u_coords))))
+        certificate[v] = {"K_basis": k_v.basis_vectors(), "solved": solved}
+    for cm in covering_maps:
+        trace = submodule_sum(trace, image(cm))
+    q, _ = quotient_by(trace)
+    ok = is_torsion(t_prime, q)
+    return ok, certificate

@@ -34,7 +34,6 @@ from laxepi.modules import (
 from laxepi.oracles import (
     CornerContext,
     bounded_quotient_family,
-    conditioned_epi_fullness_oracle,
     hom_restriction_closed,
     multiplication_map_iso,
 )
@@ -47,6 +46,7 @@ from laxepi.torsion import (
     whole_ideal,
     zero_ideal,
 )
+from reference_oracles import conditioned_epi_fullness_oracle
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:

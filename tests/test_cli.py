@@ -296,24 +296,40 @@ def test_corpus_run_refuses_a_negative_count(capsys):
 
 
 def test_corpus_run_reports_a_disagreeing_oracle(monkeypatch, capsys):
-    """corpus run compares is_epi with the multiplication-map oracle, and
-    is_generalized_lax_epi with the glax falsification oracle, itself: an
-    oracle whose verdict is flipped makes it list random failures and exit 1."""
+    """corpus run compares each decider with its independent route (see
+    `oracles.cross_check`): flipping either side of any one comparison makes
+    it list random failures with that comparison's message and exit 1."""
+    from dataclasses import replace
+
+    import laxepi.decide as decide
     import laxepi.oracles as oracles
 
     mult, glax = oracles.multiplication_map_iso, oracles.glax_falsification_oracle
-    flips = {
-        "multiplication_map_iso": (lambda s: (not mult(s)[0], mult(s)[1]), "multiplication-map"),
-        "glax_falsification_oracle": (lambda p, t: not glax(p, t), "restriction hom map"),
-    }
-    for name, (flipped, message) in flips.items():
+    lax, closed, qiso, hrc = decide.is_lax_epi, oracles.is_closed, oracles.q_iso, oracles.hom_restriction_closed
+
+    def flip_canonical_epi(t):
+        rep = lax(t)
+        return replace(rep, details={**rep.details, "canonical_epi": not rep.details["canonical_epi"]})
+
+    flips = [
+        (oracles, "multiplication_map_iso", lambda s: (not mult(s)[0], mult(s)[1]), "multiplication-map"),
+        (oracles, "glax_falsification_oracle", lambda p, t: not glax(p, t), "restriction hom map"),
+        (decide, "is_lax_epi", lambda t: replace(lax(t), verdict=not lax(t).verdict), "full faithfulness"),
+        (decide, "is_lax_epi", flip_canonical_epi, "is_epi on the canonical factor"),
+        (oracles, "is_closed", lambda t, x: not closed(t, x), "a module that is not closed"),
+        (oracles, "q_iso", lambda t, f: not qiso(t, f), "a unit that is not a q-isomorphism"),
+        (oracles, "gabriel_localize", lambda t, x: None, "differs from the Gabriel step"),
+        (oracles, "adjunction_check", lambda *a: {"ok": False, "failures": ["flipped"]}, "adjunction"),
+        (oracles, "hom_restriction_closed", lambda *a: not hrc(*a), "Hom-restriction does not"),
+    ]
+    for module, name, flipped, message in flips:
         with monkeypatch.context() as m:
-            m.setattr(oracles, name, flipped)
+            m.setattr(module, name, flipped)
             assert main(["corpus", "run", "--count", "3"]) == 1
         out = capsys.readouterr().out
         summary = json.loads(out[out.index("\n{") + 1:])
         assert summary["verdict"] is False
-        assert any(f.startswith("random[") and message in f for f in summary["failures"])
+        assert any(f.startswith("random[") and message in f for f in summary["failures"]), message
         assert "FAIL  random seed" in out
 
 

@@ -39,15 +39,14 @@ from laxepi.modules import (
     yoneda,
     zero_map,
 )
-from laxepi.oracles import (
+from laxepi.oracles import glax_falsification_oracle, hom_restriction_closed
+from laxepi.torsion import ideal_closure, whole_ideal
+from reference_oracles import (
     condition_F,
     condition_G,
     conditioned_epi_fullness_oracle,
     ffr_oracle_agrees,
-    glax_falsification_oracle,
-    hom_restriction_closed,
 )
-from laxepi.torsion import ideal_closure, whole_ideal
 
 Q = Fraction
 

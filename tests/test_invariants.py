@@ -32,7 +32,6 @@ from laxepi.modules import (
     tops,
     yoneda,
 )
-from laxepi.oracles import condition_F, condition_G
 from laxepi.torsion import (
     ideal_closure,
     is_torsion,
@@ -41,6 +40,7 @@ from laxepi.torsion import (
     quotient_hom,
     torsion_submodule,
 )
+from reference_oracles import condition_F, condition_G
 
 
 def test_yoneda_lemma_dimension_general_modules():
