@@ -1,7 +1,9 @@
 """Canonical worked instances and seeded random generators.
 
 The builtin bundles drive the acceptance suite: each carries the data it
-exercises plus a table of expected verdicts.  The random generators produce
+exercises plus a table of expected verdicts.  Their categories are spans of
+integer matrices closed under products, composition read off the matrices
+(`_matrix_category`); A2 is a path category.  The random generators produce
 validated categories, functors, modules, and ideals deterministically from a
 seed; functors and relation-laden categories are rejection-sampled, everything
 else is valid by construction.
@@ -11,69 +13,69 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from operator import mul
 
-from .category import LinearCategory, Morphism, from_algebra, from_quiver
-from .linalg import ONE as Q1, ZERO as Q0, RationalMatrix
+from .category import LinearCategory, Morphism, from_quiver
+from .linalg import RationalMatrix
 
 
 # ---------------------------------------------------------------------------
 # concrete categories
 # ---------------------------------------------------------------------------
 
+def _matrix_category(homs: dict, labels: dict) -> LinearCategory:
+    """The category whose Hom(V, U) is spanned by the n_U x n_V integer matrices
+    homs[(V, U)], with g∘f their product; objects come in the order of the keys.
+    Each basis matrix is 1 at its first nonzero entry, its pivot, where the rest
+    of its basis vanishes, so a composite's or an identity's coordinates are its
+    entries at the pivots; one that they do not rebuild raises ValueError."""
+    pivots = {
+        pair: [min((i, j) for i, row in enumerate(m) for j, x in enumerate(row) if x) for m in basis]
+        for pair, basis in homs.items()
+    }
+
+    def coords(m, pair):
+        cs = [m[i][j] for i, j in pivots.get(pair, [])]
+        terms = [(c, b) for c, b in zip(cs, homs.get(pair, [])) if c]
+        if m != [[sum(c * b[i][j] for c, b in terms) for j in range(len(row))] for i, row in enumerate(m)]:
+            raise ValueError(f"{m} is not in the span of the basis of Hom{pair}")
+        return cs
+
+    def product(g, f):
+        return [[sum(map(mul, row, col)) for col in zip(*f)] for row in g]
+
+    comp = {(w, v, u): [[coords(product(g, f), (w, u)) for f in fs] for g in gs]
+            for (v, u), gs in homs.items() for (w, v2), fs in homs.items() if v2 == v}
+    objects = list(dict.fromkeys(o for pair in homs for o in pair))
+    ids = {u: coords([[int(i == j) for j in range(len(row))] for i, row in enumerate(homs[(u, u)][0])],
+                     (u, u)) for u in objects}
+    return LinearCategory(objects, {pair: len(b) for pair, b in homs.items()}, comp, ids, labels)
+
+
+def _one_object_category(name: str, basis: list, labels: list[str]) -> LinearCategory:
+    return _matrix_category({(name, name): basis}, {(name, name): labels})
+
+
 def field_category(object_name: str = "*") -> LinearCategory:
     """The rationals as a one-object category."""
-    return from_algebra([[[1]]], [1], labels=["1"], object_name=object_name)
+    return _one_object_category(object_name, [[[1]]], ["1"])
 
 
 def product_field_category(object_name: str = "*") -> LinearCategory:
     """QQ x QQ: two orthogonal idempotents f1, f2 with unit f1 + f2."""
-    mult = [
-        [[1, 0], [0, 0]],
-        [[0, 0], [0, 1]],
-    ]
-    return LinearCategory(
-        [object_name],
-        {(object_name, object_name): 2},
-        {(object_name, object_name, object_name): mult},
-        {object_name: [1, 1]},
-        {(object_name, object_name): ["f1", "f2"]},
-    )
+    return _one_object_category(object_name, [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], ["f1", "f2"])
 
 
 def upper_triangular_category(object_name: str = "*") -> LinearCategory:
     """Upper triangular 2x2 rational matrices, basis (e11, e12, e22)."""
-    basis = ["e11", "e12", "e22"]
-    units = {"e11": (0, 0), "e12": (0, 1), "e22": (1, 1)}
-
-    def mul(a, b):
-        (i, j), (k, l) = units[a], units[b]
-        out = [Q0, Q0, Q0]
-        if j == k:
-            for idx, name in enumerate(basis):
-                if units[name] == (i, l):
-                    out[idx] = Q1
-        return out
-
-    mult = [[mul(a, b) for b in basis] for a in basis]
-    return from_algebra(mult, [1, 0, 1], labels=basis, object_name=object_name)
+    basis = [[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [0, 1]]]
+    return _one_object_category(object_name, basis, ["e11", "e12", "e22"])
 
 
 def truncated_polynomial_category(power: int = 3, object_name: str = "*") -> LinearCategory:
-    """QQ[x]/(x^power), basis 1, x, ..., x^(power-1)."""
-    n = power
-    mult = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            out = [Q0] * n
-            if i + j < n:
-                out[i + j] = Q1
-            row.append(out)
-        mult.append(row)
-    return from_algebra(
-        mult, [1] + [0] * (n - 1), labels=["1"] + [f"x^{k}" for k in range(1, n)],
-        object_name=object_name,
-    )
+    """QQ[x]/(x^power), basis 1, x, ..., x^(power-1): the powers of the nilpotent shift."""
+    basis = [[[int(i == j + k) for j in range(power)] for i in range(power)] for k in range(power)]
+    return _one_object_category(object_name, basis, ["1"] + [f"x^{k}" for k in range(1, power)])
 
 
 def summand_pair_category() -> LinearCategory:
@@ -82,51 +84,13 @@ def summand_pair_category() -> LinearCategory:
     Basis: Hom(P,P) = {u}, Hom(P,PP) = {i1,i2}, Hom(PP,P) = {p1,p2},
     Hom(PP,PP) = {E11,E12,E21,E22} with E_ab = i_a ∘ p_b.
     """
-    P, PP = "P", "PP"
-    hom = {(P, P): 1, (P, PP): 2, (PP, P): 2, (PP, PP): 4}
-    labels = {
-        (P, P): ["u"],
-        (P, PP): ["i1", "i2"],
-        (PP, P): ["p1", "p2"],
-        (PP, PP): ["E11", "E12", "E21", "E22"],
-    }
-    E = {(a, b): 2 * a + b for a in range(2) for b in range(2)}  # (row, col) -> index
-
-    def unitv(n, i):
-        return [Q1 if j == i else Q0 for j in range(n)]
-
-    comp = {}
-    # p_a ∘ i_b = delta 1_P      (P -> PP -> P)
-    comp[(P, PP, P)] = [[unitv(1, 0) if a == b else [Q0] for b in range(2)] for a in range(2)]
-    # i_a ∘ u = i_a ; u ∘ p_a = p_a ; u ∘ u = u
-    comp[(P, P, PP)] = [[unitv(2, a)] for a in range(2)]
-    comp[(PP, P, P)] = [[unitv(2, 0), unitv(2, 1)]]
-    comp[(P, P, P)] = [[unitv(1, 0)]]
-    # i_a ∘ p_b = E_ab            (PP -> P -> PP)
-    comp[(PP, P, PP)] = [
-        [unitv(4, E[(a, b)]) for b in range(2)] for a in range(2)
-    ]
-    # E_ab ∘ i_c = delta_bc i_a   (P -> PP -> PP)
-    comp[(P, PP, PP)] = [
-        [unitv(2, a) if b == c else [Q0, Q0] for c in range(2)]
-        for (a, b) in [(x, y) for x in range(2) for y in range(2)]
-    ]
-    # p_a ∘ E_bc = delta_ab p_c   (PP -> PP -> P)
-    comp[(PP, PP, P)] = [
-        [unitv(2, c) if a == b else [Q0, Q0] for (b, c) in
-         [(x, y) for x in range(2) for y in range(2)]]
-        for a in range(2)
-    ]
-    # E_ab ∘ E_cd = delta_bc E_ad
-    comp[(PP, PP, PP)] = [
-        [
-            unitv(4, E[(a, d)]) if b == c else [Q0] * 4
-            for (c, d) in [(x, y) for x in range(2) for y in range(2)]
-        ]
-        for (a, b) in [(x, y) for x in range(2) for y in range(2)]
-    ]
-    ids = {P: [1], PP: [1, 0, 0, 1]}
-    return LinearCategory([P, PP], hom, comp, ids, labels)
+    size = {"P": 1, "PP": 2}
+    labels = {("P", "P"): ["u"], ("P", "PP"): ["i1", "i2"], ("PP", "P"): ["p1", "p2"],
+              ("PP", "PP"): ["E11", "E12", "E21", "E22"]}
+    # the matrix units of each Hom(V, U), row by row
+    homs = {(v, u): [[[int((i, j) == (a, b)) for j in range(size[v])] for i in range(size[u])]
+                     for a in range(size[u]) for b in range(size[v])] for v, u in labels}
+    return _matrix_category(homs, labels)
 
 
 def a2_category() -> LinearCategory:

@@ -62,6 +62,8 @@ class LinearFunctor:
         for u in source.objects:
             if self.object_map.get(u) not in target.objects:
                 raise ValueError(f"object map undefined or out of range at {u}")
+        if extra := sorted(set(self.object_map) - set(source.objects)):
+            raise ValueError(f"object map names objects outside the source: {extra}")
         self.hom_maps: dict[Pair, RationalMatrix] = {}
         for v, u in source.hom_pairs():
             m = hom_maps.get((v, u))

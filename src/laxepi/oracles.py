@@ -44,7 +44,7 @@ from .modules import (
     submodule_sum,
     yoneda,
 )
-from .torsion import TorsionData, gabriel_localize, is_closed, localize, q_iso
+from .torsion import TorsionData, gabriel_localize, is_closed, localize, q_iso, whole_ideal
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +265,13 @@ def cross_check(rb) -> list[str]:
     `is_epi` (on the surjective functor and the canonical factor) with the
     multiplication-map oracle, `localize` on every (module, ideal) pair with
     closedness, a q-iso unit and, through the corner, the Gabriel step,
-    the adjunction laws, and two one-way oracles that may fail only where
-    their decider fails: the Hom side of `is_generalized_closed_functor`, and
-    sampled restriction Hom maps for `is_generalized_lax_epi` on the
-    surjective functor and the first ideal, when that ideal is on its target."""
+    `is_flat` (projectivity of each Hom(V, T-) over the opposite category) on
+    the functor and the surjective functor with `is_flat_quotient` at the
+    whole ideal (Tor_1 of the tops), the adjunction laws, and two one-way
+    oracles that may fail only where their decider fails: the Hom side of
+    `is_generalized_closed_functor`, and sampled restriction Hom maps for
+    `is_generalized_lax_epi` on the surjective functor and the first ideal,
+    when that ideal is on its target."""
     problems = []
     lax = decide.is_lax_epi(rb.functor)
     if lax.verdict != decide.fully_faithful_restriction(rb.functor).verdict:
@@ -292,6 +295,10 @@ def cross_check(rb) -> list[str]:
                     problems.append("localize returned a unit that is not a q-isomorphism")
                 if t.corner is not None and (cm, unit) != gabriel_localize(t, m):
                     problems.append("localize through the corner differs from the Gabriel step")
+    for label, p in (("functor", rb.functor), ("surjective functor", sf)):
+        flat = decide.is_flat(p).verdict
+        if flat != decide.is_flat_quotient(p, whole_ideal(p.target)).verdict:
+            problems.append(f"is_flat on the {label} says {flat}; Tor_1 of the tops disagrees")
     rep = adjunction_check(sf, rb.modules[:1], rb.modules[:1])
     if not rep["ok"]:
         problems.append(f"adjunction {rep['failures']}")

@@ -273,6 +273,18 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert out["error"] == "E_PARSE"
 
 
+def test_functor_file_with_an_extra_object_exits_3(tmp_path, capsys):
+    """A functor whose object map names an object its source lacks is a parse
+    error, not a functor that check would call surjective."""
+    doc = serialize_instance(bundle_to_instance(builtin("A2_quiver")))
+    doc["functors"]["v1"]["objects"]["ghost"] = "2"
+    path = tmp_path / "ghost.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["check", str(path), "--functor", "v1", "--kind", "epi"]) == 3
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"] == "E_PARSE" and "outside the source" in out["message"]
+
+
 def test_parse_error_reports_field(tmp_path):
     doc = {"categories": {"C": {"objects": ["*"], "hom": {"*": {"*": {"dim": -1}}}}}}
     path = tmp_path / "neg.json"
@@ -306,6 +318,7 @@ def test_corpus_run_reports_a_disagreeing_oracle(monkeypatch, capsys):
 
     mult, glax = oracles.multiplication_map_iso, oracles.glax_falsification_oracle
     lax, closed, qiso, hrc = decide.is_lax_epi, oracles.is_closed, oracles.q_iso, oracles.hom_restriction_closed
+    flat = decide.is_flat
 
     def flip_canonical_epi(t):
         rep = lax(t)
@@ -319,6 +332,7 @@ def test_corpus_run_reports_a_disagreeing_oracle(monkeypatch, capsys):
         (oracles, "is_closed", lambda t, x: not closed(t, x), "a module that is not closed"),
         (oracles, "q_iso", lambda t, f: not qiso(t, f), "a unit that is not a q-isomorphism"),
         (oracles, "gabriel_localize", lambda t, x: None, "differs from the Gabriel step"),
+        (decide, "is_flat", lambda p: replace(flat(p), verdict=not flat(p).verdict), "Tor_1 of the tops"),
         (oracles, "adjunction_check", lambda *a: {"ok": False, "failures": ["flipped"]}, "adjunction"),
         (oracles, "hom_restriction_closed", lambda *a: not hrc(*a), "Hom-restriction does not"),
     ]

@@ -14,8 +14,13 @@ from laxepi.cli import _sanitize
 from laxepi.corpus import (
     BUILTIN_NAMES,
     builtin,
+    field_category,
+    product_field_category,
     random_instance,
     run_builtin_table,
+    summand_pair_category,
+    truncated_polynomial_category,
+    upper_triangular_category,
 )
 from laxepi.errors import LaxepiError
 from laxepi.fileio import serialize_category, serialize_functor, serialize_module
@@ -130,6 +135,36 @@ def test_random_bounds_respected():
             assert all(
                 c.hom_dim(v, u) <= 4 for v in c.objects for u in c.objects
             )
+
+
+def test_builtin_categories_are_pinned():
+    """The builtin constructors, each with a non-default object name where it
+    takes one, serialize (hom dimensions, basis labels, composition cells and
+    identities) to the same bytes as when this digest was computed, while
+    their composition tables were still typed by hand."""
+    cats = [
+        field_category("k"),
+        product_field_category("k"),
+        upper_triangular_category("k"),
+        *(truncated_polynomial_category(n, "k") for n in range(1, 5)),
+        summand_pair_category(),
+    ]
+    h = hashlib.sha256()
+    for c in cats:
+        h.update(json.dumps(serialize_category(c), sort_keys=True).encode())
+        h.update(b"\n")
+    assert h.hexdigest() == "1eee0ed1553279933f265b6201c42fe2cae7cd54bb1fa3ecc1728ec7ea86f1eb"
+
+
+def test_matrix_category_refuses_a_span_that_misses_a_product_or_an_identity():
+    """A composite or an identity outside the given span raises ValueError."""
+    from laxepi.corpus import _matrix_category
+
+    e12, e21 = [[0, 1], [0, 0]], [[0, 0], [1, 0]]
+    with pytest.raises(ValueError, match="not in the span"):  # e12 e21 = e11
+        _matrix_category({("*", "*"): [e12, e21]}, {("*", "*"): ["e12", "e21"]})
+    with pytest.raises(ValueError, match="not in the span"):  # no identity
+        _matrix_category({("*", "*"): [e12]}, {("*", "*"): ["e12"]})
 
 
 def _quiver_data(c) -> dict:

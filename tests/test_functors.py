@@ -99,6 +99,17 @@ def test_validate_builtin_functors():
         assert validate_functor(f) == []
 
 
+def test_object_map_outside_the_source_is_refused():
+    """An object map that names an object outside the source raises
+    ValueError: a2_vertex_functor's map with an extra key "ghost" would
+    otherwise count as surjective on objects."""
+    import pytest
+
+    f = a2_vertex_functor()
+    with pytest.raises(ValueError, match="outside the source: \\['ghost'\\]"):
+        LinearFunctor(f.source, f.target, {"*": "1", "ghost": "2"}, f.hom_maps)
+
+
 def test_restrict_identity():
     c = upper_triangular_category()
     idf = identity_functor(c)

@@ -446,7 +446,6 @@ def test_corner_localization_is_the_gabriel_step_entry_for_entry():
     of bundles 0..199, and every vertex ideal of A_2..A_9 on the regular
     module."""
     from laxepi.corpus import BUILTIN_NAMES, builtin, random_instance
-    from laxepi.torsion import _gabriel_step
 
     groups = [(b.ideals.values(), b.modules.values()) for b in map(builtin, BUILTIN_NAMES)]
     groups += [(b.ideals, b.modules) for b in map(random_instance, range(200))]
@@ -460,16 +459,49 @@ def test_corner_localization_is_the_gabriel_step_entry_for_entry():
     for t, x in cases:
         if t.corner is None:
             continue
-        cm, unit = localize(t, x)
-        y0, proj = quotient_by(torsion_submodule(t, x))
-        h, eta = _gabriel_step(t, y0)
-        assert cm.module.dims == h.dims
-        assert {k: _serialized(m) for k, m in cm.module.action.items()} == {
-            k: _serialized(m) for k, m in h.action.items()}
-        assert {u: _serialized(m) for u, m in unit.components.items()} == {
-            u: _serialized(m) for u, m in map_compose(eta, proj).components.items()}
+        _assert_corner_is_gabriel_step(t, x)
         compared += 1
     assert compared == len(cases) - 2 == 1468  # all but corner_T2: e11 on its two modules
+
+
+def test_corner_localization_reads_each_object_at_its_own_hom_basis():
+    """A corner where D(g) ≠ D(h) although both have dimension 1 and equal Hom
+    dimensions into the restricted module: End(e) = Q×Q with basis f1, f2,
+    a: e -> g with a∘f1 = a and b: e -> h with b∘f2 = b, and no other
+    non-identity morphisms, so D(g) and D(h) are the two simple Q×Q-modules.
+    For J = (id_e) on the regular module, localizing through the corner gives
+    the Gabriel step entry for entry."""
+    from laxepi.corpus import _matrix_category
+    from laxepi.functors import coinduce, restrict
+
+    homs = {("e", "e"): [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], ("e", "g"): [[[1, 0]]],
+            ("e", "h"): [[[0, 1]]], ("g", "g"): [[[1]]], ("h", "h"): [[[1]]]}
+    c = _matrix_category(homs, {("e", "e"): ["f1", "f2"], ("e", "g"): ["a"],
+                                ("e", "h"): ["b"], ("g", "g"): ["1"], ("h", "h"): ["1"]})
+    t = ideal_closure(c, [c.identity("e")])
+    reg, _, _ = direct_sum([yoneda(c, u) for u in c.objects], over=c)
+    inc = t.corner
+    assert inc.source.objects == ("e",)
+    dg, dh = (inc.coinduction_bimodule.values[u] for u in "gh")
+    assert dg.dims == dh.dims == {"e": 1} and dg.action != dh.action
+    bases = coinduce(inc, restrict(inc, reg)).hom_bases
+    assert len(bases["g"]) == len(bases["h"]) > 0
+    _assert_corner_is_gabriel_step(t, reg)
+
+
+def _assert_corner_is_gabriel_step(t, x):
+    """`localize` through t's corner and the Gabriel step on the torsion-free
+    quotient give the same closed module and unit, as serialized bytes."""
+    from laxepi.torsion import _gabriel_step
+
+    cm, unit = localize(t, x)
+    y0, proj = quotient_by(torsion_submodule(t, x))
+    h, eta = _gabriel_step(t, y0)
+    assert cm.module.dims == h.dims
+    assert {k: _serialized(m) for k, m in cm.module.action.items()} == {
+        k: _serialized(m) for k, m in h.action.items()}
+    assert {u: _serialized(m) for u, m in unit.components.items()} == {
+        u: _serialized(m) for u, m in map_compose(eta, proj).components.items()}
 
 
 def test_corner_is_found_exactly_for_aea_ideals():
