@@ -64,6 +64,8 @@ class LinearFunctor:
                 raise ValueError(f"object map undefined or out of range at {u}")
         if extra := sorted(set(self.object_map) - set(source.objects)):
             raise ValueError(f"object map names objects outside the source: {extra}")
+        if extra := sorted(k for k in hom_maps if not set(k) <= set(source.objects)):
+            raise ValueError(f"hom maps name pairs outside the source: {extra}")
         self.hom_maps: dict[Pair, RationalMatrix] = {}
         for v, u in source.hom_pairs():
             m = hom_maps.get((v, u))

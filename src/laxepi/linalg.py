@@ -3,10 +3,13 @@
 Everything downstream (hom spaces, torsion tests, epimorphism verdicts) is a
 yes/no rank or solvability question, so all arithmetic is exact, and
 subspaces carry a canonical reduced row-echelon basis so that equality of
-subspaces is plain equality of entries.  A scalar is a Python `int` while it
+subspaces is plain equality of entries.  One Gauss-Jordan step, `_insert`,
+is behind all of it: `rref`, `rank`, the solves, kernels, every `Subspace`
+and `EchelonBasis` eliminate through it.  A scalar is a Python `int` while it
 is integral and a `fractions.Fraction` otherwise: inputs are converted on the
 way in, pivot rows are scaled by exact inverses that give ints back, and
-products demote integral entries.  A sum of non-integral Fractions may still
+products and eliminations demote integral entries.  Only sums outside
+elimination (`+`, `apply`, and the sums callers form themselves) may still
 leave an integral Fraction; it compares and hashes equal to the int.
 
 Storage is sparse, because the systems the module and functor layers build
@@ -95,20 +98,21 @@ def _normalize(row: SparseRow, p: int) -> SparseRow:
 
 
 def _eliminate(w: SparseRow, p: int, row: Mapping[int, Scalar]) -> None:
-    """w -= w[p] * row in place, for a row whose entry at p is ONE."""
+    """w -= w[p] * row in place, for a row whose entry at p is ONE; an integral
+    result comes out as an int."""
     f = w.pop(p)
     for j, b in row.items():
         if j == p:
             continue
         x = w.get(j)
         if x is None:
-            w[j] = -(f * b)
+            x = -(f * b)
         else:
             x -= f * b
-            if x:
-                w[j] = x
-            else:
+            if not x:
                 del w[j]
+                continue
+        w[j] = x.numerator if x.denominator == 1 else x
 
 
 def _add_rows(a: SparseRow, b: SparseRow) -> SparseRow:
@@ -147,6 +151,32 @@ def _reduce_by(
     for p in [j for j in w if j in pivot_rows]:
         _eliminate(w, p, pivot_rows[p])
     return w
+
+
+def _copy(v: Sequence[Scalar] | Mapping[int, Scalar]) -> SparseRow:
+    """A fresh `{column: value}` row of v's nonzero entries; v is dense or a dict."""
+    return {j: x for j, x in v.items() if x} if isinstance(v, dict) else _sparse(vec(v))
+
+
+def _insert(rows_by_pivot: dict[int, SparseRow], w: SparseRow) -> bool:
+    """One Gauss-Jordan step: add the fresh row w to the canonical rows keyed
+    by their pivots, which are updated in place; returns True when w was not
+    in their span.
+
+    w is reduced by the pivot rows, what is left is scaled to ONE at its first
+    column, that column is cleared from the other rows, and the result joins
+    them under its pivot.
+    """
+    w = _reduce_by(w, rows_by_pivot)
+    if not w:
+        return False
+    p = min(w)
+    w = _normalize(w, p)
+    for row in rows_by_pivot.values():
+        if p in row:
+            _eliminate(row, p, w)
+    rows_by_pivot[p] = w
+    return True
 
 
 class DimensionMismatch(ValueError):
@@ -360,33 +390,16 @@ def _rref_rows(
 ) -> tuple[list[SparseRow], list[int]]:
     """Gauss-Jordan on the nonzero entries; returns (nonzero reduced rows, pivot columns).
 
-    `rows` are `{column: value}` dicts without zero values, or dense
-    sequences, and are left unchanged.  Each pivot row's nonzero entries are
-    listed once, and only those columns of the rows holding the pivot column
-    are updated.  The reduced form does not depend on which of those rows
-    becomes the pivot row, so the shortest is taken to keep fill-in low.
+    `rows` are `{column: value}` dicts or dense sequences, all of width cols,
+    and are left unchanged.  Each is added by `_insert`, and the reduced rows
+    are returned in pivot order.  `cols` is not needed by the elimination; it
+    is kept so that the benchmark tracer can count `linalg.rref.cells`.
     """
-    active = [
-        s for s in (dict(r) if isinstance(r, dict) else _sparse(r) for r in rows) if s
-    ]
-    done: list[tuple[int, SparseRow]] = []
-    for c in range(cols):
-        if not active:
-            break
-        hits = [r for r in active if c in r]
-        if not hits:
-            continue
-        src = min(hits, key=len)
-        pivot = _normalize(src, c)
-        for r in hits:
-            if r is not src:
-                _eliminate(r, c, pivot)
-        for _, r in done:
-            if c in r:
-                _eliminate(r, c, pivot)
-        active = [r for r in active if r and c not in r]
-        done.append((c, pivot))
-    return [r for _, r in done], [c for c, _ in done]
+    by_pivot: dict[int, SparseRow] = {}
+    for r in rows:
+        _insert(by_pivot, _copy(r))
+    pivots = sorted(by_pivot)
+    return [by_pivot[p] for p in pivots], pivots
 
 
 def rref(m: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
@@ -543,11 +556,7 @@ class Subspace:
 
     def _residue(self, v: Sequence[Scalar] | Mapping[int, Scalar]) -> SparseRow:
         """The nonzero entries of v after eliminating the pivot coordinates of the basis."""
-        if isinstance(v, dict):
-            w = {j: x for j, x in v.items() if x}
-        else:
-            w = _sparse(vec(v))
-        return _reduce_by(w, self._rows_by_pivot())
+        return _reduce_by(_copy(v), self._rows_by_pivot())
 
     def contains(self, v: Sequence[Scalar] | Mapping[int, Scalar]) -> bool:
         return not self._residue(v)
@@ -565,7 +574,7 @@ class Subspace:
         if not isinstance(v, dict) and len(v) != self.ambient_dim:
             raise DimensionMismatch(f"vector length {len(v)} != ambient {self.ambient_dim}")
         rows = self._rows_by_pivot()
-        w = {j: x for j, x in v.items() if x} if isinstance(v, dict) else _sparse(vec(v))
+        w = _copy(v)
         coords = tuple(w.get(p, ZERO) for p in rows)
         return None if _reduce_by(w, rows) else coords
 
@@ -629,25 +638,12 @@ class EchelonBasis:
     def dim(self) -> int:
         return len(self.rows)
 
-    def _reduce(self, v: Sequence[Scalar] | Mapping[int, Scalar]) -> SparseRow:
-        w = {j: x for j, x in v.items() if x} if isinstance(v, dict) else _sparse(vec(v))
-        return _reduce_by(w, self.rows)
-
     def insert(self, v: Sequence[Scalar] | Mapping[int, Scalar]) -> bool:
         """Add v to the span; returns True when the dimension grew."""
-        w = self._reduce(v)
-        if not w:
-            return False
-        p = min(w)
-        w = _normalize(w, p)
-        for row in self.rows.values():
-            if p in row:
-                _eliminate(row, p, w)
-        self.rows[p] = w
-        return True
+        return _insert(self.rows, _copy(v))
 
     def contains(self, v: Sequence[Scalar] | Mapping[int, Scalar]) -> bool:
-        return not self._reduce(v)
+        return not _reduce_by(_copy(v), self.rows)
 
     def free_columns(self) -> list[int]:
         """The non-pivot columns: the coordinates of the quotient by the span."""

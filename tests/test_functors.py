@@ -110,6 +110,21 @@ def test_object_map_outside_the_source_is_refused():
         LinearFunctor(f.source, f.target, {"*": "1", "ghost": "2"}, f.hom_maps)
 
 
+def test_hom_map_outside_the_source_is_refused():
+    """A hom map keyed by a pair outside the source raises ValueError naming
+    the key, rather than being dropped; the source's own pairs still pass."""
+    import re
+
+    import pytest
+
+    f = a2_vertex_functor()
+    hom_maps = {("*", "*"): RationalMatrix([[1]]), ("*", "ghost"): RationalMatrix([[5]])}
+    with pytest.raises(ValueError, match=re.escape("outside the source: [('*', 'ghost')]")):
+        LinearFunctor(f.source, f.target, {"*": "1"}, hom_maps)
+    del hom_maps[("*", "ghost")]
+    assert LinearFunctor(f.source, f.target, {"*": "1"}, hom_maps).hom_maps == f.hom_maps
+
+
 def test_restrict_identity():
     c = upper_triangular_category()
     idf = identity_functor(c)

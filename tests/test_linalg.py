@@ -241,6 +241,65 @@ def test_sparse_echelon_matches_subspace(m):
     assert (proj * m.transpose()).is_zero()
 
 
+def _dense_gauss_jordan(rows, cols):
+    """Textbook Gauss-Jordan on dense Fraction rows: for each column in turn,
+    the first remaining row that is nonzero there is swapped up, divided by
+    that entry, and subtracted from every other row to clear the column.
+    Returns the reduced rows, zero rows last, and the pivot columns."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        k = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if k is None:
+            continue
+        a[r], a[k] = a[k], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(matrices(), sparse_matrices()), st.data())
+def test_rref_matches_dense_reference(m, data):
+    """rref, kernel_basis and solve_matrix agree with a dense Gauss-Jordan
+    that shares no code with linalg's elimination."""
+    reduced, pivots = _dense_gauss_jordan(m.data, m.cols)
+    assert rref(m) == (RationalMatrix(reduced, m.rows, m.cols), tuple(pivots))
+
+    # one null vector per free column q: 1 at q, minus the column at each pivot
+    null = []
+    for q in (j for j in range(m.cols) if j not in pivots):
+        v = [Fraction(0)] * m.cols
+        v[q] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[q]
+        null.append(v)
+    ker, ker_pivots = _dense_gauss_jordan(null, m.cols)
+    want = RationalMatrix(ker[: len(ker_pivots)], len(ker_pivots), m.cols)
+    assert kernel_basis(m).basis == want
+
+    if data.draw(st.booleans()):
+        b = m * data.draw(sparse_matrices(rows=m.cols, max_dim=4))  # consistent
+    else:
+        b = data.draw(sparse_matrices(rows=m.rows, max_dim=4))
+    n = m.cols
+    aug, aug_pivots = _dense_gauss_jordan(
+        [ra + rb for ra, rb in zip(m.data, b.data)], n + b.cols
+    )
+    if any(p >= n for p in aug_pivots):
+        assert solve_matrix(m, b) is None
+    else:
+        x = [[Fraction(0)] * b.cols for _ in range(n)]
+        for row, p in zip(aug, aug_pivots):
+            x[p] = row[n:]
+        assert solve_matrix(m, b) == RationalMatrix(x, n, b.cols)
+
+
 @settings(max_examples=60, deadline=None)
 @given(sparse_matrices())
 def test_sparse_rref_idempotent(m):
@@ -387,3 +446,36 @@ def test_product_keeps_integral_entries_ints():
     ints = RationalMatrix([[2, 0], [1, 3]]) * RationalMatrix([[1, 1], [0, 2]])
     assert ints.sp == ({0: 2, 1: 2}, {0: 1, 1: 7})
     assert all(type(x) is int for row in ints.sp for x in row.values())
+
+
+def _fraction_integers(m):
+    """The entries of m that are integral but stored as a Fraction."""
+    return [x for row in m.sp for x in row.values() if type(x) is not int and x.denominator == 1]
+
+
+def test_eliminations_keep_integral_entries_ints():
+    """Clearing a pivot column can make a Fraction entry integral; it comes out
+    as an int, in the reduced rows and in everything read off them."""
+    red = rref(M([[1, Q(1, 2), Q(3, 2)], [0, 1, 1]]))[0]
+    assert red.sp == ({0: 1, 2: 1}, {1: 1, 2: 1})
+    assert type(red.sp[0][2]) is int
+    eb = EchelonBasis(3)
+    eb.insert([1, Q(1, 2), Q(3, 2)])
+    eb.insert([0, 1, 1])
+    assert type(eb.rows[0][2]) is int
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_elimination_results_hold_no_integral_fraction(data):
+    a = data.draw(st.one_of(matrices(), sparse_matrices(max_dim=8)))
+    x = data.draw(sparse_matrices(rows=a.cols, max_dim=4))
+    eb = EchelonBasis(a.cols)
+    for r in a.sp:
+        eb.insert(r)
+    for m in (
+        rref(a)[0], kernel_basis(a).basis, solve_matrix(a, a * x),
+        Subspace.from_vectors(a.data, a.cols).basis,
+        RationalMatrix.from_sparse_rows(list(eb.rows.values()), a.cols),
+    ):
+        assert not _fraction_integers(m), m
