@@ -4,8 +4,13 @@ Each decider reduces an a-priori infinite condition (full faithfulness over a
 module category) to the finite criteria that make it decidable at desk scale:
 counits on representables, per-object torsion tests on counit kernels,
 generation by trace submodules, projectivity of finitely many hom modules.
+The glax conditioned check tests K_g ⊗ i, for K_g the kernel of the counit
+ε_g: s_!s*y_g -> y_g, without building ε_g: it is onto since s is the
+identity on objects, and Tor_1(y_g, i) = 0 since y_g is projective, so
+K_g ⊗ i is the kernel of the evaluation s*y_g ⊗ (i∘s) -> i(g).
 Each decider runs one route.  The independent reference routes (tensor
-multiplication spans, restriction-hom ranks, corner algebras) live in
+multiplication spans, restriction-hom ranks, corner algebras, the counit
+route of the conditioned check) live in
 `oracles`; the acceptance suite and `laxepi corpus run` (`oracles.cross_check`)
 compare them with these deciders.  `CHECKS` names the
 decider of each check kind that the CLI and the corpus tables accept.
@@ -24,12 +29,16 @@ from .functors import (
     canonical_factorization_localized,
     counits,
     regular_bimodule,
+    restrict,
+    restrict_left,
     tensor_bimodule,
+    tensor_coordinates,
 )
 from .linalg import RationalMatrix
 from .modules import (
     Bimodule,
     Module,
+    ModuleMap,
     is_projective,
     kernel,
     module_trace,
@@ -234,16 +243,43 @@ def _generation_check(fac: Factorization, p: LinearFunctor) -> tuple[bool, dict]
 
 
 def _conditioned_check(fac: Factorization) -> tuple[bool, dict]:
-    """Counit kernels over the mid category land in Ker I^* (tensor with i, test torsion)."""
-    t_prime: TorsionData = fac.torsion
+    """Is K_g ⊗ i torsion at every mid object g, for K_g the kernel of the
+    counit ε_g: s_!s*y_g -> y_g over the mid category?
+
+    No counit is built.  ε_g is onto, as s is the identity on objects: at each
+    object U, the class of e_a ⊗ id_U goes to a.  And y_g is projective, so
+    Tor_1(y_g, i) = 0, and tensoring 0 -> K_g -> s_!s*y_g -> y_g -> 0 with i
+    leaves it exact (Cartan–Eilenberg, *Homological Algebra*, VI).  With
+    s_!s*y_g ⊗ i = s*y_g ⊗_U (i∘s) and y_g ⊗ i = i(g), K_g ⊗ i is the kernel
+    of the evaluation s*y_g ⊗_U (i∘s) -> i(g), which sends the class of
+    e_{a_k} ⊗ β to i(a_k)β for the generator's basis morphism a_k: u_k -> g.
+    A failure reports that kernel's dims and K_g's, dims(s_!s*y_g) -
+    dims(y_g), where s_!s*y_g = s*y_g ⊗ regular_bimodule(s) needs only its
+    coordinates.
+    """
+    s, i = fac.s, fac.i
+    i_s = restrict_left(s, i)
+    reg = None  # built only for a failure's kernel_dims
     failures = {}
-    for g, eps in counits(fac.s).items():
-        ker_mod, _ = kernel(eps)
-        tens = tensor_bimodule(ker_mod, fac.i)
-        if not is_torsion(t_prime, tens.module):
+    for g in fac.mid.objects:
+        y = yoneda(fac.mid, g)
+        x = restrict(s, y)
+        ctx = tensor_bimodule(x, i_s)
+        comps = {}
+        for h, d in i.values[g].dims.items():
+            cols = []
+            for col in ctx.free[h]:
+                k, j = ctx.slot(h, col)
+                u, a = ctx.presentation.generators[k]
+                cols.append(i.left_action[(u, g, a)].components[h].col(j))
+            comps[h] = RationalMatrix.from_columns(cols, d)
+        ker_mod, _ = kernel(ModuleMap(ctx.module, i.values[g], comps))
+        if not is_torsion(fac.torsion, ker_mod):
+            reg = reg or regular_bimodule(s)
+            induced = tensor_coordinates(x, reg).free
             failures[g] = {
-                "kernel_dims": dict(ker_mod.dims),
-                "tensor_dims": dict(tens.module.dims),
+                "kernel_dims": {u: len(free) - y.dims[u] for u, free in induced.items()},
+                "tensor_dims": dict(ker_mod.dims),
             }
     return not failures, failures
 

@@ -182,6 +182,20 @@ def restrict_map(s: LinearFunctor, f: ModuleMap, rx: Module, ry: Module) -> Modu
     return ModuleMap(rx, ry, {u: f.components[s.apply_obj(u)] for u in s.source.objects})
 
 
+def restrict_left(s: LinearFunctor, b: Bimodule) -> Bimodule:
+    """b ∘ s, b with its left side restricted along s: value at U is b(SU);
+    basis morphism i: V -> U acts as b(S(i)) = Σ_j S(i)_j b(j), read off
+    column i of the functor's hom matrix."""
+    src = s.source
+    values = {u: b.values[s.apply_obj(u)] for u in src.objects}
+    action = {}
+    for v, u in src.hom_pairs():
+        sv, su = s.apply_obj(v), s.apply_obj(u)
+        for i, col in enumerate(s.columns[(v, u)]):
+            action[(v, u, i)] = b.left_act_coords(sv, su, col)
+    return Bimodule(src, b.right_cat, values, action)
+
+
 # ---------------------------------------------------------------------------
 # coinduction
 # ---------------------------------------------------------------------------
@@ -304,11 +318,35 @@ class TensorContext:
 def tensor_bimodule(x: Module, b: Bimodule) -> TensorContext:
     """x ⊗ b as the cokernel of K ⊗ b -> P0 ⊗ b = ⊕_k b(G_k), objectwise over right_cat.
 
+    The coordinates come from `tensor_coordinates`.  The action is pushed down
+    from the slots only where right_cat's `action_plan` leaves it to compute;
+    identities and composites are read off (`fill_action`).
+    """
+    ctx = tensor_coordinates(x, b)
+    gens, offsets, rc = ctx.presentation.generators, ctx.offsets, b.right_cat
+
+    def act(h2: str, h1: str, i: int) -> RationalMatrix:
+        """b(G_k)'s own action in every slot, pushed down to the quotients."""
+        cols = []
+        for col in ctx.free[h1]:
+            k, j = ctx.slot(h1, col)
+            m = b.values[gens[k][0]].action[(h2, h1, i)]  # b(G_k)(h1) -> b(G_k)(h2)
+            cols.append({offsets[h2][k] + r: row[j] for r, row in enumerate(m.sp) if j in row})
+        return _descend(ctx.projections[h2], cols)
+
+    dims = {h: len(ctx.free[h]) for h in rc.objects}
+    ctx.module = Module(rc, dims, fill_action(rc, dims, act))
+    return ctx
+
+
+def tensor_coordinates(x: Module, b: Bimodule) -> TensorContext:
+    """The coordinates of x ⊗ b, with no module built: the big space, the
+    projections onto the quotients and their free columns, so that
+    len(ctx.free[h]) = dim (x ⊗ b)(h).
+
     K is the kernel of the cover P0 -> x of x's presentation.  Tensoring is
     right exact and yoneda(G) ⊗ b = b(G), so the relations at h are the vectors
-    Σ_k b(κ_k) β for κ in a basis of K(G) and β in a basis of b(G)(h).  The
-    action is pushed down from the slots only where right_cat's `action_plan`
-    leaves it to compute; identities and composites are read off (`fill_action`).
+    Σ_k b(κ_k) β for κ in a basis of K(G) and β in a basis of b(G)(h).
     """
     lc, rc = b.left_cat, b.right_cat
     if not (x.over is lc or x.over == lc):
@@ -328,18 +366,6 @@ def tensor_bimodule(x: Module, b: Bimodule) -> TensorContext:
                             rels.insert(row)
         ctx.projections[h] = rels.quotient_maps()[0]
         ctx.free[h] = rels.free_columns()
-
-    def act(h2: str, h1: str, i: int) -> RationalMatrix:
-        """b(G_k)'s own action in every slot, pushed down to the quotients."""
-        cols = []
-        for col in ctx.free[h1]:
-            k, j = ctx.slot(h1, col)
-            m = b.values[gens[k][0]].action[(h2, h1, i)]  # b(G_k)(h1) -> b(G_k)(h2)
-            cols.append({offsets[h2][k] + r: row[j] for r, row in enumerate(m.sp) if j in row})
-        return _descend(ctx.projections[h2], cols)
-
-    dims = {h: len(ctx.free[h]) for h in rc.objects}
-    ctx.module = Module(rc, dims, fill_action(rc, dims, act))
     return ctx
 
 

@@ -394,11 +394,16 @@ class Bimodule:
 
     def left_act(self, m: Morphism) -> ModuleMap:
         """Bilinear extension: value(source) -> value(target)."""
-        out = zero_map(self.values[m.source], self.values[m.target])
-        for i, c in enumerate(m.coords):
-            if c:
-                out = map_add(out, map_scale(c, self.left_action[(m.source, m.target, i)]))
-        return out
+        return self.left_act_coords(m.source, m.target, dict(nonzeros(m.coords)))
+
+    def left_act_coords(self, v: str, u: str, coords: Mapping[int, Scalar]) -> ModuleMap:
+        """The map value(v) -> value(u) of the morphism v -> u with these nonzero
+        coordinates, summed row by row from the basis maps."""
+        src, tgt = self.values[v], self.values[u]
+        maps = [(c, self.left_action[(v, u, i)].components) for i, c in coords.items()]
+        return ModuleMap(src, tgt, {h: RationalMatrix.from_sparse_rows(
+            [combine((c, m[h].sp[r]) for c, m in maps) for r in range(d)], src.dims[h])
+            for h, d in tgt.dims.items()})
 
 
 def validate_bimodule(b: Bimodule) -> list[str]:

@@ -14,6 +14,8 @@ induction/localization machinery it cross-checks:
 * cross-checks of the deciders that build their samples with the induction
   and localization under test: restriction-hom ranks, and the Hom side of
   the closed-functor condition (`hom_restriction_closed`);
+* the counit route of the glax conditioned check, which builds each counit
+  kernel K_g and tensors it with i (`conditioned_check_by_counits`);
 * `cross_check`, which `laxepi corpus run` calls on each random bundle: every
   comparison of a decider with its independent route is one branch of it.
 """
@@ -26,12 +28,16 @@ from . import decide
 from .category import LinearCategory, Morphism, combine, compose
 from .category import postcompose_cells, precompose_cells
 from .functors import (
+    Factorization,
     LinearFunctor,
     adjunction_check,
     canonical_factorization,
+    canonical_factorization_localized,
+    counits,
     regular_bimodule,
     restrict,
     restrict_map,
+    tensor_bimodule,
 )
 from .linalg import ONE, ZERO, EchelonBasis, Scalar, image_basis, solve_matrix
 from .modules import (
@@ -40,11 +46,13 @@ from .modules import (
     cyclic_submodule,
     hom_diagram_module,
     hom_modules,
+    kernel,
     quotient_by,
     submodule_sum,
     yoneda,
 )
-from .torsion import TorsionData, gabriel_localize, is_closed, localize, q_iso, whole_ideal
+from .torsion import TorsionData, gabriel_localize, is_closed, is_torsion, localize, q_iso
+from .torsion import whole_ideal
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +255,19 @@ def glax_falsification_oracle(p: LinearFunctor, t_prime: TorsionData) -> bool:
     return all(restriction_hom_bijective(p, x, y) for x in closed for y in closed)
 
 
+def conditioned_check_by_counits(fac: Factorization) -> tuple[bool, dict]:
+    """`decide._conditioned_check` the long way: the counit ε_g: s_!s*y_g -> y_g
+    over the mid category at each g, its kernel K_g, K_g's presentation and
+    K_g ⊗ i, tested for torsion."""
+    failures = {}
+    for g, eps in counits(fac.s).items():
+        ker_mod, _ = kernel(eps)
+        tens = tensor_bimodule(ker_mod, fac.i).module
+        if not is_torsion(fac.torsion, tens):
+            failures[g] = {"kernel_dims": dict(ker_mod.dims), "tensor_dims": dict(tens.dims)}
+    return not failures, failures
+
+
 def hom_restriction_closed(b: Bimodule, t_left: TorsionData, t_right: TorsionData) -> bool:
     """The paper's condition (ii) on samples: Hom-restriction G ↦ Hom(b(G), a)
     sends the localization a of each representable of the right category to a
@@ -271,7 +292,8 @@ def cross_check(rb) -> list[str]:
     oracles that may fail only where their decider fails: the Hom side of
     `is_generalized_closed_functor`, and sampled restriction Hom maps for
     `is_generalized_lax_epi` on the surjective functor and the first ideal,
-    when that ideal is on its target."""
+    when that ideal is on its target.  There the conditioned check of its
+    localized factorization is also compared with the counit route."""
     problems = []
     lax = decide.is_lax_epi(rb.functor)
     if lax.verdict != decide.fully_faithful_restriction(rb.functor).verdict:
@@ -307,7 +329,12 @@ def cross_check(rb) -> list[str]:
             and not hom_restriction_closed(*closed)):
         problems.append("is_generalized_closed_functor says True; Hom-restriction does not")
     t = rb.ideals[0]
-    if (t.cat is sf.target or t.cat == sf.target) and not glax_falsification_oracle(sf, t):
-        problems.append("is_generalized_lax_epi says True; a sampled restriction hom map "
-                        "is not bijective")
+    if t.cat is sf.target or t.cat == sf.target:
+        if not glax_falsification_oracle(sf, t):
+            problems.append("is_generalized_lax_epi says True; a sampled restriction hom map "
+                            "is not bijective")
+        fac = canonical_factorization_localized(sf, t)
+        if decide._conditioned_check(fac) != conditioned_check_by_counits(fac):
+            problems.append("the conditioned check differs from the counit route's "
+                            "K_g ⊗ i")
     return problems

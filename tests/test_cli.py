@@ -318,7 +318,7 @@ def test_corpus_run_reports_a_disagreeing_oracle(monkeypatch, capsys):
 
     mult, glax = oracles.multiplication_map_iso, oracles.glax_falsification_oracle
     lax, closed, qiso, hrc = decide.is_lax_epi, oracles.is_closed, oracles.q_iso, oracles.hom_restriction_closed
-    flat = decide.is_flat
+    flat, counit_route = decide.is_flat, oracles.conditioned_check_by_counits
 
     def flip_canonical_epi(t):
         rep = lax(t)
@@ -335,6 +335,8 @@ def test_corpus_run_reports_a_disagreeing_oracle(monkeypatch, capsys):
         (decide, "is_flat", lambda p: replace(flat(p), verdict=not flat(p).verdict), "Tor_1 of the tops"),
         (oracles, "adjunction_check", lambda *a: {"ok": False, "failures": ["flipped"]}, "adjunction"),
         (oracles, "hom_restriction_closed", lambda *a: not hrc(*a), "Hom-restriction does not"),
+        (oracles, "conditioned_check_by_counits",
+         lambda fac: (not counit_route(fac)[0], counit_route(fac)[1]), "the counit route"),
     ]
     for module, name, flipped, message in flips:
         with monkeypatch.context() as m:

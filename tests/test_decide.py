@@ -513,14 +513,13 @@ def test_generation_check_matches_fresh_localizations():
 
 
 def test_conditioned_check_matches_fresh_representables():
-    """The conditioned check runs the counit on the values of fac.s's regular
-    bimodule; its verdict and failures equal those found with a fresh
-    representable of the mid category at every object (reference)."""
+    """The conditioned check reads K_g ⊗ i as the kernel of the evaluation
+    s*y_g ⊗ (i∘s) -> i(g) at each representable y_g of the mid category; its
+    verdict and failures equal the counit route's, which builds K_g and
+    tensors it with i (reference)."""
     from laxepi.corpus import random_instance
     from laxepi.decide import _conditioned_check
-    from laxepi.functors import induction_counit, regular_bimodule, restrict, tensor_bimodule
-    from laxepi.modules import kernel
-    from laxepi.torsion import is_torsion
+    from laxepi.oracles import conditioned_check_by_counits
 
     failing = 0
     for seed in range(30):
@@ -530,16 +529,33 @@ def test_conditioned_check_matches_fresh_representables():
                 if not (t.cat is p.target or t.cat == p.target):
                     continue
                 fac = canonical_factorization_localized(p, t)
-                want = {}
-                reg = regular_bimodule(fac.s)
-                for g in fac.mid.objects:
-                    y = yoneda(fac.mid, g)
-                    eps = induction_counit(fac.s, tensor_bimodule(restrict(fac.s, y), reg), y)
-                    ker_mod, _ = kernel(eps)
-                    tens = tensor_bimodule(ker_mod, fac.i).module
-                    if not is_torsion(t, tens):
-                        want[g] = {"kernel_dims": dict(ker_mod.dims),
-                                   "tensor_dims": dict(tens.dims)}
-                assert _conditioned_check(fac) == (not want, want)
-                failing += bool(want)
+                want = conditioned_check_by_counits(fac)
+                assert _conditioned_check(fac) == want
+                failing += not want[0]
     assert failing > 5
+
+
+def test_conditioned_check_matches_the_counit_route_on_builtins():
+    """The same identity off the random corpus, whose ideals are all J = AeA:
+    every (functor, ideal) pair of the builtins, among them corner_T2's e11,
+    which localizes by the Gabriel step.  Verdict, kernel_dims and
+    tensor_dims equal the counit route's; diagonal_k_kk fails, so the
+    witness fields are compared too."""
+    from laxepi.corpus import BUILTIN_NAMES, builtin
+    from laxepi.decide import _conditioned_check
+    from laxepi.oracles import conditioned_check_by_counits
+
+    cases, gabriel, failing = 0, 0, 0
+    for name in BUILTIN_NAMES:
+        b = builtin(name)
+        for p in b.functors.values():
+            for t in b.ideals.values():
+                if not (t.cat is p.target or t.cat == p.target):
+                    continue
+                fac = canonical_factorization_localized(p, t)
+                want = conditioned_check_by_counits(fac)
+                assert _conditioned_check(fac) == want, name
+                cases += 1
+                gabriel += t.corner is None
+                failing += not want[0]
+    assert cases >= 5 and gabriel == 1 and failing >= 1
