@@ -244,8 +244,7 @@ def postcompose_cells(
 ) -> list[Cell]:
     """The cells of g ∘ f_j for each basis morphism f_j: w -> v, in order, for
     g: v -> u given by its nonzero coordinates."""
-    tab = c.table(w, v, u)
-    return [combine((a, tab.get((i, j), {})) for i, a in g.items()) for j in range(c.hom_dim(w, v))]
+    return _gather(c.table(w, v, u), g, 0, c.hom_dim(w, v))
 
 
 def precompose_cells(
@@ -253,8 +252,21 @@ def precompose_cells(
 ) -> list[Cell]:
     """The cells of g_i ∘ f for each basis morphism g_i: v -> u, in order, for
     f: w -> v given by its nonzero coordinates."""
-    tab = c.table(w, v, u)
-    return [combine((b, tab.get((i, j), {})) for j, b in f.items()) for i in range(c.hom_dim(v, u))]
+    return _gather(c.table(w, v, u), f, 1, c.hom_dim(v, u))
+
+
+def _gather(tab: Table, coeffs: Mapping[int, Scalar], side: int, n: int) -> list[Cell]:
+    """Σ coeffs[key[side]]·tab[key] into cell key[1 - side] of n, in one walk
+    over the table's cells."""
+    acc: list[Cell] = [{} for _ in range(n)]
+    for key, cell in tab.items():
+        if (a := coeffs.get(key[side])) is not None:
+            out = acc[key[1 - side]]
+            for k, x in cell.items():
+                y = x if a is ONE else a * x
+                out[k] = out[k] + y if k in out else y
+    # with one nonzero coefficient no entry cancels
+    return acc if len(coeffs) == 1 else [{k: x for k, x in cell.items() if x} for cell in acc]
 
 
 def compose(c: LinearCategory, g: Morphism, f: Morphism) -> Morphism:

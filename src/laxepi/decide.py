@@ -4,13 +4,16 @@ Each decider reduces an a-priori infinite condition (full faithfulness over a
 module category) to the finite criteria that make it decidable at desk scale:
 counits on representables, per-object torsion tests on counit kernels,
 generation by trace submodules, projectivity of finitely many hom modules.
+They read ranks in tensor coordinates, not modules: a counit is an iso when
+each component is square of full rank, a kernel's dims are free columns less
+rank, and `torsion.is_torsion_of` tests torsion on dims where J = AeA.
 The glax conditioned check tests K_g ⊗ i, for K_g the kernel of the counit
 ε_g: s_!s*y_g -> y_g, without building ε_g: it is onto since s is the
 identity on objects, and Tor_1(y_g, i) = 0 since y_g is projective, so
 K_g ⊗ i is the kernel of the evaluation s*y_g ⊗ (i∘s) -> i(g).
-Each decider runs one route.  The independent reference routes (tensor
-multiplication spans, restriction-hom ranks, corner algebras, the counit
-route of the conditioned check) live in
+Each decider runs one route.  The module routes it reads as ranks (counit
+kernels, K_g ⊗ i, Tor_1 modules) and the independent reference routes
+(tensor multiplication spans, restriction-hom ranks, corner algebras) live in
 `oracles`; the acceptance suite and `laxepi corpus run` (`oracles.cross_check`)
 compare them with these deciders.  `CHECKS` names the
 decider of each check kind that the CLI and the corpus tables accept.
@@ -27,14 +30,13 @@ from .functors import (
     LinearFunctor,
     canonical_factorization,
     canonical_factorization_localized,
-    counits,
+    counit_components,
     regular_bimodule,
     restrict,
     restrict_left,
     tensor_bimodule,
-    tensor_coordinates,
 )
-from .linalg import RationalMatrix
+from .linalg import RationalMatrix, rank
 from .modules import (
     Bimodule,
     Module,
@@ -46,6 +48,7 @@ from .modules import (
     sub_to_module,
     tops,
     tor1,
+    tor1_dims,
     trace_span,
     yoneda,
 )
@@ -53,7 +56,9 @@ from .torsion import (
     TorsionData,
     is_closed,
     is_torsion,
+    is_torsion_of,
     localize,
+    require_on,
     torsion_submodule,
 )
 
@@ -87,16 +92,16 @@ IDEAL_CHECKS = ("cond-epi", "glax", "abelian-localization")  # deciders that tak
 # ---------------------------------------------------------------------------
 
 def fully_faithful_restriction(t: LinearFunctor) -> DecisionReport:
-    """Counit on every representable of the target; iso there propagates everywhere."""
-    from .linalg import rank
-
+    """Counit on every representable of the target; iso there propagates
+    everywhere.  A counit is an iso when each component is square of full rank."""
     witnesses = {}
-    for v, eps in counits(t).items():
-        if not eps.is_iso():
+    for v, (ctx, y, comps) in counit_components(t).items():
+        ranks = {u: rank(m) for u, m in comps.items()}
+        if any(len(ctx.free[u]) != r or y.dims[u] != r for u, r in ranks.items()):
             witnesses[v] = {
-                "source_dims": dict(eps.source.dims),
-                "target_dims": dict(eps.target.dims),
-                "component_ranks": {u: rank(m) for u, m in eps.components.items()},
+                "source_dims": {u: len(free) for u, free in ctx.free.items()},
+                "target_dims": dict(y.dims),
+                "component_ranks": ranks,
             }
     return DecisionReport(
         "fully-faithful-restriction", not witnesses, {"witnesses": witnesses}
@@ -169,12 +174,13 @@ def is_flat_quotient(p: LinearFunctor, t_prime: TorsionData) -> DecisionReport:
     closed under sums and summands, and every simple is a summand of a top, so
     testing the top at every object decides it.
     """
+    require_on(t_prime, p.target, "the functor's target")
     b = regular_bimodule(p)
     failures = []
     for u, top in tops(p.source).items():
-        tor = tor1(top, b)
-        if not is_torsion(t_prime, tor):
-            failures.append({"object": u, "tor_dims": dict(tor.dims)})
+        dims = tor1_dims(top, b)
+        if not is_torsion_of(t_prime, dims, lambda: tor1(top, b)):
+            failures.append({"object": u, "tor_dims": dims})
     return DecisionReport("flat-quotient", not failures, {"failures": failures})
 
 
@@ -202,18 +208,17 @@ def is_conditioned_epi(s: LinearFunctor, t: TorsionData) -> DecisionReport:
         raise NotSurjectiveOnObjects(
             "conditioned-epimorphism test requires a functor bijective on objects"
         )
-    if not (t.cat is s.target or t.cat == s.target):
-        raise PreconditionError("torsion data must live on the functor's target")
+    require_on(t, s.target, "the functor's target")
     for g in s.target.objects:
         if not is_closed(t, yoneda(s.target, g)):
             raise RepresentableNotClosed(
                 f"hypothesis violated: representable at {g} is not closed"
             )
     witnesses = {}
-    for g, eps in counits(s).items():
-        ker_mod, _ = kernel(eps)
-        if not is_torsion(t, ker_mod):
-            witnesses[g] = {"kernel_dims": dict(ker_mod.dims)}
+    for g, (ctx, y, comps) in counit_components(s).items():
+        dims = ctx.kernel_dims(comps)
+        if not is_torsion_of(t, dims, lambda: kernel(ModuleMap(ctx.module, y, comps))[0]):
+            witnesses[g] = {"kernel_dims": dims}
     return DecisionReport("cond-epi", not witnesses, {"witnesses": witnesses})
 
 
@@ -236,8 +241,8 @@ def _generation_check(fac: Factorization, p: LinearFunctor) -> tuple[bool, dict]
     for v in missed:
         cm, _ = localize(t_prime, yoneda(tgt_cat, v))
         tr = module_trace(family, cm.module)
-        q, _ = quotient_by(tr)
-        if not is_torsion(t_prime, q):
+        dims = {u: cm.module.dims[u] - tr.spaces[u].dim for u in tgt_cat.objects}
+        if not is_torsion_of(t_prime, dims, lambda: quotient_by(tr)[0]):
             failures[v] = {"trace_dims": {u: tr.spaces[u].dim for u in tgt_cat.objects}}
     return not failures, failures
 
@@ -273,13 +278,14 @@ def _conditioned_check(fac: Factorization) -> tuple[bool, dict]:
                 u, a = ctx.presentation.generators[k]
                 cols.append(i.left_action[(u, g, a)].components[h].col(j))
             comps[h] = RationalMatrix.from_columns(cols, d)
-        ker_mod, _ = kernel(ModuleMap(ctx.module, i.values[g], comps))
-        if not is_torsion(fac.torsion, ker_mod):
+        dims = ctx.kernel_dims(comps)
+        if not is_torsion_of(fac.torsion, dims,
+                           lambda: kernel(ModuleMap(ctx.module, i.values[g], comps))[0]):
             reg = reg or regular_bimodule(s)
-            induced = tensor_coordinates(x, reg).free
+            induced = tensor_bimodule(x, reg).free
             failures[g] = {
                 "kernel_dims": {u: len(free) - y.dims[u] for u, free in induced.items()},
-                "tensor_dims": dict(ker_mod.dims),
+                "tensor_dims": dims,
             }
     return not failures, failures
 
@@ -340,6 +346,8 @@ def is_generalized_closed_functor(
     paper's equivalence gives (ii), Hom-restriction keeps closed modules
     closed, and (iii), - ⊗ b keeps q-isomorphisms.
     """
+    require_on(t_left, b.left_cat, "the bimodule's left category")
+    require_on(t_right, b.right_cat, "the bimodule's right category")
     failures = []
     for u, top in tops(b.left_cat).items():
         simples, _ = sub_to_module(torsion_submodule(t_left, top))

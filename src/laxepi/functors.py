@@ -24,8 +24,8 @@ from typing import Mapping, Sequence, Union
 
 from .category import LinearCategory, Morphism, combine, contract, full_image
 from .category import postcompose_cells, precompose_cells
-from .errors import InternalInvariantError, PreconditionError
-from .linalg import ONE, EchelonBasis, RationalMatrix, Scalar, nonzeros, solve_matrix, zero_vec
+from .errors import InternalInvariantError
+from .linalg import ONE, EchelonBasis, RationalMatrix, Scalar, nonzeros, rank, solve_matrix, zero_vec
 from .modules import (
     Bimodule,
     HomBasis,
@@ -275,8 +275,9 @@ class TensorContext:
 
     At each right object h the big space is ⊕_k b(G_k)(h) over the
     presentation's generators (G_k, a_k), slot k starting at `offsets[h][k]`;
-    `projections[h]` maps it onto module(h), whose coordinates are the
-    big-space columns `free[h]`.
+    `projections[h]` maps it onto (x ⊗ b)(h), whose coordinates are the
+    big-space columns `free[h]`.  `module`, x ⊗ b with its action, is built
+    on first read: many callers read only dims or map components.
     """
 
     bimodule: Bimodule
@@ -285,7 +286,28 @@ class TensorContext:
     offsets: dict[str, list[int]]
     projections: dict[str, RationalMatrix] = field(default_factory=dict)
     free: dict[str, list[int]] = field(default_factory=dict)
-    module: Module | None = None
+
+    @cached_property
+    def module(self) -> Module:
+        """b(G_k)'s own action in every slot, pushed down to the quotients only
+        where right_cat's `action_plan` leaves it to compute; identities and
+        composites are read off (`fill_action`)."""
+        gens, offsets, rc = self.presentation.generators, self.offsets, self.bimodule.right_cat
+
+        def act(h2: str, h1: str, i: int) -> RationalMatrix:
+            cols = []
+            for col in self.free[h1]:
+                k, j = self.slot(h1, col)
+                m = self.bimodule.values[gens[k][0]].action[(h2, h1, i)]  # b(G_k)(h1) -> b(G_k)(h2)
+                cols.append({offsets[h2][k] + r: row[j] for r, row in enumerate(m.sp) if j in row})
+            return _descend(self.projections[h2], cols)
+
+        dims = {h: len(self.free[h]) for h in rc.objects}
+        return Module(rc, dims, fill_action(rc, dims, act))
+
+    def kernel_dims(self, comps: Mapping[str, RationalMatrix]) -> dict[str, int]:
+        """dim ker at each h of the map out of x ⊗ b with these components."""
+        return {h: len(free) - rank(comps[h]) for h, free in self.free.items()}
 
     def slot(self, h: str, col: int) -> tuple[int, int]:
         """(k, j): big-space column col at h is basis vector j of b(G_k)(h)."""
@@ -316,33 +338,10 @@ class TensorContext:
 
 
 def tensor_bimodule(x: Module, b: Bimodule) -> TensorContext:
-    """x ⊗ b as the cokernel of K ⊗ b -> P0 ⊗ b = ⊕_k b(G_k), objectwise over right_cat.
-
-    The coordinates come from `tensor_coordinates`.  The action is pushed down
-    from the slots only where right_cat's `action_plan` leaves it to compute;
-    identities and composites are read off (`fill_action`).
-    """
-    ctx = tensor_coordinates(x, b)
-    gens, offsets, rc = ctx.presentation.generators, ctx.offsets, b.right_cat
-
-    def act(h2: str, h1: str, i: int) -> RationalMatrix:
-        """b(G_k)'s own action in every slot, pushed down to the quotients."""
-        cols = []
-        for col in ctx.free[h1]:
-            k, j = ctx.slot(h1, col)
-            m = b.values[gens[k][0]].action[(h2, h1, i)]  # b(G_k)(h1) -> b(G_k)(h2)
-            cols.append({offsets[h2][k] + r: row[j] for r, row in enumerate(m.sp) if j in row})
-        return _descend(ctx.projections[h2], cols)
-
-    dims = {h: len(ctx.free[h]) for h in rc.objects}
-    ctx.module = Module(rc, dims, fill_action(rc, dims, act))
-    return ctx
-
-
-def tensor_coordinates(x: Module, b: Bimodule) -> TensorContext:
-    """The coordinates of x ⊗ b, with no module built: the big space, the
-    projections onto the quotients and their free columns, so that
-    len(ctx.free[h]) = dim (x ⊗ b)(h).
+    """x ⊗ b as the cokernel of K ⊗ b -> P0 ⊗ b = ⊕_k b(G_k), objectwise over
+    right_cat: the big space, the projections onto the quotients and their
+    free columns, so that len(ctx.free[h]) = dim (x ⊗ b)(h); the module is
+    built on first read of `ctx.module`.
 
     K is the kernel of the cover P0 -> x of x's presentation.  Tensoring is
     right exact and yoneda(G) ⊗ b = b(G), so the relations at h are the vectors
@@ -413,6 +412,11 @@ def induction_unit(s: LinearFunctor, ctx: TensorContext) -> ModuleMap:
 def induction_counit(s: LinearFunctor, ctx: TensorContext, y: Module) -> ModuleMap:
     """Evaluation restrict(s, y) ⊗ regular_bimodule(s) -> y, for ctx the context
     of that tensor: the class of e_{a_k} ⊗ h, for h: T -> S G_k, goes to y(h) e_{a_k}."""
+    return ModuleMap(ctx.module, y, _counit_at(s, ctx, y))
+
+
+def _counit_at(s: LinearFunctor, ctx: TensorContext, y: Module) -> dict[str, RationalMatrix]:
+    """`induction_counit`'s components, read in ctx's coordinates."""
     comps = {}
     for t_obj in s.target.objects:
         cols = []
@@ -421,20 +425,26 @@ def induction_counit(s: LinearFunctor, ctx: TensorContext, y: Module) -> ModuleM
             u, a = ctx.presentation.generators[k]
             cols.append(y.action[(t_obj, s.apply_obj(u), j)].col(a))
         comps[t_obj] = RationalMatrix.from_columns(cols, y.dims[t_obj])
-    return ModuleMap(ctx.module, y, comps)
+    return comps
 
 
-def counits(s: LinearFunctor) -> dict[str, ModuleMap]:
-    """The counit at every representable of the target, by object.  One regular
-    bimodule serves them all, and its own representables are the ones at the
-    objects that s hits."""
+def counit_components(s: LinearFunctor) -> dict[str, tuple[TensorContext, Module, dict]]:
+    """At every representable y_v of the target: the context of restrict(s, y_v)
+    ⊗ regular_bimodule(s), y_v and the counit's components there.  One regular
+    bimodule serves them all; its representables are those at s's image."""
     reg = regular_bimodule(s)
     reps = {s.apply_obj(u): m for u, m in reg.values.items()}
     out = {}
     for v in s.target.objects:
         y = reps[v] if v in reps else yoneda(s.target, v)
-        out[v] = induction_counit(s, tensor_bimodule(restrict(s, y), reg), y)
+        ctx = tensor_bimodule(restrict(s, y), reg)
+        out[v] = ctx, y, _counit_at(s, ctx, y)
     return out
+
+
+def counits(s: LinearFunctor) -> dict[str, ModuleMap]:
+    """The counit at every representable of the target, by object."""
+    return {v: ModuleMap(ctx.module, y, comps) for v, (ctx, y, comps) in counit_components(s).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -551,12 +561,11 @@ def canonical_factorization_localized(p: LinearFunctor, torsion_prime) -> Factor
     identity and S's image of a basis morphism b are then the coordinates
     E⁻¹·z of their values z at e: g_PW·f_PW·e_W, e_U and η_PU(p(b)).
     """
-    from .torsion import localize
+    from .torsion import localize, require_on
 
     src = p.source
     tgt_cat = p.target
-    if not (torsion_prime.cat is tgt_cat or torsion_prime.cat == tgt_cat):
-        raise PreconditionError("torsion data must live on the functor's target")
+    require_on(torsion_prime, tgt_cat, "the functor's target")
     # one localization and unit per image object, shared by the objects that p sends there
     by_image = {g: localize(torsion_prime, yoneda(tgt_cat, g)) for g in p.image_objects()}
     loc = {u: by_image[p.apply_obj(u)][0] for u in src.objects}

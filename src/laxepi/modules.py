@@ -870,15 +870,19 @@ def ext1(l: Module, x: Module) -> int:
 def is_projective(x: Module) -> tuple[bool, ModuleMap | None]:
     """Does the cover of x's presentation split?  Returns the section when it does.
 
-    A map out of x is fixed by its values at the generators, so σ: x -> P0 is
-    a section when the cover sends each σ(e_{a_k}) back to e_{a_k}.  A nonzero
-    kernel does not rule this out: the cover need not be a projective cover
-    when the category is not basic or an endomorphism ring is not local.
+    With a zero kernel the cover is an iso, whose inverse sends e_a to its
+    preimage.  Else a map out of x is fixed by its values at the generators,
+    so σ: x -> P0 is a section when the cover sends each σ(e_{a_k}) back to
+    e_{a_k}.  A nonzero kernel does not rule this out: the cover need not be
+    a projective cover when the category is not basic or an endomorphism ring
+    is not local.
     """
-    if x.is_zero():
-        return True, identity_map(x)
     cover, _ = free_cover(x)
-    sections, gens = hom_modules(x, cover.source), x.presentation.generators
+    pres = x.presentation
+    if not any(pres.kernels.values()):
+        return True, ModuleMap(x, cover.source, {g: RationalMatrix.from_columns(
+            pres.preimages[g], cover.source.dims[g]) for g in x.over.objects})
+    sections, gens = hom_modules(x, cover.source), pres.generators
     cols = [
         [y for g, a in gens for y in cover.components[g].apply(s.components[g].col(a))]
         for s in sections
@@ -921,3 +925,14 @@ def tor1(x: Module, b: Bimodule) -> Module:
     tincl = tensor_map(incl, tensor_bimodule(syz, b), tensor_bimodule(cover.source, b))
     tor, _ = kernel(tincl)
     return tor
+
+
+def tor1_dims(x: Module, b: Bimodule) -> dict[str, int]:
+    """dim Tor_1(x, b) at each object, with no tensor module built.  In the
+    exact K ⊗ b -> P0 ⊗ b -> x ⊗ b -> 0, the first map's rank at h is the
+    number of relations of x's tensor, dim (P0 ⊗ b)(h) - dim (x ⊗ b)(h)."""
+    from .functors import tensor_bimodule
+
+    syz, _ = kernel(free_cover(x)[0])
+    ks, xs = tensor_bimodule(syz, b), tensor_bimodule(x, b)
+    return {h: len(ks.free[h]) - xs.offsets[h][-1] + len(xs.free[h]) for h in b.right_cat.objects}

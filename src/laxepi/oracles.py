@@ -14,19 +14,22 @@ induction/localization machinery it cross-checks:
 * cross-checks of the deciders that build their samples with the induction
   and localization under test: restriction-hom ranks, and the Hom side of
   the closed-functor condition (`hom_restriction_closed`);
-* the counit route of the glax conditioned check, which builds each counit
-  kernel K_g and tensors it with i (`conditioned_check_by_counits`);
+* the module routes that the deciders read as ranks, tested for torsion by
+  the action: counit kernels (`conditioned_epi_by_counit_kernels`), K_g ⊗ i
+  (`conditioned_check_by_counits`) and Tor_1 (`flat_quotient_by_tor_modules`);
 * `cross_check`, which `laxepi corpus run` calls on each random bundle: every
   comparison of a decider with its independent route is one branch of it.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from itertools import product
 
 from . import decide
 from .category import LinearCategory, Morphism, combine, compose
 from .category import postcompose_cells, precompose_cells
+from .errors import RepresentableNotClosed
 from .functors import (
     Factorization,
     LinearFunctor,
@@ -43,16 +46,19 @@ from .linalg import ONE, ZERO, EchelonBasis, Scalar, image_basis, solve_matrix
 from .modules import (
     Bimodule,
     Module,
+    cokernel,
     cyclic_submodule,
     hom_diagram_module,
     hom_modules,
     kernel,
     quotient_by,
     submodule_sum,
+    tops,
+    tor1,
     yoneda,
 )
-from .torsion import TorsionData, gabriel_localize, is_closed, is_torsion, localize, q_iso
-from .torsion import whole_ideal
+from .torsion import TorsionData, gabriel_localize, is_annihilated, is_closed, is_torsion
+from .torsion import localize, q_iso, whole_ideal
 
 
 # ---------------------------------------------------------------------------
@@ -258,14 +264,29 @@ def glax_falsification_oracle(p: LinearFunctor, t_prime: TorsionData) -> bool:
 def conditioned_check_by_counits(fac: Factorization) -> tuple[bool, dict]:
     """`decide._conditioned_check` the long way: the counit ε_g: s_!s*y_g -> y_g
     over the mid category at each g, its kernel K_g, K_g's presentation and
-    K_g ⊗ i, tested for torsion."""
+    K_g ⊗ i, tested for torsion by the action."""
     failures = {}
     for g, eps in counits(fac.s).items():
         ker_mod, _ = kernel(eps)
         tens = tensor_bimodule(ker_mod, fac.i).module
-        if not is_torsion(fac.torsion, tens):
+        if not is_annihilated(fac.torsion, tens):
             failures[g] = {"kernel_dims": dict(ker_mod.dims), "tensor_dims": dict(tens.dims)}
     return not failures, failures
+
+
+def conditioned_epi_by_counit_kernels(s: LinearFunctor, t: TorsionData) -> dict:
+    """`decide.is_conditioned_epi`'s witnesses the long way: the kernel module
+    of each counit, tested for torsion by the action."""
+    kernels = {g: kernel(eps)[0] for g, eps in counits(s).items()}
+    return {g: {"kernel_dims": dict(k.dims)} for g, k in kernels.items() if not is_annihilated(t, k)}
+
+
+def flat_quotient_by_tor_modules(p: LinearFunctor, t: TorsionData) -> list:
+    """`decide.is_flat_quotient`'s failures the long way: Tor_1 of each top as
+    a module, tested for torsion by the action."""
+    b = regular_bimodule(p)
+    tors = {u: tor1(top, b) for u, top in tops(p.source).items()}
+    return [{"object": u, "tor_dims": dict(x.dims)} for u, x in tors.items() if not is_annihilated(t, x)]
 
 
 def hom_restriction_closed(b: Bimodule, t_left: TorsionData, t_right: TorsionData) -> bool:
@@ -286,14 +307,17 @@ def cross_check(rb) -> list[str]:
     `is_epi` (on the surjective functor and the canonical factor) with the
     multiplication-map oracle, `localize` on every (module, ideal) pair with
     closedness, a q-iso unit and, through the corner, the Gabriel step,
+    `is_torsion` on the module and the unit's kernel and cokernel with the
+    action test, `is_flat_quotient` on both functors with the Tor_1 modules,
     `is_flat` (projectivity of each Hom(V, T-) over the opposite category) on
     the functor and the surjective functor with `is_flat_quotient` at the
     whole ideal (Tor_1 of the tops), the adjunction laws, and two one-way
     oracles that may fail only where their decider fails: the Hom side of
     `is_generalized_closed_functor`, and sampled restriction Hom maps for
     `is_generalized_lax_epi` on the surjective functor and the first ideal,
-    when that ideal is on its target.  There the conditioned check of its
-    localized factorization is also compared with the counit route."""
+    when that ideal is on its target.  There `is_conditioned_epi`, where its
+    hypothesis holds, and the conditioned check of the localized
+    factorization are also compared with the counit routes."""
     problems = []
     lax = decide.is_lax_epi(rb.functor)
     if lax.verdict != decide.fully_faithful_restriction(rb.functor).verdict:
@@ -317,10 +341,15 @@ def cross_check(rb) -> list[str]:
                     problems.append("localize returned a unit that is not a q-isomorphism")
                 if t.corner is not None and (cm, unit) != gabriel_localize(t, m):
                     problems.append("localize through the corner differs from the Gabriel step")
-    for label, p in (("functor", rb.functor), ("surjective functor", sf)):
+                if any(is_torsion(t, x) != is_annihilated(t, x)
+                       for x in (m, kernel(unit)[0], cokernel(unit)[0])):
+                    problems.append("is_torsion through the corner differs from the action test")
+    for label, p, t in (("functor", rb.functor, rb.ideals[1]), ("surjective functor", sf, rb.ideals[0])):
         flat = decide.is_flat(p).verdict
         if flat != decide.is_flat_quotient(p, whole_ideal(p.target)).verdict:
             problems.append(f"is_flat on the {label} says {flat}; Tor_1 of the tops disagrees")
+        if decide.is_flat_quotient(p, t).details["failures"] != flat_quotient_by_tor_modules(p, t):
+            problems.append("is_flat_quotient's ranks differ from the Tor_1 modules")
     rep = adjunction_check(sf, rb.modules[:1], rb.modules[:1])
     if not rep["ok"]:
         problems.append(f"adjunction {rep['failures']}")
@@ -333,6 +362,10 @@ def cross_check(rb) -> list[str]:
         if not glax_falsification_oracle(sf, t):
             problems.append("is_generalized_lax_epi says True; a sampled restriction hom map "
                             "is not bijective")
+        with suppress(RepresentableNotClosed):  # the decider's hypothesis
+            if sf.is_bijective_on_objects() and (decide.is_conditioned_epi(sf, t).details["witnesses"]
+                                                 != conditioned_epi_by_counit_kernels(sf, t)):
+                problems.append("is_conditioned_epi's ranks differ from the counit kernels")
         fac = canonical_factorization_localized(sf, t)
         if decide._conditioned_check(fac) != conditioned_check_by_counits(fac):
             problems.append("the conditioned check differs from the counit route's "

@@ -15,8 +15,10 @@ e11, whose J = {e11, e12} holds no identity, takes the Gabriel step
 (`gabriel_localize`): kill torsion, then apply Hom(J_-, ·) once, on the
 bimodule `TorsionData.j` (U ↦ J_U, read off the ideal's bases and the cells);
 for the minimal dense J_U that already gives the module of quotients
-(Stenström, *Rings of Quotients*, 1975, Ch. IX).  `is_closed` asks whether
-the unit of either route is an isomorphism.  The two routes agree entry for
+(Stenström, *Rings of Quotients*, 1975, Ch. IX).  For J = AeA, `is_torsion`
+reads x(e) = 0 on E; other ideals take the action test X·J = 0.  The unit
+of a torsion-free module is injective, so `is_closed` compares dims of a(x)
+and x, read off Homs on either route.  The two routes agree entry for
 entry; the tests and `laxepi corpus run` compare them.  No map is localized:
 a closed Z has Hom(a(y_V), Z) ≅ Z(V), so
 `functors.canonical_factorization_localized` reads each map between localized
@@ -27,10 +29,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Mapping, Sequence
 
 from .category import LinearCategory, Morphism, contract, full_subcategory, ideal_spans
-from .errors import IdealNotIdempotent, InternalInvariantError
+from .errors import IdealNotIdempotent, InternalInvariantError, PreconditionError
 from .functors import coinduce, coinduce_unit, restrict
 from .linalg import ONE, EchelonBasis, RationalMatrix, Scalar, Subspace, kernel_basis
 from .modules import (
@@ -150,6 +152,12 @@ class TorsionData:
         return full_subcategory(c, objs)
 
 
+def require_on(t: TorsionData, cat: LinearCategory, where: str) -> None:
+    """Refuse torsion data that does not live on cat, named `where`."""
+    if not (t.cat is cat or t.cat == cat):
+        raise PreconditionError(f"torsion data must live on {where}")
+
+
 def whole_ideal(c: LinearCategory) -> TorsionData:
     """Trivial torsion theory: ideal = every hom space, torsion class = {0}."""
     return TorsionData(
@@ -192,7 +200,21 @@ def torsion_submodule(t: TorsionData, x: Module) -> Submodule:
 
 
 def is_torsion(t: TorsionData, x: Module) -> bool:
-    """X·J = 0: every basis element of every ideal component acts by zero."""
+    """X·J = 0, by `is_torsion_of` x's dims."""
+    return is_torsion_of(t, x.dims, lambda: x)
+
+
+def is_torsion_of(t: TorsionData, dims: Mapping[str, int], module: Callable[[], Module]) -> bool:
+    """Is the module with these dims torsion?  For J = AeA, when x(e) = 0 at each
+    e in E: id_e in J acts on x(e) as 1, and J factors through the x(e).  Any
+    other ideal builds `module()` for the action test."""
+    if (inc := t.corner) is not None:
+        return not any(dims[e] for e in inc.source.objects)
+    return is_annihilated(t, module())
+
+
+def is_annihilated(t: TorsionData, x: Module) -> bool:
+    """X·J = 0 by the action: every basis element of every ideal component acts by zero."""
     return all(
         x.act_coords(v, u, a).is_zero()
         for (v, u), s in t.ideal.items() if x.dims[v] and x.dims[u]
@@ -210,8 +232,13 @@ def is_torsion_free(t: TorsionData, x: Module) -> bool:
 
 def is_closed(t: TorsionData, x: Module) -> bool:
     """Torsion-free, and the unit x -> a(x) of `localize` is an isomorphism.
-    Torsion is tested first: it is cheap, and many modules fail there."""
-    return is_torsion_free(t, x) and localize(t, x)[1].is_iso()
+    Torsion is tested first: it is cheap, and many modules fail there.  Then
+    the unit is injective, so it is an iso when a(x) has x's dims: those of
+    Hom_E(D(h), x|E) at a corner, of Hom(J_h, x) on the Gabriel step."""
+    if not is_torsion_free(t, x):
+        return False
+    d, y = (t.j, x) if (inc := t.corner) is None else (inc.coinduction_bimodule, restrict(inc, x))
+    return all(len(hom_modules(dh, y)) == x.dims[h] for h, dh in d.values.items())
 
 
 @dataclass

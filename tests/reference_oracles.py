@@ -11,7 +11,14 @@ does not reach them, so they live here, beside the tests that read them:
 * the sufficiency conditions (G) and (F) for a generalized lax epimorphism,
   read off the localized factorization: generation of the quotient category
   by the localized induced representables, and solvability of γ·T(u) = T(u')
-  with covering images.
+  with covering images;
+* the action test X·J = 0 for torsion, against `torsion.is_torsion`, which
+  reads x(e) = 0 on E for J = AeA;
+* the split test for projectivity, the section solve whatever the cover's
+  kernel, against `modules.is_projective`;
+* the closed-functor condition on tensor and Tor_1 modules, tested by the
+  action, against `decide.is_generalized_closed_functor`, whose torsion
+  test reads x(e) = 0 on E for J = AeA.
 """
 
 from __future__ import annotations
@@ -20,20 +27,27 @@ from laxepi.category import Morphism
 from laxepi.decide import _generation_check, fully_faithful_restriction
 from laxepi.errors import InternalInvariantError, PreconditionError
 from laxepi.functors import Factorization, LinearFunctor, canonical_factorization_localized, counits
+from laxepi.functors import tensor_bimodule
 from laxepi.linalg import RationalMatrix, image_basis, kernel_basis, solve
 from laxepi.modules import (
+    Bimodule,
     Module,
     ModuleMap,
     cokernel,
+    free_cover,
     hom_matrix,
+    hom_modules,
     image,
     quotient_by,
+    sub_to_module,
     submodule_sum,
+    tops,
+    tor1,
     validate_module_map,
     zero_submodule,
 )
 from laxepi.oracles import bounded_quotient_family, restriction_hom_bijective, restriction_hom_ranks
-from laxepi.torsion import TorsionData, is_torsion, localize
+from laxepi.torsion import TorsionData, is_torsion, localize, torsion_submodule
 
 
 def restriction_hom_full(s, x: Module, y: Module) -> bool:
@@ -138,3 +152,37 @@ def condition_F(
     q, _ = quotient_by(trace)
     ok = is_torsion(t_prime, q)
     return ok, certificate
+
+
+def annihilated(t: TorsionData, x: Module) -> bool:
+    """X·J = 0 read off the actions: every vector of the ideal's canonical
+    bases acts on x by zero."""
+    return all(x.act(Morphism(v, u, vec)).is_zero()
+               for (v, u), s in t.ideal.items() for vec in s.basis_vectors())
+
+
+def splits(x: Module) -> bool:
+    """Does the cover of x's presentation split?  The section solve, whatever
+    the kernel: σ is fixed by its values σ(e_{a_k}), drawn from Hom(x, P0),
+    and it is a section when the cover sends each back to e_{a_k}."""
+    cover, _ = free_cover(x)
+    gens = x.presentation.generators
+    cols = [[y for g, a in gens for y in cover.components[g].apply(s.components[g].col(a))]
+            for s in hom_modules(x, cover.source)]
+    rhs = [int(r == a) for g, a in gens for r in range(x.dims[g])]
+    return solve(RationalMatrix.from_columns(cols, len(rhs)), rhs) is not None
+
+
+def closed_functor_failures(b: Bimodule, t_left: TorsionData, t_right: TorsionData) -> list:
+    """`decide.is_generalized_closed_functor`'s failures from the modules:
+    the tensor and Tor_1 of each nonzero torsion part of a top, tested by
+    the action."""
+    failures = []
+    for u, top in tops(b.left_cat).items():
+        simples, _ = sub_to_module(torsion_submodule(t_left, top))
+        if simples.is_zero():
+            continue
+        tens, tor = tensor_bimodule(simples, b).module, tor1(simples, b)
+        if not (annihilated(t_right, tens) and annihilated(t_right, tor)):
+            failures.append({"object": u, "tensor_dims": dict(tens.dims), "tor_dims": dict(tor.dims)})
+    return failures

@@ -319,6 +319,7 @@ def test_corpus_run_reports_a_disagreeing_oracle(monkeypatch, capsys):
     mult, glax = oracles.multiplication_map_iso, oracles.glax_falsification_oracle
     lax, closed, qiso, hrc = decide.is_lax_epi, oracles.is_closed, oracles.q_iso, oracles.hom_restriction_closed
     flat, counit_route = decide.is_flat, oracles.conditioned_check_by_counits
+    annihilated = oracles.is_annihilated
 
     def flip_canonical_epi(t):
         rep = lax(t)
@@ -337,6 +338,11 @@ def test_corpus_run_reports_a_disagreeing_oracle(monkeypatch, capsys):
         (oracles, "hom_restriction_closed", lambda *a: not hrc(*a), "Hom-restriction does not"),
         (oracles, "conditioned_check_by_counits",
          lambda fac: (not counit_route(fac)[0], counit_route(fac)[1]), "the counit route"),
+        (oracles, "flat_quotient_by_tor_modules", lambda p, t: [{"object": "flipped"}],
+         "differ from the Tor_1 modules"),
+        (oracles, "conditioned_epi_by_counit_kernels", lambda s, t: {"flipped": {}},
+         "differ from the counit kernels"),
+        (oracles, "is_annihilated", lambda t, x: not annihilated(t, x), "differs from the action test"),
     ]
     for module, name, flipped, message in flips:
         with monkeypatch.context() as m:

@@ -399,6 +399,80 @@ def test_closed_functor_trivial_torsion_vacuous_true():
     assert rep.details["failures"] == []
 
 
+def test_flat_quotient_and_closed_functor_refuse_foreign_torsion_data():
+    """is_flat_quotient takes an ideal on the functor's target, and
+    is_generalized_closed_functor ideals on the bimodule's left and right
+    categories.  With the bundles' ideals on the wrong side (bundles
+    0..59), each raises PreconditionError unless the two categories are
+    equal; neither answers nor fails on a missing object."""
+    from laxepi.corpus import random_instance
+
+    refused = {"flat-quotient": 0, "closed": 0}
+    for seed in range(60):
+        b = random_instance(seed)
+        f, (t_src, t_tgt) = b.functor, b.ideals
+        if t_src.cat != f.target:
+            with pytest.raises(PreconditionError, match="functor's target"):
+                is_flat_quotient(f, t_src)
+            refused["flat-quotient"] += 1
+        reg = regular_bimodule(f)
+        if t_tgt.cat != reg.left_cat or t_src.cat != reg.right_cat:
+            with pytest.raises(PreconditionError, match="the bimodule's"):
+                is_generalized_closed_functor(reg, t_tgt, t_src)
+            refused["closed"] += 1
+    assert min(refused.values()) >= 50, refused
+
+
+def test_deciders_read_the_ranks_of_the_module_routes():
+    """The deciders read counit, kernel and Tor_1 dims off ranks and, for
+    J = AeA, test torsion on the dims at E.  Their reports equal the module
+    routes', which build the counits, their kernels and the Tor_1 modules and
+    test them by the action: `fully_faithful_restriction`'s witnesses,
+    `is_conditioned_epi`'s kernel dims and `is_flat_quotient`'s Tor_1 dims;
+    `is_generalized_closed_functor`'s failures, whose torsion test reads dims
+    at a corner, equal the action test's too.  On every builtin (corner_T2's
+    e11 included) and on both functors of bundles 0..59 with each ideal on
+    their targets.  Each report fails somewhere."""
+    from laxepi.corpus import BUILTIN_NAMES, builtin, random_instance
+    from laxepi.functors import counits
+    from laxepi.linalg import rank
+    from laxepi.oracles import conditioned_epi_by_counit_kernels, flat_quotient_by_tor_modules
+    from reference_oracles import closed_functor_failures
+
+    groups = [(list(b.functors.values()), list(b.ideals.values()))
+              for b in map(builtin, BUILTIN_NAMES)]
+    groups += [([b.functor, b.surjective_functor], b.ideals) for b in map(random_instance, range(60))]
+    failing = dict.fromkeys(("ffr", "cond-epi", "flat-quotient", "closed"), 0)
+    for functors, ideals in groups:
+        for p in functors:
+            want = {v: {"source_dims": dict(eps.source.dims), "target_dims": dict(eps.target.dims),
+                        "component_ranks": {u: rank(m) for u, m in eps.components.items()}}
+                    for v, eps in counits(p).items() if not eps.is_iso()}
+            assert fully_faithful_restriction(p).details["witnesses"] == want
+            failing["ffr"] += bool(want)
+            on_target = [t for t in ideals if t.cat is p.target or t.cat == p.target]
+            for t in on_target:
+                want = flat_quotient_by_tor_modules(p, t)
+                assert is_flat_quotient(p, t).details["failures"] == want
+                failing["flat-quotient"] += bool(want)
+                if p.is_bijective_on_objects():
+                    try:
+                        got = is_conditioned_epi(p, t).details["witnesses"]
+                    except RepresentableNotClosed:
+                        continue
+                    want = conditioned_epi_by_counit_kernels(p, t)
+                    assert got == want
+                    failing["cond-epi"] += bool(want)
+            reg = regular_bimodule(p)
+            sides = [(tl, tr) for tl in ideals for tr in ideals
+                     if tl.cat == reg.left_cat and tr.cat == reg.right_cat]
+            for tl, tr in sides:
+                want = closed_functor_failures(reg, tl, tr)
+                assert is_generalized_closed_functor(reg, tl, tr).details["failures"] == want
+                failing["closed"] += bool(want)
+    assert min(failing.values()) > 10, failing
+
+
 def _dense_multiplication_map_iso(s):
     """The multiplication-map oracle as one dense loop of basis composites
     (reference): every relation row is a dense vector over the big space."""

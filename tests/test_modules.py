@@ -879,3 +879,41 @@ def test_ext1_matches_two_system_reference():
         assert got == _reference_ext1(x, y)
         nonzero += got > 0
     assert nonzero > 100
+
+
+def test_is_projective_reads_the_inverse_cover_at_a_zero_kernel():
+    """When the presentation's kernel is zero, `is_projective` returns the
+    inverse of the cover, read off the preimages: σ with cover∘σ = id and
+    σ∘cover = id.  Its verdict equals the split test (the section solve,
+    reference) on the modules, representables and tops of the builtins and
+    on the Hom(V, T-) modules of the functors of bundles 0..149; both the
+    shortcut and the solve run, and the solve answers both ways."""
+    from laxepi.category import opposite
+    from laxepi.corpus import BUILTIN_NAMES, builtin, random_instance
+    from laxepi.decide import _hom_from_object_module
+    from laxepi.modules import map_compose
+    from reference_oracles import splits
+
+    cases = []
+    for name in BUILTIN_NAMES:
+        b = builtin(name)
+        cats = {id(c): c for f in b.functors.values() for c in (f.source, f.target)}
+        cases += list(b.modules.values())
+        for c in cats.values():
+            cases += [yoneda(c, u) for u in c.objects] + list(tops(c).values())
+    for seed in range(150):
+        f = random_instance(seed).functor
+        op = opposite(f.source)
+        cases += [_hom_from_object_module(f, op, v) for v in f.target.objects]
+    seen = {"inverse": 0, True: 0, False: 0}
+    for x in cases:
+        ok, sec = is_projective(x)
+        assert ok == splits(x)
+        cover, _ = free_cover(x)
+        if not any(x.presentation.kernels.values()):
+            assert ok and map_compose(sec, cover) == identity_map(cover.source)
+            seen["inverse"] += 1
+        else:
+            seen[ok] += 1
+        assert not ok or map_compose(cover, sec) == identity_map(x)
+    assert min(seen.values()) > 5, seen

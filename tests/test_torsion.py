@@ -542,3 +542,54 @@ def test_is_closed_through_the_corner_matches_j():
             assert is_closed(t, y) == want
             seen[want] += not y.is_zero()
     assert min(seen.values()) > 50
+
+
+def test_corner_torsion_is_the_action_test():
+    """For J = AeA, `is_torsion` reads x(e) = 0 at every e in E.  It agrees
+    with the action test X·J = 0 (reference) on every (module, ideal) pair
+    of the builtins and of bundles 0..199, and on what the deciders test
+    there: the kernels of the counits at the representables and Tor_1 of
+    each top with the regular bimodule, for every functor into the ideal's
+    category.  Both outcomes occur on nonzero modules at a corner."""
+    from laxepi.corpus import BUILTIN_NAMES, builtin, random_instance
+    from laxepi.functors import counits, regular_bimodule
+    from laxepi.modules import tops, tor1
+    from reference_oracles import annihilated
+
+    groups = []
+    for name in BUILTIN_NAMES:
+        b = builtin(name)
+        groups.append((b.ideals.values(), b.modules.values(), b.functors.values()))
+    for seed in range(200):
+        b = random_instance(seed)
+        groups.append((b.ideals, b.modules, [b.functor, b.surjective_functor]))
+    seen = {True: 0, False: 0}  # nonzero modules at a corner, by verdict
+    for ideals, mods, functors in groups:
+        for t in ideals:
+            xs = [m for m in mods if m.over is t.cat or m.over == t.cat]
+            for p in functors:
+                if p.target is t.cat or p.target == t.cat:
+                    xs += [kernel(eps)[0] for eps in counits(p).values()]
+                    reg = regular_bimodule(p)
+                    xs += [tor1(top, reg) for top in tops(p.source).values()]
+            for x in xs:
+                want = annihilated(t, x)
+                assert is_torsion(t, x) == want
+                if t.corner is not None and not x.is_zero():
+                    seen[want] += 1
+    assert min(seen.values()) > 100, seen
+
+
+def test_is_closed_by_dims_is_the_unit_test():
+    """At a corner `is_closed` reads dims: torsion-free, and dim
+    Hom_E(D(h), x|E) = dim x(h) at every h, as the unit of a torsion-free
+    module is injective.  It agrees with "torsion-free and the unit of
+    `localize` is an isomorphism" on `_torsion_test_cases` and on their
+    localizations; both outcomes occur."""
+    seen = {True: 0, False: 0}
+    for t, x in _torsion_test_cases():
+        for y in (x, localize(t, x)[0].module):
+            want = is_torsion_free(t, y) and localize(t, y)[1].is_iso()
+            assert is_closed(t, y) == want
+            seen[want] += not y.is_zero()
+    assert min(seen.values()) > 100, seen
