@@ -87,15 +87,22 @@ class LinearFunctor:
         """D(G) = restrict(yoneda G), which `coinduce` reads, built once straight
         off the target's cells: D(G)(U) = Hom(SU, G), where the basis morphism i
         of the source acts by precomposition with S(i), and a basis g: G' -> G
-        of the target acts D(G') -> D(G) by postcomposition."""
+        of the target acts D(G') -> D(G) by postcomposition, each map built on
+        first read (`hom_diagram_module` reads those its action plan computes).
+        When s is full with identity hom matrices (as `category.full_image`'s
+        inclusions are), D(SU) = Hom(S-, SU) is the representable yoneda(U)."""
         src, tgt, obj = self.source, self.target, self.object_map
+        full = all(m == RationalMatrix.identity(m.rows) for m in self.hom_maps.values()) and all(
+            tgt.hom_dim(obj[v], obj[u]) == src.hom_dim(v, u)
+            for v, u in product(src.objects, repeat=2))
+        reps = {obj[u]: u for u in src.objects} if full else {}
         values = {}
         for g in tgt.objects:
             dims = {u: tgt.hom_dim(obj[u], g) for u in src.objects}
-            values[g] = Module(src, dims, fill_action(src, dims, lambda v, u, i: (
-                RationalMatrix.from_columns(
-                    precompose_cells(tgt, obj[v], obj[u], g, self.columns[(v, u)][i]), dims[v]))))
-        left = {(g2, g1, i): ModuleMap(values[g2], values[g1], {
+            values[g] = yoneda(src, reps[g]) if g in reps else Module(src, dims, fill_action(
+                src, dims, lambda v, u, i: RationalMatrix.from_columns(
+                    precompose_cells(tgt, obj[v], obj[u], g, self.columns[(v, u)][i]), dims[v])))
+        left = {(g2, g1, i): ModuleMap(values[g2], values[g1], lambda g2=g2, g1=g1, i=i: {
             u: RationalMatrix.from_columns(postcompose_cells(tgt, obj[u], g2, g1, {i: ONE}), d)
             for u, d in values[g1].dims.items()
         }) for g2, g1 in tgt.hom_pairs() for i in range(tgt.hom_dim(g2, g1))}
@@ -230,15 +237,12 @@ def coinduce_counit(ctx: CoinducedContext) -> ModuleMap:
 
 def coinduce_unit(ctx: CoinducedContext, y: Module) -> ModuleMap:
     """y -> coinduce(restrict y) for y over the target (ctx built on restrict y):
-    at G, a ↦ (h ↦ y(h)a) for h in D(G)(U) = Hom(SU, G), in ctx's hom basis."""
+    at G, a ↦ (h ↦ y(h)a) for h in D(G)(U) = Hom(SU, G) in ctx's hom basis, on first read."""
     s = ctx.functor
     sus = {u: s.apply_obj(u) for u in s.source.objects}
-    comps = {}
-    for g, basis in ctx.hom_bases.items():
-        acts = {u: [y.action[(su, g, j)] for j in range(s.target.hom_dim(su, g))]
-                for u, su in sus.items()}
-        comps[g] = evaluation_matrix(basis, acts, y.dims[g])
-    return ModuleMap(y, ctx.module, comps)
+    return ModuleMap(y, ctx.module, lambda: {g: evaluation_matrix(basis, {
+        u: [y.action[(su, g, j)] for j in range(s.target.hom_dim(su, g))] for u, su in sus.items()
+    }, y.dims[g]) for g, basis in ctx.hom_bases.items()})
 
 
 def coinduce_map(

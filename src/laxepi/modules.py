@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, product
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .category import LinearCategory, Morphism, combine
 from .errors import InternalInvariantError
@@ -68,16 +68,21 @@ def fill_action(c: LinearCategory, dims: Mapping, compute) -> dict[ActionKey, Ra
 
 
 class Module:
-    """A right module: spaces X(U) plus action matrices X(b): X(U) -> X(V)."""
+    """A right module: spaces X(U) plus action matrices X(b): X(U) -> X(V).
+
+    `free_on` is (G_1, ..., G_m) on the module ⊕_k yoneda(G_k) that `yoneda`
+    and `direct_sum` build, which `hom_modules` reads by Yoneda; None elsewhere."""
 
     def __init__(
         self,
         over: LinearCategory,
         dims: Mapping[str, int],
         action: Mapping[ActionKey, RationalMatrix],
+        free_on: tuple[str, ...] | None = None,
     ):
         self.over = over
         self.dims = {u: int(dims.get(u, 0)) for u in over.objects}
+        self.free_on = free_on
         self.action: dict[ActionKey, RationalMatrix] = {}
         zeros = _Zeros()
         for v, u in over.hom_pairs():
@@ -128,22 +133,39 @@ class Module:
 
 
 class ModuleMap:
-    """A natural transformation between modules over the same category."""
+    """A natural transformation between modules over the same category.
 
-    def __init__(self, source: Module, target: Module, components: Mapping[str, RationalMatrix]):
+    `components` is a mapping, shape-checked here, or a zero-argument function
+    that returns one, called and checked on first read of `.components`."""
+
+    def __init__(self, source: Module, target: Module,
+                 components: Mapping[str, RationalMatrix] | Callable[[], Mapping]):
         if not (source.over is target.over or source.over == target.over):
             raise ValueError("module map endpoints live over different categories")
         self.source = source
         self.target = target
-        self.components: dict[str, RationalMatrix] = {}
+        if callable(components):
+            self._build = components
+        else:  # in the instance dict, so the property below is never consulted
+            self.components = self._checked(components)
+
+    @cached_property
+    def components(self) -> dict[str, RationalMatrix]:
+        comps = self._checked(self._build())  # a function that raises is kept for the next read
+        del self._build
+        return comps
+
+    def _checked(self, components: Mapping[str, RationalMatrix]) -> dict[str, RationalMatrix]:
+        out: dict[str, RationalMatrix] = {}
         zeros = _Zeros()
-        for u in source.over.objects:
+        for u in self.source.over.objects:
             m = components.get(u)
             if m is None:
-                m = zeros[(target.dims[u], source.dims[u])]
-            if (m.rows, m.cols) != (target.dims[u], source.dims[u]):
+                m = zeros[(self.target.dims[u], self.source.dims[u])]
+            if (m.rows, m.cols) != (self.target.dims[u], self.source.dims[u]):
                 raise ValueError(f"component shape mismatch at {u}")
-            self.components[u] = m
+            out[u] = m
+        return out
 
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.components.values())
@@ -275,7 +297,7 @@ def yoneda(c: LinearCategory, u: str) -> Module:
                 rows[i][k][j] = x
         for i, r in enumerate(rows):
             action[(w, v, i)] = RationalMatrix.from_sparse_rows(r, dims[v])
-    return Module(c, dims, action)
+    return Module(c, dims, action, free_on=(u,))
 
 
 def yoneda_components(
@@ -350,7 +372,8 @@ def direct_sum(xs: Sequence[Module], over: LinearCategory | None = None):
     for v, u in c.hom_pairs():
         for i in range(c.hom_dim(v, u)):
             action[(v, u, i)] = block_diag([x.action[(v, u, i)] for x in xs])
-    total = Module(c, dims, action)
+    gens = [x.free_on for x in xs]
+    total = Module(c, dims, action, None if None in gens else sum(gens, ()))
     inclusions, projections = [], []
     for k, x in enumerate(xs):
         incl, proj = {}, {}
@@ -505,6 +528,9 @@ def hom_modules(x: Module, y: Module) -> HomBasis:
     kills K(G) at every G, and then α_G = E_G(z)·Pre_G.  The dimension is the
     number of null vectors z; the flattened maps and their span are left to
     the `HomBasis` to build on first use.
+
+    Out of x = ⊕_k yoneda(G_k) (`free_on`), Hom(x, y) ≅ ⊕_k y(G_k) by Yoneda:
+    no solve, and the basis vector b of y(G_k) gives f ↦ y(f)b on slot k.
     """
     if not (x.over is y.over or x.over == y.over):
         raise ValueError("hom between modules over different categories")
@@ -512,6 +538,11 @@ def hom_modules(x: Module, y: Module) -> HomBasis:
     offsets, n = _offsets(x, y)
     if n == 0:
         return HomBasis(x, y, 0, list)
+    if (gens := x.free_on) is not None:
+        shifts = list(accumulate((y.dims[g] for g in gens), initial=0))
+        return HomBasis(x, y, shifts[-1], lambda: _evaluations(x, y, {w: [
+            (s, y.action[(w, g, f)]) for g, s in zip(gens, shifts) for f in range(c.hom_dim(w, g))
+        ] for w in c.objects}, shifts[-1]))
     pres = x.presentation
     starts = list(accumulate((y.dims[g] for g, _ in pres.generators), initial=0))
 
@@ -612,17 +643,25 @@ def evaluation_matrix(
 
     With acts[w] the actions X(h) for a basis h of D(w) ⊆ Hom(w, u), this is
     the evaluation X(u) -> Hom(D, X), a ↦ (h ↦ X(h)a).
-    Each α_a is written as a flattened row straight from the rows of acts.
     """
-    offsets, _ = _offsets(basis.source, basis.target)
+    acts = {w: [(0, m) for m in ms] for w, ms in acts.items()}
+    return _coordinate_columns(basis, _evaluations(basis.source, basis.target, acts, n))
+
+
+def _evaluations(x: Module, y: Module, acts: Mapping[str, Sequence[tuple[int, RationalMatrix]]],
+                 n: int) -> list[dict[int, Scalar]]:
+    """The flattened maps α_a: x -> y, a in range(n), where acts[w][k] = (s, m)
+    gives column k of α_a at w as m·e_{a-s} (zero off m's columns), each row
+    written straight from the rows of m."""
+    offsets, _ = _offsets(x, y)
     rows: list[dict[int, Scalar]] = [{} for _ in range(n)]
     for w, ms in acts.items():
-        base, width = offsets[w], basis.source.dims[w]
-        for k, m in enumerate(ms):
+        base, width = offsets[w], x.dims[w]
+        for k, (s, m) in enumerate(ms):
             for r, mrow in enumerate(m.sp):
                 for a, val in mrow.items():
-                    rows[a][base + r * width + k] = val
-    return _coordinate_columns(basis, rows)
+                    rows[s + a][base + r * width + k] = val
+    return rows
 
 
 def hom_diagram_module(b: Bimodule, y: Module) -> tuple[Module, dict[str, HomBasis]]:
@@ -843,28 +882,32 @@ def _solve_presentation(images: Sequence[Mapping[int, Scalar]], n: int):
 # ---------------------------------------------------------------------------
 
 def free_cover(x: Module) -> tuple[ModuleMap, list[str]]:
-    """The cover ⊕_k yoneda(G_k) -> x of x's presentation, and the objects G_k."""
+    """The cover ⊕_k yoneda(G_k) -> x of x's presentation, and the objects G_k;
+    its components are built on first read."""
     c, gens = x.over, x.presentation.generators
     objs = [g for g, _ in gens]
     reps = {u: yoneda(c, u) for u in set(objs)}
     total, _, _ = direct_sum([reps[u] for u in objs], over=c)
-    comps = {
-        v: RationalMatrix.from_columns(
-            [x.action[(v, g, f)].col(a) for g, a in gens for f in range(c.hom_dim(v, g))],
-            x.dims[v],
-        )
-        for v in c.objects
-    }
-    return ModuleMap(total, x, comps), objs
+    return ModuleMap(total, x, lambda: {v: RationalMatrix.from_columns(
+        [x.action[(v, g, f)].col(a) for g, a in gens for f in range(c.hom_dim(v, g))], x.dims[v])
+        for v in c.objects}), objs
+
+
+def syzygy(x: Module) -> tuple[Module, ModuleMap]:
+    """The kernel K of `free_cover(x)` and its inclusion into P0: K(G) is the span
+    of the kernel vectors that x's presentation solved for, so the cover's
+    components are neither built nor eliminated again."""
+    p0 = free_cover(x)[0].source
+    return _module_from_subspaces(p0, {g: row_space(RationalMatrix.from_sparse_rows(
+        ks, p0.dims[g])) for g, ks in x.presentation.kernels.items()})
 
 
 def ext1(l: Module, x: Module) -> int:
     """dim Ext^1(l, x) from the exact sequence
     0 -> Hom(l, x) -> Hom(P0, x) -> Hom(K, x) -> Ext^1(l, x) -> 0
     of l's presentation, where Hom(P0, x) = ⊕_k x(G_k)."""
-    cover, objs = free_cover(l)
-    syz, _ = kernel(cover)
-    return len(hom_modules(syz, x)) - sum(x.dims[g] for g in objs) + len(hom_modules(l, x))
+    p0 = sum(x.dims[g] for g, _ in l.presentation.generators)  # dim Hom(P0, x)
+    return len(hom_modules(syzygy(l)[0], x)) - p0 + len(hom_modules(l, x))
 
 
 def is_projective(x: Module) -> tuple[bool, ModuleMap | None]:
@@ -920,11 +963,8 @@ def tor1(x: Module, b: Bimodule) -> Module:
     """Tor_1(x, b) = ker( K ⊗ b -> P0 ⊗ b ) for the cover of x's presentation."""
     from .functors import tensor_bimodule, tensor_map
 
-    cover, _ = free_cover(x)
-    syz, incl = kernel(cover)
-    tincl = tensor_map(incl, tensor_bimodule(syz, b), tensor_bimodule(cover.source, b))
-    tor, _ = kernel(tincl)
-    return tor
+    syz, incl = syzygy(x)
+    return kernel(tensor_map(incl, tensor_bimodule(syz, b), tensor_bimodule(incl.target, b)))[0]
 
 
 def tor1_dims(x: Module, b: Bimodule) -> dict[str, int]:
@@ -933,6 +973,6 @@ def tor1_dims(x: Module, b: Bimodule) -> dict[str, int]:
     number of relations of x's tensor, dim (P0 ⊗ b)(h) - dim (x ⊗ b)(h)."""
     from .functors import tensor_bimodule
 
-    syz, _ = kernel(free_cover(x)[0])
+    syz, _ = syzygy(x)
     ks, xs = tensor_bimodule(syz, b), tensor_bimodule(x, b)
     return {h: len(ks.free[h]) - xs.offsets[h][-1] + len(xs.free[h]) for h in b.right_cat.objects}

@@ -16,13 +16,15 @@ e11, whose J = {e11, e12} holds no identity, takes the Gabriel step
 bimodule `TorsionData.j` (U ↦ J_U, read off the ideal's bases and the cells);
 for the minimal dense J_U that already gives the module of quotients
 (Stenström, *Rings of Quotients*, 1975, Ch. IX).  For J = AeA, `is_torsion`
-reads x(e) = 0 on E; other ideals take the action test X·J = 0.  The unit
-of a torsion-free module is injective, so `is_closed` compares dims of a(x)
-and x, read off Homs on either route.  The two routes agree entry for
-entry; the tests and `laxepi corpus run` compare them.  No map is localized:
-a closed Z has Hom(a(y_V), Z) ≅ Z(V), so
-`functors.canonical_factorization_localized` reads each map between localized
-representables at the unit's image of the identity.
+reads x(e) = 0 on E (`q_iso` reads dims off ranks); other ideals take the
+action test X·J = 0.  On either route the unit x -> a(x) is built on first
+read; at e in E, D(e) is the corner's representable, so that Hom is read by
+Yoneda.  The unit of a torsion-free module is injective, so `is_closed`
+compares dims of a(x) and x.  The two routes agree entry for entry; the
+tests and `laxepi corpus run` compare them.  No map is localized: a closed Z
+has Hom(a(y_V), Z) ≅ Z(V), so `functors.canonical_factorization_localized`
+reads each map between localized representables at the unit's image of the
+identity.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Callable, Mapping, Sequence
 from .category import LinearCategory, Morphism, contract, full_subcategory, ideal_spans
 from .errors import IdealNotIdempotent, InternalInvariantError, PreconditionError
 from .functors import coinduce, coinduce_unit, restrict
-from .linalg import ONE, EchelonBasis, RationalMatrix, Scalar, Subspace, kernel_basis
+from .linalg import ONE, EchelonBasis, RationalMatrix, Scalar, Subspace, kernel_basis, rank
 from .modules import (
     Bimodule,
     HomBasis,
@@ -250,9 +252,9 @@ class ClosedModule:
 
 def _gabriel_step(t: TorsionData, y: Module) -> tuple[Module, ModuleMap]:
     """H(y) = Hom(J_-, y) with its action, and the unit y -> H(y), which
-    restricts y(U) = Hom(yoneda(U), y) to Hom(J_U, y)."""
+    restricts y(U) = Hom(yoneda(U), y) to Hom(J_U, y), built on first read."""
     h, bases = hom_diagram_module(t.j, y)
-    return h, ModuleMap(y, h, {u: evaluation_matrix(bases[u], {
+    return h, ModuleMap(y, h, lambda: {u: evaluation_matrix(bases[u], {
         w: [y.act_coords(w, u, a) for a in t.ideal[(w, u)].basis.sp] for w in t.cat.objects
     }, y.dims[u]) for u in t.cat.objects})
 
@@ -270,7 +272,7 @@ def gabriel_localize(t: TorsionData, x: Module) -> tuple[ClosedModule, ModuleMap
     """`localize` by one Gabriel step on the torsion-free quotient, for any ideal."""
     y0, proj = quotient_by(torsion_submodule(t, x))
     h, eta = _gabriel_step(t, y0)
-    return ClosedModule(h), map_compose(eta, proj)
+    return ClosedModule(h), ModuleMap(x, h, lambda: map_compose(eta, proj).components)
 
 
 def quotient_hom(t: TorsionData, x: Module, y: Module) -> HomBasis:
@@ -281,7 +283,10 @@ def quotient_hom(t: TorsionData, x: Module, y: Module) -> HomBasis:
 
 
 def q_iso(t: TorsionData, f: ModuleMap) -> bool:
-    """Does f become an isomorphism in the quotient category?"""
-    ker_mod, _ = kernel(f)
-    coker_mod, _ = cokernel(f)
-    return is_torsion(t, ker_mod) and is_torsion(t, coker_mod)
+    """Does f become an isomorphism in the quotient category?  ker f and coker f
+    have dims cols - rank and rows - rank; `is_torsion_of` builds them if it must."""
+    rk = {u: rank(m) for u, m in f.components.items()}
+    ker = {u: m.cols - rk[u] for u, m in f.components.items()}
+    coker = {u: m.rows - rk[u] for u, m in f.components.items()}
+    return (is_torsion_of(t, ker, lambda: kernel(f)[0])
+            and is_torsion_of(t, coker, lambda: cokernel(f)[0]))

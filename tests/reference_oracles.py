@@ -18,7 +18,13 @@ does not reach them, so they live here, beside the tests that read them:
   kernel, against `modules.is_projective`;
 * the closed-functor condition on tensor and Tor_1 modules, tested by the
   action, against `decide.is_generalized_closed_functor`, whose torsion
-  test reads x(e) = 0 on E for J = AeA.
+  test reads x(e) = 0 on E for J = AeA;
+* the Hom out of a module solved from its presentation, also out of a sum
+  of representables, against `modules.hom_modules`, which reads that one by
+  Yoneda;
+* `localize` built at once, its unit with it and every Hom solved, against
+  `torsion.localize`, which builds its unit on first read and reads the Homs
+  out of the corner's representables by Yoneda.
 """
 
 from __future__ import annotations
@@ -27,13 +33,15 @@ from laxepi.category import Morphism
 from laxepi.decide import _generation_check, fully_faithful_restriction
 from laxepi.errors import InternalInvariantError, PreconditionError
 from laxepi.functors import Factorization, LinearFunctor, canonical_factorization_localized, counits
-from laxepi.functors import tensor_bimodule
+from laxepi.functors import restrict, tensor_bimodule
 from laxepi.linalg import RationalMatrix, image_basis, kernel_basis, solve
 from laxepi.modules import (
     Bimodule,
     Module,
     ModuleMap,
     cokernel,
+    evaluation_matrix,
+    fill_action,
     free_cover,
     hom_matrix,
     hom_modules,
@@ -186,3 +194,36 @@ def closed_functor_failures(b: Bimodule, t_left: TorsionData, t_right: TorsionDa
         if not (annihilated(t_right, tens) and annihilated(t_right, tor)):
             failures.append({"object": u, "tensor_dims": dict(tens.dims), "tor_dims": dict(tor.dims)})
     return failures
+
+
+def solved_hom(x: Module, y: Module):
+    """`hom_modules(x, y)` by the presentation solve: on a copy of x built
+    without `free_on`, so Yoneda is never read."""
+    return hom_modules(Module(x.over, x.dims, x.action), y)
+
+
+def eager_localize(t: TorsionData, x: Module) -> tuple[Module, ModuleMap]:
+    """The closed module Hom(D(-), y) with its action and the unit, all built at
+    once, every Hom solved (`solved_hom`): through t's corner, D is the corner's
+    coinduction bimodule and y = x|E; otherwise D = J and y is the torsion-free
+    quotient (the Gabriel step), and the unit is composed with its projection."""
+    c = t.cat
+    if (inc := t.corner) is None:
+        y, proj = quotient_by(torsion_submodule(t, x))
+        d = t.j
+        acts = {u: {w: [y.act_coords(w, u, a) for a in t.ideal[(w, u)].basis.sp]
+                    for w in c.objects} for u in c.objects}
+    else:
+        y, proj, d = restrict(inc, x), None, inc.coinduction_bimodule
+        acts = {g: {e: [x.action[(e, g, j)] for j in range(c.hom_dim(e, g))]
+                    for e in inc.source.objects} for g in c.objects}
+    bases = {g: solved_hom(d.values[g], y) for g in c.objects}
+    dims = {g: len(b) for g, b in bases.items()}
+    h = Module(c, dims, fill_action(c, dims, lambda v, u, i: hom_matrix(
+        bases[u], bases[v], pre=d.left_action[(v, u, i)])))
+    if proj is None:
+        eta = {g: evaluation_matrix(bases[g], acts[g], x.dims[g]) for g in c.objects}
+    else:
+        eta = {g: evaluation_matrix(bases[g], acts[g], y.dims[g]) * proj.components[g]
+               for g in c.objects}
+    return h, ModuleMap(x, h, eta)

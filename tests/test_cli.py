@@ -285,6 +285,25 @@ def test_functor_file_with_an_extra_object_exits_3(tmp_path, capsys):
     assert out["error"] == "E_PARSE" and "outside the source" in out["message"]
 
 
+def test_module_with_a_mis_shaped_action_matrix_is_refused_at_load(tmp_path, capsys):
+    """P2's action at the arrow 1 -> 2 given as a 2×1 matrix (or a 1×2 one)
+    where dims ask for 1×1: validate, localize and hom refuse the file with
+    exit 3 and an E_PARSE report, not a traceback."""
+    for bad in ([["1"], ["0"]], [["1", "0"]]):
+        doc = serialize_instance(bundle_to_instance(builtin("A2_quiver")))
+        doc["modules"]["P2"]["action"]["1"]["2"] = [bad]
+        path = tmp_path / "mis_shaped.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for argv in (["validate", str(path)],
+                     ["localize", str(path), "--module", "P2", "--ideal", "trivial"],
+                     ["hom", str(path), "--from", "P1", "--to", "P2"]):
+            assert main(argv) == 3
+            captured = capsys.readouterr()
+            out = json.loads(captured.out)
+            assert out["error"] == "E_PARSE" and "P2" in out["message"], out
+            assert "Traceback" not in captured.err
+
+
 def test_parse_error_reports_field(tmp_path):
     doc = {"categories": {"C": {"objects": ["*"], "hom": {"*": {"*": {"dim": -1}}}}}}
     path = tmp_path / "neg.json"

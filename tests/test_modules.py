@@ -917,3 +917,71 @@ def test_is_projective_reads_the_inverse_cover_at_a_zero_kernel():
             seen[ok] += 1
         assert not ok or map_compose(cover, sec) == identity_map(x)
     assert min(seen.values()) > 5, seen
+
+
+def test_hom_out_of_a_free_module_is_read_by_yoneda():
+    """Out of ⊕_k yoneda(G_k) as `yoneda` and `direct_sum` build it (`free_on`),
+    `hom_modules` reads Hom ≅ ⊕_k y(G_k) with no presentation and no solve,
+    and gives the same dimension, canonical span and maps as the presentation
+    solve (`reference_oracles.solved_hom`): for every representable, the
+    regular module and a sum with a repeated summand, of the builtins and
+    bundles 0..99, into every module of its family over the same category."""
+    from reference_oracles import solved_hom
+
+    families = [*_builtin_module_families(), *_bundle_module_families(range(100))]
+    pairs, sums = 0, 0
+    for fam in families:
+        c = fam[0].over
+        reps = [yoneda(c, u) for u in c.objects]
+        mixed = direct_sum([reps[-1], reps[0], reps[-1]], over=c)[0]
+        assert mixed.free_on == (c.objects[-1], c.objects[0], c.objects[-1])
+        for r in [*fam, mixed]:
+            if r.free_on is None:
+                continue
+            sums += len(r.free_on) > 1
+            for y in fam:
+                basis = hom_modules(r, y)
+                assert len(basis) == sum(y.dims[g] for g in r.free_on)
+                want = solved_hom(r, y)
+                assert (len(basis), basis.space) == (len(want), want.space)
+                assert [f.components for f in basis] == [f.components for f in want]
+                pairs += 1
+            assert "presentation" not in vars(r)
+    assert pairs > 4000 and sums > 200, (pairs, sums)
+
+
+def test_syzygy_is_the_kernel_of_the_cover():
+    """K ⊂ P0 read off the presentation is `kernel(free_cover(x)[0])`, module
+    and inclusion entry for entry, on the builtins' modules and the modules,
+    representables, tops and regular module of bundles 0..199."""
+    from laxepi.modules import syzygy
+
+    def entries(x, incl):
+        return (x.dims, {k: m.data for k, m in x.action.items()},
+                {u: m.data for u, m in incl.components.items()}, incl.target)
+
+    objects = 0
+    for fam in [*_builtin_module_families(), *_bundle_module_families(range(200))]:
+        for x in fam:
+            assert entries(*syzygy(x)) == entries(*kernel(free_cover(x)[0]))
+            objects += len(x.over.objects)
+    assert objects > 5000
+
+
+def test_deferred_components_are_checked_on_first_read():
+    """A mapping of matrices is shape-checked in the constructor; a function
+    for the components is called and checked only on first read, and a
+    mis-shaped result raises there, on every read."""
+    c = a2_category()
+    p2 = yoneda(c, "2")
+    with pytest.raises(ValueError, match="component shape"):
+        ModuleMap(p2, p2, {"1": RationalMatrix([[1, 0]])})
+    f = ModuleMap(p2, p2, lambda: {"1": RationalMatrix([[1, 0]])})
+    for _ in range(2):
+        with pytest.raises(ValueError, match="component shape"):
+            f.components
+    calls = []
+    lazy = ModuleMap(p2, p2, lambda: calls.append(1) or identity_map(p2).components)
+    assert calls == []
+    assert lazy == identity_map(p2) and lazy.components is lazy.components and calls == [1]
+    assert "components" in vars(identity_map(p2))

@@ -593,3 +593,48 @@ def test_is_closed_by_dims_is_the_unit_test():
             assert is_closed(t, y) == want
             seen[want] += not y.is_zero()
     assert min(seen.values()) > 100, seen
+
+
+def _localize_cases():
+    """(ideal, module): the regular module of A_4..A_9 at every vertex ideal,
+    and every (module, ideal) pair of the builtins and bundles 0..199."""
+    from laxepi.corpus import BUILTIN_NAMES, builtin, random_instance
+
+    for n in range(4, 10):
+        c = _a_n(n)
+        reg, _, _ = direct_sum([yoneda(c, u) for u in c.objects], over=c)
+        yield from ((ideal_closure(c, [c.identity(u)]), reg) for u in c.objects)
+    groups = [(b.ideals.values(), b.modules.values()) for b in map(builtin, BUILTIN_NAMES)]
+    groups += [(b.ideals, b.modules) for b in map(random_instance, range(200))]
+    for ideals, mods in groups:
+        yield from ((t, m) for t in ideals for m in mods if m.over is t.cat)
+
+
+def test_localize_builds_its_unit_only_when_read(monkeypatch):
+    """A dims read of `localize(t, x)` makes no `evaluation_matrix` call; the
+    action, and the unit read afterwards, are the eager construction of
+    `reference_oracles.eager_localize` entry for entry, through the corner and
+    on the Gabriel step (corner_T2's e11)."""
+    import laxepi.functors
+    import laxepi.modules
+    import laxepi.torsion
+    from reference_oracles import eager_localize
+
+    calls = []
+    for module in (laxepi.modules, laxepi.functors, laxepi.torsion):
+        if fn := getattr(module, "evaluation_matrix", None):
+            monkeypatch.setattr(module, "evaluation_matrix",
+                                lambda *args, fn=fn: calls.append(1) or fn(*args))
+    routes = {"corner": 0, "gabriel": 0}
+    for t, x in _localize_cases():
+        calls.clear()
+        cm, unit = localize(t, x)
+        assert unit.source is x and unit.target is cm.module and calls == []
+        h, eta = eager_localize(t, x)
+        assert cm.module.dims == h.dims
+        assert {k: _serialized(m) for k, m in cm.module.action.items()} == {
+            k: _serialized(m) for k, m in h.action.items()}
+        assert {u: _serialized(m) for u, m in unit.components.items()} == {
+            u: _serialized(m) for u, m in eta.components.items()}
+        routes["gabriel" if t.corner is None else "corner"] += 1
+    assert routes == {"corner": 641, "gabriel": 1}
