@@ -310,8 +310,5 @@ def bundle_to_instance(bundle) -> Instance:
         inst.ideals[n] = (name_of[id(cat)], list(gens))
     for n, t in bundle.ideals.items():
         if n not in inst.ideals:
-            gens = list(t.generators)
-            if not gens and t.is_trivial:
-                gens = [t.cat.identity(u) for u in t.cat.objects]
-            inst.ideals[n] = (name_of[id(t.cat)], gens)
+            inst.ideals[n] = (name_of[id(t.cat)], list(t.generators))
     return inst

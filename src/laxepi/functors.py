@@ -40,7 +40,6 @@ from .modules import (
     identity_map,
     map_compose,
     yoneda,
-    yoneda_components,
 )
 
 Pair = tuple[str, str]
@@ -261,7 +260,8 @@ def coinduce_map(
 # ---------------------------------------------------------------------------
 
 def regular_bimodule(s: LinearFunctor) -> Bimodule:
-    """The bimodule computing induction along s: value(U) = yoneda(SU)."""
+    """The bimodule computing induction along s: value(U) = yoneda(SU), where
+    the basis morphism i of the source acts by postcomposition with S(i)."""
     tgt = s.target
     reps = {t: yoneda(tgt, t) for t in s.image_objects()}
     values = {u: reps[s.apply_obj(u)] for u in s.source.objects}
@@ -269,7 +269,9 @@ def regular_bimodule(s: LinearFunctor) -> Bimodule:
     for v, u in s.source.hom_pairs():
         sv, su = s.apply_obj(v), s.apply_obj(u)
         for i, col in enumerate(s.columns[(v, u)]):  # S(basis i)
-            action[(v, u, i)] = ModuleMap(values[v], values[u], yoneda_components(tgt, sv, su, col))
+            action[(v, u, i)] = ModuleMap(values[v], values[u], {
+                w: RationalMatrix.from_columns(postcompose_cells(tgt, w, sv, su, col), d)
+                for w, d in values[u].dims.items()})
     return Bimodule(s.source, tgt, values, action)
 
 

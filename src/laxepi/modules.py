@@ -300,25 +300,6 @@ def yoneda(c: LinearCategory, u: str) -> Module:
     return Module(c, dims, action, free_on=(u,))
 
 
-def yoneda_components(
-    c: LinearCategory, v: str, u: str, g: Mapping[int, Scalar]
-) -> dict[str, RationalMatrix]:
-    """Postcomposition h ↦ g ∘ h, Hom(w, v) -> Hom(w, u) at every w, for g: v -> u
-    given by its nonzero coordinates; column j is the cell of g ∘ (basis j)."""
-    out = {}
-    for w in c.objects:
-        rows: list[dict[int, Scalar]] = [{} for _ in range(c.hom_dim(w, u))]
-        for (i, j), cell in c.table(w, v, u).items():
-            if a := g.get(i):
-                for k, x in cell.items():
-                    y = rows[k].get(j)
-                    rows[k][j] = a * x if y is None else y + a * x
-        out[w] = RationalMatrix.from_sparse_rows(
-            [{j: x for j, x in r.items() if x} for r in rows], c.hom_dim(w, v)
-        )
-    return out
-
-
 def identity_map(x: Module) -> ModuleMap:
     return ModuleMap(x, x, {u: RationalMatrix.identity(x.dims[u]) for u in x.over.objects})
 
@@ -692,30 +673,33 @@ def kernel(f: ModuleMap) -> tuple[Module, ModuleMap]:
 
 
 def _module_from_subspaces(x: Module, bases: Mapping[str, Subspace]) -> tuple[Module, ModuleMap]:
-    """The submodule on the canonical bases and its inclusion.
-
-    A basis row is the only one nonzero at its pivot, where it is ONE, so the
-    coordinates of an image are its rows at the target's pivots. The image
-    lies in the subspace exactly when its row at every other coordinate j is
-    the combination of those rows by the basis entries at j: the residue that
-    `Subspace.contains` tests, for all columns at once.
-    """
+    """The submodule on the canonical bases and its inclusion."""
     c = x.over
     dims = {u: bases[u].dim for u in c.objects}
     incl = {u: bases[u].basis.transpose() for u in c.objects}
-    pivots = {u: [min(r) for r in bases[u].basis.sp] for u in c.objects}
-    free = {u: sorted(set(range(x.dims[u])) - set(pivots[u])) for u in c.objects}
-    action = {}
-    for v, u in c.hom_pairs():
-        for i in range(c.hom_dim(v, u)):
-            img = x.action[(v, u, i)] * incl[u]
-            rows = [img.sp[p] for p in pivots[v]]
-            for j in free[v]:
-                if combine((a, rows[k]) for k, a in incl[v].sp[j].items()) != img.sp[j]:
-                    raise ValueError("subspaces are not action-stable")
-            action[(v, u, i)] = RationalMatrix.from_sparse_rows(rows, dims[u])
+    action = {(v, u, i): subspace_coords(x.action[(v, u, i)] * incl[u], bases[v], incl[v])
+              for v, u in c.hom_pairs() for i in range(c.hom_dim(v, u))}
     sub = Module(c, dims, action)
     return sub, ModuleMap(sub, x, incl)
+
+
+def subspace_coords(img: RationalMatrix, s: Subspace, incl: RationalMatrix) -> RationalMatrix:
+    """The coordinates of img's columns in s's canonical basis, whose transpose is incl.
+
+    A basis row is the only one nonzero at its pivot, where it is ONE, so the
+    coordinates of a column are its entries at the pivots. The columns lie in s
+    exactly when img's row at every other coordinate j is the combination of
+    the pivot rows by the basis entries at j: the residue that
+    `Subspace.contains` tests, for all columns at once.  Raises ValueError when
+    they do not.
+    """
+    pivots = [min(r) for r in s.basis.sp]
+    rows = [img.sp[p] for p in pivots]
+    skip = set(pivots)
+    for j, r in enumerate(img.sp):
+        if j not in skip and combine((a, rows[k]) for k, a in incl.sp[j].items()) != r:
+            raise ValueError("subspaces are not action-stable")
+    return RationalMatrix.from_sparse_rows(rows, img.cols)
 
 
 def sub_to_module(s: Submodule) -> tuple[Module, ModuleMap]:

@@ -314,10 +314,11 @@ def cross_check(rb) -> list[str]:
     whole ideal (Tor_1 of the tops), the adjunction laws, and two one-way
     oracles that may fail only where their decider fails: the Hom side of
     `is_generalized_closed_functor`, and sampled restriction Hom maps for
-    `is_generalized_lax_epi` on the surjective functor and the first ideal,
-    when that ideal is on its target.  There `is_conditioned_epi`, where its
-    hypothesis holds, and the conditioned check of the localized
-    factorization are also compared with the counit routes."""
+    `is_generalized_lax_epi` on the functor, which may miss objects, with the
+    second ideal and on the surjective functor with the first.  On the
+    latter, `is_conditioned_epi`, where its hypothesis holds, and the
+    conditioned check of the localized factorization are also compared with
+    the counit routes."""
     problems = []
     lax = decide.is_lax_epi(rb.functor)
     if lax.verdict != decide.fully_faithful_restriction(rb.functor).verdict:
@@ -350,6 +351,9 @@ def cross_check(rb) -> list[str]:
             problems.append(f"is_flat on the {label} says {flat}; Tor_1 of the tops disagrees")
         if decide.is_flat_quotient(p, t).details["failures"] != flat_quotient_by_tor_modules(p, t):
             problems.append("is_flat_quotient's ranks differ from the Tor_1 modules")
+        if not glax_falsification_oracle(p, t):
+            problems.append(f"is_generalized_lax_epi on the {label} says True; a sampled "
+                            "restriction hom map is not bijective")
     rep = adjunction_check(sf, rb.modules[:1], rb.modules[:1])
     if not rep["ok"]:
         problems.append(f"adjunction {rep['failures']}")
@@ -359,9 +363,6 @@ def cross_check(rb) -> list[str]:
         problems.append("is_generalized_closed_functor says True; Hom-restriction does not")
     t = rb.ideals[0]
     if t.cat is sf.target or t.cat == sf.target:
-        if not glax_falsification_oracle(sf, t):
-            problems.append("is_generalized_lax_epi says True; a sampled restriction hom map "
-                            "is not bijective")
         with suppress(RepresentableNotClosed):  # the decider's hypothesis
             if sf.is_bijective_on_objects() and (decide.is_conditioned_epi(sf, t).details["witnesses"]
                                                  != conditioned_epi_by_counit_kernels(sf, t)):

@@ -4,7 +4,9 @@ An ideal assigns a subspace of every hom space, closed under composition on
 both sides; idempotency (the span of pairwise composites recovers the ideal)
 makes the annihilated modules a hereditary torsion class.  `ideal_closure`
 takes the ideal that its generators generate from `category.ideal_spans`,
-two-sided by construction, and checks that it is idempotent.
+two-sided by construction, and checks that it is idempotent at the
+generators: J² is a two-sided ideal too, so J ⊆ J² once each generator lies
+in J² (Mitchell, "Rings with several objects", 1972).
 
 Localization takes one of two routes.  When J = AeA, that is, each J(w, u) is
 spanned by composites through the objects E whose identities lie in J
@@ -13,7 +15,7 @@ restricts x to the full subcategory on E and coinduces it back (Geigle and
 Lenzing 1991; Psaroudakis 2014).  Any other ideal, such as `corner_T2`'s
 e11, whose J = {e11, e12} holds no identity, takes the Gabriel step
 (`gabriel_localize`): kill torsion, then apply Hom(J_-, ·) once, on the
-bimodule `TorsionData.j` (U ↦ J_U, read off the ideal's bases and the cells);
+bimodule `TorsionData.j` (U ↦ J_U, the ideal's part of the representable);
 for the minimal dense J_U that already gives the module of quotients
 (Stenström, *Rings of Quotients*, 1975, Ch. IX).  For J = AeA, `is_torsion`
 reads x(e) = 0 on E (`q_iso` reads dims off ranks); other ideals take the
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
-from .category import LinearCategory, Morphism, contract, full_subcategory, ideal_spans
+from .category import LinearCategory, Morphism, contract, full_subcategory, ideal_spans, postcompose_cells
 from .errors import IdealNotIdempotent, InternalInvariantError, PreconditionError
 from .functors import coinduce, coinduce_unit, restrict
 from .linalg import ONE, EchelonBasis, RationalMatrix, Scalar, Subspace, kernel_basis, rank
@@ -44,13 +46,15 @@ from .modules import (
     ModuleMap,
     Submodule,
     evaluation_matrix,
-    fill_action,
     hom_diagram_module,
     hom_modules,
     kernel,
     cokernel,
     map_compose,
     quotient_by,
+    sub_to_module,
+    subspace_coords,
+    yoneda,
 )
 
 Pair = tuple[str, str]
@@ -60,8 +64,9 @@ class TorsionData:
     """An idempotent two-sided ideal, presenting a localizing subcategory.
 
     One comes from `ideal_closure`, `whole_ideal` or `zero_ideal`: the first
-    closes its generators on both sides and checks idempotency, and the other
-    two are two-sided and idempotent by construction.
+    closes its generators on both sides and checks idempotency at them, and
+    the other two are two-sided and idempotent by construction.  Each records
+    `generators` that generate its ideal.
     """
 
     def __init__(
@@ -82,21 +87,6 @@ class TorsionData:
 
     # -- structure ----------------------------------------------------------
 
-    def idempotency_defect(self) -> Pair | None:
-        """First hom pair where span{a ∘ a'} differs from the ideal, if any."""
-        c = self.cat
-        for w in c.objects:
-            for u in c.objects:
-                span = EchelonBasis(c.hom_dim(w, u))
-                for v in c.objects:
-                    tab = c.table(w, v, u)
-                    for a in self.ideal[(v, u)].basis.sp:
-                        for a2 in self.ideal[(w, v)].basis.sp:
-                            span.insert(contract(tab, a.items(), a2.items()))
-                if span.to_subspace() != self.ideal[(w, u)]:
-                    return (w, u)
-        return None
-
     @property
     def is_degenerate(self) -> bool:
         """Zero ideal: every module is annihilated, the quotient category is zero."""
@@ -109,35 +99,29 @@ class TorsionData:
 
     @cached_property
     def j(self) -> Bimodule:
-        """U ↦ J_U, the minimal dense submodules of the representables, read off
-        the ideal's canonical bases: J_U(W) = ideal(W, U), the basis morphism
-        b_i: W' -> W acts on J_U by h ↦ h ∘ b_i, and b_i: V -> U acts J_V -> J_U
-        by h ↦ b_i ∘ h.  In J_U, only the actions that the category's
-        `action_plan` leaves to compute are contracted; identities and
-        composites are read off (`fill_action`)."""
+        """U ↦ J_U, the minimal dense submodules of the representables: J_U is the
+        submodule of yoneda(U) on the ideal's subspaces (`sub_to_module`), so
+        J_U(W) = ideal(W, U) in its canonical basis and b_i: W' -> W acts by
+        h ↦ h ∘ b_i; the basis morphism b_i: V -> U acts J_V -> J_U by
+        postcomposition, read at the ideal's pivots (`subspace_coords`).  A family
+        that either side of composition leaves is a bug here."""
         c, ideal = self.cat, self.ideal
 
-        def composites(w, v, u, pairs):
-            # coordinates of each g ∘ f: w -> v -> u in ideal(w, u)'s basis, as columns
-            tab = c.table(w, v, u)
-            cols = [ideal[(w, u)].coordinates_of(contract(tab, g, f)) for g, f in pairs]
-            if None in cols:
-                raise InternalInvariantError(f"ideal not closed under composition at {(w, u)}")
-            return RationalMatrix.from_columns(cols, ideal[(w, u)].dim)
+        def postcompose(v, u, i, w):
+            # b_i ∘ -: J(w, v) -> J(w, u) in the ideal's bases
+            img = RationalMatrix.from_columns(postcompose_cells(c, w, v, u, {i: ONE}), c.hom_dim(w, u))
+            return subspace_coords(img * incl[v].components[w], ideal[(w, u)], incl[u].components[w])
 
-        hs = {vu: [h.items() for h in s.basis.sp] for vu, s in ideal.items()}
-        values = {}
-        for u in c.objects:
-            dims = {w: ideal[(w, u)].dim for w in c.objects}
-            values[u] = Module(c, dims, fill_action(c, dims, lambda w2, w, i: composites(
-                w2, w, u, [(h, ((i, ONE),)) for h in hs[(w, u)]])))
-        action = {
-            (v, u, i): ModuleMap(values[v], values[u], {
-                w: composites(w, v, u, [(((i, ONE),), h) for h in hs[(w, v)]])
-                for w in c.objects if hs[(w, v)]
-            })
-            for v, u in c.hom_pairs() for i in range(c.hom_dim(v, u))
-        }
+        values, incl = {}, {}
+        try:
+            for u in c.objects:
+                values[u], incl[u] = sub_to_module(
+                    Submodule(yoneda(c, u), {w: ideal[(w, u)] for w in c.objects}))
+            action = {(v, u, i): ModuleMap(values[v], values[u], {
+                w: postcompose(v, u, i, w) for w in c.objects if ideal[(w, v)].dim
+            }) for v, u in c.hom_pairs() for i in range(c.hom_dim(v, u))}
+        except ValueError:
+            raise InternalInvariantError("ideal not closed under composition") from None
         return Bimodule(c, c, values, action)
 
     @cached_property
@@ -161,9 +145,11 @@ def require_on(t: TorsionData, cat: LinearCategory, where: str) -> None:
 
 
 def whole_ideal(c: LinearCategory) -> TorsionData:
-    """Trivial torsion theory: ideal = every hom space, torsion class = {0}."""
+    """Trivial torsion theory: ideal = every hom space, generated by the identities,
+    torsion class = {0}."""
     return TorsionData(
-        c, {(v, u): Subspace.full(c.hom_dim(v, u)) for v in c.objects for u in c.objects}
+        c, {(v, u): Subspace.full(c.hom_dim(v, u)) for v in c.objects for u in c.objects},
+        generators=[c.identity(u) for u in c.objects],
     )
 
 
@@ -173,12 +159,22 @@ def zero_ideal(c: LinearCategory) -> TorsionData:
 
 
 def ideal_closure(c: LinearCategory, generators: Sequence[Morphism]) -> TorsionData:
-    """Smallest two-sided ideal containing the generators; errors if not idempotent."""
-    t = TorsionData(c, ideal_spans(c, generators), generators=generators)
-    bad = t.idempotency_defect()
-    if bad is not None:
-        raise IdealNotIdempotent(f"ideal is not idempotent: defect at hom pair {bad}")
-    return t
+    """Smallest two-sided ideal J containing the generators; errors if J ≠ J².
+
+    J² is itself a two-sided ideal, so J ⊆ J² holds exactly when each generator
+    g: w -> u lies in J²(w, u), the span of J(v, u) ∘ J(w, v) over every object v."""
+    ideal = ideal_spans(c, generators)
+    for g in generators:
+        w, u = g.source, g.target
+        square = EchelonBasis(c.hom_dim(w, u))
+        for v in c.objects:
+            tab = c.table(w, v, u)
+            for a in ideal[(v, u)].basis.sp:
+                for a2 in ideal[(w, v)].basis.sp:
+                    square.insert(contract(tab, a.items(), a2.items()))
+        if not square.contains(g.coords):
+            raise IdealNotIdempotent(f"ideal is not idempotent: a generator {w} -> {u} lies outside J²")
+    return TorsionData(c, ideal, generators=generators)
 
 
 # ---------------------------------------------------------------------------

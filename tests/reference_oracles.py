@@ -24,17 +24,21 @@ does not reach them, so they live here, beside the tests that read them:
   Yoneda;
 * `localize` built at once, its unit with it and every Hom solved, against
   `torsion.localize`, which builds its unit on first read and reads the Homs
-  out of the corner's representables by Yoneda.
+  out of the corner's representables by Yoneda;
+* the idempotency of an ideal swept at every hom pair, against
+  `torsion.ideal_closure`, which tests it at the generators;
+* postcomposition by a morphism composed with each basis morphism, against
+  `category.postcompose_cells`, which walks the composition cells.
 """
 
 from __future__ import annotations
 
-from laxepi.category import Morphism
+from laxepi.category import Morphism, compose, contract
 from laxepi.decide import _generation_check, fully_faithful_restriction
 from laxepi.errors import InternalInvariantError, PreconditionError
 from laxepi.functors import Factorization, LinearFunctor, canonical_factorization_localized, counits
 from laxepi.functors import restrict, tensor_bimodule
-from laxepi.linalg import RationalMatrix, image_basis, kernel_basis, solve
+from laxepi.linalg import EchelonBasis, RationalMatrix, image_basis, kernel_basis, solve
 from laxepi.modules import (
     Bimodule,
     Module,
@@ -227,3 +231,28 @@ def eager_localize(t: TorsionData, x: Module) -> tuple[Module, ModuleMap]:
         eta = {g: evaluation_matrix(bases[g], acts[g], y.dims[g]) * proj.components[g]
                for g in c.objects}
     return h, ModuleMap(x, h, eta)
+
+
+def idempotency_defect(t: TorsionData) -> tuple[str, str] | None:
+    """The first hom pair (w, u) where the span of every J(v, u) ∘ J(w, v)
+    differs from J(w, u), if any: J = J² tested at every pair."""
+    c = t.cat
+    for w in c.objects:
+        for u in c.objects:
+            span = EchelonBasis(c.hom_dim(w, u))
+            for v in c.objects:
+                tab = c.table(w, v, u)
+                for a in t.ideal[(v, u)].basis.sp:
+                    for a2 in t.ideal[(w, v)].basis.sp:
+                        span.insert(contract(tab, a.items(), a2.items()))
+            if span.to_subspace() != t.ideal[(w, u)]:
+                return (w, u)
+    return None
+
+
+def postcomposition(c, m: Morphism) -> dict[str, RationalMatrix]:
+    """h ↦ m ∘ h, Hom(w, v) -> Hom(w, u) at every w, for m: v -> u: column j is
+    `compose` of m with the basis morphism j."""
+    return {w: RationalMatrix.from_columns(
+        [compose(c, m, c.basis_morphism(w, m.source, j)).coords for j in range(c.hom_dim(w, m.source))],
+        c.hom_dim(w, m.target)) for w in c.objects}

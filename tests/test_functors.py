@@ -600,8 +600,8 @@ def _localized_s_per_basis(p, t, fac):
     from test_torsion import localize_map
 
     from laxepi.category import LinearCategory
-    from laxepi.linalg import nonzeros
-    from laxepi.modules import flatten_map, hom_matrix, identity_map, yoneda_components
+    from laxepi.modules import flatten_map, hom_matrix, identity_map
+    from reference_oracles import postcomposition
 
     src, tgt, loc, bases = p.source, p.target, fac.localized_representables, fac.hom_bases
 
@@ -610,7 +610,7 @@ def _localized_s_per_basis(p, t, fac):
 
     def localize_morphism(m):
         """`localize_map` of postcomposition by m between its representables."""
-        comps = yoneda_components(tgt, m.source, m.target, dict(nonzeros(m.coords)))
+        comps = postcomposition(tgt, m)
         return localize_map(t, ModuleMap(yoneda(tgt, m.source), yoneda(tgt, m.target), comps))
 
     comp = {}

@@ -7,13 +7,15 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "laxepi"
 
 # Public entry points that no other library module reads: the validators, the
-# bundle serializers the benchmark uses and the public subspace constructor.
+# bundle serializers the benchmark uses, the whole-ideal test its bundle writer
+# reads and the public subspace constructor.
 # The exact closed-functor decider needs no entry: `oracles.cross_check` reads it.
 ALLOWED = {
     "validate_bimodule",
     "validate_submodule",
     "serialize_instance",
     "bundle_to_instance",
+    "is_trivial",
     "from_vectors",
 }
 

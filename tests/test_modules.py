@@ -35,7 +35,6 @@ from laxepi.modules import (
     validate_module_map,
     validate_submodule,
     yoneda,
-    yoneda_components,
     zero_map,
     zero_module,
 )
@@ -86,11 +85,12 @@ def _basis(c, v, u):
 
 
 def test_yoneda_matches_per_basis_compose():
-    """yoneda's action and yoneda_components against composing basis morphisms
-    one at a time, on builtin and corpus categories (bundles 0..29) and A_3..A_5."""
+    """yoneda's action and postcomposition (`postcompose_cells`) against
+    composing basis morphisms one at a time, on builtin and corpus categories
+    (bundles 0..29) and A_3..A_5."""
     import random
 
-    from laxepi.category import Morphism, compose, from_quiver
+    from laxepi.category import Morphism, compose, from_quiver, postcompose_cells
     from laxepi.corpus import BUILTIN_NAMES, builtin, random_instance
 
     cats = [c for name in BUILTIN_NAMES for c in builtin(name).categories.values()]
@@ -112,17 +112,19 @@ def test_yoneda_matches_per_basis_compose():
             ms = _basis(c, v, u)
             ms.append(Morphism(v, u, tuple(rng.choice([0, 1, -1, Fraction(2, 3)]) for _ in ms)))
             for m in ms:
-                comps = yoneda_components(c, v, u, {k: x for k, x in enumerate(m.coords) if x})
+                coords = {k: x for k, x in enumerate(m.coords) if x}
                 for w in c.objects:
                     cols = [compose(c, m, b).coords for b in _basis(c, w, v)]
-                    assert comps[w] == RationalMatrix.from_columns(cols, c.hom_dim(w, u))
+                    assert (RationalMatrix.from_columns(postcompose_cells(c, w, v, u, coords), c.hom_dim(w, u))
+                            == RationalMatrix.from_columns(cols, c.hom_dim(w, u)))
 
 
 def test_yoneda_map_naturality():
+    from reference_oracles import postcomposition
+
     c = summand_pair_category()
     m = c.basis_morphism("P", "PP", 0)
-    comps = yoneda_components(c, "P", "PP", {k: x for k, x in enumerate(m.coords) if x})
-    f = ModuleMap(yoneda(c, "P"), yoneda(c, "PP"), comps)
+    f = ModuleMap(yoneda(c, "P"), yoneda(c, "PP"), postcomposition(c, m))
     assert validate_module_map(f) == []
 
 
