@@ -10,7 +10,9 @@ rank, and `torsion.is_torsion_of` tests torsion on dims where J = AeA.
 The glax conditioned check tests K_g ⊗ i, for K_g the kernel of the counit
 ε_g: s_!s*y_g -> y_g, without building ε_g: it is onto since s is the
 identity on objects, and Tor_1(y_g, i) = 0 since y_g is projective, so
-K_g ⊗ i is the kernel of the evaluation s*y_g ⊗ (i∘s) -> i(g).
+K_g ⊗ i is the kernel of the evaluation s*y_g ⊗ (i∘s) -> i(g), read like
+the counits by `TensorContext.evaluation`.  `is_flat` reads each Hom(V, T-)
+off the regular bimodule's left action at V.
 Each decider runs one route.  The module routes it reads as ranks (counit
 kernels, K_g ⊗ i, Tor_1 modules) and the independent reference routes
 (tensor multiplication spans, restriction-hom ranks, corner algebras) live in
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .category import LinearCategory, opposite, postcompose_cells
+from .category import opposite
 from .errors import NotSurjectiveOnObjects, PreconditionError, RepresentableNotClosed
 from .functors import (
     Factorization,
@@ -36,7 +38,7 @@ from .functors import (
     restrict_left,
     tensor_bimodule,
 )
-from .linalg import RationalMatrix, rank
+from .linalg import rank
 from .modules import (
     Bimodule,
     Module,
@@ -141,30 +143,20 @@ def is_lax_epi(t: LinearFunctor) -> DecisionReport:
 # ---------------------------------------------------------------------------
 
 def is_flat(t: LinearFunctor) -> DecisionReport:
-    """Exactness of induction: every Hom(V, T-) is a projective left module."""
-    src, tgt = t.source, t.target
-    op = opposite(src)
+    """Exactness of induction: every Hom(V, T-) is a projective left module.
+    As a right module over the opposite of the source it is the regular
+    bimodule's left action at V: Hom(V, TU) = reg(U)(V) at U, where the op
+    morphism of the source's basis morphism i: U' -> U acts by reg(i) at V,
+    postcomposition with T(i)."""
+    reg = regular_bimodule(t)
+    op = opposite(t.source)
     failures = []
-    for v in tgt.objects:
-        m = _hom_from_object_module(t, op, v)
-        ok, _ = is_projective(m)
-        if not ok:
+    for v in t.target.objects:
+        m = Module(op, {u: x.dims[v] for u, x in reg.values.items()}, {
+            (u, u2, i): act.components[v] for (u2, u, i), act in reg.left_action.items()})
+        if not is_projective(m)[0]:
             failures.append(v)
     return DecisionReport("flat", not failures, {"non_projective_at": failures})
-
-
-def _hom_from_object_module(t: LinearFunctor, op: LinearCategory, v: str) -> Module:
-    """Hom_target(v, T-) as a right module over the opposite of the source."""
-    tgt = t.target
-    dims = {u: tgt.hom_dim(v, t.apply_obj(u)) for u in op.objects}
-    action = {}
-    for a, b_obj in op.hom_pairs():  # op morphism a -> b_obj is a source morphism b_obj -> a
-        tb, ta = t.apply_obj(b_obj), t.apply_obj(a)
-        for i, timg in enumerate(t.columns[(b_obj, a)]):  # T(b_obj) -> T(a)
-            # column j: timg ∘ h_j for the basis h_j of Hom(v, T(b_obj))
-            cells = postcompose_cells(tgt, v, tb, ta, timg)
-            action[(a, b_obj, i)] = RationalMatrix.from_columns(cells, dims[a])
-    return Module(op, dims, action)
 
 
 def is_flat_quotient(p: LinearFunctor, t_prime: TorsionData) -> DecisionReport:
@@ -270,14 +262,8 @@ def _conditioned_check(fac: Factorization) -> tuple[bool, dict]:
         y = yoneda(fac.mid, g)
         x = restrict(s, y)
         ctx = tensor_bimodule(x, i_s)
-        comps = {}
-        for h, d in i.values[g].dims.items():
-            cols = []
-            for col in ctx.free[h]:
-                k, j = ctx.slot(h, col)
-                u, a = ctx.presentation.generators[k]
-                cols.append(i.left_action[(u, g, a)].components[h].col(j))
-            comps[h] = RationalMatrix.from_columns(cols, d)
+        comps = ctx.evaluation(lambda h, u, a, j: i.left_action[(u, g, a)].components[h].col(j),
+                               i.values[g].dims)
         dims = ctx.kernel_dims(comps)
         if not is_torsion_of(fac.torsion, dims,
                            lambda: kernel(ModuleMap(ctx.module, i.values[g], comps))[0]):

@@ -36,8 +36,9 @@ def _section(doc: dict, key: str, where: str = "") -> dict:
 
 
 def str_to_rat(s, where: str) -> Scalar:
+    """A rational from a "p/q" string or a JSON number; true and false are not numbers."""
     try:
-        return frac(s if isinstance(s, int) else str(s))
+        return frac(s if type(s) is int else str(s))
     except (ValueError, ZeroDivisionError) as e:
         raise ParseError(f"{where}: bad rational {s!r} ({e})")
 
@@ -102,7 +103,7 @@ def parse_category(doc, where: str) -> LinearCategory:
             if v not in objects or u not in objects:
                 raise ParseError(f"{where}.hom: unknown object in pair ({v},{u})")
             d = _typed(spec, dict, f"{where}.hom[{v}][{u}]").get("dim")
-            if not isinstance(d, int) or d < 0:
+            if type(d) is not int or d < 0:  # a JSON true or false is no dim
                 raise ParseError(f"{where}.hom[{v}][{u}].dim: need a nonnegative int")
             hom_dims[(v, u)] = d
             if "labels" in spec:
@@ -122,9 +123,9 @@ def parse_category(doc, where: str) -> LinearCategory:
                     if not (isinstance(trip, list) and len(trip) == 3):
                         raise ParseError(f"{loc}: need [g_index, f_index, coeffs]")
                     gi, fi, coeffs = trip
-                    if not (isinstance(gi, int) and 0 <= gi < dg):
+                    if not (type(gi) is int and 0 <= gi < dg):
                         raise ParseError(f"{loc}: g_index out of range")
-                    if not (isinstance(fi, int) and 0 <= fi < df):
+                    if not (type(fi) is int and 0 <= fi < df):
                         raise ParseError(f"{loc}: f_index out of range")
                     cv = _vec_in(coeffs, loc)
                     if len(cv) != dr:
@@ -198,7 +199,7 @@ def parse_module(doc, cats: dict[str, LinearCategory], where: str) -> tuple[Modu
     c = _category_of(doc, "over", cats, where)
     dims = _typed(doc.get("dims"), dict, f"{where}.dims")
     for u, d in dims.items():
-        if u not in c.objects or not isinstance(d, int) or d < 0:
+        if u not in c.objects or type(d) is not int or d < 0:
             raise ParseError(f"{where}.dims[{u}]: bad dimension")
     action = {}
     for v, row in _section(doc, "action", where).items():
@@ -279,6 +280,10 @@ def load_instance(path: str) -> Instance:
         raise ParseError(f"cannot read {path}: {e}")
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text at byte {e.start}")
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nested too deeply")
     return parse_instance(doc)
 
 

@@ -7,11 +7,14 @@ There is one coequalizer, the tensor x ⊗ b of a module with a bimodule
 P0 = ⊕_k yoneda(G_k) -> x with kernel K, and as tensoring is right exact and
 yoneda(G) ⊗ b = b(G), x ⊗ b is ⊕_k b(G_k) modulo the image of K ⊗ b,
 objectwise.  Induction along a functor is the tensor with its regular
-bimodule.  Coinduction is its Hom-side twin, `modules.hom_diagram_module` on
-D(G) = restrict(yoneda G), read off the target's cells (`coinduction_bimodule`).
-Contexts carry the presentation, the projections and the quotient
-coordinates, so units, counits and functoriality on maps are all computed in
-matching coordinates.
+bimodule, the hom bimodule (`modules.hom_bimodule`) with its left side
+restricted along it (`restrict_left`).  Coinduction is its Hom-side twin,
+`modules.hom_diagram_module` on D(G) = restrict(yoneda G), read off the
+target's cells (`coinduction_bimodule`).  Contexts carry the presentation,
+the projections and the quotient coordinates, so units, counits and
+functoriality on maps are all computed in matching coordinates; a map out of
+a tensor fixed on each class e_{a_k} ⊗ β_j, such as the counit, is read by
+one evaluation (`TensorContext.evaluation`).
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .modules import (
     Presentation,
     evaluation_matrix,
     fill_action,
+    hom_bimodule,
     hom_diagram_module,
     hom_matrix,
     hom_modules,
@@ -191,7 +195,8 @@ def restrict_map(s: LinearFunctor, f: ModuleMap, rx: Module, ry: Module) -> Modu
 def restrict_left(s: LinearFunctor, b: Bimodule) -> Bimodule:
     """b ∘ s, b with its left side restricted along s: value at U is b(SU);
     basis morphism i: V -> U acts as b(S(i)) = Σ_j S(i)_j b(j), read off
-    column i of the functor's hom matrix."""
+    column i of the functor's hom matrix and built on first read
+    (`Bimodule.left_act_coords`)."""
     src = s.source
     values = {u: b.values[s.apply_obj(u)] for u in src.objects}
     action = {}
@@ -260,19 +265,10 @@ def coinduce_map(
 # ---------------------------------------------------------------------------
 
 def regular_bimodule(s: LinearFunctor) -> Bimodule:
-    """The bimodule computing induction along s: value(U) = yoneda(SU), where
-    the basis morphism i of the source acts by postcomposition with S(i)."""
-    tgt = s.target
-    reps = {t: yoneda(tgt, t) for t in s.image_objects()}
-    values = {u: reps[s.apply_obj(u)] for u in s.source.objects}
-    action = {}
-    for v, u in s.source.hom_pairs():
-        sv, su = s.apply_obj(v), s.apply_obj(u)
-        for i, col in enumerate(s.columns[(v, u)]):  # S(basis i)
-            action[(v, u, i)] = ModuleMap(values[v], values[u], {
-                w: RationalMatrix.from_columns(postcompose_cells(tgt, w, sv, su, col), d)
-                for w, d in values[u].dims.items()})
-    return Bimodule(s.source, tgt, values, action)
+    """The bimodule computing induction along s, the hom bimodule with its left
+    side restricted along s: value(U) = yoneda(SU), where the basis morphism i
+    of the source acts by postcomposition with S(i)."""
+    return restrict_left(s, hom_bimodule(s.target))
 
 
 @dataclass
@@ -334,6 +330,15 @@ class TensorContext:
         for (k, r, beta), y in terms.items():
             cols[beta][offsets[k] + r] = y
         return cols
+
+    def evaluation(self, image, dims: Mapping[str, int]) -> dict[str, RationalMatrix]:
+        """Components of the map out of x ⊗ b that sends the class of e_a ⊗ β_j
+        at h to the vector image(h, u, a, j) of length dims[h], for each
+        generator (u, a) of the presentation and basis vector β_j of b(u)(h)."""
+        gens = self.presentation.generators
+        return {h: RationalMatrix.from_columns(
+            [image(h, *gens[k], j) for k, j in (self.slot(h, col) for col in free)], dims[h])
+            for h, free in self.free.items()}
 
     def represent(
         self, g: str, v: Mapping[int, Scalar], h: str, beta: Mapping[int, Scalar]
@@ -417,34 +422,27 @@ def induction_unit(s: LinearFunctor, ctx: TensorContext) -> ModuleMap:
 
 def induction_counit(s: LinearFunctor, ctx: TensorContext, y: Module) -> ModuleMap:
     """Evaluation restrict(s, y) ⊗ regular_bimodule(s) -> y, for ctx the context
-    of that tensor: the class of e_{a_k} ⊗ h, for h: T -> S G_k, goes to y(h) e_{a_k}."""
-    return ModuleMap(ctx.module, y, _counit_at(s, ctx, y))
+    of that tensor: the class of e_a ⊗ h, for h: T -> S U, goes to y(h) e_a."""
+    return ModuleMap(ctx.module, y, ctx.evaluation(_counit_image(s, y), y.dims))
 
 
-def _counit_at(s: LinearFunctor, ctx: TensorContext, y: Module) -> dict[str, RationalMatrix]:
-    """`induction_counit`'s components, read in ctx's coordinates."""
-    comps = {}
-    for t_obj in s.target.objects:
-        cols = []
-        for col in ctx.free[t_obj]:
-            k, j = ctx.slot(t_obj, col)
-            u, a = ctx.presentation.generators[k]
-            cols.append(y.action[(t_obj, s.apply_obj(u), j)].col(a))
-        comps[t_obj] = RationalMatrix.from_columns(cols, y.dims[t_obj])
-    return comps
+def _counit_image(s: LinearFunctor, y: Module):
+    """The counit's image of e_a ⊗ h_j, for a in y(SU): y(h_j) a."""
+    return lambda h, u, a, j: y.action[(h, s.apply_obj(u), j)].col(a)
 
 
 def counit_components(s: LinearFunctor) -> dict[str, tuple[TensorContext, Module, dict]]:
     """At every representable y_v of the target: the context of restrict(s, y_v)
-    ⊗ regular_bimodule(s), y_v and the counit's components there.  One regular
-    bimodule serves them all; its representables are those at s's image."""
-    reg = regular_bimodule(s)
-    reps = {s.apply_obj(u): m for u, m in reg.values.items()}
+    ⊗ regular_bimodule(s), y_v and the counit's components there
+    (`induction_counit`'s evaluation, with no tensor module built).  One hom
+    bimodule serves them all: y_v is its value at v, and the regular bimodule
+    its left restriction."""
+    hom = hom_bimodule(s.target)
+    reg = restrict_left(s, hom)
     out = {}
-    for v in s.target.objects:
-        y = reps[v] if v in reps else yoneda(s.target, v)
+    for v, y in hom.values.items():
         ctx = tensor_bimodule(restrict(s, y), reg)
-        out[v] = ctx, y, _counit_at(s, ctx, y)
+        out[v] = ctx, y, ctx.evaluation(_counit_image(s, y), y.dims)
     return out
 
 

@@ -8,8 +8,9 @@ X·rad, the cover P0 = ⊕_k yoneda(G_k) -> X they give, its kernel K and a
 preimage of each basis vector.  Natural transformations X -> Y are read off
 it as the values in ⊕_k Y(G_k) that kill K; the free cover, Ext^1, Tor_1,
 projectivity and the tensor with a bimodule all use the same cover.  A
-`Bimodule` is a diagram of modules; `hom_diagram_module(b, y)` is G ↦
-Hom(b(G), y).  Kernels and cokernels are computed objectwise.
+`Bimodule` is a diagram of modules; `hom_bimodule(c)` is c(-, -), the
+representables under postcomposition, and `hom_diagram_module(b, y)` is
+G ↦ Hom(b(G), y).  Kernels and cokernels are computed objectwise.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import cached_property
 from itertools import accumulate, product
 from typing import Callable, Mapping, Sequence
 
-from .category import LinearCategory, Morphism, combine
+from .category import LinearCategory, Morphism, combine, postcompose_cells
 from .errors import InternalInvariantError
 from .linalg import (
     ONE,
@@ -402,12 +403,29 @@ class Bimodule:
 
     def left_act_coords(self, v: str, u: str, coords: Mapping[int, Scalar]) -> ModuleMap:
         """The map value(v) -> value(u) of the morphism v -> u with these nonzero
-        coordinates, summed row by row from the basis maps."""
+        coordinates: a basis morphism's own map, else the basis maps summed row
+        by row on first read."""
+        if len(coords) == 1:
+            ((i, c),) = coords.items()
+            if c == 1:
+                return self.left_action[(v, u, i)]
         src, tgt = self.values[v], self.values[u]
-        maps = [(c, self.left_action[(v, u, i)].components) for i, c in coords.items()]
-        return ModuleMap(src, tgt, {h: RationalMatrix.from_sparse_rows(
-            [combine((c, m[h].sp[r]) for c, m in maps) for r in range(d)], src.dims[h])
+        maps = [(c, self.left_action[(v, u, i)]) for i, c in coords.items()]
+        return ModuleMap(src, tgt, lambda: {h: RationalMatrix.from_sparse_rows(
+            [combine((c, m.components[h].sp[r]) for c, m in maps) for r in range(d)], src.dims[h])
             for h, d in tgt.dims.items()})
+
+
+def hom_bimodule(c: LinearCategory) -> Bimodule:
+    """The hom bimodule c(-, -): yoneda(c, G) at each G, where the basis
+    morphism i: G' -> G acts yoneda(G') -> yoneda(G) by postcomposition, each
+    map built on first read."""
+    values = {g: yoneda(c, g) for g in c.objects}
+    left = {(g2, g1, i): ModuleMap(values[g2], values[g1], lambda g2=g2, g1=g1, i=i: {
+        w: RationalMatrix.from_columns(postcompose_cells(c, w, g2, g1, {i: ONE}), d)
+        for w, d in values[g1].dims.items()
+    }) for g2, g1 in c.hom_pairs() for i in range(c.hom_dim(g2, g1))}
+    return Bimodule(c, c, values, left)
 
 
 def validate_bimodule(b: Bimodule) -> list[str]:

@@ -361,14 +361,12 @@ def cross_check(rb) -> list[str]:
     if (decide.is_generalized_closed_functor(*closed).verdict
             and not hom_restriction_closed(*closed)):
         problems.append("is_generalized_closed_functor says True; Hom-restriction does not")
-    t = rb.ideals[0]
-    if t.cat is sf.target or t.cat == sf.target:
-        with suppress(RepresentableNotClosed):  # the decider's hypothesis
-            if sf.is_bijective_on_objects() and (decide.is_conditioned_epi(sf, t).details["witnesses"]
-                                                 != conditioned_epi_by_counit_kernels(sf, t)):
-                problems.append("is_conditioned_epi's ranks differ from the counit kernels")
-        fac = canonical_factorization_localized(sf, t)
-        if decide._conditioned_check(fac) != conditioned_check_by_counits(fac):
-            problems.append("the conditioned check differs from the counit route's "
-                            "K_g ⊗ i")
+    t = rb.ideals[0]  # on sf's target: is_flat_quotient(sf, t) above required it
+    with suppress(RepresentableNotClosed):  # the decider's hypothesis
+        if sf.is_bijective_on_objects() and (decide.is_conditioned_epi(sf, t).details["witnesses"]
+                                             != conditioned_epi_by_counit_kernels(sf, t)):
+            problems.append("is_conditioned_epi's ranks differ from the counit kernels")
+    fac = canonical_factorization_localized(sf, t)
+    if decide._conditioned_check(fac) != conditioned_check_by_counits(fac):
+        problems.append("the conditioned check differs from the counit route's K_g ⊗ i")
     return problems

@@ -15,7 +15,7 @@ restricts x to the full subcategory on E and coinduces it back (Geigle and
 Lenzing 1991; Psaroudakis 2014).  Any other ideal, such as `corner_T2`'s
 e11, whose J = {e11, e12} holds no identity, takes the Gabriel step
 (`gabriel_localize`): kill torsion, then apply Hom(J_-, ·) once, on the
-bimodule `TorsionData.j` (U ↦ J_U, the ideal's part of the representable);
+bimodule `TorsionData.j` (U ↦ J_U, the ideal's part of the hom bimodule);
 for the minimal dense J_U that already gives the module of quotients
 (Stenström, *Rings of Quotients*, 1975, Ch. IX).  For J = AeA, `is_torsion`
 reads x(e) = 0 on E (`q_iso` reads dims off ranks); other ideals take the
@@ -35,10 +35,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
-from .category import LinearCategory, Morphism, contract, full_subcategory, ideal_spans, postcompose_cells
+from .category import LinearCategory, Morphism, contract, full_subcategory, ideal_spans
 from .errors import IdealNotIdempotent, InternalInvariantError, PreconditionError
 from .functors import coinduce, coinduce_unit, restrict
-from .linalg import ONE, EchelonBasis, RationalMatrix, Scalar, Subspace, kernel_basis, rank
+from .linalg import EchelonBasis, RationalMatrix, Scalar, Subspace, kernel_basis, rank
 from .modules import (
     Bimodule,
     HomBasis,
@@ -46,6 +46,7 @@ from .modules import (
     ModuleMap,
     Submodule,
     evaluation_matrix,
+    hom_bimodule,
     hom_diagram_module,
     hom_modules,
     kernel,
@@ -54,7 +55,6 @@ from .modules import (
     quotient_by,
     sub_to_module,
     subspace_coords,
-    yoneda,
 )
 
 Pair = tuple[str, str]
@@ -99,27 +99,23 @@ class TorsionData:
 
     @cached_property
     def j(self) -> Bimodule:
-        """U ↦ J_U, the minimal dense submodules of the representables: J_U is the
-        submodule of yoneda(U) on the ideal's subspaces (`sub_to_module`), so
-        J_U(W) = ideal(W, U) in its canonical basis and b_i: W' -> W acts by
-        h ↦ h ∘ b_i; the basis morphism b_i: V -> U acts J_V -> J_U by
+        """U ↦ J_U, the minimal dense submodules of the representables, cut down
+        from the hom bimodule (`modules.hom_bimodule`): J_U is the submodule of
+        yoneda(U) on the ideal's subspaces (`sub_to_module`), so J_U(W) =
+        ideal(W, U) in its canonical basis and b_i: W' -> W acts by h ↦ h ∘ b_i;
+        the basis morphism b_i: V -> U acts J_V -> J_U by the hom bimodule's
         postcomposition, read at the ideal's pivots (`subspace_coords`).  A family
         that either side of composition leaves is a bug here."""
         c, ideal = self.cat, self.ideal
-
-        def postcompose(v, u, i, w):
-            # b_i ∘ -: J(w, v) -> J(w, u) in the ideal's bases
-            img = RationalMatrix.from_columns(postcompose_cells(c, w, v, u, {i: ONE}), c.hom_dim(w, u))
-            return subspace_coords(img * incl[v].components[w], ideal[(w, u)], incl[u].components[w])
-
+        hom = hom_bimodule(c)
         values, incl = {}, {}
         try:
-            for u in c.objects:
-                values[u], incl[u] = sub_to_module(
-                    Submodule(yoneda(c, u), {w: ideal[(w, u)] for w in c.objects}))
-            action = {(v, u, i): ModuleMap(values[v], values[u], {
-                w: postcompose(v, u, i, w) for w in c.objects if ideal[(w, v)].dim
-            }) for v, u in c.hom_pairs() for i in range(c.hom_dim(v, u))}
+            for u, rep in hom.values.items():
+                values[u], incl[u] = sub_to_module(Submodule(rep, {w: ideal[(w, u)] for w in c.objects}))
+            action = {(v, u, i): ModuleMap(values[v], values[u], {  # b_i ∘ -: J(w, v) -> J(w, u)
+                w: subspace_coords(post.components[w] * incl[v].components[w], ideal[(w, u)],
+                                   incl[u].components[w]) for w in c.objects if ideal[(w, v)].dim
+            }) for (v, u, i), post in hom.left_action.items()}
         except ValueError:
             raise InternalInvariantError("ideal not closed under composition") from None
         return Bimodule(c, c, values, action)

@@ -28,12 +28,17 @@ does not reach them, so they live here, beside the tests that read them:
 * the idempotency of an ideal swept at every hom pair, against
   `torsion.ideal_closure`, which tests it at the generators;
 * postcomposition by a morphism composed with each basis morphism, against
-  `category.postcompose_cells`, which walks the composition cells.
+  `category.postcompose_cells`, which walks the composition cells;
+* the regular bimodule postcomposed with each S(i) straight off the cells,
+  against `functors.regular_bimodule`, the hom bimodule restricted along s;
+* Hom(V, T-) over the opposite category postcomposed with each T(i) straight
+  off the cells, against `decide.is_flat`, which reads it off the regular
+  bimodule's left action at V.
 """
 
 from __future__ import annotations
 
-from laxepi.category import Morphism, compose, contract
+from laxepi.category import LinearCategory, Morphism, compose, contract, postcompose_cells
 from laxepi.decide import _generation_check, fully_faithful_restriction
 from laxepi.errors import InternalInvariantError, PreconditionError
 from laxepi.functors import Factorization, LinearFunctor, canonical_factorization_localized, counits
@@ -56,6 +61,7 @@ from laxepi.modules import (
     tops,
     tor1,
     validate_module_map,
+    yoneda,
     zero_submodule,
 )
 from laxepi.oracles import bounded_quotient_family, restriction_hom_bijective, restriction_hom_ranks
@@ -256,3 +262,34 @@ def postcomposition(c, m: Morphism) -> dict[str, RationalMatrix]:
     return {w: RationalMatrix.from_columns(
         [compose(c, m, c.basis_morphism(w, m.source, j)).coords for j in range(c.hom_dim(w, m.source))],
         c.hom_dim(w, m.target)) for w in c.objects}
+
+
+def regular_bimodule(s: LinearFunctor) -> Bimodule:
+    """value(U) = yoneda(SU), where the basis morphism i of the source acts by
+    postcomposition with S(i), gathered from the target's cells at once."""
+    tgt = s.target
+    reps = {t: yoneda(tgt, t) for t in s.image_objects()}
+    values = {u: reps[s.apply_obj(u)] for u in s.source.objects}
+    action = {}
+    for v, u in s.source.hom_pairs():
+        sv, su = s.apply_obj(v), s.apply_obj(u)
+        for i, col in enumerate(s.columns[(v, u)]):  # S(basis i)
+            action[(v, u, i)] = ModuleMap(values[v], values[u], {
+                w: RationalMatrix.from_columns(postcompose_cells(tgt, w, sv, su, col), d)
+                for w, d in values[u].dims.items()})
+    return Bimodule(s.source, tgt, values, action)
+
+
+def hom_from_object_module(t: LinearFunctor, op: LinearCategory, v: str) -> Module:
+    """Hom_target(v, T-) as a right module over op, the opposite of the source,
+    postcomposed with each T(i) straight off the target's cells."""
+    tgt = t.target
+    dims = {u: tgt.hom_dim(v, t.apply_obj(u)) for u in op.objects}
+    action = {}
+    for a, b_obj in op.hom_pairs():  # op morphism a -> b_obj is a source morphism b_obj -> a
+        tb, ta = t.apply_obj(b_obj), t.apply_obj(a)
+        for i, timg in enumerate(t.columns[(b_obj, a)]):  # T(b_obj) -> T(a)
+            # column j: timg ∘ h_j for the basis h_j of Hom(v, T(b_obj))
+            cells = postcompose_cells(tgt, v, tb, ta, timg)
+            action[(a, b_obj, i)] = RationalMatrix.from_columns(cells, dims[a])
+    return Module(op, dims, action)

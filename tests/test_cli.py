@@ -273,6 +273,48 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert out["error"] == "E_PARSE"
 
 
+def _one_object_doc(hom_dim=1, index=0, identity="1", module_dim=1) -> str:
+    """Q as a one-object category with a module over it, one field replaceable."""
+    return json.dumps({
+        "categories": {"Q": {"objects": ["*"], "hom": {"*": {"*": {"dim": hom_dim}}},
+                             "comp": {"*": {"*": {"*": [[index, 0, ["1"]]]}}}, "id": {"*": [identity]}}},
+        "modules": {"M": {"over": "Q", "dims": {"*": module_dim}, "action": {"*": {"*": [[["1"]]]}}}},
+    })
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"\xff\xfe{}",
+        b"[" * 200_000,
+        _one_object_doc(identity=True).encode(),
+        _one_object_doc(hom_dim=True).encode(),
+        _one_object_doc(module_dim=True).encode(),
+        _one_object_doc(index=False).encode(),
+    ],
+    ids=["not-utf8", "nested-too-deeply", "true-rational", "true-hom-dim", "true-module-dim",
+         "false-cell-index"],
+)
+def test_malformed_file_exits_3_without_a_traceback(tmp_path, content, capsys):
+    """Bytes that are not UTF-8, JSON nested deeper than the parser recurses,
+    and a JSON true or false where a rational, a dimension or a cell index
+    belongs: validate exits 3 with E_PARSE, not a traceback or a verdict."""
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["validate", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["error"] == "E_PARSE"
+    assert "Traceback" not in captured.err
+
+
+def test_one_object_doc_is_valid(tmp_path, capsys):
+    """The document the malformed cases alter validates as it stands."""
+    path = tmp_path / "good.json"
+    path.write_text(_one_object_doc(), encoding="utf-8")
+    assert main(["validate", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] is True
+
+
 def test_functor_file_with_an_extra_object_exits_3(tmp_path, capsys):
     """A functor whose object map names an object its source lacks is a parse
     error, not a functor that check would call surjective."""

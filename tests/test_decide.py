@@ -25,7 +25,6 @@ from laxepi.decide import (
     is_generalized_closed_functor,
     is_generalized_lax_epi,
     is_lax_epi,
-    _hom_from_object_module,
 )
 from laxepi.errors import NotSurjectiveOnObjects, PreconditionError, RepresentableNotClosed
 from laxepi.functors import (
@@ -46,6 +45,7 @@ from reference_oracles import (
     condition_G,
     conditioned_epi_fullness_oracle,
     ffr_oracle_agrees,
+    hom_from_object_module,
 )
 
 Q = Fraction
@@ -132,7 +132,7 @@ def test_hom_from_object_module_valid():
     t = t2_semisimple_surjection()
     op = opposite(t.source)
     for v in t.target.objects:
-        assert validate_module(_hom_from_object_module(t, op, v)) == []
+        assert validate_module(hom_from_object_module(t, op, v)) == []
 
 
 def test_is_flat_identity_and_diagonal():
@@ -633,3 +633,25 @@ def test_conditioned_check_matches_the_counit_route_on_builtins():
                 gabriel += t.corner is None
                 failing += not want[0]
     assert cases >= 5 and gabriel == 1 and failing >= 1
+
+
+def test_is_flat_matches_the_projectivity_of_the_cell_reference():
+    """is_flat reads Hom(V, T-) off the regular bimodule's left action at V;
+    its non_projective_at lists exactly the V whose Hom(V, T-), postcomposed
+    straight off the cells (`reference_oracles.hom_from_object_module`), does
+    not split off its cover: on the builtins and both functors of bundles
+    0..199, with both verdicts seen."""
+    from laxepi.corpus import BUILTIN_NAMES, builtin, random_instance
+    from reference_oracles import splits
+
+    functors = [f for name in BUILTIN_NAMES for f in builtin(name).functors.values()]
+    for seed in range(200):
+        b = random_instance(seed)
+        functors += [b.functor, b.surjective_functor]
+    seen = set()
+    for t in functors:
+        op = opposite(t.source)
+        want = [v for v in t.target.objects if not splits(hom_from_object_module(t, op, v))]
+        assert is_flat(t).details["non_projective_at"] == want
+        seen.add(not want)
+    assert seen == {True, False}

@@ -692,3 +692,61 @@ def test_restrict_reflects_isos_surjective_on_objects():
         rf = restrict_map(s, f, restrict(s, f.source), restrict(s, f.target))
         if rf.is_iso():
             assert f.is_iso()
+
+
+def test_regular_bimodule_matches_the_cell_reference():
+    """regular_bimodule(s), the hom bimodule restricted along s, equals entry
+    for entry the bimodule postcomposed with each S(i) straight off the cells
+    (`reference_oracles.regular_bimodule`): its values and every component of
+    every left map, on the builtins and both functors of bundles 0..199."""
+    from laxepi.corpus import BUILTIN_NAMES, builtin, random_instance
+    from reference_oracles import regular_bimodule as reference
+
+    functors = [f for name in BUILTIN_NAMES for f in builtin(name).functors.values()]
+    for seed in range(200):
+        b = random_instance(seed)
+        functors += [b.functor, b.surjective_functor]
+    maps = 0
+    for s in functors:
+        got, want = regular_bimodule(s), reference(s)
+        assert got.left_cat is s.source and got.right_cat is s.target
+        assert got.values == want.values
+        assert got.left_action.keys() == want.left_action.keys()
+        for key, act in want.left_action.items():
+            assert got.left_action[key].components == act.components, key
+            maps += 1
+    assert maps > 1000, maps
+
+
+def test_restrict_left_sums_the_basis_maps_by_the_columns_of_s():
+    """restrict_left(s, i) for the localized factorization's bimodule i along
+    its s, a bimodule that is not a hom bimodule, on both functors of bundles
+    0..59 with the ideal on their target: it validates, and the map of each
+    basis morphism b, like `Bimodule.left_act_coords` at S(b), equals
+    Σ_j S(b)_j·i(j), summed with `map_add` and `map_scale`."""
+    from laxepi.corpus import random_instance
+    from laxepi.functors import restrict_left
+    from laxepi.linalg import nonzeros
+    from laxepi.modules import map_add, map_scale, zero_map
+
+    maps, sums = 0, 0
+    for seed in range(60):
+        b = random_instance(seed)
+        for f in (b.functor, b.surjective_functor):
+            t = next(t for t in b.ideals if t.cat is f.target)
+            fac = canonical_factorization_localized(f, t)
+            s, i = fac.s, fac.i
+            r = restrict_left(s, i)
+            assert r.left_cat is s.source and r.right_cat is i.right_cat
+            assert all(r.values[u] is i.values[s.apply_obj(u)] for u in s.source.objects)
+            for (v, u, k), act in r.left_action.items():
+                col = dict(nonzeros(s.hom_maps[(v, u)].col(k)))
+                want = zero_map(i.values[v], i.values[u])
+                for j, c in col.items():
+                    want = map_add(want, map_scale(c, i.left_action[(v, u, j)]))
+                assert act.components == want.components, (seed, v, u, k)
+                assert i.left_act_coords(v, u, col).components == want.components
+                maps += 1
+                sums += len(col) > 1 or any(c != 1 for c in col.values())
+            assert validate_bimodule(r) == []
+    assert maps > 200 and sums > 40, (maps, sums)

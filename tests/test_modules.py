@@ -892,9 +892,8 @@ def test_is_projective_reads_the_inverse_cover_at_a_zero_kernel():
     shortcut and the solve run, and the solve answers both ways."""
     from laxepi.category import opposite
     from laxepi.corpus import BUILTIN_NAMES, builtin, random_instance
-    from laxepi.decide import _hom_from_object_module
     from laxepi.modules import map_compose
-    from reference_oracles import splits
+    from reference_oracles import hom_from_object_module, splits
 
     cases = []
     for name in BUILTIN_NAMES:
@@ -906,7 +905,7 @@ def test_is_projective_reads_the_inverse_cover_at_a_zero_kernel():
     for seed in range(150):
         f = random_instance(seed).functor
         op = opposite(f.source)
-        cases += [_hom_from_object_module(f, op, v) for v in f.target.objects]
+        cases += [hom_from_object_module(f, op, v) for v in f.target.objects]
     seen = {"inverse": 0, True: 0, False: 0}
     for x in cases:
         ok, sec = is_projective(x)
@@ -987,3 +986,34 @@ def test_deferred_components_are_checked_on_first_read():
     assert calls == []
     assert lazy == identity_map(p2) and lazy.components is lazy.components and calls == [1]
     assert "components" in vars(identity_map(p2))
+
+
+def test_hom_bimodule_acts_by_postcomposition():
+    """hom_bimodule(c) is a valid bimodule with yoneda(c, G) at each G, and the
+    left map of each basis morphism i: G' -> G is postcomposition with i, as
+    `reference_oracles.postcomposition` builds it with `compose`: on the
+    categories of the builtins and of bundles 0..199."""
+    from laxepi.corpus import BUILTIN_NAMES, builtin, random_instance
+    from laxepi.modules import hom_bimodule, validate_bimodule
+    from reference_oracles import postcomposition
+
+    cats = []
+    for name in BUILTIN_NAMES:
+        b = builtin(name)
+        cats += [c for f in b.functors.values() for c in (f.source, f.target)]
+        cats += [m.over for m in b.modules.values()]
+    for seed in range(200):
+        b = random_instance(seed)
+        cats += [b.category, b.target_category]
+    checked = 0
+    for c in {id(c): c for c in cats}.values():
+        hom = hom_bimodule(c)
+        assert hom.left_cat is c and hom.right_cat is c
+        assert all(hom.values[g] == yoneda(c, g) for g in c.objects)
+        assert set(hom.left_action) == {(g2, g1, i) for g2, g1 in c.hom_pairs()
+                                        for i in range(c.hom_dim(g2, g1))}
+        for (g2, g1, i), act in hom.left_action.items():
+            assert act.components == postcomposition(c, c.basis_morphism(g2, g1, i))
+            checked += 1
+        assert validate_bimodule(hom) == []
+    assert checked > 1000, checked
