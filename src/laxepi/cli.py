@@ -157,6 +157,8 @@ def cmd_check(args) -> int:
     with_ideal = args.kind in decide.IDEAL_CHECKS
     if with_ideal and not args.ideal:
         raise ParseError(f"--ideal is required for kind {args.kind}")
+    if not with_ideal and args.ideal is not None:
+        raise ParseError(f"--ideal is not taken by kind {args.kind}")
     wanted = [("functors", args.functor)] + [("ideals", args.ideal)] * with_ideal
     (f, _, _), *ideals = _need(inst, *wanted)
     t0 = time.perf_counter()

@@ -34,7 +34,6 @@ from .functors import (
     canonical_factorization_localized,
     counit_components,
     regular_bimodule,
-    restrict,
     restrict_left,
     tensor_bimodule,
 )
@@ -57,7 +56,6 @@ from .modules import (
 from .torsion import (
     TorsionData,
     is_closed,
-    is_torsion,
     is_torsion_of,
     localize,
     require_on,
@@ -259,8 +257,7 @@ def _conditioned_check(fac: Factorization) -> tuple[bool, dict]:
     reg = None  # built only for a failure's kernel_dims
     failures = {}
     for g in fac.mid.objects:
-        y = yoneda(fac.mid, g)
-        x = restrict(s, y)
+        x = yoneda(fac.mid, g, along=s)  # s*y_g
         ctx = tensor_bimodule(x, i_s)
         comps = ctx.evaluation(lambda h, u, a, j: i.left_action[(u, g, a)].components[h].col(j),
                                i.values[g].dims)
@@ -270,7 +267,8 @@ def _conditioned_check(fac: Factorization) -> tuple[bool, dict]:
             reg = reg or regular_bimodule(s)
             induced = tensor_bimodule(x, reg).free
             failures[g] = {
-                "kernel_dims": {u: len(free) - y.dims[u] for u, free in induced.items()},
+                "kernel_dims": {u: len(free) - fac.mid.hom_dim(u, g)
+                                for u, free in induced.items()},
                 "tensor_dims": dims,
             }
     return not failures, failures
@@ -330,7 +328,9 @@ def is_generalized_closed_functor(
     torsion part of the top at some object u, and - ⊗ b and Tor_1(-, b)
     commute with finite sums, so testing each nonzero S_u decides (i).  The
     paper's equivalence gives (ii), Hom-restriction keeps closed modules
-    closed, and (iii), - ⊗ b keeps q-isomorphisms.
+    closed, and (iii), - ⊗ b keeps q-isomorphisms.  S_u ⊗ b and Tor_1(S_u, b)
+    are read as dims (the tensor's free columns, `tor1_dims`); their modules
+    are built only for an ideal without a corner (`is_torsion_of`).
     """
     require_on(t_left, b.left_cat, "the bimodule's left category")
     require_on(t_right, b.right_cat, "the bimodule's right category")
@@ -339,9 +339,9 @@ def is_generalized_closed_functor(
         simples, _ = sub_to_module(torsion_submodule(t_left, top))
         if simples.is_zero():
             continue
-        tens, tor = tensor_bimodule(simples, b).module, tor1(simples, b)
-        if not (is_torsion(t_right, tens) and is_torsion(t_right, tor)):
-            failures.append(
-                {"object": u, "tensor_dims": dict(tens.dims), "tor_dims": dict(tor.dims)}
-            )
+        ctx, tor = tensor_bimodule(simples, b), tor1_dims(simples, b)
+        tens = {h: len(free) for h, free in ctx.free.items()}
+        if not (is_torsion_of(t_right, tens, lambda: ctx.module)
+                and is_torsion_of(t_right, tor, lambda: tor1(simples, b))):
+            failures.append({"object": u, "tensor_dims": tens, "tor_dims": tor})
     return DecisionReport("generalized-closed", not failures, {"failures": failures})

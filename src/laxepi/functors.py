@@ -6,14 +6,15 @@ There is one coequalizer, the tensor x ⊗ b of a module with a bimodule
 (`modules.Presentation`): its generators (G_k, a_k) give a cover
 P0 = ⊕_k yoneda(G_k) -> x with kernel K, and as tensoring is right exact and
 yoneda(G) ⊗ b = b(G), x ⊗ b is ⊕_k b(G_k) modulo the image of K ⊗ b,
-objectwise.  Induction along a functor is the tensor with its regular
-bimodule, the hom bimodule (`modules.hom_bimodule`) with its left side
-restricted along it (`restrict_left`).  Coinduction is its Hom-side twin,
-`modules.hom_diagram_module` on D(G) = restrict(yoneda G), read off the
-target's cells (`coinduction_bimodule`).  Contexts carry the presentation,
-the projections and the quotient coordinates, so units, counits and
-functoriality on maps are all computed in matching coordinates; a map out of
-a tensor fixed on each class e_{a_k} ⊗ β_j, such as the counit, is read by
+objectwise.  Both adjoints of restriction read the hom bimodule C(-, -)
+restricted on one side.  Coinduction along s is `modules.hom_diagram_module`
+on D = C(S-, -), whose value D(G) = Hom(S-, G) is `modules.yoneda(C, G,
+along=s)` (`coinduction_bimodule`), and C(-, -) is D along the identity.
+Induction is the tensor with the regular bimodule C(-, S-), C(-, -) with its
+left side restricted along s (`restrict_left`).  Contexts carry the
+presentation, the projections and the quotient coordinates, so units, counits
+and functoriality on maps are all computed in matching coordinates; a map out
+of a tensor fixed on each class e_{a_k} ⊗ β_j, such as the counit, is read by
 one evaluation (`TensorContext.evaluation`).
 """
 
@@ -25,8 +26,7 @@ from functools import cached_property
 from itertools import accumulate, product
 from typing import Mapping, Sequence, Union
 
-from .category import LinearCategory, Morphism, combine, contract, full_image
-from .category import postcompose_cells, precompose_cells
+from .category import LinearCategory, Morphism, combine, contract, full_image, postcompose_cells
 from .errors import InternalInvariantError
 from .linalg import ONE, EchelonBasis, RationalMatrix, Scalar, nonzeros, rank, solve_matrix, zero_vec
 from .modules import (
@@ -37,7 +37,6 @@ from .modules import (
     Presentation,
     evaluation_matrix,
     fill_action,
-    hom_bimodule,
     hom_diagram_module,
     hom_matrix,
     hom_modules,
@@ -87,24 +86,20 @@ class LinearFunctor:
 
     @cached_property
     def coinduction_bimodule(self) -> Bimodule:
-        """D(G) = restrict(yoneda G), which `coinduce` reads, built once straight
-        off the target's cells: D(G)(U) = Hom(SU, G), where the basis morphism i
-        of the source acts by precomposition with S(i), and a basis g: G' -> G
-        of the target acts D(G') -> D(G) by postcomposition, each map built on
-        first read (`hom_diagram_module` reads those its action plan computes).
-        When s is full with identity hom matrices (as `category.full_image`'s
-        inclusions are), D(SU) = Hom(S-, SU) is the representable yoneda(U)."""
+        """D with D(G) = Hom(S-, G) = `yoneda(target, G, along=self)`, which
+        `coinduce` reads; a basis g: G' -> G of the target acts D(G') -> D(G)
+        by postcomposition, each map built on first read (`hom_diagram_module`
+        reads those its action plan computes).  Along the identity it is the
+        hom bimodule c(-, -).  When s is full with identity hom matrices (as
+        the identity and `category.full_image`'s inclusions are), D(SU) is the
+        representable yoneda(U), `free_on` (U,), whose Homs are read by Yoneda."""
         src, tgt, obj = self.source, self.target, self.object_map
         full = all(m == RationalMatrix.identity(m.rows) for m in self.hom_maps.values()) and all(
             tgt.hom_dim(obj[v], obj[u]) == src.hom_dim(v, u)
             for v, u in product(src.objects, repeat=2))
         reps = {obj[u]: u for u in src.objects} if full else {}
-        values = {}
-        for g in tgt.objects:
-            dims = {u: tgt.hom_dim(obj[u], g) for u in src.objects}
-            values[g] = yoneda(src, reps[g]) if g in reps else Module(src, dims, fill_action(
-                src, dims, lambda v, u, i: RationalMatrix.from_columns(
-                    precompose_cells(tgt, obj[v], obj[u], g, self.columns[(v, u)][i]), dims[v])))
+        values = {g: yoneda(src, reps[g]) if g in reps else yoneda(tgt, g, along=self)
+                  for g in tgt.objects}
         left = {(g2, g1, i): ModuleMap(values[g2], values[g1], lambda g2=g2, g1=g1, i=i: {
             u: RationalMatrix.from_columns(postcompose_cells(tgt, obj[u], g2, g1, {i: ONE}), d)
             for u, d in values[g1].dims.items()
@@ -265,10 +260,11 @@ def coinduce_map(
 # ---------------------------------------------------------------------------
 
 def regular_bimodule(s: LinearFunctor) -> Bimodule:
-    """The bimodule computing induction along s, the hom bimodule with its left
-    side restricted along s: value(U) = yoneda(SU), where the basis morphism i
-    of the source acts by postcomposition with S(i)."""
-    return restrict_left(s, hom_bimodule(s.target))
+    """The bimodule computing induction along s, the hom bimodule (the
+    identity's coinduction bimodule) with its left side restricted along s:
+    value(U) = yoneda(SU), where the basis morphism i of the source acts by
+    postcomposition with S(i)."""
+    return restrict_left(s, identity_functor(s.target).coinduction_bimodule)
 
 
 @dataclass
@@ -437,7 +433,7 @@ def counit_components(s: LinearFunctor) -> dict[str, tuple[TensorContext, Module
     (`induction_counit`'s evaluation, with no tensor module built).  One hom
     bimodule serves them all: y_v is its value at v, and the regular bimodule
     its left restriction."""
-    hom = hom_bimodule(s.target)
+    hom = identity_functor(s.target).coinduction_bimodule
     reg = restrict_left(s, hom)
     out = {}
     for v, y in hom.values.items():

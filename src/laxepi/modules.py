@@ -7,10 +7,12 @@ matrix X(f) maps X(U) to X(V), and X(g∘f) = X(f)·X(g).  Each module has one
 X·rad, the cover P0 = ⊕_k yoneda(G_k) -> X they give, its kernel K and a
 preimage of each basis vector.  Natural transformations X -> Y are read off
 it as the values in ⊕_k Y(G_k) that kill K; the free cover, Ext^1, Tor_1,
-projectivity and the tensor with a bimodule all use the same cover.  A
-`Bimodule` is a diagram of modules; `hom_bimodule(c)` is c(-, -), the
-representables under postcomposition, and `hom_diagram_module(b, y)` is
-G ↦ Hom(b(G), y).  Kernels and cokernels are computed objectwise.
+projectivity and the tensor with a bimodule all use the same cover.
+`yoneda(c, u, along=s)` is Hom(S-, u), the representable along the
+identity.  A `Bimodule` is a diagram of modules: c(-, -), the representables
+under postcomposition, is the coinduction bimodule of c's identity
+(`functors.LinearFunctor.coinduction_bimodule`), and `hom_diagram_module(b,
+y)` is G ↦ Hom(b(G), y).  Kernels and cokernels are computed objectwise.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, product
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
-from .category import LinearCategory, Morphism, combine, postcompose_cells
+from .category import LinearCategory, Morphism, combine, precompose_cells
 from .errors import InternalInvariantError
 from .linalg import (
     ONE,
@@ -41,6 +43,9 @@ from .linalg import (
     solve,
     vec,
 )
+
+if TYPE_CHECKING:
+    from .functors import LinearFunctor
 
 ActionKey = tuple[str, str, int]  # (V, U, basis index of Hom(V, U))
 
@@ -72,7 +77,8 @@ class Module:
     """A right module: spaces X(U) plus action matrices X(b): X(U) -> X(V).
 
     `free_on` is (G_1, ..., G_m) on the module ⊕_k yoneda(G_k) that `yoneda`
-    and `direct_sum` build, which `hom_modules` reads by Yoneda; None elsewhere."""
+    (along the identity) and `direct_sum` build, which `hom_modules` reads by
+    Yoneda; None elsewhere."""
 
     def __init__(
         self,
@@ -284,21 +290,19 @@ def zero_module(c: LinearCategory) -> Module:
     return Module(c, {}, {})
 
 
-def yoneda(c: LinearCategory, u: str) -> Module:
-    """The representable Hom(-, u) with precomposition action."""
+def yoneda(c: LinearCategory, u: str, along: LinearFunctor | None = None) -> Module:
+    """Hom(S-, u) over the source of S = `along`, the representable Hom(-, u)
+    when S is the identity: the basis morphism i acts by precomposition with
+    S(i), {i: 1} along the identity, where the action plan computes it
+    (`fill_action`).  Only the representable itself is `free_on` (u,)."""
     if u not in c.objects:
         raise ValueError(f"unknown object {u}")
-    dims = {v: c.hom_dim(v, u) for v in c.objects}
-    action: dict[ActionKey, RationalMatrix] = {}
-    for w, v in c.hom_pairs():
-        # entry (k, j) of the action of basis f_i: w -> v is coordinate k of g_j ∘ f_i
-        rows = [[{} for _ in range(dims[w])] for _ in range(c.hom_dim(w, v))]
-        for (j, i), cell in c.table(w, v, u).items():
-            for k, x in cell.items():
-                rows[i][k][j] = x
-        for i, r in enumerate(rows):
-            action[(w, v, i)] = RationalMatrix.from_sparse_rows(r, dims[v])
-    return Module(c, dims, action, free_on=(u,))
+    src = c if along is None else along.source
+    obj = {v: v for v in c.objects} if along is None else along.object_map
+    dims = {v: c.hom_dim(obj[v], u) for v in src.objects}
+    action = fill_action(src, dims, lambda w, v, i: RationalMatrix.from_columns(precompose_cells(
+        c, obj[w], obj[v], u, {i: ONE} if along is None else along.columns[(w, v)][i]), dims[w]))
+    return Module(src, dims, action, free_on=(u,) if along is None else None)
 
 
 def identity_map(x: Module) -> ModuleMap:
@@ -414,18 +418,6 @@ class Bimodule:
         return ModuleMap(src, tgt, lambda: {h: RationalMatrix.from_sparse_rows(
             [combine((c, m.components[h].sp[r]) for c, m in maps) for r in range(d)], src.dims[h])
             for h, d in tgt.dims.items()})
-
-
-def hom_bimodule(c: LinearCategory) -> Bimodule:
-    """The hom bimodule c(-, -): yoneda(c, G) at each G, where the basis
-    morphism i: G' -> G acts yoneda(G') -> yoneda(G) by postcomposition, each
-    map built on first read."""
-    values = {g: yoneda(c, g) for g in c.objects}
-    left = {(g2, g1, i): ModuleMap(values[g2], values[g1], lambda g2=g2, g1=g1, i=i: {
-        w: RationalMatrix.from_columns(postcompose_cells(c, w, g2, g1, {i: ONE}), d)
-        for w, d in values[g1].dims.items()
-    }) for g2, g1 in c.hom_pairs() for i in range(c.hom_dim(g2, g1))}
-    return Bimodule(c, c, values, left)
 
 
 def validate_bimodule(b: Bimodule) -> list[str]:

@@ -37,7 +37,7 @@ from typing import Callable, Mapping, Sequence
 
 from .category import LinearCategory, Morphism, contract, full_subcategory, ideal_spans
 from .errors import IdealNotIdempotent, InternalInvariantError, PreconditionError
-from .functors import coinduce, coinduce_unit, restrict
+from .functors import coinduce, coinduce_unit, identity_functor, restrict
 from .linalg import EchelonBasis, RationalMatrix, Scalar, Subspace, kernel_basis, rank
 from .modules import (
     Bimodule,
@@ -46,7 +46,6 @@ from .modules import (
     ModuleMap,
     Submodule,
     evaluation_matrix,
-    hom_bimodule,
     hom_diagram_module,
     hom_modules,
     kernel,
@@ -100,14 +99,15 @@ class TorsionData:
     @cached_property
     def j(self) -> Bimodule:
         """U ↦ J_U, the minimal dense submodules of the representables, cut down
-        from the hom bimodule (`modules.hom_bimodule`): J_U is the submodule of
+        from the hom bimodule c(-, -), the coinduction bimodule of c's identity
+        (`functors.LinearFunctor.coinduction_bimodule`): J_U is the submodule of
         yoneda(U) on the ideal's subspaces (`sub_to_module`), so J_U(W) =
         ideal(W, U) in its canonical basis and b_i: W' -> W acts by h ↦ h ∘ b_i;
         the basis morphism b_i: V -> U acts J_V -> J_U by the hom bimodule's
         postcomposition, read at the ideal's pivots (`subspace_coords`).  A family
         that either side of composition leaves is a bug here."""
         c, ideal = self.cat, self.ideal
-        hom = hom_bimodule(c)
+        hom = identity_functor(c).coinduction_bimodule
         values, incl = {}, {}
         try:
             for u, rep in hom.values.items():

@@ -29,6 +29,8 @@ does not reach them, so they live here, beside the tests that read them:
   `torsion.ideal_closure`, which tests it at the generators;
 * postcomposition by a morphism composed with each basis morphism, against
   `category.postcompose_cells`, which walks the composition cells;
+* the representable Hom(-, u) gathered cell by cell, against
+  `modules.yoneda`, which builds it along the action plan;
 * the regular bimodule postcomposed with each S(i) straight off the cells,
   against `functors.regular_bimodule`, the hom bimodule restricted along s;
 * Hom(V, T-) over the opposite category postcomposed with each T(i) straight
@@ -61,7 +63,6 @@ from laxepi.modules import (
     tops,
     tor1,
     validate_module_map,
-    yoneda,
     zero_submodule,
 )
 from laxepi.oracles import bounded_quotient_family, restriction_hom_bijective, restriction_hom_ranks
@@ -264,11 +265,27 @@ def postcomposition(c, m: Morphism) -> dict[str, RationalMatrix]:
         c.hom_dim(w, m.target)) for w in c.objects}
 
 
+def representable(c: LinearCategory, u: str) -> Module:
+    """Hom(-, u) with precomposition action, every action matrix gathered from
+    the cells: entry (k, j) of basis f_i: w -> v is coordinate k of g_j ∘ f_i."""
+    dims = {v: c.hom_dim(v, u) for v in c.objects}
+    action = {}
+    for w, v in c.hom_pairs():
+        rows = [[{} for _ in range(dims[w])] for _ in range(c.hom_dim(w, v))]
+        for (j, i), cell in c.table(w, v, u).items():
+            for k, x in cell.items():
+                rows[i][k][j] = x
+        for i, r in enumerate(rows):
+            action[(w, v, i)] = RationalMatrix.from_sparse_rows(r, dims[v])
+    return Module(c, dims, action, free_on=(u,))
+
+
 def regular_bimodule(s: LinearFunctor) -> Bimodule:
-    """value(U) = yoneda(SU), where the basis morphism i of the source acts by
-    postcomposition with S(i), gathered from the target's cells at once."""
+    """value(U) = Hom(-, SU) (`representable`), where the basis morphism i of
+    the source acts by postcomposition with S(i), gathered from the target's
+    cells at once."""
     tgt = s.target
-    reps = {t: yoneda(tgt, t) for t in s.image_objects()}
+    reps = {t: representable(tgt, t) for t in s.image_objects()}
     values = {u: reps[s.apply_obj(u)] for u in s.source.objects}
     action = {}
     for v, u in s.source.hom_pairs():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from laxepi.cli import main
 from laxepi.corpus import builtin
+from laxepi.decide import CHECKS, IDEAL_CHECKS
 from laxepi.errors import ParseError
 from laxepi.fileio import (
     bundle_to_instance,
@@ -253,6 +254,19 @@ def test_entries_over_different_categories_are_refused(mixed_file, argv, capsys)
     assert "over Q" in out["message"] and "over T2" in out["message"]
 
 
+@pytest.mark.parametrize("kind", [k for k in CHECKS if k not in IDEAL_CHECKS])
+def test_check_refuses_an_ideal_for_a_kind_that_takes_none(kind, tmp_path, capsys):
+    """--ideal with a kind outside `decide.IDEAL_CHECKS` exits 3 with E_PARSE,
+    as a missing ideal does for a kind that takes one: its decider would never
+    read the ideal, and the report would name one the file need not hold."""
+    path = _write_instance(tmp_path, "identity", bundle_to_instance(builtin("identity_ring")))
+    argv = ["check", path, "--functor", "id", "--kind", kind]
+    assert main(argv + ["--ideal", "no-such-ideal"]) == 3
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"] == "E_PARSE" and "--ideal" in out["message"], out
+    assert main(argv) == 0
+
+
 def test_ideal_not_idempotent_exit_code(tmp_path, capsys):
     inst = bundle_to_instance(builtin("truncated_poly"))
     path = tmp_path / "trunc.json"
@@ -486,8 +500,6 @@ def test_mutated_instance_never_crashes(data):
     import contextlib
     import io
     import tempfile
-
-    from laxepi.decide import CHECKS, IDEAL_CHECKS
 
     doc = data.draw(st.sampled_from(_BUILTIN_DOCS))
     path = data.draw(st.sampled_from(list(_paths(doc))))

@@ -989,13 +989,15 @@ def test_deferred_components_are_checked_on_first_read():
 
 
 def test_hom_bimodule_acts_by_postcomposition():
-    """hom_bimodule(c) is a valid bimodule with yoneda(c, G) at each G, and the
-    left map of each basis morphism i: G' -> G is postcomposition with i, as
-    `reference_oracles.postcomposition` builds it with `compose`: on the
-    categories of the builtins and of bundles 0..199."""
+    """c(-, -), the identity's coinduction bimodule, is a valid bimodule with
+    the representable at each G, as `reference_oracles.representable` gathers
+    it, and the left map of each basis morphism i: G' -> G is postcomposition
+    with i, as `reference_oracles.postcomposition` builds it with `compose`:
+    on the categories of the builtins and of bundles 0..199."""
     from laxepi.corpus import BUILTIN_NAMES, builtin, random_instance
-    from laxepi.modules import hom_bimodule, validate_bimodule
-    from reference_oracles import postcomposition
+    from laxepi.functors import identity_functor
+    from laxepi.modules import validate_bimodule
+    from reference_oracles import postcomposition, representable
 
     cats = []
     for name in BUILTIN_NAMES:
@@ -1007,9 +1009,9 @@ def test_hom_bimodule_acts_by_postcomposition():
         cats += [b.category, b.target_category]
     checked = 0
     for c in {id(c): c for c in cats}.values():
-        hom = hom_bimodule(c)
+        hom = identity_functor(c).coinduction_bimodule
         assert hom.left_cat is c and hom.right_cat is c
-        assert all(hom.values[g] == yoneda(c, g) for g in c.objects)
+        assert all(hom.values[g] == representable(c, g) for g in c.objects)
         assert set(hom.left_action) == {(g2, g1, i) for g2, g1 in c.hom_pairs()
                                         for i in range(c.hom_dim(g2, g1))}
         for (g2, g1, i), act in hom.left_action.items():
@@ -1017,3 +1019,89 @@ def test_hom_bimodule_acts_by_postcomposition():
             checked += 1
         assert validate_bimodule(hom) == []
     assert checked > 1000, checked
+
+
+def _representable_categories():
+    """The categories of the builtins, both categories of bundles 0..199,
+    A_2..A_12 and the product field Q × Q, whose identity is a sum of two
+    basis vectors, each once."""
+    from laxepi.corpus import BUILTIN_NAMES, builtin, random_instance
+
+    cats = []
+    for name in BUILTIN_NAMES:
+        cats += list(builtin(name).categories.values())
+    for seed in range(200):
+        b = random_instance(seed)
+        cats += [b.category, b.target_category]
+    cats += [_a_n(n) for n in range(2, 13)] + [product_field_category()]
+    return list({id(c): c for c in cats}.values())
+
+
+def test_yoneda_equals_the_cell_loop():
+    """yoneda(c, u), built along c's action plan, is the representable that
+    `reference_oracles.representable` gathers cell by cell, entry for entry
+    and `free_on` (u,) included, at every object of the builtins' categories,
+    both categories of bundles 0..199, A_2..A_12 and Q × Q."""
+    from reference_oracles import representable
+
+    computed = 0
+    for c in _representable_categories():
+        for u in c.objects:
+            got, want = yoneda(c, u), representable(c, u)
+            assert got == want and got.free_on == want.free_on == (u,), (c.objects, u)
+        computed += sum(how is None for how in c.action_plan.values())
+    assert computed > 500, computed
+
+
+def test_yoneda_along_a_functor_is_the_restricted_representable():
+    """yoneda(tgt, g, along=s) is Hom(S-, g), the target's representable
+    (`reference_oracles.representable`) restricted along s: each basis
+    morphism i acts by precomposition with S(i), not with basis morphism i,
+    and the module is not `free_on`; for every target object of both
+    functors of bundles 0..199 and of every builtin functor."""
+    from laxepi.corpus import BUILTIN_NAMES, builtin, random_instance
+    from laxepi.functors import restrict
+    from reference_oracles import representable
+
+    functors = [f for name in BUILTIN_NAMES for f in builtin(name).functors.values()]
+    for seed in range(200):
+        b = random_instance(seed)
+        functors += [b.functor, b.surjective_functor]
+    pairs = 0
+    for s in functors:
+        for g in s.target.objects:
+            got = yoneda(s.target, g, along=s)
+            assert got.over is s.source and got.free_on is None
+            assert got == restrict(s, representable(s.target, g))
+            pairs += 1
+    assert pairs > 800, pairs
+
+
+def test_coinduction_reads_a_corner_own_objects_by_yoneda():
+    """Along the inclusion of a corner E, the coinduction bimodule's value at
+    each e in E is the representable yoneda(e), `free_on` (e,), so
+    `localize` reads every Hom out of it by Yoneda and builds no presentation
+    there; every value is Hom(S-, G), the target's representable restricted
+    along the inclusion: on the vertex ideals of A_4..A_8 and the ideals of
+    the builtins and bundles 0..199 that have a corner."""
+    from laxepi.corpus import BUILTIN_NAMES, builtin, random_instance
+    from laxepi.functors import restrict
+    from laxepi.torsion import ideal_closure, localize
+    from reference_oracles import representable
+
+    ideals = [ideal_closure(c, [c.identity(u)]) for c in map(_a_n, range(4, 9)) for u in c.objects]
+    ideals += [t for name in BUILTIN_NAMES for t in builtin(name).ideals.values()]
+    ideals += [t for seed in range(200) for t in random_instance(seed).ideals]
+    corners = 0
+    for t in ideals:
+        if (inc := t.corner) is None:
+            continue
+        d = inc.coinduction_bimodule
+        for g, value in d.values.items():
+            assert value == restrict(inc, representable(t.cat, g))
+        localize(t, yoneda(t.cat, t.cat.objects[-1]))
+        for e in inc.source.objects:
+            value = d.values[inc.object_map[e]]
+            assert value.free_on == (e,) and "presentation" not in vars(value)
+            corners += 1
+    assert corners > 300, corners
